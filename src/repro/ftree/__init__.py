@@ -18,7 +18,8 @@ Two construction paths are provided: :class:`FTree.insert_edge`
 implements the incremental insertion cases of Section 5.4, and
 :func:`~repro.ftree.builder.build_ftree` rebuilds the decomposition from
 scratch using biconnected components — both must agree, which the test
-suite verifies.
+suite verifies.  :meth:`FTree.probe` scores a candidate edge without
+inserting it (a :class:`ProbeScore`), as a flow delta over the tree.
 """
 
 from repro.ftree.components import (
@@ -28,7 +29,7 @@ from repro.ftree.components import (
 )
 from repro.ftree.memo import MemoCache
 from repro.ftree.sampler import ComponentSampler
-from repro.ftree.ftree import FTree, InsertionResult
+from repro.ftree.ftree import FTree, InsertionResult, ProbeScore
 from repro.ftree.builder import build_ftree
 from repro.ftree.export import ftree_to_dot, ftree_summary, graph_to_dot
 
@@ -40,6 +41,7 @@ __all__ = [
     "ComponentSampler",
     "FTree",
     "InsertionResult",
+    "ProbeScore",
     "build_ftree",
     "ftree_to_dot",
     "ftree_summary",

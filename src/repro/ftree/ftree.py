@@ -22,18 +22,24 @@ of Section 5.4:
 
 Cases IIIb and IV share one generic cycle-closing routine; the paper's
 case labels are preserved in the returned :class:`InsertionResult` for
-observability.
+observability.  The routine first *plans* the insertion without touching
+the tree, then applies the plan.
+
+:meth:`FTree.probe` scores a candidate edge without inserting it, as a
+flow delta over per-vertex aggregates that are built once per tree
+state: an edge to a new vertex costs O(1), and an edge that closes a
+cycle costs one estimate of the planned bi component plus a sum over
+its vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import (
     DisconnectedInsertionError,
     DuplicateEdgeError,
-    EdgeNotFoundError,
     FTreeInvariantError,
     VertexNotFoundError,
 )
@@ -60,6 +66,70 @@ class InsertionResult:
     removed_components: List[int] = field(default_factory=list)
     #: Ids of bi components whose reachability must be re-estimated.
     invalidated_components: List[int] = field(default_factory=list)
+
+
+class ProbeScore(NamedTuple):
+    """What inserting one candidate edge would do, scored without inserting it.
+
+    ``flow`` is :meth:`FTree.expected_flow`, ``(lower, upper)`` is
+    :meth:`FTree.flow_interval` and ``cost`` is
+    :meth:`FTree.pending_estimation_cost` of the tree with the edge
+    inserted.
+    """
+
+    flow: float
+    lower: float
+    upper: float
+    cost: int
+
+
+@dataclass
+class _CyclePlan:
+    """An insertion between two connected vertices, worked out but not applied."""
+
+    #: Paper case label: "IIIa", "IIIb" or "IV".
+    case: str
+    #: The bi component the insertion creates (or grows, for Case IIIa),
+    #: built but not registered with the tree.
+    component: BiConnectedComponent
+    #: Case IIIa: the existing component that receives the edge in place.
+    target: Optional[BiConnectedComponent] = None
+    #: Cases IIIb and IV: the components merged into the cycle, in merge
+    #: order — a bi component whole (``None``), a mono component with the
+    #: path of vertices that moves out of it.
+    consumed: List[Tuple[Component, Optional[List[VertexId]]]] = field(default_factory=list)
+
+
+@dataclass
+class _FlowSums:
+    """Per-vertex aggregates of the vertex tree for one choice of local factors.
+
+    In the vertex tree every connected vertex ``x`` hangs below its
+    parent ``π(x)`` — the mono parent, or the articulation vertex of a bi
+    component — with factor ``f(x)``: the edge probability, or the local
+    reachability inside the bi component.
+    """
+
+    #: ``f(x)``
+    factor: Dict[VertexId, float]
+    #: ``R(x)``: probability of reaching Q, the product of factors up to Q
+    reach: Dict[VertexId, float]
+    #: ``D(x) = w(x) + Σ_children f(c)·D(c)``: expected weight collected at ``x``
+    down: Dict[VertexId, float]
+    #: ``Σ_x w(x)·R(x)`` without the query vertex's own weight
+    flow: float
+
+
+@dataclass
+class _VertexTree:
+    """The committed tree's vertex-tree aggregates, built once per tree state."""
+
+    alpha: float
+    z: float
+    #: ``π(x)`` for every connected vertex except Q
+    parent: Dict[VertexId, VertexId]
+    #: sums over the estimates, their lower and their upper interval bounds
+    sums: Tuple[_FlowSums, _FlowSums, _FlowSums]
 
 
 class FTree:
@@ -94,6 +164,8 @@ class FTree:
         self._selected: Set[Edge] = set()
         self._next_id = 0
         self._root_mono_id: Optional[int] = None
+        #: probe aggregates of the current state (see :meth:`probe`)
+        self._vertex_tree: Optional[_VertexTree] = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -130,6 +202,21 @@ class FTree:
             return None
         component_id = self._owner.get(vertex)
         return None if component_id is None else self._components[component_id]
+
+    def begin_round(self, round_index: int) -> None:
+        """Start a selection round: advance the sampler's round and mark
+        every bi-connected component for re-estimation.
+
+        Each bi component is then estimated once in the round, on the
+        first probe or flow evaluation, through the same sampler call
+        (memo key and CRN stream) that evaluating a fresh copy of the
+        tree with one candidate inserted would make.
+        """
+        self.sampler.begin_round(round_index)
+        for component in self._components.values():
+            if isinstance(component, BiConnectedComponent):
+                component.invalidate()
+        self._vertex_tree = None
 
     # ------------------------------------------------------------------
     # bookkeeping helpers
@@ -170,20 +257,29 @@ class FTree:
         grows a single connected component around ``Q``).
         """
         edge = Edge(u, v)
-        if not self.graph.has_edge(u, v):
-            raise EdgeNotFoundError(u, v)
-        if edge in self._selected:
-            raise DuplicateEdgeError(u, v)
+        self._check_insertion(edge)
+        self._selected.add(edge)
+        self._vertex_tree = None
         u_connected = self.is_connected_vertex(u)
         v_connected = self.is_connected_vertex(v)
-        if not u_connected and not v_connected:
-            raise DisconnectedInsertionError(u, v)
-        self._selected.add(edge)
         if u_connected and not v_connected:
             return self._attach_new_vertex(u, v, edge)
         if v_connected and not u_connected:
             return self._attach_new_vertex(v, u, edge)
-        return self._insert_between_connected(u, v, edge)
+        return self._apply_cycle(self._plan_cycle(u, v, edge), edge)
+
+    def _check_insertion(self, edge: Edge) -> float:
+        """Validate a would-be insertion of ``edge``; return its probability.
+
+        A non-edge raises :class:`~repro.exceptions.EdgeNotFoundError`
+        from the graph lookup.
+        """
+        probability = self.graph.probability(edge)
+        if edge in self._selected:
+            raise DuplicateEdgeError(edge.u, edge.v)
+        if not (self.is_connected_vertex(edge.u) or self.is_connected_vertex(edge.v)):
+            raise DisconnectedInsertionError(edge.u, edge.v)
+        return probability
 
     # -- Case II ---------------------------------------------------------
     def _attach_new_vertex(self, anchor: VertexId, new_vertex: VertexId, edge: Edge) -> InsertionResult:
@@ -206,41 +302,6 @@ class FTree:
         return InsertionResult(edge=edge, case="IIb", created_components=[mono.component_id])
 
     # -- Cases III and IV --------------------------------------------------
-    def _insert_between_connected(self, u: VertexId, v: VertexId, edge: Edge) -> InsertionResult:
-        owner_u = self.owner_of(u)
-        owner_v = self.owner_of(v)
-        if (
-            owner_u is not None
-            and owner_v is not None
-            and owner_u.component_id == owner_v.component_id
-        ):
-            if not owner_u.is_mono:
-                # Case IIIa: new edge inside an existing bi component
-                assert isinstance(owner_u, BiConnectedComponent)
-                owner_u.add_edge(edge)
-                return InsertionResult(
-                    edge=edge,
-                    case="IIIa",
-                    invalidated_components=[owner_u.component_id],
-                )
-            return self._close_cycle(u, v, edge, case="IIIb")
-        # the paper treats an edge between a bi component and its own articulation
-        # vertex as Case IIIa as well: the edge lies entirely inside that component
-        for inside, outside in ((owner_u, v), (owner_v, u)):
-            if (
-                inside is not None
-                and not inside.is_mono
-                and inside.articulation == outside
-            ):
-                assert isinstance(inside, BiConnectedComponent)
-                inside.add_edge(edge)
-                return InsertionResult(
-                    edge=edge,
-                    case="IIIa",
-                    invalidated_components=[inside.component_id],
-                )
-        return self._close_cycle(u, v, edge, case="IV")
-
     def _anchor_chain(self, vertex: VertexId) -> List[Tuple[Component, VertexId]]:
         """Return the chain of (component, entry vertex) pairs from ``vertex`` up to Q."""
         chain: List[Tuple[Component, VertexId]] = []
@@ -259,8 +320,39 @@ class FTree:
                 raise FTreeInvariantError("cycle detected in the component ancestry")
         return chain
 
-    def _close_cycle(self, u: VertexId, v: VertexId, edge: Edge, case: str) -> InsertionResult:
-        """Generic cycle-closing routine shared by Case IIIb and Case IV."""
+    def _plan_cycle(self, u: VertexId, v: VertexId, edge: Edge) -> _CyclePlan:
+        """Work out the bi component that edge ``(u, v)`` between two connected
+        vertices would create or grow, without changing the tree.
+
+        :meth:`insert_edge` applies the plan (:meth:`_apply_cycle`);
+        :meth:`probe` only evaluates its component.
+        """
+        owner_u = self.owner_of(u)
+        owner_v = self.owner_of(v)
+        if (
+            owner_u is not None
+            and owner_v is not None
+            and owner_u.component_id == owner_v.component_id
+        ):
+            if not owner_u.is_mono:
+                # Case IIIa: new edge inside an existing bi component
+                assert isinstance(owner_u, BiConnectedComponent)
+                return self._plan_in_place(owner_u, edge)
+            case = "IIIb"
+        else:
+            # the paper treats an edge between a bi component and its own articulation
+            # vertex as Case IIIa as well: the edge lies entirely inside that component
+            for inside, outside in ((owner_u, v), (owner_v, u)):
+                if (
+                    inside is not None
+                    and not inside.is_mono
+                    and inside.articulation == outside
+                ):
+                    assert isinstance(inside, BiConnectedComponent)
+                    return self._plan_in_place(inside, edge)
+            case = "IV"
+
+        # Cases IIIb and IV share one generic cycle-closing routine
         chain_u = self._anchor_chain(u)
         chain_v = self._anchor_chain(v)
         ids_u = {component.component_id: index for index, (component, _) in enumerate(chain_u)}
@@ -279,13 +371,19 @@ class FTree:
 
         moved_vertices: Set[VertexId] = set()
         moved_edges: Set[Edge] = {edge}
-        orphans: List[Tuple[VertexId, Dict[VertexId, VertexId]]] = []
-        removed: List[Component] = []
+        consumed: List[Tuple[Component, Optional[List[VertexId]]]] = []
 
         for component, entry in below_u + below_v:
-            self._consume_chain_component(
-                component, entry, moved_vertices, moved_edges, orphans, removed
-            )
+            # merge one chain component (strictly below the ancestor) into the new cycle
+            if component.is_mono:
+                assert isinstance(component, MonoConnectedComponent)
+                path = component.path_to_articulation(entry)
+                # the articulation vertex belongs to the component above
+                self._plan_split(component, path[:-1], moved_vertices, moved_edges, consumed)
+            else:
+                moved_vertices |= component.vertices
+                moved_edges |= component.edges()
+                consumed.append((component, None))
 
         if ancestor is None:
             articulation: VertexId = self.query
@@ -295,7 +393,7 @@ class FTree:
             # the lowest common ancestor is itself cyclic: it merges into the new component
             moved_vertices |= ancestor.vertices
             moved_edges |= ancestor.edges()
-            removed.append(ancestor)
+            consumed.append((ancestor, None))
             articulation = ancestor.articulation
         else:
             assert isinstance(ancestor, MonoConnectedComponent)
@@ -312,15 +410,55 @@ class FTree:
                 if vertex == meet:
                     break
                 moved_in_ancestor.append(vertex)
-            self._split_mono(
-                ancestor, moved_in_ancestor, moved_vertices, moved_edges, orphans, removed
-            )
+            self._plan_split(ancestor, moved_in_ancestor, moved_vertices, moved_edges, consumed)
             articulation = meet
 
-        # assemble the new bi-connected component
-        new_component = BiConnectedComponent(self._new_id(), articulation)
-        new_component.absorb(moved_vertices - {articulation}, moved_edges)
+        # the new bi-connected component; it gets its id when the plan is applied
+        component = BiConnectedComponent(self._next_id + 1, articulation)
+        component.absorb(moved_vertices - {articulation}, moved_edges)
+        return _CyclePlan(case=case, component=component, consumed=consumed)
 
+    @staticmethod
+    def _plan_in_place(target: BiConnectedComponent, edge: Edge) -> _CyclePlan:
+        """Case IIIa: the edge joins ``target``, which keeps its id and articulation."""
+        component = target.clone()
+        component.add_edge(edge)
+        return _CyclePlan(case="IIIa", component=component, target=target)
+
+    @staticmethod
+    def _plan_split(
+        component: MonoConnectedComponent,
+        moved: List[VertexId],
+        moved_vertices: Set[VertexId],
+        moved_edges: Set[Edge],
+        consumed: List[Tuple[Component, Optional[List[VertexId]]]],
+    ) -> None:
+        """Move ``moved`` (a path towards the articulation) and its parent edges into the cycle."""
+        for vertex in moved:
+            moved_vertices.add(vertex)
+            moved_edges.add(Edge(vertex, component.parent_of[vertex]))
+        consumed.append((component, moved))
+
+    def _apply_cycle(self, plan: _CyclePlan, edge: Edge) -> InsertionResult:
+        """Carry out a cycle-closing plan made by :meth:`_plan_cycle` on this tree."""
+        if plan.target is not None:
+            plan.target.add_edge(edge)
+            return InsertionResult(
+                edge=edge,
+                case=plan.case,
+                invalidated_components=[plan.target.component_id],
+            )
+        orphans: List[Tuple[VertexId, Dict[VertexId, VertexId]]] = []
+        removed: List[Component] = []
+        for component, moved in plan.consumed:
+            if moved is None:
+                removed.append(component)
+            else:
+                assert isinstance(component, MonoConnectedComponent)
+                self._split_mono(component, moved, orphans, removed)
+
+        new_component = plan.component
+        new_component.component_id = self._new_id()
         removed_ids: List[int] = []
         for component in removed:
             self._unregister(component)
@@ -337,54 +475,28 @@ class FTree:
 
         return InsertionResult(
             edge=edge,
-            case=case,
+            case=plan.case,
             created_components=created_ids,
             removed_components=removed_ids,
             invalidated_components=[new_component.component_id],
         )
 
-    def _consume_chain_component(
-        self,
-        component: Component,
-        entry: VertexId,
-        moved_vertices: Set[VertexId],
-        moved_edges: Set[Edge],
-        orphans: List[Tuple[VertexId, Dict[VertexId, VertexId]]],
-        removed: List[Component],
-    ) -> None:
-        """Merge one chain component (strictly below the ancestor) into the new cycle."""
-        if component.is_mono:
-            assert isinstance(component, MonoConnectedComponent)
-            path = component.path_to_articulation(entry)
-            moved = path[:-1]  # the articulation vertex belongs to the component above
-            self._split_mono(component, moved, moved_vertices, moved_edges, orphans, removed)
-        else:
-            moved_vertices |= component.vertices
-            moved_edges |= component.edges()
-            removed.append(component)
-
     def _split_mono(
         self,
         component: MonoConnectedComponent,
         moved: Sequence[VertexId],
-        moved_vertices: Set[VertexId],
-        moved_edges: Set[Edge],
         orphans: List[Tuple[VertexId, Dict[VertexId, VertexId]]],
         removed: List[Component],
     ) -> None:
         """Move ``moved`` (a path towards the articulation) out of a mono component.
 
-        Implements the ``splitTree`` operation: the moved vertices and
-        their parent edges join the new cycle; remaining vertices whose
-        path to the articulation crosses a moved vertex become orphan
-        mono components anchored at the first moved vertex on their path;
-        all other vertices stay in the (shrunk) original component.
+        Implements the ``splitTree`` operation: the moved vertices have
+        joined the new cycle; remaining vertices whose path to the
+        articulation crosses a moved vertex become orphan mono components
+        anchored at the first moved vertex on their path; all other
+        vertices stay in the (shrunk) original component.
         """
         moved_set = set(moved)
-        for vertex in moved:
-            moved_vertices.add(vertex)
-            moved_edges.add(Edge(vertex, component.parent_of[vertex]))
-
         remaining = component.vertices - moved_set
         orphan_groups: Dict[VertexId, Set[VertexId]] = {}
         for vertex in remaining:
@@ -415,6 +527,122 @@ class FTree:
         if not component.vertices:
             self._unregister(component)
             removed.append(component)
+
+    # ------------------------------------------------------------------
+    # candidate probes (Section 6.1)
+    # ------------------------------------------------------------------
+    def probe(
+        self,
+        u: "VertexId | Edge",
+        v: Optional[VertexId] = None,
+        include_query: bool = False,
+        alpha: float = 0.01,
+        sampler: Optional[ComponentSampler] = None,
+    ) -> ProbeScore:
+        """Score inserting an edge as a flow delta, without changing the tree.
+
+        Accepts either ``probe(edge)`` or ``probe(u, v)``.  The result
+        equals cloning the tree, inserting the edge and asking the clone
+        for :meth:`expected_flow`, :meth:`flow_interval` and
+        :meth:`pending_estimation_cost`, up to rounding.  An edge from
+        ``a`` to a new vertex ``b`` (Case II) adds ``R(a)·p(a, b)·w(b)``;
+        an edge that closes a cycle replaces, below the would-be
+        articulation ``A``, the contribution of the vertices it merges by
+        that of the new bi component, whose local reachability is the
+        only estimate the probe makes.  ``sampler`` (the tree's own by
+        default) makes that estimate; ``cost`` is always measured against
+        the tree's sampler.
+        """
+        edge = u if isinstance(u, Edge) and v is None else Edge(u, v)
+        probability = self._check_insertion(edge)
+        tree = self._current_vertex_tree(alpha)
+        u_connected = self.is_connected_vertex(edge.u)
+        v_connected = self.is_connected_vertex(edge.v)
+        if not (u_connected and v_connected):
+            anchor, new_vertex = (edge.u, edge.v) if u_connected else (edge.v, edge.u)
+            gain = probability * self.graph.weight(new_vertex)
+            flows = [sums.flow + sums.reach[anchor] * gain for sums in tree.sums]
+            cost = 0
+        else:
+            component = self._plan_cycle(edge.u, edge.v, edge).component
+            cost = self.sampler.estimation_cost(component.edges(), component.articulation)
+            local = component.local_reachability(
+                self.graph, self.sampler if sampler is None else sampler
+            )
+            merged: Tuple[Dict[VertexId, float], ...] = ({}, {}, {})
+            _add_bi_factors(merged, component, local, tree.z)
+            articulation = component.articulation
+            flows = [
+                sums.flow + sums.reach[articulation] * _merge_gain(sums, tree.parent, factor)
+                for sums, factor in zip(tree.sums, merged)
+            ]
+        if include_query:
+            query_weight = self.graph.weight(self.query)
+            flows = [flow + query_weight for flow in flows]
+        flow, lower, upper = flows
+        return ProbeScore(flow, lower, upper, cost)
+
+    def probe_cost(self, u: "VertexId | Edge", v: Optional[VertexId] = None) -> int:
+        """Return the ``cost`` of :meth:`probe` without estimating anything."""
+        edge = u if isinstance(u, Edge) and v is None else Edge(u, v)
+        self._check_insertion(edge)
+        if not (self.is_connected_vertex(edge.u) and self.is_connected_vertex(edge.v)):
+            return 0
+        component = self._plan_cycle(edge.u, edge.v, edge).component
+        return self.sampler.estimation_cost(component.edges(), component.articulation)
+
+    def _current_vertex_tree(self, alpha: float) -> _VertexTree:
+        """Return the probe aggregates of the current state, building them in one pass."""
+        tree = self._vertex_tree
+        if tree is not None and tree.alpha == alpha:
+            return tree
+        z = standard_normal_quantile(1.0 - alpha / 2.0)
+        parent: Dict[VertexId, VertexId] = {}
+        factors: Tuple[Dict[VertexId, float], ...] = ({}, {}, {})
+        for component in self._components.values():
+            if isinstance(component, MonoConnectedComponent):
+                for vertex, up in component.parent_of.items():
+                    parent[vertex] = up
+                    probability = self.graph.probability(vertex, up)
+                    for factor in factors:
+                        factor[vertex] = probability
+            else:
+                # estimates a stale bi component, once per tree state
+                local = component.local_reachability(self.graph, self.sampler)
+                for vertex in local:
+                    parent[vertex] = component.articulation
+                _add_bi_factors(factors, component, local, z)
+        # parents before children
+        children: Dict[VertexId, List[VertexId]] = {}
+        for vertex, up in parent.items():
+            children.setdefault(up, []).append(vertex)
+        order: List[VertexId] = []
+        stack = [self.query]
+        while stack:
+            below = children.get(stack.pop(), ())
+            order.extend(below)
+            stack.extend(below)
+        estimate, lower, upper = (self._flow_sums(parent, order, factor) for factor in factors)
+        tree = _VertexTree(alpha=alpha, z=z, parent=parent, sums=(estimate, lower, upper))
+        self._vertex_tree = tree
+        return tree
+
+    def _flow_sums(
+        self,
+        parent: Dict[VertexId, VertexId],
+        order: List[VertexId],
+        factor: Dict[VertexId, float],
+    ) -> _FlowSums:
+        """Aggregate one set of factors over the vertex tree (``order``: parents first)."""
+        reach = {self.query: 1.0}
+        for vertex in order:
+            reach[vertex] = factor[vertex] * reach[parent[vertex]]
+        down = {vertex: self.graph.weight(vertex) for vertex in order}
+        for vertex in reversed(order):
+            up = parent[vertex]
+            if up != self.query:
+                down[up] += factor[vertex] * down[vertex]
+        return _FlowSums(factor=factor, reach=reach, down=down, flow=self._weighted_sum(reach))
 
     # ------------------------------------------------------------------
     # flow evaluation (Section 5.3)
@@ -476,14 +704,18 @@ class FTree:
 
     def expected_flow(self, include_query: bool = False) -> float:
         """Return the expected information flow towards Q of the selected subgraph."""
-        reach = self.reachability_to_query()
+        total = self._weighted_sum(self.reachability_to_query())
+        if include_query:
+            total += self.graph.weight(self.query)
+        return total
+
+    def _weighted_sum(self, reach: Dict[VertexId, float]) -> float:
+        """Return ``Σ w(x)·reach(x)`` over every vertex except Q."""
         total = 0.0
         for vertex, probability in reach.items():
             if vertex == self.query:
                 continue
             total += probability * self.graph.weight(vertex)
-        if include_query:
-            total += self.graph.weight(self.query)
         return total
 
     def flow_interval(self, alpha: float = 0.01, include_query: bool = False) -> Tuple[float, float]:
@@ -505,30 +737,12 @@ class FTree:
                     f"anchor {component.articulation!r} evaluated before its parent"
                 )
             local = component.local_reachability(self.graph, self.sampler)
-            sampled = (
-                not component.is_mono
-                and isinstance(component, BiConnectedComponent)
-                and not component.reach_exact
-                and component.reach_samples is not None
-            )
             for vertex, probability in local.items():
-                if sampled:
-                    n = component.reach_samples or 1
-                    half_width = z * (probability * (1.0 - probability) / n) ** 0.5
-                    local_lower = max(0.0, probability - half_width)
-                    local_upper = min(1.0, probability + half_width)
-                else:
-                    local_lower = local_upper = probability
+                local_lower, local_upper = _local_bounds(component, probability, z)
                 lower[vertex] = local_lower * anchor_lower
                 upper[vertex] = local_upper * anchor_upper
-        flow_lower = 0.0
-        flow_upper = 0.0
-        for vertex in lower:
-            if vertex == self.query:
-                continue
-            weight = self.graph.weight(vertex)
-            flow_lower += lower[vertex] * weight
-            flow_upper += upper[vertex] * weight
+        flow_lower = self._weighted_sum(lower)
+        flow_upper = self._weighted_sum(upper)
         if include_query:
             query_weight = self.graph.weight(self.query)
             flow_lower += query_weight
@@ -610,3 +824,48 @@ class FTree:
             f"<FTree Q={self.query!r}: {len(self._components)} components, "
             f"{len(self._selected)} selected edges>"
         )
+
+
+def _local_bounds(component: Component, probability: float, z: float) -> Tuple[float, float]:
+    """Interval on one local reachability: zero width unless the component was sampled."""
+    if (
+        isinstance(component, BiConnectedComponent)
+        and not component.reach_exact
+        and component.reach_samples is not None
+    ):
+        n = component.reach_samples or 1
+        half_width = z * (probability * (1.0 - probability) / n) ** 0.5
+        return max(0.0, probability - half_width), min(1.0, probability + half_width)
+    return probability, probability
+
+
+def _add_bi_factors(
+    factors: Tuple[Dict[VertexId, float], ...],
+    component: Component,
+    local: Dict[VertexId, float],
+    z: float,
+) -> None:
+    """Record a bi component's local reachability and its interval bounds as
+    the estimate, lower and upper factors of its vertices."""
+    for vertex, probability in local.items():
+        factors[0][vertex] = probability
+        factors[1][vertex], factors[2][vertex] = _local_bounds(component, probability, z)
+
+
+def _merge_gain(
+    sums: _FlowSums, parent: Dict[VertexId, VertexId], local: Dict[VertexId, float]
+) -> float:
+    """Change of ``D(A)`` when the vertices ``M`` of ``local`` merge into one bi
+    component with articulation ``A`` and local reachability ``local``.
+
+    Every merged vertex ``c`` now hangs below ``A`` with factor
+    ``local(c)`` and keeps only its children outside ``M``:
+    ``D'(c) = D(c) − Σ_{m∈M, π(m)=c} f(m)·D(m)``.  The gain is
+    ``Σ_c local(c)·D'(c) − Σ_{t∈M, π(t)=A} f(t)·D(t)``; every ``π(m)``
+    lies in ``M`` or is ``A``.
+    """
+    gain = 0.0
+    for vertex, probability in local.items():
+        down = sums.down[vertex]
+        gain += probability * down - sums.factor[vertex] * down * local.get(parent[vertex], 1.0)
+    return gain

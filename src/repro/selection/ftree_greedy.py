@@ -1,15 +1,16 @@
 """Greedy edge selection on top of the F-tree (FT, FT+M, FT+M+CI, FT+M+DS).
 
-The selector probes every candidate edge by cloning the current F-tree,
-inserting the edge and evaluating the resulting expected flow; the edge
-with the highest flow is committed (Section 6.1).  Three optional
-heuristics reduce the per-iteration work:
+The selector scores every candidate edge with :meth:`FTree.probe`, which
+computes the flow of the tree with the edge inserted as a delta over the
+committed tree, and commits the edge with the highest flow (Section
+6.1).  Three optional heuristics reduce the per-iteration work:
 
 * **Memoization (M, Section 6.2)** — bi-connected component estimates
   are cached by component content, so probing the same cycle twice costs
   nothing.
-* **Confidence-interval pruning (CI, Section 6.3)** — every candidate is
-  first screened with a small sample size; if its optimistic upper bound
+* **Confidence-interval pruning (CI, Section 6.3)** — a candidate whose
+  new component needs estimation is first screened with that component
+  estimated from a small sample size; if its optimistic upper bound
   cannot beat the best candidate's pessimistic lower bound the full
   estimation is skipped.
 * **Delayed sampling (DS, Section 6.4)** — a candidate that was expensive
@@ -164,7 +165,7 @@ class FTreeGreedySelector(EdgeSelector):
             if not candidates.has_candidates():
                 break
             iteration_watch = Stopwatch()
-            sampler.begin_round(index)
+            ftree.begin_round(index)
             screening_sampler.begin_round(index)
             outcome = self._probe_candidates(
                 ftree, candidates, delays, screening_sampler
@@ -253,40 +254,30 @@ class FTreeGreedySelector(EdgeSelector):
                 skipped += 1
                 continue
             probed += 1
-            probe = ftree.clone()
-            probe.insert_edge(edge.u, edge.v)
-            cost = probe.pending_estimation_cost()
+            if self.confidence and best_edge is not None:
+                cost = ftree.probe_cost(edge)
+                if cost > 0:
+                    # screening pass with a coarse sampler; prune hopeless candidates
+                    screening = ftree.probe(
+                        edge,
+                        include_query=self.include_query,
+                        alpha=self.alpha,
+                        sampler=screening_sampler,
+                    )
+                    if screening.upper < best_lower:
+                        pruned += 1
+                        probe_info[edge] = (screening.upper, cost)
+                        continue
 
-            if self.confidence and best_edge is not None and cost > 0:
-                # screening pass with a coarse sampler; prune hopeless candidates
-                probe.sampler = screening_sampler
-                _, screening_upper = probe.flow_interval(alpha=self.alpha)
-                if screening_upper < best_lower:
-                    pruned += 1
-                    probe_info[edge] = (screening_upper, cost)
-                    continue
-                self._invalidate_screened(probe)
-                probe.sampler = ftree.sampler
-
-            flow = probe.expected_flow(include_query=self.include_query)
-            probe_info[edge] = (flow, cost)
-            if flow > best_flow:
-                best_flow = flow
+            score = ftree.probe(edge, include_query=self.include_query, alpha=self.alpha)
+            probe_info[edge] = (score.flow, score.cost)
+            if score.flow > best_flow:
+                best_flow = score.flow
                 best_edge = edge
-                if self.confidence:
-                    best_lower, _ = probe.flow_interval(alpha=self.alpha)
+                best_lower = score.lower
         if best_edge is None:
             return None
         return best_edge, best_flow, probe_info, probed, pruned, skipped
-
-    @staticmethod
-    def _invalidate_screened(probe: FTree) -> None:
-        """Drop coarse screening estimates so the full sampler re-evaluates them."""
-        for component in probe.components():
-            if component.is_mono:
-                continue
-            if getattr(component, "reach_samples", None) == _SCREENING_SAMPLES:
-                component.invalidate()
 
     def _update_delays(
         self,

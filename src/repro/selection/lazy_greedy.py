@@ -9,7 +9,9 @@ of the greedy algorithm).  The lazy-greedy strategy of Leskovec et al.
 (CELF) therefore applies: keep candidates in a max-heap keyed by their
 *last known* marginal gain, and only re-evaluate the top candidate; if it
 stays on top after re-evaluation it is selected without touching the
-rest of the frontier.
+rest of the frontier.  A re-evaluation is one :meth:`FTree.probe
+<repro.ftree.ftree.FTree.probe>`: the candidate's flow scored as a delta
+over the committed F-tree, which is never copied.
 
 Compared to the paper's delayed-sampling heuristic, lazy greedy needs no
 tuning parameter ``c`` and gives the same selections as plain FT greedy
@@ -126,7 +128,7 @@ class LazyGreedySelector(EdgeSelector):
             if not candidates.has_candidates():
                 break
             iteration_watch = Stopwatch()
-            sampler.begin_round(index)
+            ftree.begin_round(index)
             probed = 0
             best_edge: Optional[Edge] = None
             best_flow = current_flow
@@ -140,9 +142,7 @@ class LazyGreedySelector(EdgeSelector):
                     best_edge = edge
                     best_flow = current_flow - negative_gain
                     break
-                probe = ftree.clone()
-                probe.insert_edge(edge.u, edge.v)
-                flow = probe.expected_flow(include_query=self.include_query)
+                flow = ftree.probe(edge, include_query=self.include_query).flow
                 probed += 1
                 evaluations += 1
                 gain = flow - current_flow

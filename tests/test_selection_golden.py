@@ -1,0 +1,197 @@
+"""Golden selections: the F-tree selectors' picks and flows, pinned bit for bit.
+
+The expected edges and flows below were recorded from the clone-based
+probe implementation (every candidate scored by cloning the F-tree,
+inserting the edge and re-evaluating the whole tree).  Scoring probes as
+flow deltas must reproduce them exactly in the default CRN mode, both
+with exact components only (``exact_threshold=10``) and with sampled
+components in play (``exact_threshold=3``).
+"""
+
+import pytest
+
+from repro.experiments.harness import pick_query_vertex
+from repro.graph.generators import erdos_renyi_graph, wsn_graph
+from repro.selection.lazy_greedy import LazyGreedySelector
+from repro.selection.registry import make_selector
+from repro.types import Edge
+
+GRAPHS = {
+    "erdos-30": lambda: erdos_renyi_graph(30, average_degree=4.0, seed=3),
+    "erdos-40": lambda: erdos_renyi_graph(40, average_degree=6.0, seed=11),
+    "wsn-60": lambda: wsn_graph(60, eps=0.22, seed=5),
+}
+
+BUDGET = 10
+
+#: (graph, algorithm, exact_threshold) -> (selected edges, expected flow)
+GOLDEN = {
+    ("erdos-30", "FT", 10): (
+        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
+        33.423568368008134,
+    ),
+    ("erdos-30", "FT+M", 10): (
+        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
+        33.423568368008134,
+    ),
+    ("erdos-30", "FT+M+CI", 10): (
+        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
+        33.423568368008134,
+    ),
+    ("erdos-30", "FT+M+DS", 10): (
+        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
+        33.423568368008134,
+    ),
+    ("erdos-30", "FT+Lazy", 10): (
+        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
+        33.423568368008134,
+    ),
+    ("erdos-40", "FT", 10): (
+        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (10, 22), (16, 22), (8, 22)],
+        55.097131055784494,
+    ),
+    ("erdos-40", "FT+M", 10): (
+        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (10, 22), (16, 22), (8, 22)],
+        55.097131055784494,
+    ),
+    ("erdos-40", "FT+M+CI", 10): (
+        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (10, 22), (16, 22), (8, 22)],
+        55.097131055784494,
+    ),
+    ("erdos-40", "FT+M+DS", 10): (
+        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (10, 22), (8, 22), (10, 24)],
+        52.678293910099114,
+    ),
+    ("erdos-40", "FT+Lazy", 10): (
+        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (10, 22), (8, 22), (10, 24)],
+        52.678293910099114,
+    ),
+    ("wsn-60", "FT", 10): (
+        [
+            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
+            (9, 34), (5, 9), (46, 58), (5, 48), (14, 15),
+        ],
+        42.37892598707756,
+    ),
+    ("wsn-60", "FT+M", 10): (
+        [
+            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
+            (9, 34), (5, 9), (46, 58), (5, 48), (14, 15),
+        ],
+        42.37892598707756,
+    ),
+    ("wsn-60", "FT+M+CI", 10): (
+        [
+            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
+            (9, 34), (5, 9), (46, 58), (5, 48), (14, 15),
+        ],
+        42.37892598707756,
+    ),
+    ("wsn-60", "FT+M+DS", 10): (
+        [
+            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
+            (9, 34), (5, 9), (46, 58), (14, 15), (14, 47),
+        ],
+        42.55411601994039,
+    ),
+    ("wsn-60", "FT+Lazy", 10): (
+        [
+            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
+            (9, 34), (5, 9), (14, 15), (14, 47), (5, 10),
+        ],
+        42.19031381420177,
+    ),
+    ("erdos-30", "FT", 3): (
+        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
+        33.423568368008134,
+    ),
+    ("erdos-30", "FT+M", 3): (
+        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
+        33.423568368008134,
+    ),
+    ("erdos-30", "FT+M+CI", 3): (
+        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
+        33.423568368008134,
+    ),
+    ("erdos-30", "FT+M+DS", 3): (
+        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
+        33.423568368008134,
+    ),
+    ("erdos-30", "FT+Lazy", 3): (
+        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
+        33.423568368008134,
+    ),
+    ("erdos-40", "FT", 3): (
+        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (16, 22), (10, 22), (8, 22)],
+        55.06876211111473,
+    ),
+    ("erdos-40", "FT+M", 3): (
+        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (16, 22), (10, 22), (8, 22)],
+        56.50963472063205,
+    ),
+    ("erdos-40", "FT+M+CI", 3): (
+        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (16, 22), (10, 22), (8, 22)],
+        56.50963472063205,
+    ),
+    ("erdos-40", "FT+M+DS", 3): (
+        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (16, 22), (10, 22), (8, 22)],
+        56.50963472063205,
+    ),
+    ("erdos-40", "FT+Lazy", 3): (
+        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (10, 22), (8, 22), (10, 24)],
+        52.678293910099114,
+    ),
+    ("wsn-60", "FT", 3): (
+        [
+            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
+            (9, 34), (5, 9), (9, 15), (5, 48), (46, 58),
+        ],
+        40.7404487676183,
+    ),
+    ("wsn-60", "FT+M", 3): (
+        [
+            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
+            (9, 34), (5, 9), (9, 15), (46, 58), (14, 15),
+        ],
+        43.94173665122378,
+    ),
+    ("wsn-60", "FT+M+CI", 3): (
+        [
+            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
+            (9, 34), (5, 9), (9, 15), (46, 58), (14, 15),
+        ],
+        43.94173665122378,
+    ),
+    ("wsn-60", "FT+M+DS", 3): (
+        [
+            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
+            (9, 34), (5, 9), (46, 58), (9, 48), (14, 15),
+        ],
+        42.184692785741554,
+    ),
+    ("wsn-60", "FT+Lazy", 3): (
+        [
+            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
+            (9, 34), (5, 9), (14, 15), (14, 47), (5, 10),
+        ],
+        42.19031381420177,
+    ),
+}
+
+
+def _selector(algorithm: str, exact_threshold: int):
+    if algorithm == "FT+Lazy":
+        return LazyGreedySelector(n_samples=200, exact_threshold=exact_threshold, seed=7)
+    return make_selector(algorithm, n_samples=200, exact_threshold=exact_threshold, seed=7)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda key: "/".join(map(str, key)))
+def test_selection_matches_golden(key):
+    graph_name, algorithm, exact_threshold = key
+    expected_edges, expected_flow = GOLDEN[key]
+    graph = GRAPHS[graph_name]()
+    result = _selector(algorithm, exact_threshold).select(
+        graph, pick_query_vertex(graph), BUDGET
+    )
+    assert result.selected_edges == [Edge(u, v) for u, v in expected_edges]
+    assert result.expected_flow == expected_flow
