@@ -2,7 +2,7 @@
 """Compare a fresh benchmark ``--json`` report against a baseline.
 
 CI runs the backend benchmark on every push and diffs the dimensionless
-speedup ratios (``*_speedup``, ``csr_vs_vectorized``, ...) against the
+speedup ratios (``*_speedup``, ``*_ratio``, ...) against the
 checked-in ``BENCH_backends.json``; the server-smoke job does the same
 for ``bench_server.py``'s ``throughput_ratio`` against
 ``BENCH_server.json``.  Ratios rather than raw seconds are compared
@@ -14,7 +14,7 @@ A fresh ratio below ``(1 - tolerance)`` of the baseline ratio fails the
 check (default tolerance 25%).  Rows are matched on
 ``(n_vertices, n_samples)``; a fresh report with *no* overlapping rows
 fails loudly rather than passing vacuously.  Ratio fields missing on
-either side (e.g. ``csr_numba_vs_vectorized`` when numba is absent) are
+either side (e.g. ``csr-numba_speedup`` when numba is absent) are
 ignored, so the same baseline serves both the plain and the numba CI
 legs::
 
@@ -48,7 +48,7 @@ DEFAULT_TOLERANCE = 0.25
 #: Only dimensionless ratio fields participate in the diff
 #: (``_ratio`` covers bench_server's served-vs-naive throughput ratio;
 #: the bare ``speedup`` is bench_selection's CRN-vs-resample ratio).
-RATIO_SUFFIXES = ("_speedup", "_vs_vectorized", "_ratio")
+RATIO_SUFFIXES = ("_speedup", "_ratio")
 
 #: Keys under which a report may store comparable rows
 #: (``sharded_rows`` is bench_parallel's layout).

@@ -18,11 +18,10 @@ from repro.experiments.reporting import format_table
 # All runtime knobs live in one scoped configuration object,
 # repro.RuntimeConfig, activated with `with repro.session(...)`:
 #
-#   * backend     — possible-world sampling backend: "vectorized"
-#                   (batched NumPy, the default), "csr" (frontier-sparse
-#                   propagation over the cached CSR graph layout, faster
-#                   on larger graphs — try backend="csr" below), or
-#                   "naive" (one BFS per world, the readable reference).
+#   * backend     — possible-world sampling backend: "csr" (the default:
+#                   frontier-sparse bit-packed propagation over the cached
+#                   CSR graph layout) or "naive" (one BFS per world, the
+#                   readable reference).
 #                   "csr-numba" appears too when numba is installed; run
 #                   `repro-flow backends` to list availability.  All
 #                   yield bit-for-bit identical estimates for the same
@@ -53,9 +52,8 @@ from repro.experiments.reporting import format_table
 #         selector = repro.make_selector("FT+M", n_samples=1000, seed=7)
 #         result = selector.select(graph, query, budget)   # 4-way sharded, naive backend
 #
-# (The five legacy process-wide set_default_* functions still work for
-# one release but emit DeprecationWarning — see the README's migration
-# table.)
+# For a process-wide default outside any session, assign the matching
+# field of repro.runtime.defaults (e.g. repro.runtime.defaults.backend).
 
 
 def main() -> None:

@@ -43,8 +43,8 @@ The package is organised as:
   :class:`~repro.runtime.RuntimeConfig` bundling every runtime knob
   (backend, CRN mode, workers, shard size, sample/seed policy, world
   cache) and a contextvar-scoped :class:`~repro.runtime.Session` facade
-  (``with repro.session(...):``) that replaces the five legacy
-  process-wide ``set_default_*`` globals;
+  (``with repro.session(...):``), with ``repro.runtime.defaults`` as
+  the one process-wide fallback store;
 * :mod:`repro.telemetry` — the unified observability layer: a
   thread-safe metrics registry plus nested tracing spans, resolved like
   every other runtime knob and instrumented through engine, executor,

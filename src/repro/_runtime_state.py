@@ -10,8 +10,7 @@ Two pieces of state live here:
 
 * :data:`defaults` — the **one** process-wide fallback store.  Each field
   is ``None`` until something assigns it, meaning "use the library's
-  built-in default".  The five legacy ``set_default_*`` functions are
-  deprecation shims writing into this store.
+  built-in default".
 * the **active session** — a :class:`contextvars.ContextVar` holding the
   innermost :class:`repro.runtime.Session` activation.  Contextvars make
   scoping both thread-safe and ``asyncio``-safe: a session entered in one
@@ -26,7 +25,6 @@ time) → :data:`defaults` → built-in library default.
 from __future__ import annotations
 
 import threading
-import warnings
 from contextvars import ContextVar, Token
 from typing import Any, Callable, Optional
 
@@ -41,15 +39,14 @@ class RuntimeDefaults:
     """The process-wide fallback configuration store.
 
     Every field is ``None`` until assigned; ``None`` means "defer to the
-    library's built-in default" (``vectorized`` backend, CRN scoring on,
+    library's built-in default" (``csr`` backend, CRN scoring on,
     unsharded sampling, 256-world shards, lazily created shared world
     cache).  Assign fields directly (``repro.runtime.defaults.backend =
-    "naive"``) for an undeprecated process-wide override, or use a scoped
+    "naive"``) for a process-wide override, or use a scoped
     :func:`repro.session` — which always wins over this store.
 
     Values are validated where they are consumed (e.g. an unknown backend
-    name raises at the next ``make_backend`` resolution), mirroring how
-    the legacy globals behaved for out-of-band assignments.
+    name raises at the next ``make_backend`` resolution).
     """
 
     __slots__ = ("backend", "crn", "executor", "shard_size", "world_cache", "telemetry")
@@ -237,17 +234,3 @@ def pop_entry(session: object) -> Token:
         raise RuntimeError("this Session is not active in the current context")
     _ENTRY_STACK.set(stack[:-1])
     return stack[-1][1]
-
-
-def warn_deprecated(old: str, replacement: str) -> None:
-    """Emit the shared migration warning for a legacy ``set_default_*`` call.
-
-    ``stacklevel=3`` points the warning at the *caller* of the shim (one
-    level for this helper, one for the shim itself).
-    """
-    warnings.warn(
-        f"{old} is deprecated and will be removed in a future release; "
-        f"{replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )

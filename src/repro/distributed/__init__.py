@@ -1,4 +1,4 @@
-"""Multi-node sharded sampling: wire protocol, remote executor, cache ring.
+"""Multi-node sharded sampling: wire protocol, remote executor, workers.
 
 The distributed tier extends the :mod:`repro.parallel` determinism
 contract — results are a pure function of ``(seed, n_samples,
@@ -14,28 +14,21 @@ shard_size)``, never of scheduling — across machines:
   shards over the fleet, reduces partials in shard order, and retries
   through worker deaths, disconnects and timeouts without changing a
   bit;
-* :mod:`repro.distributed.cache` — :class:`HashRing` +
-  :class:`RingWorldCache`, sharding the digest-keyed world cache over
-  the fleet with ``invalidate_graph`` fan-out;
 * :mod:`repro.distributed.testing` — :func:`local_fleet`, a real
   loopback deployment for tests and benchmarks.
 
 Entry points: ``repro.RemoteExecutor(...)`` directly, the
 ``workers="remote:HOST:PORT"`` spec anywhere an executor spec goes
-(:class:`repro.RuntimeConfig`, ``repro.session``, ``--workers``), and
-``RemoteExecutor.world_cache()`` for the fleet-sharded cache.
+(:class:`repro.RuntimeConfig`, ``repro.session``, ``--workers``).
 """
 
-from repro.distributed.cache import HashRing, RingWorldCache
 from repro.distributed.coordinator import RemoteExecutor
 from repro.distributed.testing import Fleet, local_fleet
 from repro.distributed.worker import WorkerAgent
 
 __all__ = [
     "Fleet",
-    "HashRing",
     "RemoteExecutor",
-    "RingWorldCache",
     "WorkerAgent",
     "local_fleet",
 ]

@@ -56,7 +56,6 @@ from repro.exceptions import NoWorkersError, ShardRetryExceededError
 from repro.parallel.executor import SamplingExecutor, ShardTask
 from repro.telemetry import current_telemetry
 from repro.distributed import wire
-from repro.distributed.cache import HashRing
 
 logger = logging.getLogger(__name__)
 
@@ -76,9 +75,6 @@ class _WorkerLink:
         self.pushed: set = set()
         self.alive = True
         self.last_seen = time.monotonic()
-        #: cache-RPC correlation: request id -> (event, one-slot box)
-        self.rpc_waiters: Dict[int, Tuple[threading.Event, List[object]]] = {}
-        self.rpc_lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<WorkerLink #{self.index} {self.name} alive={self.alive}>"
@@ -90,14 +86,6 @@ class _WorkerLink:
             return True
         except OSError:
             return False
-
-    def fail_rpcs(self) -> None:
-        """Wake every cache RPC still waiting on this (now dead) link."""
-        with self.rpc_lock:
-            waiters = list(self.rpc_waiters.values())
-            self.rpc_waiters.clear()
-        for event, _box in waiters:
-            event.set()
 
 
 class _Outstanding:
@@ -134,7 +122,7 @@ class RemoteExecutor(SamplingExecutor):
         How long ``map_shards`` tolerates an empty fleet before raising
         :class:`NoWorkersError`.
     rpc_timeout:
-        Deadline for cache-ring fetches (a timeout degrades to a miss).
+        Deadline for a connecting worker's registration line.
     """
 
     def __init__(
@@ -171,10 +159,8 @@ class RemoteExecutor(SamplingExecutor):
 
         self._links: Dict[int, _WorkerLink] = {}
         self._links_lock = threading.Lock()
-        self._ring = HashRing()
         self._events: "queue.Queue[Tuple[str, Optional[_WorkerLink], Optional[dict]]]" = queue.Queue()
         self._task_ids = itertools.count(1)
-        self._rpc_ids = itertools.count(1)
         self._worker_indices = itertools.count(0)
         # one map_shards at a time; close() takes it too, so closing
         # waits for an in-progress scatter/gather to drain
@@ -267,7 +253,6 @@ class RemoteExecutor(SamplingExecutor):
                 continue
             with self._links_lock:
                 self._links[link.index] = link
-                self._ring.add(link.index, link)
             reader = threading.Thread(
                 target=self._reader_loop,
                 args=(link,),
@@ -293,8 +278,6 @@ class RemoteExecutor(SamplingExecutor):
             kind = message.get("kind")
             if kind in (wire.MSG_RESULT, wire.MSG_ERROR):
                 self._events.put((kind, link, message))
-            elif kind == wire.MSG_CACHE_ENTRY:
-                self._resolve_rpc(link, message)
             elif kind == wire.MSG_PONG:
                 pass  # last_seen updated above is the whole point
         self._drop_link(link, reason="connection closed")
@@ -302,11 +285,8 @@ class RemoteExecutor(SamplingExecutor):
     def _drop_link(self, link: _WorkerLink, reason: str) -> None:
         with self._links_lock:
             present = self._links.pop(link.index, None) is not None
-            if present:
-                self._ring.remove(link.index)
         link.alive = False
         link.channel.close()
-        link.fail_rpcs()
         if present:
             self.worker_deaths += 1
             logger.warning("worker %s (#%d) dropped: %s", link.name, link.index, reason)
@@ -513,70 +493,6 @@ class RemoteExecutor(SamplingExecutor):
             tel.count("distributed.retries")
         pending.append(shard_index)
 
-    # cache-ring plumbing (used by RingWorldCache) ---------------------
-    def ring_node(self, digest: int) -> Optional[_WorkerLink]:
-        """The worker owning ``digest`` on the consistent-hash ring."""
-        with self._links_lock:
-            return self._ring.node_for(digest)
-
-    def cache_fetch(self, key_digest: int) -> Optional[Dict[str, object]]:
-        """Fetch an encoded entry from the ring (``None`` = miss/degraded)."""
-        link = self.ring_node(key_digest)
-        if link is None:
-            return None
-        rpc_id = next(self._rpc_ids)
-        event = threading.Event()
-        box: List[object] = [None]
-        with link.rpc_lock:
-            link.rpc_waiters[rpc_id] = (event, box)
-        sent = link.send(
-            {"kind": wire.MSG_CACHE_GET, "id": rpc_id, "key": int(key_digest)}
-        )
-        if not sent or not event.wait(self.rpc_timeout):
-            with link.rpc_lock:
-                link.rpc_waiters.pop(rpc_id, None)
-            return None
-        entry = box[0]
-        return entry if isinstance(entry, dict) else None
-
-    def _resolve_rpc(self, link: _WorkerLink, message: Dict[str, object]) -> None:
-        rpc_id = message.get("id")
-        with link.rpc_lock:
-            waiter = link.rpc_waiters.pop(rpc_id, None)
-        if waiter is not None:
-            event, box = waiter
-            box[0] = message.get("entry")
-            event.set()
-
-    def cache_store(self, key_digest: int, graph_digest: int, entry: Dict[str, object]) -> bool:
-        """Fire-and-forget store of an encoded entry on its ring owner."""
-        link = self.ring_node(key_digest)
-        if link is None:
-            return False
-        return link.send(
-            {
-                "kind": wire.MSG_CACHE_PUT,
-                "key": int(key_digest),
-                "graph": int(graph_digest),
-                "entry": entry,
-            }
-        )
-
-    def cache_invalidate_all(self, graph_digest: int) -> None:
-        """Fan ``cache_invalidate`` out to every connected worker."""
-        for link in self._alive_links():
-            link.send({"kind": wire.MSG_CACHE_INVALIDATE, "graph": int(graph_digest)})
-
-    def cache_clear_all(self) -> None:
-        for link in self._alive_links():
-            link.send({"kind": wire.MSG_CACHE_CLEAR})
-
-    def world_cache(self, max_entries: int = 64) -> "RingWorldCache":
-        """A :class:`RingWorldCache` sharded over this executor's fleet."""
-        from repro.distributed.cache import RingWorldCache
-
-        return RingWorldCache(self, max_entries=max_entries)
-
     # lifecycle --------------------------------------------------------
     def close(self) -> None:
         """Drain, tell workers to shut down, release every thread/socket."""
@@ -595,7 +511,6 @@ class RemoteExecutor(SamplingExecutor):
         for link in links:
             link.send({"kind": wire.MSG_SHUTDOWN})
             link.channel.close()
-            link.fail_rpcs()
         self._accept_thread.join(timeout=2.0)
         self._heartbeat_thread.join(timeout=self.heartbeat_interval + 2.0)
 

@@ -20,11 +20,6 @@ kind              dir   payload
 ``error``         w→c   typed error envelope (same shape as the serving
                         tier's: ``{"type": ..., "message": ...}``)
 ``ping``/``pong``  both  heartbeat
-``cache_put``     c→w   store one serialized world batch under a key digest
-``cache_get``     c→w   fetch a stored batch (``cache_entry`` answers)
-``cache_entry``   w→c   the fetched batch payload, or ``null`` for a miss
-``cache_invalidate`` c→w  drop every stored batch of one graph digest
-``cache_clear``   c→w   drop everything
 ``shutdown``      c→w   drain and exit
 ================  ====  =====================================================
 
@@ -45,12 +40,9 @@ import io
 import json
 import socket
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import-time only
-    from repro.reachability.engine import FlipBatch, WorldBatch
 
 from repro.exceptions import TransportTimeoutError, WireFormatError
 from repro.parallel.executor import ShardTask
@@ -59,7 +51,7 @@ from repro.reachability.backends.base import SamplingProblem
 from repro.server.protocol import decode_line, encode_line
 
 #: Protocol version; a worker and coordinator must agree exactly.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 # message kinds ---------------------------------------------------------
 MSG_REGISTER = "register"
@@ -70,11 +62,6 @@ MSG_RESULT = "result"
 MSG_ERROR = "error"
 MSG_PING = "ping"
 MSG_PONG = "pong"
-MSG_CACHE_PUT = "cache_put"
-MSG_CACHE_GET = "cache_get"
-MSG_CACHE_ENTRY = "cache_entry"
-MSG_CACHE_INVALIDATE = "cache_invalidate"
-MSG_CACHE_CLEAR = "cache_clear"
 MSG_SHUTDOWN = "shutdown"
 
 #: Error ``type`` values in worker error envelopes.
@@ -181,48 +168,6 @@ def decode_problem(payload: Dict[str, object]) -> SamplingProblem:
         )
     except (KeyError, TypeError) as error:
         raise WireFormatError(f"undecodable problem payload: {error}") from error
-
-
-def encode_world_batch(batch: "WorldBatch") -> Dict[str, object]:
-    """Serialize a :class:`~repro.reachability.engine.WorldBatch` entry."""
-    return {
-        "problem": encode_problem(batch.problem),
-        "reached": encode_array(batch.reached),
-    }
-
-
-def decode_world_batch(payload: Dict[str, object]) -> "WorldBatch":
-    """Inverse of :func:`encode_world_batch`, bit-for-bit."""
-    from repro.reachability.engine import WorldBatch
-
-    try:
-        return WorldBatch(
-            problem=decode_problem(payload["problem"]),
-            reached=decode_array(payload["reached"]),
-        )
-    except (KeyError, TypeError) as error:
-        raise WireFormatError(f"undecodable world-batch payload: {error}") from error
-
-
-def encode_flip_batch(batch: "FlipBatch") -> Dict[str, object]:
-    """Serialize a :class:`~repro.reachability.engine.FlipBatch` entry."""
-    return {
-        "problem": encode_problem(batch.problem),
-        "flips": encode_array(batch.flips),
-    }
-
-
-def decode_flip_batch(payload: Dict[str, object]) -> "FlipBatch":
-    """Inverse of :func:`encode_flip_batch`, bit-for-bit."""
-    from repro.reachability.engine import FlipBatch
-
-    try:
-        return FlipBatch(
-            problem=decode_problem(payload["problem"]),
-            flips=decode_array(payload["flips"]),
-        )
-    except (KeyError, TypeError) as error:
-        raise WireFormatError(f"undecodable flip-batch payload: {error}") from error
 
 
 def encode_backend(backend: Optional[object]) -> Optional[str]:
@@ -334,7 +279,7 @@ class LineChannel:
     Thin and symmetric — both the coordinator's per-worker links and the
     worker's single upstream connection are a ``LineChannel``.  ``send``
     serializes whole lines under a lock so concurrent senders (the
-    dispatch loop, the heartbeat thread, cache RPCs) never interleave
+    dispatch loop, the heartbeat thread) never interleave
     bytes; ``recv`` returns ``None`` on EOF (the peer died or closed) and
     raises :class:`TransportTimeoutError` when a read deadline passes.
     """
@@ -415,11 +360,6 @@ __all__ = [
     "ERR_UNKNOWN_PROBLEM",
     "ERR_VERSION",
     "LineChannel",
-    "MSG_CACHE_CLEAR",
-    "MSG_CACHE_ENTRY",
-    "MSG_CACHE_GET",
-    "MSG_CACHE_INVALIDATE",
-    "MSG_CACHE_PUT",
     "MSG_ERROR",
     "MSG_PING",
     "MSG_PONG",
@@ -431,17 +371,13 @@ __all__ = [
     "MSG_TASK",
     "WIRE_VERSION",
     "decode_array",
-    "decode_flip_batch",
     "decode_problem",
     "decode_seed_sequence",
     "decode_task",
-    "decode_world_batch",
     "encode_array",
     "encode_backend",
-    "encode_flip_batch",
     "encode_problem",
     "encode_seed_sequence",
-    "encode_world_batch",
     "error_message",
     "problem_digest",
     "problem_message",

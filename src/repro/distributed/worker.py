@@ -8,12 +8,6 @@ exact :func:`repro.parallel.run_shard` every local executor dispatches,
 so a worker cannot produce different bits than an in-process run — the
 wire codec round-trips problems, seeds and result arrays exactly.
 
-Besides shard tasks the worker holds its slice of the fleet's world
-cache: ``cache_put``/``cache_get``/``cache_invalidate`` store and serve
-*encoded* batch payloads (the worker never decodes them — it is a dumb
-shard of the ring, the coordinator-side :class:`RingWorldCache` owns the
-semantics).
-
 Run one with::
 
     python -m repro.distributed.worker --connect HOST:PORT
@@ -80,12 +74,6 @@ class WorkerAgent:
         self._channel: Optional[wire.LineChannel] = None
         self._problems: "OrderedDict[int, object]" = OrderedDict()
         self._backends: Dict[str, object] = {}
-        # ring shard of the fleet world cache: key digest -> (graph
-        # digest, encoded entry payload); payloads stay encoded — only
-        # the coordinator ever interprets them
-        self._cache: "OrderedDict[int, Tuple[int, Dict[str, object]]]" = OrderedDict()
-        self._cache_by_graph: Dict[int, set] = {}
-        self._cache_limit = 1024
 
     # lifecycle --------------------------------------------------------
     def run(self) -> int:
@@ -158,18 +146,6 @@ class WorkerAgent:
             self._handle_problem(channel, message)
         elif kind == wire.MSG_PING:
             channel.send({"kind": wire.MSG_PONG, "id": message.get("id")})
-        elif kind == wire.MSG_CACHE_PUT:
-            self._cache_put(message)
-        elif kind == wire.MSG_CACHE_GET:
-            entry = self._cache_get(message)
-            channel.send(
-                {"kind": wire.MSG_CACHE_ENTRY, "id": message.get("id"), "entry": entry}
-            )
-        elif kind == wire.MSG_CACHE_INVALIDATE:
-            self._cache_invalidate(message)
-        elif kind == wire.MSG_CACHE_CLEAR:
-            self._cache.clear()
-            self._cache_by_graph.clear()
         else:
             channel.send(
                 wire.error_message(
@@ -224,47 +200,6 @@ class WorkerAgent:
         channel.send(
             wire.result_message(task_id, result, time.perf_counter() - started)
         )
-
-    # cache shard ------------------------------------------------------
-    def _cache_put(self, message: Dict[str, object]) -> None:
-        try:
-            key = int(message["key"])
-            graph = int(message["graph"])
-            entry = message["entry"]
-        except (KeyError, TypeError, ValueError):
-            return
-        if not isinstance(entry, dict):
-            return
-        if key in self._cache:
-            self._cache.move_to_end(key)
-        self._cache[key] = (graph, entry)
-        self._cache_by_graph.setdefault(graph, set()).add(key)
-        while len(self._cache) > self._cache_limit:
-            old_key, (old_graph, _) = self._cache.popitem(last=False)
-            members = self._cache_by_graph.get(old_graph)
-            if members is not None:
-                members.discard(old_key)
-                if not members:
-                    del self._cache_by_graph[old_graph]
-
-    def _cache_get(self, message: Dict[str, object]) -> Optional[Dict[str, object]]:
-        try:
-            key = int(message["key"])
-        except (KeyError, TypeError, ValueError):
-            return None
-        hit = self._cache.get(key)
-        if hit is None:
-            return None
-        self._cache.move_to_end(key)
-        return hit[1]
-
-    def _cache_invalidate(self, message: Dict[str, object]) -> None:
-        try:
-            graph = int(message["graph"])
-        except (KeyError, TypeError, ValueError):
-            return
-        for key in self._cache_by_graph.pop(graph, ()):
-            self._cache.pop(key, None)
 
 
 def _parse_connect(spec: str) -> Tuple[str, int]:

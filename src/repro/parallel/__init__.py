@@ -49,14 +49,12 @@ from repro.parallel.executor import (
     parse_remote_spec,
     resolve_executor,
     run_shard,
-    set_default_executor,
 )
 from repro.parallel.plan import (
     DEFAULT_SHARD_SIZE,
     ShardPlan,
     get_default_shard_size,
     plan_shards,
-    set_default_shard_size,
 )
 
 __all__ = [
@@ -78,6 +76,4 @@ __all__ = [
     "plan_shards",
     "resolve_executor",
     "run_shard",
-    "set_default_executor",
-    "set_default_shard_size",
 ]

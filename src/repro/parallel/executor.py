@@ -30,9 +30,7 @@ import numpy as np
 from repro._runtime_state import (
     UNSET,
     current_effective,
-    defaults as _runtime_defaults,
     normalize_store_field,
-    warn_deprecated,
 )
 from repro.exceptions import WorkerCrashedError
 from repro.reachability.backends.base import SamplingProblem, sample_flips
@@ -370,8 +368,8 @@ def get_default_executor() -> Optional[SamplingExecutor]:
     ``None``.  ``None`` — the initial state — means sampling stays
     unsharded single-process, i.e. exactly the pre-subsystem behaviour.
     A raw spec assigned to ``repro.runtime.defaults.executor`` (e.g. a
-    worker count) is normalized through :func:`make_executor` here, so
-    direct store assignments behave like the legacy setter did.
+    worker count) is normalized through :func:`make_executor` here and
+    pinned back, so a worker count builds one pool, not one per call.
     """
     effective = current_effective()
     if effective is not None and effective.executor is not UNSET:
@@ -384,25 +382,6 @@ def get_default_executor() -> Optional[SamplingExecutor]:
         lambda value: value is not None and not isinstance(value, SamplingExecutor),
         make_executor,
     )
-
-
-def set_default_executor(executor: ExecutorLike) -> Optional[SamplingExecutor]:
-    """Deprecated shim over ``repro.runtime.defaults.executor``.
-
-    Returns the previously stored default, mirroring the legacy
-    contract.  Prefer ``with repro.session(workers=...)`` for scoped
-    configuration (the session then also owns the pool's lifecycle), or
-    assign a resolved executor to ``repro.runtime.defaults.executor``
-    directly.  Pass ``None`` to restore unsharded sampling.
-    """
-    warn_deprecated(
-        "repro.parallel.set_default_executor()",
-        'use "with repro.session(workers=...)" for scoped configuration, '
-        "or assign repro.runtime.defaults.executor for a process-wide default",
-    )
-    previous = _runtime_defaults.executor
-    _runtime_defaults.executor = make_executor(executor)
-    return previous
 
 
 def resolve_executor(executor: ExecutorLike) -> Optional[SamplingExecutor]:

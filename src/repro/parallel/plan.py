@@ -14,11 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-from repro._runtime_state import (
-    defaults as _runtime_defaults,
-    resolve_field,
-    warn_deprecated,
-)
+from repro._runtime_state import resolve_field
 
 #: Default worlds per shard.  Small enough that a paper-scale request
 #: (1000-5000 samples) splits into enough shards to keep several workers
@@ -34,31 +30,6 @@ def get_default_shard_size() -> int:
     :data:`DEFAULT_SHARD_SIZE`.
     """
     return resolve_field("shard_size", DEFAULT_SHARD_SIZE)
-
-
-def set_default_shard_size(shard_size: int) -> int:
-    """Deprecated shim over ``repro.runtime.defaults.shard_size``.
-
-    Returns the previously resolved default, mirroring the legacy
-    contract.  Prefer ``with repro.session(shard_size=...)`` for scoped
-    configuration, or assign ``repro.runtime.defaults.shard_size``
-    directly.  Remember that shard size is part of the determinism key:
-    changing it re-keys the per-shard seed split.
-    """
-    warn_deprecated(
-        "repro.parallel.set_default_shard_size()",
-        'use "with repro.session(shard_size=...)" for scoped configuration, '
-        "or assign repro.runtime.defaults.shard_size for a process-wide default",
-    )
-    if shard_size <= 0:
-        raise ValueError(f"shard_size must be positive, got {shard_size!r}")
-    previous = (
-        _runtime_defaults.shard_size
-        if _runtime_defaults.shard_size is not None
-        else DEFAULT_SHARD_SIZE
-    )
-    _runtime_defaults.shard_size = int(shard_size)
-    return previous
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,12 @@ spectrum of estimators:
   ``WorldCache`` (same graph-mutation path);
 * :mod:`repro.reachability.backends` — the backend registry.  Built-ins:
   ``"naive"`` (one Python BFS per world, the behavioural reference),
-  ``"vectorized"`` (a single ``n_samples x n_edges`` NumPy edge-flip
-  block plus batched label propagation, the fast default), ``"csr"``
-  (frontier-sparse bit-packed propagation over the shared CSR layout —
-  per-round work shrinks with the frontier instead of staying ``O(E)``)
-  and ``"csr-numba"`` (the same backend pinned to a compiled
-  ``@njit`` per-world BFS kernel; registered only when numba is
-  importable — ``repro-flow backends`` lists availability).  All consume
+  ``"csr"`` (the fast default: frontier-sparse bit-packed propagation
+  over the shared CSR layout — per-round work shrinks with the frontier
+  instead of staying ``O(E)``) and ``"csr-numba"`` (the same backend
+  pinned to a compiled ``@njit`` per-world BFS kernel; registered only
+  when numba is importable — ``repro-flow backends`` lists
+  availability).  All consume
   the random stream identically, so estimates are bit-for-bit
   reproducible per seed on every backend; pick one via the ``backend``
   argument of the estimators, :class:`ComponentSampler`,

@@ -2,17 +2,14 @@
 
 Mirrors :mod:`repro.selection.registry`: backends are identified by a
 short name so the experiment harness, the CLI, the benchmarks and the
-estimators share one source of truth for their configuration.  Two
-backends ship with the library:
+estimators share one source of truth for their configuration.  The
+library ships:
 
 * ``"naive"`` — one Python BFS per sampled world; the behavioural
   reference (:class:`~repro.reachability.backends.naive.NaiveSamplingBackend`);
-* ``"vectorized"`` — batched NumPy edge flips and label propagation over
-  all worlds at once
-  (:class:`~repro.reachability.backends.vectorized.VectorizedSamplingBackend`);
-* ``"csr"`` — frontier-sparse propagation over the precomputed CSR
-  layout shared through :mod:`repro.reachability.layout`, with an
-  optional compiled numba kernel
+* ``"csr"`` — the default: frontier-sparse propagation over the
+  precomputed CSR layout shared through :mod:`repro.reachability.layout`,
+  with an optional compiled numba kernel
   (:class:`~repro.reachability.backends.csr.CSRSamplingBackend`);
 * ``"csr-numba"`` — the CSR backend pinned to the compiled kernel; only
   registered when the numba availability probe passes (see
@@ -28,24 +25,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro._runtime_state import (
-    defaults as _runtime_defaults,
-    resolve_field,
-    warn_deprecated,
-)
-from repro.reachability.backends.base import (
-    CoreSamplingBackend,
-    SamplingBackend,
-    SamplingProblem,
-    propagate_reachability_fallback,
-)
+from repro._runtime_state import resolve_field
+from repro.reachability.backends.base import SamplingBackend, SamplingProblem
 from repro.reachability.backends.csr import (
     CSRSamplingBackend,
     NumbaCSRSamplingBackend,
     numba_unavailable_reason,
 )
 from repro.reachability.backends.naive import NaiveSamplingBackend
-from repro.reachability.backends.vectorized import VectorizedSamplingBackend
 
 #: Accepted forms of a backend specification: a registry name, an already
 #: constructed backend instance, or ``None`` for the default.
@@ -54,7 +41,7 @@ BackendLike = Union[None, str, SamplingBackend]
 #: Backend used when nothing else pins one — neither an explicit call
 #: argument, nor an active :func:`repro.session`, nor
 #: ``repro.runtime.defaults.backend``.
-DEFAULT_BACKEND = "vectorized"
+DEFAULT_BACKEND = "csr"
 
 _FACTORIES: Dict[str, Callable[[], SamplingBackend]] = {}
 
@@ -73,28 +60,6 @@ def get_default_backend() -> str:
     :data:`DEFAULT_BACKEND`.
     """
     return resolve_field("backend", DEFAULT_BACKEND)
-
-
-def set_default_backend(backend: str) -> str:
-    """Deprecated shim over ``repro.runtime.defaults.backend``.
-
-    Returns the previously resolved default name, mirroring the legacy
-    contract.  Prefer a scoped session (``with repro.session(backend=...)``)
-    or, for a genuinely process-wide override, assigning
-    ``repro.runtime.defaults.backend`` directly — neither warns.
-    """
-    warn_deprecated(
-        "repro.reachability.backends.set_default_backend()",
-        'use "with repro.session(backend=...)" for scoped configuration, '
-        "or assign repro.runtime.defaults.backend for a process-wide default",
-    )
-    if backend not in _FACTORIES:
-        raise ValueError(
-            f"unknown sampling backend {backend!r}; expected one of {backend_names()}"
-        )
-    previous = _runtime_defaults.backend or DEFAULT_BACKEND
-    _runtime_defaults.backend = backend
-    return previous
 
 
 def register_backend(
@@ -140,8 +105,11 @@ def make_backend(backend: BackendLike = None) -> SamplingBackend:
     """Resolve a backend name / instance / ``None`` into a backend instance.
 
     ``None`` resolves to the current default (active session →
-    ``repro.runtime.defaults`` → :data:`DEFAULT_BACKEND`); instances pass
-    through unchanged so callers can share a configured backend object.
+    ``repro.runtime.defaults`` → :data:`DEFAULT_BACKEND`); instances of
+    the :class:`SamplingBackend` protocol pass through unchanged so
+    callers can share a configured backend object.  Anything else —
+    including an object lacking ``propagate_reachability`` — raises
+    :class:`TypeError`.
     """
     if backend is None:
         backend = get_default_backend()
@@ -158,16 +126,12 @@ def make_backend(backend: BackendLike = None) -> SamplingBackend:
                 f"unknown sampling backend {backend!r}; expected one of {backend_names()}"
             ) from None
         return factory()
-    if isinstance(backend, CoreSamplingBackend):
-        # the pre-CRN core (name + sample_reachability) is enough: the
-        # engine falls back to propagate_reachability_fallback when the
-        # incremental primitive is missing
+    if isinstance(backend, SamplingBackend):
         return backend
     raise TypeError(f"cannot interpret {backend!r} as a sampling backend")
 
 
 register_backend("naive", NaiveSamplingBackend)
-register_backend("vectorized", VectorizedSamplingBackend)
 register_backend("csr", CSRSamplingBackend)
 _numba_probe = numba_unavailable_reason()
 if _numba_probe is None:
@@ -183,20 +147,16 @@ BACKEND_NAMES: Tuple[str, ...] = backend_names()
 __all__ = [
     "BACKEND_NAMES",
     "BackendLike",
-    "CoreSamplingBackend",
     "CSRSamplingBackend",
     "DEFAULT_BACKEND",
     "NaiveSamplingBackend",
     "NumbaCSRSamplingBackend",
     "SamplingBackend",
     "SamplingProblem",
-    "propagate_reachability_fallback",
-    "VectorizedSamplingBackend",
     "backend_availability",
     "backend_names",
     "get_default_backend",
     "make_backend",
     "numba_unavailable_reason",
     "register_backend",
-    "set_default_backend",
 ]

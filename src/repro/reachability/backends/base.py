@@ -37,7 +37,6 @@ as ``propagate_reachability(problem, sample_flips(...), all edges)``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -75,7 +74,7 @@ class CSRAdjacency:
     and ``edge_ids`` the index of the connecting edge in the problem's
     edge arrays.  Edges are undirected, so every edge appears twice —
     once per endpoint — and the structure doubles as the head-grouped
-    half-edge layout the batched label-propagation backends sweep over.
+    half-edge layout the csr backend's pull sweeps run over.
     """
 
     indptr: np.ndarray
@@ -110,9 +109,9 @@ def build_csr_adjacency(
     """Build the CSR half-edge adjacency of an indexed undirected edge set.
 
     One stable sort of the ``2 * n_edges`` half-edges by their incident
-    vertex; the per-call ``argsort`` + ``concatenate`` the vectorized
-    backend used to pay on every propagation is paid once here and
-    shared through :class:`~repro.reachability.layout.GraphLayout`.
+    vertex, paid once per layout and shared through
+    :class:`~repro.reachability.layout.GraphLayout` instead of on every
+    propagation.
     """
     n_edges = len(edge_u)
     incident = np.concatenate([edge_v, edge_u])
@@ -285,51 +284,6 @@ def sample_flips(
     return flips
 
 
-def propagate_reachability_fallback(
-    problem: SamplingProblem,
-    flips: np.ndarray,
-    edge_indices: np.ndarray,
-    base_reached: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Backend-independent reference closure: one Python BFS per world.
-
-    Used directly by the naive backend and as the engine's fallback for
-    third-party backends that predate the ``propagate_reachability``
-    contract (they only implement :class:`CoreSamplingBackend`), so CRN
-    candidate scoring works — slowly but correctly — on any backend.
-    """
-    n_samples = int(flips.shape[0])
-    if base_reached is None:
-        reached = np.zeros((n_samples, problem.n_vertices), dtype=bool)
-    else:
-        reached = base_reached.copy()
-    reached[:, problem.source] = True
-    edge_indices = np.asarray(edge_indices, dtype=np.int64)
-    if edge_indices.size == 0 or n_samples == 0:
-        return reached
-    edge_u = problem.edge_u[edge_indices].tolist()
-    edge_v = problem.edge_v[edge_indices].tolist()
-    active_flips = flips[:, edge_indices]
-    for sample_index in range(n_samples):
-        survives = active_flips[sample_index]
-        adjacency: Dict[int, List[int]] = {}
-        for u, v, alive in zip(edge_u, edge_v, survives):
-            if alive:
-                adjacency.setdefault(u, []).append(v)
-                adjacency.setdefault(v, []).append(u)
-        row = reached[sample_index]
-        # BFS from every vertex of the starting closure, so an
-        # incremental call re-propagates only across the new edges
-        queue = deque(np.flatnonzero(row).tolist())
-        while queue:
-            current = queue.popleft()
-            for neighbor in adjacency.get(current, ()):
-                if not row[neighbor]:
-                    row[neighbor] = True
-                    queue.append(neighbor)
-    return reached
-
-
 def chunked_sample_reachability(
     backend: "SamplingBackend",
     problem: SamplingProblem,
@@ -339,7 +293,7 @@ def chunked_sample_reachability(
 ) -> np.ndarray:
     """Draw-and-propagate in bounded world-major chunks.
 
-    The shared ``sample_reachability`` body of both built-in backends:
+    The shared ``sample_reachability`` body of the built-in backends:
     flip matrices are drawn (and discarded) chunk by chunk so a big
     sample count never materializes the full ``n_samples x n_edges``
     matrix.  Chunk boundaries do not change the random stream, so the
@@ -362,17 +316,16 @@ def chunked_sample_reachability(
 
 
 @runtime_checkable
-class CoreSamplingBackend(Protocol):
-    """The minimal backend surface (the pre-CRN protocol).
+class SamplingBackend(Protocol):
+    """The backend protocol: a stream-consuming sampler plus its closure.
 
     Backends are stateless beyond configuration; all randomness comes
-    from the generator passed to :meth:`sample_reachability`.  Instances
-    implementing only this core remain accepted everywhere: the engine
-    falls back to :func:`propagate_reachability_fallback` when the
-    incremental primitive is missing.
+    from the generator passed to :meth:`sample_reachability`.
+    :func:`~repro.reachability.backends.make_backend` accepts an
+    instance only if it implements all three members.
     """
 
-    #: registry name of the backend (e.g. ``"naive"``, ``"vectorized"``)
+    #: registry name of the backend (e.g. ``"naive"``, ``"csr"``)
     name: str
 
     def sample_reachability(
@@ -389,11 +342,6 @@ class CoreSamplingBackend(Protocol):
         always True.
         """
         ...
-
-
-@runtime_checkable
-class SamplingBackend(CoreSamplingBackend, Protocol):
-    """The full backend protocol (core plus the incremental primitive)."""
 
     def propagate_reachability(
         self,

@@ -1,21 +1,21 @@
 """CSR-layout backend: frontier-sparse propagation, optional numba kernel.
 
-The vectorized backend re-derives its half-edge grouping — a
-``concatenate`` + stable ``argsort`` over ``2 * n_edges`` entries — on
-*every* ``propagate_reachability`` call, and each of its fixpoint sweeps
-relaxes **all** active edges even when only a handful of vertices gained
-a world since the last sweep.  This backend removes both costs by
-working directly over the precomputed CSR half-edge adjacency shared
-through :class:`~repro.reachability.layout.GraphLayout`:
+The library's default backend.  It propagates all sampled worlds at
+once over the precomputed CSR half-edge adjacency shared through
+:class:`~repro.reachability.layout.GraphLayout`, so no call re-sorts its
+half-edges, and no fixpoint sweep relaxes edges whose endpoints gained
+nothing since the previous sweep:
 
-* **numpy path** — the same bit-packed world bitsets as the vectorized
-  backend (one byte row of ``ceil(n_samples / 8)`` per vertex/edge), but
-  propagation is *frontier-restricted*: each round pulls updates only
-  into the neighbours of vertices whose bitsets changed in the previous
-  round, so the per-round work shrinks with the frontier instead of
-  staying ``O(E)`` until the global fixpoint.  Inactive edges simply
-  keep all-zero survival bitsets, which excludes them from propagation
-  without a separate mask.
+* **numpy path** — the sample axis is packed into bits, so each vertex
+  and each edge carries a bitset of ``ceil(n_samples / 8)`` bytes (the
+  worlds that reach the vertex, the worlds the edge survived in), and
+  one sweep ORs every surviving half-edge's tail bitset into its head
+  for all worlds at once.  Propagation is *frontier-restricted*: each
+  round pulls updates only into the neighbours of vertices whose bitsets
+  changed in the previous round, so the per-round work shrinks with the
+  frontier instead of staying ``O(E)`` until the global fixpoint.
+  Inactive edges simply keep all-zero survival bitsets, which excludes
+  them from propagation without a separate mask.
 * **numba path** — a compiled ``@njit(cache=True)`` kernel running one
   stack-based BFS per world over the CSR arrays: exactly the naive
   reference algorithm, executed in machine code.  It is used
@@ -203,8 +203,8 @@ class CSRSamplingBackend:
 
         # world bitsets padded to whole uint64 lanes: every bitwise op
         # (AND/OR/reduceat/compare) then touches 8x fewer elements than
-        # the vectorized backend's byte rows, and the padding lanes stay
-        # zero throughout so the final trim cannot lose information
+        # byte rows would, and the padding lanes stay zero throughout so
+        # the final trim cannot lose information
         n_bytes = (n_samples + 7) // 8
         padded = ((n_bytes + 7) // 8) * 8
 
@@ -217,9 +217,8 @@ class CSRSamplingBackend:
             alive8[:, :n_bytes] = np.packbits(flips.T, axis=1)
         else:
             alive8[edge_indices, :n_bytes] = np.packbits(flips[:, edge_indices].T, axis=1)
-        # half-edge aligned survival lanes, gathered once per call — the
-        # per-sweep cost of the vectorized backend's duplicated+reordered
-        # alive matrix, paid a single time here
+        # half-edge aligned survival lanes, gathered once per call
+        # rather than once per sweep
         alive = alive8.view(np.uint64)[csr.edge_ids]
 
         # per-vertex bitset of the worlds that reach it, seeded from the

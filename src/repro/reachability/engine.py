@@ -49,7 +49,6 @@ from repro.reachability.backends import BackendLike, make_backend
 from repro.reachability.backends.base import (
     SamplingBackend,
     SamplingProblem,
-    propagate_reachability_fallback,
     sample_flips,
 )
 from repro.reachability.layout import graph_layout
@@ -481,14 +480,11 @@ class SamplingEngine:
         """Closure of a flip matrix over the listed active edges.
 
         Thin passthrough to the backend's ``propagate_reachability``
-        primitive (see :class:`~repro.reachability.backends.base.SamplingBackend`);
-        backends predating the incremental contract fall back to the
-        backend-independent reference closure.
+        primitive (see :class:`~repro.reachability.backends.base.SamplingBackend`).
         """
-        propagate = getattr(
-            self.backend, "propagate_reachability", propagate_reachability_fallback
+        return self.backend.propagate_reachability(
+            problem, flips, edge_indices, base_reached=base_reached
         )
-        return propagate(problem, flips, edge_indices, base_reached=base_reached)
 
     # ------------------------------------------------------------------
     # aggregations (the three public estimators route through these)

@@ -12,8 +12,7 @@ pair and reused everywhere:
   ``vertex_ids`` tuple, exactly the payload of a sampling problem;
 * a lazily-built CSR half-edge adjacency
   (:class:`~repro.reachability.backends.base.CSRAdjacency`), shared by
-  the ``csr`` backend so the per-call ``argsort``/``concatenate`` of the
-  vectorized backend disappears from the hot path;
+  the ``csr`` backend so no propagation call re-sorts its half-edges;
 * :meth:`GraphLayout.problem` — an O(1) view materializing the
   API-compatible :class:`SamplingProblem` for a given source (and any
   extra vertices), sharing the layout's arrays instead of copying.

@@ -8,8 +8,9 @@ estimator to the entire candidate subgraph in every greedy iteration.
 All three public estimators are thin wrappers around one shared
 :class:`~repro.reachability.engine.SamplingEngine` entry point, so the
 world-flipping and adjacency/traversal code lives in exactly one place
-and the backend (``"naive"`` per-world BFS or ``"vectorized"`` batched
-NumPy — see :mod:`repro.reachability.backends`) can be chosen per call.
+and the backend (``"naive"`` per-world BFS or the default ``"csr"``
+bit-packed propagation — see :mod:`repro.reachability.backends`) can be
+chosen per call.
 Estimates are bit-for-bit deterministic per ``(seed, backend)``, and the
 built-in backends share one random-stream contract, so the same seed
 yields the same estimate on either backend.

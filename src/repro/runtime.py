@@ -2,11 +2,9 @@
 
 Four generations of scaling work (pluggable sampling backends, CRN
 candidate scoring, sharded executors, the batched query service) each
-added its own process-wide knob, ending at five independent globals
-(``set_default_backend``, ``set_default_crn``, ``set_default_executor``,
-``set_default_shard_size``, ``set_default_world_cache``) plus the same
-six kwargs re-threaded through every entry point.  This module collapses
-that surface into one typed, scoped runtime object:
+added its own knob, threaded as the same six kwargs through every entry
+point.  This module collapses that surface into one typed, scoped
+runtime object:
 
 * :class:`RuntimeConfig` — a frozen dataclass bundling every knob:
   sampling backend, CRN mode, workers/executor spec, shard size, the
@@ -68,23 +66,11 @@ pool down and drops the cache's entries.  Shared instances passed in are
 left running for their owners, mirroring
 :class:`~repro.service.BatchEvaluator`.
 
-Migrating from ``set_default_*``
---------------------------------
-The five legacy globals still work but emit :class:`DeprecationWarning`
-and now write to the one :data:`defaults` store:
-
-===============================  =============================================
-legacy call                      replacement
-===============================  =============================================
-``set_default_backend("naive")``     ``with repro.session(backend="naive"):``
-``set_default_crn(False)``           ``with repro.session(crn=False):``
-``set_default_executor(4)``          ``with repro.session(workers=4):``
-``set_default_shard_size(128)``      ``with repro.session(shard_size=128):``
-``set_default_world_cache(cache)``   ``with repro.session(world_cache=cache):``
-===============================  =============================================
-
+Process-wide defaults
+---------------------
 For a genuinely process-wide default, assign the matching field of
-:data:`repro.runtime.defaults` directly (no warning, no scoping).
+:data:`repro.runtime.defaults` directly (no scoping); any active
+session still wins over it.
 """
 
 from __future__ import annotations
@@ -145,7 +131,7 @@ class RuntimeConfig:
     backend:
         Sampling-backend registry name (see
         :data:`repro.reachability.backends.BACKEND_NAMES`); built-in
-        default ``"vectorized"``.
+        default ``"csr"``.
     crn:
         Common-random-numbers candidate scoring for the sampling-based
         selectors; built-in default ``True``.  ``False`` restores the

@@ -21,9 +21,7 @@ All sampling-based selectors score candidates with common random
 numbers by default (one shared batch of possible worlds per selection
 round, see :mod:`repro.reachability.context`); pass ``crn=False`` — or
 scope the default with ``with repro.session(crn=False):`` — for the
-paper's literal per-candidate resampling reference mode.  (The legacy
-:func:`set_default_crn` still works but is a deprecated shim over
-``repro.runtime.defaults``.)
+paper's literal per-candidate resampling reference mode.
 """
 
 from repro.selection.base import (
@@ -43,7 +41,6 @@ from repro.selection.registry import (
     DEFAULT_CRN,
     get_default_crn,
     make_selector,
-    set_default_crn,
 )
 
 __all__ = [
@@ -61,5 +58,4 @@ __all__ = [
     "DEFAULT_CRN",
     "get_default_crn",
     "make_selector",
-    "set_default_crn",
 ]

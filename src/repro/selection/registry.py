@@ -9,11 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro._runtime_state import (
-    defaults as _runtime_defaults,
-    resolve_field,
-    warn_deprecated,
-)
+from repro._runtime_state import resolve_field
 from repro.parallel.executor import ExecutorLike
 from repro.reachability.backends import BackendLike
 from repro.rng import SeedLike
@@ -48,23 +44,6 @@ def get_default_crn() -> bool:
     pins a mode) → ``repro.runtime.defaults.crn`` → :data:`DEFAULT_CRN`.
     """
     return resolve_field("crn", DEFAULT_CRN)
-
-
-def set_default_crn(crn: bool) -> bool:
-    """Deprecated shim over ``repro.runtime.defaults.crn``.
-
-    Returns the previously resolved default, mirroring the legacy
-    contract.  Prefer ``with repro.session(crn=...)`` for scoped
-    configuration, or assign ``repro.runtime.defaults.crn`` directly.
-    """
-    warn_deprecated(
-        "repro.selection.set_default_crn()",
-        'use "with repro.session(crn=...)" for scoped configuration, '
-        "or assign repro.runtime.defaults.crn for a process-wide default",
-    )
-    previous = _runtime_defaults.crn if _runtime_defaults.crn is not None else DEFAULT_CRN
-    _runtime_defaults.crn = bool(crn)
-    return previous
 
 
 def make_selector(

@@ -34,7 +34,6 @@ from repro.service.cache import (
     WorldKey,
     get_default_world_cache,
     resolve_cache,
-    set_default_world_cache,
 )
 from repro.service.evaluator import BatchEvaluator, validate_request
 from repro.service.planner import QueryGroup, QueryPlan, QueryPlanner
@@ -69,6 +68,5 @@ __all__ = [
     "request_to_dict",
     "resolve_cache",
     "result_to_dict",
-    "set_default_world_cache",
     "validate_request",
 ]

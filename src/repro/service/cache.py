@@ -36,9 +36,7 @@ from typing import Dict, Optional, Set, Union
 from repro._runtime_state import (
     UNSET,
     current_effective,
-    defaults as _runtime_defaults,
     normalize_store_field,
-    warn_deprecated,
 )
 from repro.digest import combine_digests, graph_digest
 from repro.reachability.engine import WorldBatch
@@ -303,25 +301,6 @@ def _normalize_stored_cache(stored) -> WorldCache:
     )
 
 
-def set_default_world_cache(cache: Optional[WorldCache]) -> Optional[WorldCache]:
-    """Deprecated shim over ``repro.runtime.defaults.world_cache``.
-
-    Returns the previously stored default, mirroring the legacy
-    contract.  Prefer ``with repro.session(world_cache=...)`` for scoped
-    configuration (the session then also owns a private cache's
-    lifecycle), or assign ``repro.runtime.defaults.world_cache``
-    directly.  Pass ``None`` to reset to lazy default creation.
-    """
-    warn_deprecated(
-        "repro.service.set_default_world_cache()",
-        'use "with repro.session(world_cache=...)" for scoped configuration, '
-        "or assign repro.runtime.defaults.world_cache for a process-wide default",
-    )
-    previous = _runtime_defaults.world_cache
-    _runtime_defaults.world_cache = cache
-    return previous
-
-
 def resolve_cache(cache: CacheLike) -> Optional[WorldCache]:
     """Resolve a cache spec: default, disabled (``0``), sized, or instance."""
     if cache is None:
@@ -348,6 +327,5 @@ __all__ = [
     "WorldKey",
     "get_default_world_cache",
     "resolve_cache",
-    "set_default_world_cache",
     "world_key_source_repr",
 ]

@@ -1,4 +1,4 @@
-"""The distributed tier: wire codecs, hash ring, executor, cache ring.
+"""The distributed tier: wire codecs, registration handshake, executor.
 
 The load-bearing assertions are bit-for-bit: everything a shard result
 is a function of must round-trip the wire exactly (arrays, seeds,
@@ -12,10 +12,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.distributed import HashRing, RemoteExecutor, local_fleet
+from repro.distributed import RemoteExecutor, local_fleet
 from repro.distributed import wire
-from repro.digest import stable_digest
-from repro.distributed.cache import RING_SPACE
 from repro.exceptions import (
     DistributedError,
     ExecutorError,
@@ -25,9 +23,7 @@ from repro.exceptions import (
 from repro.parallel import SerialExecutor, ShardTask, make_executor, parse_remote_spec
 from repro.reachability.backends import make_backend
 from repro.reachability.backends.base import SamplingProblem
-from repro.reachability.engine import FlipBatch, WorldBatch
 from repro.rng import split_seed_sequences
-from repro.service.cache import WorldKey
 from repro.types import Edge
 
 
@@ -101,15 +97,6 @@ class TestWireCodecs:
         )
         assert wire.problem_digest(base) != wire.problem_digest(other)
 
-    def test_world_and_flip_batches_roundtrip(self):
-        problem = _problem()
-        reached = np.random.default_rng(1).random((8, problem.n_vertices)) < 0.5
-        flips = np.random.default_rng(2).random((8, problem.n_edges)) < 0.5
-        world = wire.decode_world_batch(wire.encode_world_batch(WorldBatch(problem, reached)))
-        flip = wire.decode_flip_batch(wire.encode_flip_batch(FlipBatch(problem, flips)))
-        assert np.array_equal(world.reached, reached)
-        assert np.array_equal(flip.flips, flips)
-
     def test_unnamed_backend_cannot_cross_the_wire(self):
         class Anonymous:
             def sample_reachability(self, problem, n_samples, rng):  # pragma: no cover
@@ -123,43 +110,42 @@ class TestWireCodecs:
         assert wire.encode_backend(None) is None
 
 
-class TestHashRing:
-    def test_empty_ring_owns_nothing(self):
-        assert HashRing().node_for(12345) is None
+class TestRegistrationHandshake:
+    def _hello(self, executor, message):
+        """Send one registration line; return the reply and the next read."""
+        host, port = executor.address
+        channel = wire.LineChannel.connect(host, port, timeout=5.0)
+        try:
+            channel.send(message)
+            reply = channel.recv(timeout=5.0)
+            after = channel.recv(timeout=5.0)
+        finally:
+            channel.close()
+        return reply, after
 
-    def test_ownership_is_stable_and_total(self):
-        ring = HashRing(replicas=16)
-        for index in range(3):
-            ring.add(index, f"node-{index}")
-        keys = [stable_digest(("ring-test-key", k)) for k in range(200)]
-        assert all(0 <= key < RING_SPACE for key in keys)
-        first = [ring.node_for(key) for key in keys]
-        second = [ring.node_for(key) for key in keys]
-        assert first == second
-        assert all(owner is not None for owner in first)
-        assert len(set(first)) == 3  # every node owns some arc
+    def test_version_mismatch_is_answered_and_not_linked(self):
+        with RemoteExecutor(port=0) as executor:
+            hello = wire.register_message("stale", 1, ["naive"])
+            hello["version"] = wire.WIRE_VERSION - 1
+            reply, after = self._hello(executor, hello)
+            assert reply["kind"] == wire.MSG_ERROR
+            assert reply["error"]["type"] == wire.ERR_VERSION
+            assert f"v{wire.WIRE_VERSION}" in reply["error"]["message"]
+            assert after is None  # the coordinator closed the connection
+            assert executor.worker_names() == []
 
-    def test_removal_remaps_only_the_removed_nodes_keys(self):
-        ring = HashRing(replicas=32)
-        for index in range(4):
-            ring.add(index, f"node-{index}")
-        keys = list(range(0, 500))
-        before = {key: ring.node_for(key) for key in keys}
-        ring.remove(2)
-        after = {key: ring.node_for(key) for key in keys}
-        moved = [key for key in keys if before[key] != after[key]]
-        # every moved key belonged to the removed node; nothing else moved
-        assert all(before[key] == "node-2" for key in moved)
-        assert all(after[key] != "node-2" for key in keys)
-
-    def test_add_is_idempotent(self):
-        ring = HashRing(replicas=8)
-        ring.add("a", 1)
-        points = len(ring._points)
-        ring.add("a", 2)  # refresh the node object, no new points
-        assert len(ring._points) == points
-        assert ring.node_for(0) in (1, 2)
-        assert len(ring) == 1
+    def test_matching_version_registers(self):
+        with RemoteExecutor(port=0) as executor:
+            host, port = executor.address
+            channel = wire.LineChannel.connect(host, port, timeout=5.0)
+            try:
+                channel.send(wire.register_message("fresh", 1, ["naive"]))
+                reply = channel.recv(timeout=5.0)
+                assert reply["kind"] == wire.MSG_REGISTERED
+                executor.wait_for_workers(1, timeout=5.0)
+                assert executor.worker_names() == ["fresh"]
+            finally:
+                channel.close()
 
 
 class TestRemoteSpecs:
@@ -199,7 +185,7 @@ class TestRemoteExecutor:
         assert fleet.executor.map_shards([]) == []
 
     def test_backend_shards_match_serial_bit_for_bit(self, fleet):
-        tasks = _tasks(6, backend=make_backend("vectorized"))
+        tasks = _tasks(6, backend=make_backend("csr"))
         serial = SerialExecutor().map_shards(tasks)
         remote = fleet.executor.map_shards(tasks)
         assert len(remote) == len(serial)
@@ -245,74 +231,3 @@ class TestRemoteExecutor:
             executor = s._executor
             assert isinstance(executor, RemoteExecutor)
         assert executor.closed is True
-
-
-class TestRingWorldCache:
-    def _key(self, seed: int = 7) -> WorldKey:
-        return WorldKey(
-            graph_digest=4242,
-            edges_digest=None,
-            source_repr="0",
-            backend="vectorized",
-            seed=seed,
-            n_samples=8,
-            shard_size=None,
-        )
-
-    def _batch(self) -> WorldBatch:
-        problem = _problem()
-        reached = np.random.default_rng(3).random((8, problem.n_vertices)) < 0.5
-        return WorldBatch(problem=problem, reached=reached)
-
-    def _await_remote(self, cache, key, attempts: int = 50):
-        """cache_put is fire-and-forget; poll until the entry lands."""
-        import time
-
-        for _ in range(attempts):
-            batch = cache.get(key)
-            if batch is not None:
-                return batch
-            time.sleep(0.05)
-        return None
-
-    def test_put_get_roundtrip_is_bit_identical(self, fleet):
-        cache = fleet.executor.world_cache()
-        key, batch = self._key(), self._batch()
-        assert cache.get(key) is None
-        cache.put(key, batch)
-        fetched = self._await_remote(cache, key)
-        assert fetched is not None
-        assert np.array_equal(fetched.reached, batch.reached)
-        assert fetched.problem.vertex_ids == batch.problem.vertex_ids
-        assert cache.hits >= 1
-        assert len(cache) == 0  # the entry lives on a worker, not locally
-
-    def test_invalidate_graph_fans_out(self, fleet):
-        import time
-
-        cache = fleet.executor.world_cache()
-        key, batch = self._key(seed=8), self._batch()
-        cache.put(key, batch)
-        assert self._await_remote(cache, key) is not None
-        cache.invalidate_graph(key.graph_digest)
-        time.sleep(0.3)  # fan-out is fire-and-forget
-        assert cache.get(key) is None
-
-    def test_local_fallback_without_workers(self):
-        with RemoteExecutor(port=0) as executor:
-            cache = executor.world_cache()
-            key, batch = self._key(seed=9), self._batch()
-            cache.put(key, batch)
-            assert len(cache) == 1  # stored locally: the ring is empty
-            fetched = cache.get(key)
-            assert fetched is not None
-            assert np.array_equal(fetched.reached, batch.reached)
-
-    def test_is_a_world_cache_everywhere(self, fleet):
-        from repro.service.cache import WorldCache, resolve_cache
-
-        cache = fleet.executor.world_cache()
-        assert isinstance(cache, WorldCache)
-        assert resolve_cache(cache) is cache
-        stats = cache.stats()
-        assert {"hits", "misses", "entries"} <= set(stats)

@@ -32,7 +32,7 @@ def _problem(n_edges: int = 6) -> SamplingProblem:
 
 def _tasks(n_shards: int, seed: int = 11, n_samples: int = 24):
     problem = _problem()
-    backend = make_backend("vectorized")
+    backend = make_backend("csr")
     return [
         ShardTask(problem=problem, n_samples=n_samples, seed=child, backend=backend)
         for child in split_seed_sequences(seed, n_shards)

@@ -1,6 +1,6 @@
 """Property-based cross-backend tests for the possible-world sampling engine.
 
-The vectorized backend is pinned against two references on random small
+The csr backend is pinned against two references on random small
 graphs from :mod:`repro.graph.generators`:
 
 * the naive (per-world BFS) backend — *bit-for-bit* for the same seed,
@@ -64,7 +64,7 @@ def _query(graph):
 def test_flow_estimates_bitwise_equal_across_backends(graph, seed):
     naive = monte_carlo_expected_flow(graph, _query(graph), n_samples=64, seed=seed, backend="naive")
     fast = monte_carlo_expected_flow(
-        graph, _query(graph), n_samples=64, seed=seed, backend="vectorized"
+        graph, _query(graph), n_samples=64, seed=seed, backend="csr"
     )
     assert naive.expected_flow == fast.expected_flow
     assert naive.reachability == fast.reachability
@@ -99,7 +99,7 @@ def test_restricted_edge_sets_agree_across_backends(graph, seed, keep):
         graph, _query(graph), n_samples=48, seed=seed, edges=edges, backend="naive"
     )
     fast = monte_carlo_expected_flow(
-        graph, _query(graph), n_samples=48, seed=seed, edges=edges, backend="vectorized"
+        graph, _query(graph), n_samples=48, seed=seed, edges=edges, backend="csr"
     )
     assert naive.expected_flow == fast.expected_flow
     assert naive.reachability == fast.reachability
@@ -113,7 +113,7 @@ def test_backends_agree_within_clt_for_independent_seeds(graph, seed_a, seed_b):
         graph, _query(graph), n_samples=1200, seed=seed_a, backend="naive"
     )
     fast = monte_carlo_expected_flow(
-        graph, _query(graph), n_samples=1200, seed=seed_b, backend="vectorized"
+        graph, _query(graph), n_samples=1200, seed=seed_b, backend="csr"
     )
     tolerance = SIGMA * ((naive.standard_error or 0.0) + (fast.standard_error or 0.0)) + FLOOR
     assert naive.expected_flow == pytest.approx(fast.expected_flow, abs=tolerance)
@@ -230,7 +230,7 @@ def test_forcing_the_numba_kernel_without_numba_raises():
 @settings(**PROPERTY_SETTINGS)
 @given(graph=small_graphs, seed=st.integers(min_value=0, max_value=10_000))
 def test_reached_matrix_source_column_and_bounds(graph, seed):
-    batch = SamplingEngine("vectorized").sample_worlds(graph, _query(graph), 16, seed=seed)
+    batch = SamplingEngine("csr").sample_worlds(graph, _query(graph), 16, seed=seed)
     assert batch.reached.dtype == np.bool_
     assert batch.reached.shape == (16, batch.problem.n_vertices)
     assert batch.reached[:, batch.problem.source].all()

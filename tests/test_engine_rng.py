@@ -19,14 +19,14 @@ from repro.graph.generators import cycle_graph, erdos_renyi_graph
 from repro.reachability.backends import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
+    CSRSamplingBackend,
     NaiveSamplingBackend,
-    VectorizedSamplingBackend,
     get_default_backend,
     make_backend,
     register_backend,
 )
 from repro.reachability.backends import _FACTORIES
-from repro.reachability.backends import vectorized as vectorized_module
+from repro.reachability.backends import csr as csr_module
 from repro.reachability.engine import SamplingEngine
 from repro.reachability.monte_carlo import (
     MonteCarloFlowEstimator,
@@ -154,17 +154,26 @@ class TestEngineValidation:
 
 class TestBackendRegistry:
     def test_builtin_names(self):
-        assert "naive" in BACKEND_NAMES
-        assert "vectorized" in BACKEND_NAMES
-        assert DEFAULT_BACKEND in BACKEND_NAMES
+        assert set(BACKEND_NAMES) - {"csr-numba"} == {"naive", "csr"}
+        assert DEFAULT_BACKEND == "csr"
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown sampling backend"):
             make_backend("warp-drive")
 
     def test_instance_passes_through(self):
-        backend = VectorizedSamplingBackend()
+        backend = CSRSamplingBackend()
         assert make_backend(backend) is backend
+
+    def test_instance_without_propagate_reachability_rejected(self):
+        class _SampleOnlyBackend:
+            name = "sample-only"
+
+            def sample_reachability(self, problem, n_samples, rng):
+                return NaiveSamplingBackend().sample_reachability(problem, n_samples, rng)
+
+        with pytest.raises(TypeError, match="cannot interpret"):
+            make_backend(_SampleOnlyBackend())
 
     def test_none_resolves_to_default(self):
         assert make_backend(None).name == DEFAULT_BACKEND
@@ -190,8 +199,6 @@ class TestBackendRegistry:
             ExperimentConfig(backend="warp-drive")
 
     def test_runtime_default_redirects_none(self):
-        # (the deprecated set_default_backend shim over this store is
-        # pinned in tests/test_runtime_deprecations.py)
         from repro.runtime import defaults
 
         defaults.backend = "naive"
@@ -216,11 +223,11 @@ class TestChunkedDrawing:
     def test_chunked_blocks_preserve_the_stream(self, medium_graph, monkeypatch):
         """Forcing many tiny chunks must not change the sampled worlds."""
         whole = monte_carlo_expected_flow(
-            medium_graph, 0, n_samples=90, seed=13, backend="vectorized"
+            medium_graph, 0, n_samples=90, seed=13, backend="csr"
         )
-        monkeypatch.setattr(vectorized_module, "_MAX_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(csr_module, "_MAX_BLOCK_ELEMENTS", 1)
         chunked = monte_carlo_expected_flow(
-            medium_graph, 0, n_samples=90, seed=13, backend="vectorized"
+            medium_graph, 0, n_samples=90, seed=13, backend="csr"
         )
         naive = monte_carlo_expected_flow(
             medium_graph, 0, n_samples=90, seed=13, backend="naive"
@@ -233,10 +240,10 @@ class TestChunkedDrawing:
 class TestCustomBackendThroughEstimators:
     def test_backend_instance_accepted_by_estimator(self, medium_graph):
         by_name = monte_carlo_expected_flow(
-            medium_graph, 0, n_samples=80, seed=4, backend="vectorized"
+            medium_graph, 0, n_samples=80, seed=4, backend="csr"
         )
         by_instance = monte_carlo_expected_flow(
-            medium_graph, 0, n_samples=80, seed=4, backend=VectorizedSamplingBackend()
+            medium_graph, 0, n_samples=80, seed=4, backend=CSRSamplingBackend()
         )
         assert by_name.expected_flow == by_instance.expected_flow
         assert by_name.reachability == by_instance.reachability

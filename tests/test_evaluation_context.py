@@ -6,7 +6,7 @@ The contract under test (see :mod:`repro.reachability.context`):
   shared flip matrix over ``base + candidate`` — the attach-column fast
   path and the incremental delta re-propagation are pure optimizations;
 * scores, and therefore greedy selections, are bit-for-bit identical
-  across the ``naive`` and ``vectorized`` backends for the same seed
+  across the ``naive`` and ``csr`` backends for the same seed
   (the acceptance criterion of the CRN refactor);
 * candidate gains over the round's base flow are nonnegative by
   construction (monotone reachability on shared worlds).
@@ -191,25 +191,6 @@ class TestBestAndValidation:
             context.score_candidates([frontier[0]], [frontier[0]])
         with pytest.raises(ValueError, match="duplicates"):
             context.score_candidates([], [frontier[0], frontier[0]])
-
-    def test_core_only_backend_scores_via_fallback(self, dense_random_graph):
-        """A pre-CRN backend (no propagate_reachability) still works."""
-        from repro.reachability.backends import NaiveSamplingBackend
-
-        class LegacyBackend:
-            name = "legacy"
-
-            def sample_reachability(self, problem, n_samples, rng):
-                return NaiveSamplingBackend().sample_reachability(problem, n_samples, rng)
-
-        frontier = CandidateManager(dense_random_graph, 0).candidates()
-        legacy = EvaluationContext(
-            dense_random_graph, 0, n_samples=100, seed=19, backend=LegacyBackend()
-        ).score_candidates([], frontier)
-        native = EvaluationContext(
-            dense_random_graph, 0, n_samples=100, seed=19, backend="naive"
-        ).score_candidates([], frontier)
-        np.testing.assert_array_equal(legacy.scores, native.scores)
 
     def test_seeded_contexts_reproducible(self, dense_random_graph):
         frontier = CandidateManager(dense_random_graph, 0).candidates()

@@ -227,7 +227,7 @@ class TestProblemView:
 class TestRegistryAvailability:
     def test_builtin_backends_are_available(self):
         availability = backend_availability()
-        for name in ("naive", "vectorized", "csr"):
+        for name in ("naive", "csr"):
             assert availability[name] is None
 
     def test_csr_numba_is_listed_either_way(self):

@@ -119,9 +119,6 @@ class TestExecutors:
 
 
 class TestDefaults:
-    # (the deprecated set_default_executor / set_default_shard_size shims
-    # over this store are pinned in tests/test_runtime_deprecations.py)
-
     def test_default_executor_round_trip(self):
         from repro.runtime import defaults
 

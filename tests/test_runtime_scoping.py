@@ -67,17 +67,34 @@ class TestScoping:
                 assert get_default_shard_size() == 64
                 assert get_default_crn() is False
             assert get_default_crn() is True
-            with repro.session(backend="vectorized"):
-                assert get_default_backend() == "vectorized"
+            with repro.session(backend="csr"):
+                assert get_default_backend() == "csr"
                 assert get_default_shard_size() == 64
             assert get_default_backend() == "naive"
 
     def test_session_wins_over_defaults_store(self):
         defaults.backend = "naive"
         assert get_default_backend() == "naive"
-        with repro.session(backend="vectorized"):
-            assert get_default_backend() == "vectorized"
+        with repro.session(backend="csr"):
+            assert get_default_backend() == "csr"
         assert get_default_backend() == "naive"
+
+    def test_store_assignment_does_not_warn(self, recwarn):
+        defaults.backend = "naive"
+        defaults.crn = False
+        defaults.shard_size = 32
+        assert get_default_backend() == "naive"
+        assert get_default_crn() is False
+        assert get_default_shard_size() == 32
+        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
+
+    def test_store_write_inside_session_surfaces_after_exit(self):
+        # the store is process-wide: a write inside a session does not
+        # affect the session's pinned knob, but persists past it
+        with repro.session(shard_size=32):
+            defaults.shard_size = 48
+            assert get_default_shard_size() == 32
+        assert get_default_shard_size() == 48
 
     def test_unset_fields_fall_through_to_defaults_store(self):
         defaults.shard_size = 48
@@ -220,8 +237,7 @@ class TestScoping:
         assert session.closed
 
     def test_defaults_store_normalizes_raw_executor_specs(self):
-        # the migration hint says "assign repro.runtime.defaults.executor";
-        # a raw worker-count spec must behave like the legacy setter did
+        # a raw worker-count spec is normalized into an executor once
         defaults.executor = 1
         try:
             first = get_default_executor()

@@ -114,8 +114,6 @@ class TestDefaultCrnToggle:
         assert make_selector("Naive", n_samples=10).crn is True
 
     def test_runtime_default_redirects_none(self):
-        # (the deprecated set_default_crn shim over this store is pinned
-        # in tests/test_runtime_deprecations.py)
         from repro.runtime import defaults
 
         defaults.crn = False

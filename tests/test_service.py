@@ -265,7 +265,7 @@ class TestBatchingAndGrouping:
             QueryRequest(kind="expected_flow", source=0, n_samples=60, seed=1,
                          backend="naive"),
             QueryRequest(kind="expected_flow", source=0, n_samples=60, seed=1,
-                         backend="vectorized"),
+                         backend="csr"),
         ]
         evaluator = BatchEvaluator(cache=0)
         plan = evaluator.plan(graph, requests)

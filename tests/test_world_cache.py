@@ -19,7 +19,7 @@ def make_key(**overrides) -> WorldKey:
         graph_digest=1,
         edges_digest=None,
         source_repr="0",
-        backend="vectorized",
+        backend="csr",
         seed=7,
         n_samples=100,
         shard_size=None,
@@ -93,8 +93,8 @@ class TestKeySeparation:
         cache = WorldCache()
         evaluator = BatchEvaluator(cache=cache)
         evaluator.evaluate_one(graph, flow_request(seed=1, backend="naive"))
-        evaluator.evaluate_one(graph, flow_request(seed=1, backend="vectorized"))
-        evaluator.evaluate_one(graph, flow_request(seed=2, backend="vectorized"))
+        evaluator.evaluate_one(graph, flow_request(seed=1, backend="csr"))
+        evaluator.evaluate_one(graph, flow_request(seed=2, backend="csr"))
         assert len(cache) == 3
         assert cache.hits == 0
         assert cache.misses == 3
@@ -187,9 +187,6 @@ class TestCachedAnswersEqualFresh:
 
 
 class TestDefaultCache:
-    # (the deprecated set_default_world_cache shim over this store is
-    # pinned in tests/test_runtime_deprecations.py)
-
     def test_default_cache_is_shared_and_restorable(self, graph):
         from repro.runtime import defaults
 
