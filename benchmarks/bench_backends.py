@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Micro-benchmark: naive vs CSR possible-world sampling.
 
-Times :func:`repro.reachability.monte_carlo.monte_carlo_expected_flow`
+Times :meth:`repro.reachability.engine.SamplingEngine.expected_flow`
 with every registered backend on the Fig. 5 graph-size sweep (Erdős
 graphs, degree 6 — the paper's no-locality scheme) and reports the
 speedup of each backend over the naive per-world-BFS reference.
@@ -40,7 +40,7 @@ from _helpers import bench_environment
 from repro.graph.generators import erdos_renyi_graph
 from repro.reachability.backends import BACKEND_NAMES
 from repro.reachability.backends.csr import CSRSamplingBackend, numba_unavailable_reason
-from repro.reachability.monte_carlo import monte_carlo_expected_flow
+from repro.reachability.engine import SamplingEngine
 
 #: Fig. 5 graph-size sweep (scaled down, degree 6 ⇒ |E| ≈ 3·|V|).
 FULL_SIZES = (150, 300, 600)
@@ -68,8 +68,8 @@ def time_backend(graph, query, backend, n_samples: int, seed: int = 7):
     flow = None
     for _ in range(REPEATS.get(backend, DEFAULT_REPEATS)):
         started = time.perf_counter()
-        estimate = monte_carlo_expected_flow(
-            graph, query, n_samples=n_samples, seed=seed, backend=backend
+        estimate = SamplingEngine(backend).expected_flow(
+            graph, query, n_samples=n_samples, seed=seed
         )
         best = min(best, time.perf_counter() - started)
         flow = estimate.expected_flow

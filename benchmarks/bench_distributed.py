@@ -2,7 +2,7 @@
 """Micro-benchmark: the distributed executor over loopback worker fleets.
 
 Times whole-graph Monte-Carlo flow estimation
-(:func:`repro.reachability.monte_carlo.monte_carlo_expected_flow`) on
+(:meth:`repro.reachability.engine.SamplingEngine.expected_flow`) on
 the *naive* backend under the serial reference executor and under
 :class:`repro.distributed.RemoteExecutor` fronting local subprocess
 fleets of 2 and 3 workers, all at the same
@@ -37,7 +37,7 @@ from _helpers import bench_environment
 from repro.distributed import local_fleet
 from repro.graph.generators import erdos_renyi_graph
 from repro.parallel import SerialExecutor
-from repro.reachability.monte_carlo import monte_carlo_expected_flow
+from repro.reachability.engine import SamplingEngine
 
 #: Fig. 5 graph-size sweep (scaled down, degree 6 ⇒ |E| ≈ 3·|V|).
 FULL_SIZES = (150, 300, 600)
@@ -72,26 +72,19 @@ def bench_remote(sizes, n_samples: int) -> List[dict]:
         flows = {}
 
         started = time.perf_counter()
-        estimate = monte_carlo_expected_flow(
-            graph, query, n_samples=n_samples, seed=SEED, backend=BACKEND,
-            executor=SerialExecutor(), shard_size=SHARD_SIZE,
-        )
+        serial = SamplingEngine(BACKEND, executor=SerialExecutor(), shard_size=SHARD_SIZE)
+        estimate = serial.expected_flow(graph, query, n_samples=n_samples, seed=SEED)
         row["serial_seconds"] = time.perf_counter() - started
         flows["serial"] = estimate.expected_flow
 
         for n_workers in FLEET_SIZES:
             with local_fleet(n_workers) as fleet:
+                remote = SamplingEngine(BACKEND, executor=fleet.executor, shard_size=SHARD_SIZE)
                 # warm the fleet on a tiny request so worker start-up and
                 # the one-time problem push are not billed to the run
-                monte_carlo_expected_flow(
-                    graph, query, n_samples=SHARD_SIZE, seed=SEED, backend=BACKEND,
-                    executor=fleet.executor, shard_size=SHARD_SIZE,
-                )
+                remote.expected_flow(graph, query, n_samples=SHARD_SIZE, seed=SEED)
                 started = time.perf_counter()
-                estimate = monte_carlo_expected_flow(
-                    graph, query, n_samples=n_samples, seed=SEED, backend=BACKEND,
-                    executor=fleet.executor, shard_size=SHARD_SIZE,
-                )
+                estimate = remote.expected_flow(graph, query, n_samples=n_samples, seed=SEED)
                 row[f"remote{n_workers}_seconds"] = time.perf_counter() - started
                 flows[f"remote{n_workers}"] = estimate.expected_flow
                 row[f"remote{n_workers}_tasks"] = fleet.executor.tasks_dispatched

@@ -20,7 +20,7 @@ from repro.ftree.sampler import ComponentSampler
 from repro.graph.generators import erdos_renyi_graph
 from repro.reachability.backends import BACKEND_NAMES
 from repro.reachability.exact import exact_expected_flow
-from repro.reachability.monte_carlo import monte_carlo_expected_flow
+from repro.reachability.engine import SamplingEngine
 
 N_SAMPLES = 200
 
@@ -37,9 +37,7 @@ def test_whole_graph_monte_carlo_estimation(benchmark, backend):
     exact = exact_expected_flow(graph, query).expected_flow
 
     def run():
-        return monte_carlo_expected_flow(
-            graph, query, n_samples=N_SAMPLES, seed=1, backend=backend
-        )
+        return SamplingEngine(backend).expected_flow(graph, query, n_samples=N_SAMPLES, seed=1)
 
     estimate = benchmark(run)
     benchmark.extra_info["estimator"] = f"whole-graph MC [{backend}]"

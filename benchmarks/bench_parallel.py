@@ -5,7 +5,7 @@ Two measurements on the Fig. 5 graph-size sweep (Erdős graphs, degree 6
 — the paper's no-locality scheme):
 
 1. **Sharded fan-out** — times whole-graph Monte-Carlo flow estimation
-   (:func:`repro.reachability.monte_carlo.monte_carlo_expected_flow`) on
+   (:meth:`repro.reachability.engine.SamplingEngine.expected_flow`) on
    the *naive* backend under the serial reference executor and under
    process pools of 2 and 4 workers, all at the same
    ``(seed, n_samples, shard_size)``.  The flows must be bit-for-bit
@@ -43,10 +43,7 @@ from _helpers import bench_environment
 from repro.graph.generators import erdos_renyi_graph
 from repro.parallel import AdaptiveSettings, ProcessExecutor, SerialExecutor
 from repro.reachability.confidence import proportion_interval_function
-from repro.reachability.monte_carlo import (
-    monte_carlo_expected_flow,
-    monte_carlo_reachability,
-)
+from repro.reachability.engine import SamplingEngine
 
 #: Fig. 5 graph-size sweep (scaled down, degree 6 ⇒ |E| ≈ 3·|V|).
 FULL_SIZES = (150, 300, 600)
@@ -102,26 +99,19 @@ def bench_sharded(sizes, n_samples: int) -> List[dict]:
         flows = {}
 
         started = time.perf_counter()
-        estimate = monte_carlo_expected_flow(
-            graph, query, n_samples=n_samples, seed=SEED, backend=BACKEND,
-            executor=SerialExecutor(), shard_size=SHARD_SIZE,
-        )
+        serial = SamplingEngine(BACKEND, executor=SerialExecutor(), shard_size=SHARD_SIZE)
+        estimate = serial.expected_flow(graph, query, n_samples=n_samples, seed=SEED)
         row["serial_seconds"] = time.perf_counter() - started
         flows["serial"] = estimate.expected_flow
 
         for workers in WORKER_COUNTS:
             with ProcessExecutor(workers) as pool:
+                pooled = SamplingEngine(BACKEND, executor=pool, shard_size=SHARD_SIZE)
                 # warm the pool on a tiny request so process start-up is
                 # not billed to the measured run
-                monte_carlo_expected_flow(
-                    graph, query, n_samples=SHARD_SIZE, seed=SEED, backend=BACKEND,
-                    executor=pool, shard_size=SHARD_SIZE,
-                )
+                pooled.expected_flow(graph, query, n_samples=SHARD_SIZE, seed=SEED)
                 started = time.perf_counter()
-                estimate = monte_carlo_expected_flow(
-                    graph, query, n_samples=n_samples, seed=SEED, backend=BACKEND,
-                    executor=pool, shard_size=SHARD_SIZE,
-                )
+                estimate = pooled.expected_flow(graph, query, n_samples=n_samples, seed=SEED)
                 row[f"workers{workers}_seconds"] = time.perf_counter() - started
                 flows[f"workers{workers}"] = estimate.expected_flow
             row[f"workers{workers}_speedup"] = (
@@ -154,7 +144,7 @@ def bench_adaptive(sizes, fixed_budget: int) -> List[dict]:
         if target is None:
             print(f"  |V|={graph.n_vertices}: source {source} is isolated, skipping")
             continue
-        estimate = monte_carlo_reachability(
+        estimate = SamplingEngine().pair_reachability(
             graph, source, target, n_samples="auto", seed=SEED, adaptive=settings
         )
         width = proportion_interval_function(settings.method)(

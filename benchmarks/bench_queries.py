@@ -8,7 +8,7 @@ each of four query vertices, one expected-flow query and fifteen pair
 reachabilities towards distinct targets, all at the same (seed,
 n_samples) — answered three ways:
 
-1. **per-query** — one ``monte_carlo_*`` estimator call per query, the
+1. **per-query** — one ``SamplingEngine`` estimator call per query, the
    pre-service baseline: 64 independent sampling runs;
 2. **batched (cold)** — one ``BatchEvaluator.evaluate`` call with an
    empty world cache: the planner groups the 64 queries onto 4 shared
@@ -44,10 +44,7 @@ from typing import List, Tuple
 
 from _helpers import bench_environment
 from repro.graph.generators import erdos_renyi_graph
-from repro.reachability.monte_carlo import (
-    monte_carlo_expected_flow,
-    monte_carlo_reachability,
-)
+from repro.reachability.engine import SamplingEngine
 from repro.service import BatchEvaluator, QueryRequest, WorldCache
 
 #: Fig. 5 graph-size sweep (scaled down, degree 6 => |E| ~ 3*|V|).
@@ -99,12 +96,13 @@ def build_workload(graph, n_samples: int) -> List[QueryRequest]:
 
 def run_per_query(graph, requests) -> Tuple[float, list]:
     """The baseline: one estimator call per request."""
+    engine = SamplingEngine()
     started = time.perf_counter()
     answers = []
     for request in requests:
         if request.kind == "expected_flow":
             answers.append(
-                monte_carlo_expected_flow(
+                engine.expected_flow(
                     graph,
                     request.source,
                     n_samples=request.n_samples,
@@ -113,7 +111,7 @@ def run_per_query(graph, requests) -> Tuple[float, list]:
             )
         else:
             answers.append(
-                monte_carlo_reachability(
+                engine.pair_reachability(
                     graph,
                     request.source,
                     request.target,

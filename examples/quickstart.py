@@ -44,9 +44,9 @@ from repro.experiments.reporting import format_table
 #
 # Sessions scope cleanly (contextvar-based): they nest, restore the
 # enclosing configuration on exit, and are invisible to other threads.
-# The classic functional API (make_selector, monte_carlo_expected_flow,
-# BatchEvaluator, EvaluationContext, ...) still works and resolves its
-# unspecified arguments from the active session, so both styles compose:
+# The mechanism-level API (make_selector, SamplingEngine, BatchEvaluator,
+# EvaluationContext, ...) resolves its unspecified arguments from the
+# active session, so both styles compose:
 #
 #     with repro.session(backend="naive", workers=4):
 #         selector = repro.make_selector("FT+M", n_samples=1000, seed=7)

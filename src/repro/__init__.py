@@ -69,7 +69,6 @@ from repro.graph import (
     preferential_attachment_graph,
 )
 from repro.reachability import (
-    monte_carlo_expected_flow,
     exact_expected_flow,
     mono_connected_expected_flow,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "social_circle_graph",
     "collaboration_graph",
     "preferential_attachment_graph",
-    "monte_carlo_expected_flow",
     "exact_expected_flow",
     "mono_connected_expected_flow",
     "AdaptiveSettings",

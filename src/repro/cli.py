@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence
 from repro.datasets.registry import DATASET_NAMES, load_dataset
 from repro.exceptions import ReproError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import ALL_FIGURES, FigureResult
+from repro.experiments.figures import ALL_FIGURES, FigureResult, run_figure
 from repro.experiments.harness import pick_query_vertex
 from repro.experiments.reporting import format_table, rows_to_csv
 from repro.graph.io import read_json, write_json
@@ -817,11 +817,7 @@ def _run_experiment(args: argparse.Namespace) -> int:
         if args.output_dir is not None:
             print(f"\nCSV files written to {args.output_dir}")
         return 0
-    figure_fn = ALL_FIGURES[args.figure]
-    if config is not None and args.figure not in ("variance",):
-        result = figure_fn(config=config)
-    else:
-        result = figure_fn()
+    result = run_figure(args.figure, config)
     rows = _figure_rows(result)
     if args.csv:
         print(rows_to_csv(rows))
@@ -860,6 +856,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except ReproError as error:
+        # library validation errors (bad budget, sample size, vertex, ...)
+        # end the command with a one-line message, not a traceback
+        raise SystemExit(str(error)) from error
     finally:
         # --trace-out must never lose its file handle: when a workload
         # subcommand raises (bad batch, SystemExit, ...), the JSONL

@@ -26,8 +26,8 @@ from repro.ftree.builder import build_ftree
 from repro.ftree.sampler import ComponentSampler
 from repro.graph.generators import erdos_renyi_graph, partitioned_graph, wsn_graph
 from repro.graph.uncertain_graph import UncertainGraph
+from repro.reachability.engine import SamplingEngine
 from repro.reachability.exact import exact_expected_flow
-from repro.reachability.monte_carlo import monte_carlo_expected_flow
 from repro.rng import derive_seed
 from repro.selection.ftree_greedy import FTreeGreedySelector
 from repro.types import VertexId
@@ -316,10 +316,11 @@ def estimator_variance_ablation(
     selected = graph.edge_list()
     exact = exact_expected_flow(graph, query, edges=selected).expected_flow
 
+    engine = SamplingEngine()
     naive_estimates = []
     ftree_estimates = []
     for repetition in range(repetitions):
-        naive = monte_carlo_expected_flow(
+        naive = engine.expected_flow(
             graph,
             query,
             n_samples=n_samples,
@@ -376,3 +377,20 @@ ALL_FIGURES: Dict[str, Callable[..., object]] = {
     "param-c": parameter_c_sweep,
     "variance": estimator_variance_ablation,
 }
+
+
+def run_figure(figure: str, config: Optional[ExperimentConfig] = None) -> object:
+    """Reproduce ``ALL_FIGURES[figure]``, forwarding ``config`` where accepted.
+
+    The variance ablation runs its own fixed setting and takes no
+    ``config``; an unknown id raises :class:`ValueError`.
+    """
+    try:
+        figure_fn = ALL_FIGURES[figure]
+    except KeyError:
+        raise ValueError(
+            f"unknown figure {figure!r}; known: {sorted(ALL_FIGURES)}"
+        ) from None
+    if config is None or figure == "variance":
+        return figure_fn()
+    return figure_fn(config=config)

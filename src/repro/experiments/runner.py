@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import ALL_FIGURES, FigureResult
+from repro.experiments.figures import ALL_FIGURES, FigureResult, run_figure
 from repro.experiments.reporting import compare_algorithms, format_table, rows_to_csv
 from repro.runtime import session as runtime_session
 
@@ -83,11 +83,7 @@ def _run_selected_figures(
 ) -> List[FigureArtifacts]:
     artifacts: List[FigureArtifacts] = []
     for figure_id in selected:
-        figure_fn = ALL_FIGURES[figure_id]
-        if figure_id == "variance":
-            result = figure_fn()
-        else:
-            result = figure_fn(config=config) if config is not None else figure_fn()
+        result = run_figure(figure_id, config)
         for panel in _normalise(result):
             csv_path = None
             if directory is not None:

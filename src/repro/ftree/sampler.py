@@ -35,11 +35,11 @@ import numpy as np
 
 from repro.exceptions import SampleSizeError
 from repro.ftree.memo import MemoCache, MemoEntry, content_digest
-from repro.graph.possible_world import enumerate_worlds
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.parallel.executor import ExecutorLike
 from repro.reachability.backends import BackendLike
 from repro.reachability.engine import SamplingEngine
+from repro.reachability.exact import exact_reachability_all
 from repro.rng import SeedLike, ensure_rng
 from repro.types import Edge, VertexId
 
@@ -246,10 +246,7 @@ class ComponentSampler:
         if not component_graph.has_vertex(articulation):
             # isolated articulation vertex: nothing is reachable
             return {vertex: 0.0 for vertex in vertices}
-        probabilities = {vertex: 0.0 for vertex in vertices}
-        for world, world_probability in enumerate_worlds(component_graph, limit=max(20, self.exact_threshold)):
-            reached = world.reachable_from(articulation)
-            for vertex in vertices:
-                if vertex in reached:
-                    probabilities[vertex] += world_probability
-        return {vertex: min(1.0, max(0.0, p)) for vertex, p in probabilities.items()}
+        probabilities = exact_reachability_all(
+            component_graph, articulation, limit=max(20, self.exact_threshold)
+        )
+        return {vertex: probabilities.get(vertex, 0.0) for vertex in vertices}

@@ -4,10 +4,12 @@ Computing the probability that two vertices of an uncertain graph are
 connected is #P-hard (paper Section 5), so this subpackage offers a
 spectrum of estimators:
 
-* :mod:`repro.reachability.monte_carlo` — unbiased whole-graph sampling
-  (Lemma 1), the building block of the Naive baseline;
-* :mod:`repro.reachability.engine` — the batched possible-world
-  sampling engine behind every Monte-Carlo estimator: it indexes the
+* :mod:`repro.reachability.engine` — unbiased whole-graph sampling
+  (Lemma 1), the building block of the Naive baseline.
+  :class:`SamplingEngine` is the one Monte-Carlo estimator
+  (``expected_flow``, ``pair_reachability``, ``component_reachability``);
+  :class:`repro.runtime.Session` calls the same methods with sample
+  budgets and seeds resolved from the session.  The engine indexes the
   (restricted) edge set once, delegates world generation and per-world
   reachability to a pluggable backend, and aggregates the resulting
   boolean world/vertex matrix into flow and reachability estimates;
@@ -71,11 +73,6 @@ from repro.reachability.engine import (
     aggregate_pair_reachability,
 )
 from repro.reachability.estimators import FlowEstimate, ReachabilityEstimate
-from repro.reachability.monte_carlo import (
-    MonteCarloFlowEstimator,
-    monte_carlo_expected_flow,
-    monte_carlo_reachability,
-)
 from repro.reachability.exact import (
     exact_expected_flow,
     exact_reachability,
@@ -118,9 +115,6 @@ __all__ = [
     "register_backend",
     "FlowEstimate",
     "ReachabilityEstimate",
-    "MonteCarloFlowEstimator",
-    "monte_carlo_expected_flow",
-    "monte_carlo_reachability",
     "exact_expected_flow",
     "exact_reachability",
     "exact_reachability_all",

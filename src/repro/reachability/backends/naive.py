@@ -1,7 +1,7 @@
 """The reference backend: one possible world at a time, BFS per world.
 
-This is the direct translation of the original per-world loop of
-``monte_carlo_expected_flow`` (dict adjacency plus a deque BFS) and
+This is the direct translation of the original per-world loop of the
+whole-graph flow estimator (dict adjacency plus a deque BFS) and
 serves two purposes: it is the behavioural reference the ``csr`` backend
 is pinned against in the property tests, and it remains a readable
 executable specification of Lemma 1's sampling scheme.

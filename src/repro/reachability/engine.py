@@ -487,7 +487,8 @@ class SamplingEngine:
         )
 
     # ------------------------------------------------------------------
-    # aggregations (the three public estimators route through these)
+    # the estimators: the one public Monte-Carlo surface (Session's
+    # workload methods call these with session-resolved policy)
     # ------------------------------------------------------------------
     def expected_flow(
         self,

@@ -37,8 +37,8 @@ each other's knobs.  ``with session:`` ties the scope to the session's
 across sequential requests should instead call its workload methods
 directly (each call scopes itself) or use ``with session.activate():``,
 which scopes without closing — the owner calls :meth:`Session.close`
-at shutdown.  Inside an active session, every legacy entry point
-(``monte_carlo_expected_flow``, ``make_selector``, ``BatchEvaluator``,
+at shutdown.  Inside an active session, every mechanism-level entry
+point (``SamplingEngine``, ``make_selector``, ``BatchEvaluator``,
 ``EvaluationContext``, ``ComponentSampler``, the experiment harness)
 resolves its unspecified ``backend=None`` / ``crn=None`` /
 ``executor=None`` / ``shard_size=None`` / ``cache=None`` arguments from
@@ -53,8 +53,8 @@ Determinism
 -----------
 A session changes *where* configuration comes from, never *what* is
 computed: for a fixed ``(seed, backend, shard plan)``, every ``Session``
-method reproduces the exact bits of the corresponding legacy
-estimator/selector/service call (pinned by
+method reproduces the exact bits of the corresponding
+``SamplingEngine`` / selector / service call (pinned by
 ``tests/test_runtime_scoping.py``).
 
 Lifecycle
@@ -102,12 +102,8 @@ from repro.parallel.executor import (
 )
 from repro.parallel.plan import get_default_shard_size
 from repro.reachability.backends import backend_names, get_default_backend
+from repro.reachability.engine import SamplingEngine
 from repro.reachability.estimators import FlowEstimate, ReachabilityEstimate
-from repro.reachability.monte_carlo import (
-    monte_carlo_component_reachability,
-    monte_carlo_expected_flow,
-    monte_carlo_reachability,
-)
 from repro.rng import SeedLike
 from repro.selection.base import SelectionResult
 from repro.selection.registry import get_default_crn, make_selector
@@ -647,12 +643,13 @@ class Session:
     ) -> FlowEstimate:
         """Monte-Carlo expected information flow under this session's config.
 
-        Bit-for-bit identical to
-        :func:`repro.reachability.monte_carlo_expected_flow` called with
-        the session's resolved knobs.
+        Resolves ``n_samples``, ``seed`` and ``adaptive`` from the session
+        chain, then calls :meth:`SamplingEngine.expected_flow
+        <repro.reachability.engine.SamplingEngine.expected_flow>`, whose
+        backend, executor and shard size resolve from this session.
         """
         with self._use():
-            return monte_carlo_expected_flow(
+            return SamplingEngine().expected_flow(
                 graph,
                 query,
                 n_samples=self._resolve_samples(n_samples),
@@ -674,7 +671,7 @@ class Session:
     ) -> ReachabilityEstimate:
         """Two-terminal reachability ``P(source ↔ target)`` under this session."""
         with self._use():
-            return monte_carlo_reachability(
+            return SamplingEngine().pair_reachability(
                 graph,
                 source,
                 target,
@@ -695,7 +692,7 @@ class Session:
     ) -> Dict[VertexId, float]:
         """Per-vertex reachability of one edge-induced component."""
         with self._use():
-            return monte_carlo_component_reachability(
+            return SamplingEngine().component_reachability(
                 graph,
                 anchor,
                 vertices,
@@ -786,24 +783,15 @@ class Session:
     def run_figure(self, figure: str, config=None):
         """Reproduce one of the paper's figures under this session.
 
-        ``figure`` is a key of
-        :data:`repro.experiments.figures.ALL_FIGURES`; ``config`` an
-        optional :class:`~repro.experiments.ExperimentConfig` forwarded
-        to figures that accept one (the variance ablation runs its own
-        fixed setting, as on the CLI).
+        Dispatches through :func:`repro.experiments.figures.run_figure`:
+        ``figure`` is a key of ``ALL_FIGURES`` and ``config`` an optional
+        :class:`~repro.experiments.ExperimentConfig` forwarded to figures
+        that accept one.
         """
         with self._use():
-            from repro.experiments.figures import ALL_FIGURES
+            from repro.experiments.figures import run_figure
 
-            try:
-                figure_fn = ALL_FIGURES[figure]
-            except KeyError:
-                raise ValueError(
-                    f"unknown figure {figure!r}; known: {sorted(ALL_FIGURES)}"
-                ) from None
-            if config is not None and figure != "variance":
-                return figure_fn(config=config)
-            return figure_fn()
+            return run_figure(figure, config)
 
 
 def session(config: Optional[RuntimeConfig] = None, **overrides) -> Session:

@@ -79,7 +79,7 @@ class QueryRequest:
     targets:
         Component reachability only — the component's vertices (the
         anchor itself may be listed; it is excluded from the answer,
-        matching :func:`repro.reachability.monte_carlo.monte_carlo_component_reachability`).
+        matching :meth:`repro.reachability.engine.SamplingEngine.component_reachability`).
     edges:
         Edge restriction.  Required for component queries (the component
         edge set); optional for flow/pair queries (``None`` samples the

@@ -70,6 +70,10 @@ class TestSelect:
         with pytest.raises(SystemExit):
             main(["select", "--graph", str(graph_file), "--budget", "2", "--query", "zzz"])
 
+    def test_negative_budget_exits_with_one_line_message(self, graph_file):
+        with pytest.raises(SystemExit, match="^edge budget must be a non-negative integer"):
+            main(["select", "--graph", str(graph_file), "--budget", "-1", "--samples", "20"])
+
 
 class TestEvaluate:
     def test_evaluate_round_trip(self, graph_file, tmp_path, capsys):
@@ -91,6 +95,13 @@ class TestEvaluate:
         bad.write_text("only-one-token\n", encoding="utf-8")
         with pytest.raises(SystemExit):
             main(["evaluate", "--graph", str(graph_file), "--edges", str(bad), "--query", "0"])
+
+    def test_negative_samples_exits_with_one_line_message(self, graph_file, tmp_path):
+        edges_file = tmp_path / "edges.txt"
+        edges_file.write_text("", encoding="utf-8")
+        with pytest.raises(SystemExit, match="^sample size must be a positive integer"):
+            main(["evaluate", "--graph", str(graph_file), "--edges", str(edges_file),
+                  "--query", "0", "--samples", "-3"])
 
 
 class TestExperiment:
@@ -128,10 +139,7 @@ class TestBatch:
     def test_batch_answers_match_single_query(self, graph_file, tmp_path, capsys):
         import json
 
-        from repro.reachability.monte_carlo import (
-            monte_carlo_expected_flow,
-            monte_carlo_reachability,
-        )
+        from repro.reachability.engine import SamplingEngine
 
         requests = self._write_requests(
             tmp_path,
@@ -151,8 +159,9 @@ class TestBatch:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == 2
         graph = read_json(graph_file)
-        flow = monte_carlo_expected_flow(graph, 0, n_samples=80, seed=7)
-        pair = monte_carlo_reachability(graph, 0, 5, n_samples=80, seed=7)
+        engine = SamplingEngine()
+        flow = engine.expected_flow(graph, 0, n_samples=80, seed=7)
+        pair = engine.pair_reachability(graph, 0, 5, n_samples=80, seed=7)
         assert rows[0]["expected_flow"] == flow.expected_flow
         assert rows[1]["probability"] == pair.probability
         summary = capsys.readouterr().out

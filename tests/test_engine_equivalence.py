@@ -27,11 +27,6 @@ from repro.reachability.exact import (
     exact_reachability,
     exact_reachability_all,
 )
-from repro.reachability.monte_carlo import (
-    monte_carlo_component_reachability,
-    monte_carlo_expected_flow,
-    monte_carlo_reachability,
-)
 
 #: Shared hypothesis settings: deterministic examples, no deadline (the
 #: CLT comparisons enumerate up to 2^10 possible worlds per example).
@@ -62,10 +57,8 @@ def _query(graph):
 @settings(**PROPERTY_SETTINGS)
 @given(graph=small_graphs, seed=st.integers(min_value=0, max_value=10_000))
 def test_flow_estimates_bitwise_equal_across_backends(graph, seed):
-    naive = monte_carlo_expected_flow(graph, _query(graph), n_samples=64, seed=seed, backend="naive")
-    fast = monte_carlo_expected_flow(
-        graph, _query(graph), n_samples=64, seed=seed, backend="csr"
-    )
+    naive = SamplingEngine("naive").expected_flow(graph, _query(graph), n_samples=64, seed=seed)
+    fast = SamplingEngine("csr").expected_flow(graph, _query(graph), n_samples=64, seed=seed)
     assert naive.expected_flow == fast.expected_flow
     assert naive.reachability == fast.reachability
     assert naive.variance == fast.variance
@@ -95,11 +88,11 @@ def test_world_batches_identical_across_backends(graph, seed):
 def test_restricted_edge_sets_agree_across_backends(graph, seed, keep):
     """Candidate-subgraph restriction (the selection hot path) stays pinned."""
     edges = graph.edge_list()[: keep % (graph.n_edges + 1)]
-    naive = monte_carlo_expected_flow(
-        graph, _query(graph), n_samples=48, seed=seed, edges=edges, backend="naive"
+    naive = SamplingEngine("naive").expected_flow(
+        graph, _query(graph), n_samples=48, seed=seed, edges=edges
     )
-    fast = monte_carlo_expected_flow(
-        graph, _query(graph), n_samples=48, seed=seed, edges=edges, backend="csr"
+    fast = SamplingEngine("csr").expected_flow(
+        graph, _query(graph), n_samples=48, seed=seed, edges=edges
     )
     assert naive.expected_flow == fast.expected_flow
     assert naive.reachability == fast.reachability
@@ -109,12 +102,10 @@ def test_restricted_edge_sets_agree_across_backends(graph, seed, keep):
 @given(graph=small_graphs, seed_a=st.integers(0, 10_000), seed_b=st.integers(0, 10_000))
 def test_backends_agree_within_clt_for_independent_seeds(graph, seed_a, seed_b):
     """Two independent streams must still estimate the same quantity."""
-    naive = monte_carlo_expected_flow(
-        graph, _query(graph), n_samples=1200, seed=seed_a, backend="naive"
+    naive = SamplingEngine("naive").expected_flow(
+        graph, _query(graph), n_samples=1200, seed=seed_a
     )
-    fast = monte_carlo_expected_flow(
-        graph, _query(graph), n_samples=1200, seed=seed_b, backend="csr"
-    )
+    fast = SamplingEngine("csr").expected_flow(graph, _query(graph), n_samples=1200, seed=seed_b)
     tolerance = SIGMA * ((naive.standard_error or 0.0) + (fast.standard_error or 0.0)) + FLOOR
     assert naive.expected_flow == pytest.approx(fast.expected_flow, abs=tolerance)
 
@@ -127,8 +118,8 @@ def test_backends_agree_within_clt_for_independent_seeds(graph, seed_a, seed_b):
 @given(graph=small_graphs, seed=st.integers(min_value=0, max_value=10_000))
 def test_expected_flow_matches_enumeration(backend, graph, seed):
     exact = exact_expected_flow(graph, _query(graph)).expected_flow
-    estimate = monte_carlo_expected_flow(
-        graph, _query(graph), n_samples=1500, seed=seed, backend=backend
+    estimate = SamplingEngine(backend).expected_flow(
+        graph, _query(graph), n_samples=1500, seed=seed
     )
     tolerance = SIGMA * (estimate.standard_error or 0.0) + FLOOR
     assert estimate.expected_flow == pytest.approx(exact, abs=tolerance)
@@ -140,8 +131,8 @@ def test_expected_flow_matches_enumeration(backend, graph, seed):
 def test_pair_reachability_matches_enumeration(backend, graph, seed):
     target = graph.n_vertices - 1
     exact = exact_reachability(graph, _query(graph), target).probability
-    estimate = monte_carlo_reachability(
-        graph, _query(graph), target, n_samples=1500, seed=seed, backend=backend
+    estimate = SamplingEngine(backend).pair_reachability(
+        graph, _query(graph), target, n_samples=1500, seed=seed
     )
     standard_error = (exact * (1.0 - exact) / estimate.n_samples) ** 0.5
     assert estimate.probability == pytest.approx(exact, abs=SIGMA * standard_error + FLOOR)
@@ -153,8 +144,8 @@ def test_pair_reachability_matches_enumeration(backend, graph, seed):
 def test_component_reachability_matches_enumeration(backend, graph, seed):
     anchor = _query(graph)
     vertices = list(graph.vertices())
-    estimate = monte_carlo_component_reachability(
-        graph, anchor, vertices, graph.edge_list(), n_samples=1500, seed=seed, backend=backend
+    estimate = SamplingEngine(backend).component_reachability(
+        graph, anchor, vertices, graph.edge_list(), n_samples=1500, seed=seed
     )
     exact = exact_reachability_all(graph, anchor)
     for vertex, probability in estimate.items():

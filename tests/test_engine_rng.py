@@ -28,12 +28,7 @@ from repro.reachability.backends import (
 from repro.reachability.backends import _FACTORIES
 from repro.reachability.backends import csr as csr_module
 from repro.reachability.engine import SamplingEngine
-from repro.reachability.monte_carlo import (
-    MonteCarloFlowEstimator,
-    monte_carlo_component_reachability,
-    monte_carlo_expected_flow,
-    monte_carlo_reachability,
-)
+from repro.rng import ensure_rng
 
 
 @pytest.fixture
@@ -45,48 +40,48 @@ def medium_graph():
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 class TestSeedDeterminism:
     def test_flow_estimate_identical_across_runs(self, medium_graph, backend):
-        first = monte_carlo_expected_flow(
-            medium_graph, 0, n_samples=120, seed=42, backend=backend
-        )
-        second = monte_carlo_expected_flow(
-            medium_graph, 0, n_samples=120, seed=42, backend=backend
-        )
+        first = SamplingEngine(backend).expected_flow(medium_graph, 0, n_samples=120, seed=42)
+        second = SamplingEngine(backend).expected_flow(medium_graph, 0, n_samples=120, seed=42)
         assert first.expected_flow == second.expected_flow
         assert first.reachability == second.reachability
         assert first.variance == second.variance
 
     def test_pair_reachability_identical_across_runs(self, medium_graph, backend):
-        first = monte_carlo_reachability(
-            medium_graph, 0, 7, n_samples=200, seed=3, backend=backend
+        first = SamplingEngine(backend).pair_reachability(
+            medium_graph, 0, 7, n_samples=200, seed=3
         )
-        second = monte_carlo_reachability(
-            medium_graph, 0, 7, n_samples=200, seed=3, backend=backend
+        second = SamplingEngine(backend).pair_reachability(
+            medium_graph, 0, 7, n_samples=200, seed=3
         )
         assert first == second
 
     def test_component_reachability_identical_across_runs(self, medium_graph, backend):
-        kwargs = dict(n_samples=150, seed=11, backend=backend)
-        first = monte_carlo_component_reachability(
+        kwargs = dict(n_samples=150, seed=11)
+        first = SamplingEngine(backend).component_reachability(
             medium_graph, 0, [1, 2, 3], medium_graph.edge_list(), **kwargs
         )
-        second = monte_carlo_component_reachability(
+        second = SamplingEngine(backend).component_reachability(
             medium_graph, 0, [1, 2, 3], medium_graph.edge_list(), **kwargs
         )
         assert first == second
 
-    def test_estimator_class_streams_are_reproducible(self, medium_graph, backend):
-        """Two estimators seeded identically replay the same estimate sequence."""
-        left = MonteCarloFlowEstimator(medium_graph, 0, n_samples=60, seed=8, backend=backend)
-        right = MonteCarloFlowEstimator(medium_graph, 0, n_samples=60, seed=8, backend=backend)
+    def test_generator_seed_streams_are_reproducible(self, medium_graph, backend):
+        """Two identically seeded generators replay the same estimate sequence."""
+        engine = SamplingEngine(backend)
+        left, right = ensure_rng(8), ensure_rng(8)
         for _ in range(3):
-            assert left.estimate().expected_flow == right.estimate().expected_flow
+            assert (
+                engine.expected_flow(medium_graph, 0, n_samples=60, seed=left).expected_flow
+                == engine.expected_flow(medium_graph, 0, n_samples=60, seed=right).expected_flow
+            )
 
     def test_generator_seed_advances_the_stream(self, medium_graph, backend):
-        """Consecutive estimates from one estimator use fresh worlds."""
-        estimator = MonteCarloFlowEstimator(
-            medium_graph, 0, n_samples=60, seed=8, backend=backend
-        )
-        assert estimator.estimate().reachability != estimator.estimate().reachability
+        """Consecutive estimates drawn from one generator use fresh worlds."""
+        engine = SamplingEngine(backend)
+        rng = ensure_rng(8)
+        first = engine.expected_flow(medium_graph, 0, n_samples=60, seed=rng)
+        second = engine.expected_flow(medium_graph, 0, n_samples=60, seed=rng)
+        assert first.reachability != second.reachability
 
 
 class TestComponentSamplerRewiring:
@@ -222,16 +217,10 @@ class TestBackendRegistry:
 class TestChunkedDrawing:
     def test_chunked_blocks_preserve_the_stream(self, medium_graph, monkeypatch):
         """Forcing many tiny chunks must not change the sampled worlds."""
-        whole = monte_carlo_expected_flow(
-            medium_graph, 0, n_samples=90, seed=13, backend="csr"
-        )
+        whole = SamplingEngine("csr").expected_flow(medium_graph, 0, n_samples=90, seed=13)
         monkeypatch.setattr(csr_module, "_MAX_BLOCK_ELEMENTS", 1)
-        chunked = monte_carlo_expected_flow(
-            medium_graph, 0, n_samples=90, seed=13, backend="csr"
-        )
-        naive = monte_carlo_expected_flow(
-            medium_graph, 0, n_samples=90, seed=13, backend="naive"
-        )
+        chunked = SamplingEngine("csr").expected_flow(medium_graph, 0, n_samples=90, seed=13)
+        naive = SamplingEngine("naive").expected_flow(medium_graph, 0, n_samples=90, seed=13)
         assert chunked.expected_flow == whole.expected_flow == naive.expected_flow
         assert chunked.reachability == whole.reachability == naive.reachability
         assert chunked.variance == whole.variance
@@ -239,11 +228,9 @@ class TestChunkedDrawing:
 
 class TestCustomBackendThroughEstimators:
     def test_backend_instance_accepted_by_estimator(self, medium_graph):
-        by_name = monte_carlo_expected_flow(
-            medium_graph, 0, n_samples=80, seed=4, backend="csr"
-        )
-        by_instance = monte_carlo_expected_flow(
-            medium_graph, 0, n_samples=80, seed=4, backend=CSRSamplingBackend()
+        by_name = SamplingEngine("csr").expected_flow(medium_graph, 0, n_samples=80, seed=4)
+        by_instance = SamplingEngine(CSRSamplingBackend()).expected_flow(
+            medium_graph, 0, n_samples=80, seed=4
         )
         assert by_name.expected_flow == by_instance.expected_flow
         assert by_name.reachability == by_instance.reachability

@@ -227,7 +227,7 @@ class TestExecutorLifecycle:
 class TestRunQueryBatch:
     def test_answers_match_single_query_estimators(self):
         from repro.experiments.harness import run_query_batch
-        from repro.reachability.monte_carlo import monte_carlo_expected_flow
+        from repro.reachability.engine import SamplingEngine
         from repro.service import QueryRequest
 
         graph = erdos_renyi_graph(30, average_degree=3, seed=1)
@@ -238,9 +238,7 @@ class TestRunQueryBatch:
         ]
         config = ExperimentConfig(world_cache_size=8)
         results = run_query_batch(graph, requests, config=config)
-        assert results[0].flow == monte_carlo_expected_flow(
-            graph, 0, n_samples=80, seed=5
-        )
+        assert results[0].flow == SamplingEngine().expected_flow(graph, 0, n_samples=80, seed=5)
         assert results[1].reachability.n_samples == 80
 
     def test_shared_evaluator_reuses_its_cache(self):

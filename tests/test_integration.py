@@ -5,8 +5,8 @@ import pytest
 from repro.datasets.registry import load_dataset
 from repro.experiments.harness import evaluate_flow, pick_query_vertex
 from repro.graph.io import read_json, write_json
+from repro.reachability.engine import SamplingEngine
 from repro.reachability.exact import exact_expected_flow
-from repro.reachability.monte_carlo import monte_carlo_expected_flow
 from repro.selection.registry import make_selector
 from repro.selection.exact_optimal import exhaustive_optimal_selection
 from repro.graph.generators import erdos_renyi_graph, partitioned_graph
@@ -51,7 +51,7 @@ class TestEndToEndSelection:
         graph = partitioned_graph(60, degree=4, seed=4)
         query = pick_query_vertex(graph)
         result = make_selector("FT+M", n_samples=80, seed=1).select(graph, query, 10)
-        mc = monte_carlo_expected_flow(
+        mc = SamplingEngine().expected_flow(
             graph, query, n_samples=3000, seed=11, edges=result.selected_edges
         )
         assert mc.expected_flow == pytest.approx(result.expected_flow, rel=0.15, abs=0.5)

@@ -20,10 +20,6 @@ from repro.parallel import (
 from repro.reachability.backends import BACKEND_NAMES
 from repro.reachability.context import EvaluationContext
 from repro.reachability.engine import SamplingEngine
-from repro.reachability.monte_carlo import (
-    monte_carlo_expected_flow,
-    monte_carlo_reachability,
-)
 from repro.selection.ftree_greedy import FTreeGreedySelector
 from repro.selection.greedy_naive import NaiveGreedySelector
 
@@ -82,14 +78,8 @@ class TestWorkerCountInvariance:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_flow_estimates_identical(self, graph, pools, backend):
         estimates = [
-            monte_carlo_expected_flow(
-                graph,
-                0,
-                n_samples=N_SAMPLES,
-                seed=7,
-                backend=backend,
-                executor=executor,
-                shard_size=SHARD_SIZE,
+            SamplingEngine(backend, executor=executor, shard_size=SHARD_SIZE).expected_flow(
+                graph, 0, n_samples=N_SAMPLES, seed=7
             )
             for executor in pools.values()
         ]
@@ -192,11 +182,11 @@ class TestDefaultExecutorRouting:
         import repro
 
         with repro.session(workers=SerialExecutor()):
-            via_default = monte_carlo_expected_flow(graph, 0, n_samples=64, seed=6)
-        explicit = monte_carlo_expected_flow(
-            graph, 0, n_samples=64, seed=6, executor=SerialExecutor()
+            via_default = SamplingEngine().expected_flow(graph, 0, n_samples=64, seed=6)
+        explicit = SamplingEngine(executor=SerialExecutor()).expected_flow(
+            graph, 0, n_samples=64, seed=6
         )
-        unsharded = monte_carlo_expected_flow(graph, 0, n_samples=64, seed=6)
+        unsharded = SamplingEngine().expected_flow(graph, 0, n_samples=64, seed=6)
         assert via_default.expected_flow == explicit.expected_flow
         assert via_default.expected_flow != unsharded.expected_flow
 
@@ -321,15 +311,8 @@ class TestAdaptiveStopping:
             target_width=0.15, alpha=0.05, max_samples=2000, min_samples=50
         )
         estimates = [
-            monte_carlo_reachability(
-                graph,
-                0,
-                1,
-                n_samples="auto",
-                seed=13,
-                adaptive=settings,
-                executor=executor,
-                shard_size=SHARD_SIZE,
+            SamplingEngine(executor=executor, shard_size=SHARD_SIZE).pair_reachability(
+                graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
             )
             for executor in pools.values()
         ]
@@ -340,8 +323,8 @@ class TestAdaptiveStopping:
         settings = AdaptiveSettings(
             target_width=0.5, alpha=0.05, max_samples=4000, min_samples=32
         )
-        estimate = monte_carlo_reachability(
-            graph, 0, 1, n_samples="auto", seed=13, adaptive=settings, shard_size=32
+        estimate = SamplingEngine(shard_size=32).pair_reachability(
+            graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
         )
         assert estimate.n_samples < settings.max_samples
         assert estimate.n_samples >= settings.min_samples
@@ -350,8 +333,8 @@ class TestAdaptiveStopping:
         settings = AdaptiveSettings(
             target_width=1e-6, alpha=0.05, max_samples=256, min_samples=32
         )
-        estimate = monte_carlo_reachability(
-            graph, 0, 1, n_samples="auto", seed=13, adaptive=settings, shard_size=32
+        estimate = SamplingEngine(shard_size=32).pair_reachability(
+            graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
         )
         assert estimate.n_samples == settings.max_samples
 
@@ -359,8 +342,8 @@ class TestAdaptiveStopping:
         settings = AdaptiveSettings(
             target_width=20.0, alpha=0.05, max_samples=2000, min_samples=64
         )
-        estimate = monte_carlo_expected_flow(
-            graph, 0, n_samples="auto", seed=13, adaptive=settings, shard_size=32
+        estimate = SamplingEngine(shard_size=32).expected_flow(
+            graph, 0, n_samples="auto", seed=13, adaptive=settings
         )
         assert estimate.n_samples >= settings.min_samples
         assert estimate.n_samples <= settings.max_samples
@@ -368,10 +351,10 @@ class TestAdaptiveStopping:
 
     def test_adaptive_is_deterministic_per_seed(self, graph):
         settings = AdaptiveSettings(target_width=0.2, alpha=0.05, max_samples=1000)
-        first = monte_carlo_reachability(
+        first = SamplingEngine().pair_reachability(
             graph, 0, 1, n_samples="auto", seed=17, adaptive=settings
         )
-        second = monte_carlo_reachability(
+        second = SamplingEngine().pair_reachability(
             graph, 0, 1, n_samples="auto", seed=17, adaptive=settings
         )
         assert first.probability == second.probability
@@ -379,7 +362,7 @@ class TestAdaptiveStopping:
 
     def test_adaptive_source_equals_target_honours_settings(self, graph):
         settings = AdaptiveSettings(min_samples=500, max_samples=5000)
-        estimate = monte_carlo_reachability(
+        estimate = SamplingEngine().pair_reachability(
             graph, 0, 0, n_samples="auto", adaptive=settings
         )
         assert estimate.probability == 1.0
@@ -387,17 +370,6 @@ class TestAdaptiveStopping:
 
     def test_bad_sample_spec_rejected(self, graph):
         with pytest.raises(ValueError):
-            monte_carlo_expected_flow(graph, 0, n_samples="adaptive")
+            SamplingEngine().expected_flow(graph, 0, n_samples="adaptive")
         with pytest.raises(ValueError):
-            monte_carlo_reachability(graph, 0, 1, n_samples="all")
-
-    def test_estimator_rejects_bad_sample_spec_at_construction(self, graph):
-        from repro.reachability.monte_carlo import MonteCarloFlowEstimator
-
-        with pytest.raises(ValueError):
-            MonteCarloFlowEstimator(graph, 0, n_samples="autoo")
-        estimator = MonteCarloFlowEstimator(
-            graph, 0, n_samples="auto", seed=3,
-            adaptive=AdaptiveSettings(target_width=50.0, max_samples=500, min_samples=64),
-        )
-        assert estimator.estimate().n_samples >= 64
+            SamplingEngine().pair_reachability(graph, 0, 1, n_samples="all")

@@ -30,7 +30,6 @@ EXPECTED_PUBLIC_API = sorted(
         "collaboration_graph",
         "preferential_attachment_graph",
         # estimators
-        "monte_carlo_expected_flow",
         "exact_expected_flow",
         "mono_connected_expected_flow",
         # parallel sharded sampling

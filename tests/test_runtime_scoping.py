@@ -10,9 +10,9 @@ Three contracts are pinned here:
    PR-4 leak regression tests); shared instances are left alone; a
    closed session refuses further use.
 3. **Equivalence** — for a fixed ``(seed, backend, shard plan)``, every
-   ``Session`` method reproduces the exact bits of the legacy
-   estimator/selector/service call path, on both backends, sharded and
-   unsharded (the acceptance criterion of the API redesign).
+   ``Session`` method reproduces the exact bits of the mechanism-level
+   ``SamplingEngine``/selector/service call path, on both backends,
+   sharded and unsharded (the acceptance criterion of the API redesign).
 """
 
 import threading
@@ -25,10 +25,7 @@ from repro.parallel.adaptive import AdaptiveSettings
 from repro.parallel.executor import ProcessExecutor, SerialExecutor, get_default_executor
 from repro.parallel.plan import DEFAULT_SHARD_SIZE, get_default_shard_size
 from repro.reachability.backends import BACKEND_NAMES, DEFAULT_BACKEND, get_default_backend
-from repro.reachability.monte_carlo import (
-    monte_carlo_expected_flow,
-    monte_carlo_reachability,
-)
+from repro.reachability.engine import SamplingEngine
 from repro.runtime import RuntimeConfig, Session, current_config, current_session, defaults
 from repro.selection.registry import get_default_crn, make_selector
 from repro.service import BatchEvaluator, QueryRequest, WorldCache
@@ -158,18 +155,16 @@ class TestScoping:
         with repro.session(seed=7, n_samples=64):
             with repro.session(backend="naive") as inner:
                 scoped = inner.expected_flow(graph, 0)
-        legacy = monte_carlo_expected_flow(
-            graph, 0, n_samples=64, seed=7, backend="naive"
-        )
+        legacy = SamplingEngine("naive").expected_flow(graph, 0, n_samples=64, seed=7)
         assert scoped.n_samples == 64
         assert scoped.expected_flow == legacy.expected_flow
 
     def test_workers_zero_pins_unsharded_inside_sharded_scope(self, graph):
-        unsharded = monte_carlo_expected_flow(graph, 0, n_samples=64, seed=6)
+        unsharded = SamplingEngine().expected_flow(graph, 0, n_samples=64, seed=6)
         with repro.session(workers=1, shard_size=32):
-            sharded = monte_carlo_expected_flow(graph, 0, n_samples=64, seed=6)
+            sharded = SamplingEngine().expected_flow(graph, 0, n_samples=64, seed=6)
             with repro.session(workers=0):
-                pinned = monte_carlo_expected_flow(graph, 0, n_samples=64, seed=6)
+                pinned = SamplingEngine().expected_flow(graph, 0, n_samples=64, seed=6)
                 assert get_default_executor() is None
         assert pinned.expected_flow == unsharded.expected_flow
         assert sharded.expected_flow != unsharded.expected_flow
@@ -386,11 +381,11 @@ ALL_BACKENDS = list(BACKEND_NAMES)
 
 
 class TestLegacyEquivalence:
-    """Session methods reproduce the legacy call paths bit for bit."""
+    """Session methods reproduce the mechanism-level call paths bit for bit."""
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_expected_flow_unsharded(self, graph, backend):
-        legacy = monte_carlo_expected_flow(graph, 0, n_samples=80, seed=7, backend=backend)
+        legacy = SamplingEngine(backend).expected_flow(graph, 0, n_samples=80, seed=7)
         with repro.session(backend=backend, seed=7, n_samples=80) as session:
             scoped = session.expected_flow(graph, 0)
         assert scoped.expected_flow == legacy.expected_flow
@@ -399,9 +394,8 @@ class TestLegacyEquivalence:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_expected_flow_sharded(self, graph, backend):
-        legacy = monte_carlo_expected_flow(
-            graph, 0, n_samples=80, seed=7, backend=backend,
-            executor=SerialExecutor(), shard_size=32,
+        legacy = SamplingEngine(backend, executor=SerialExecutor(), shard_size=32).expected_flow(
+            graph, 0, n_samples=80, seed=7
         )
         with repro.session(backend=backend, workers=1, shard_size=32,
                            seed=7, n_samples=80) as session:
@@ -411,7 +405,7 @@ class TestLegacyEquivalence:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_pair_reachability(self, graph, backend):
-        legacy = monte_carlo_reachability(graph, 0, 7, n_samples=80, seed=5, backend=backend)
+        legacy = SamplingEngine(backend).pair_reachability(graph, 0, 7, n_samples=80, seed=5)
         with repro.session(backend=backend, seed=5, n_samples=80) as session:
             scoped = session.pair_reachability(graph, 0, 7)
         assert scoped.probability == legacy.probability
@@ -419,13 +413,27 @@ class TestLegacyEquivalence:
 
     def test_pair_reachability_adaptive(self, graph):
         settings = AdaptiveSettings(target_width=0.2, max_samples=600)
-        legacy = monte_carlo_reachability(
+        legacy = SamplingEngine().pair_reachability(
             graph, 0, 7, n_samples="auto", seed=5, adaptive=settings
         )
         with repro.session(seed=5, n_samples="auto", adaptive=settings) as session:
             scoped = session.pair_reachability(graph, 0, 7)
         assert scoped.probability == legacy.probability
         assert scoped.n_samples == legacy.n_samples
+
+    def test_component_reachability_takes_the_session_policy(self, graph):
+        vertices, edges = list(range(1, 12)), graph.edge_list()
+        legacy = SamplingEngine().component_reachability(
+            graph, 0, vertices, edges, n_samples=64, seed=9
+        )
+        with repro.session(n_samples=64, seed=9) as session:
+            scoped = session.component_reachability(graph, 0, vertices, edges)
+        assert scoped == legacy
+        # the policy is what pins the answer: another seed draws other worlds
+        other_seed = SamplingEngine().component_reachability(
+            graph, 0, vertices, edges, n_samples=64, seed=10
+        )
+        assert scoped != other_seed
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("algorithm", ["Naive", "FT+M"])

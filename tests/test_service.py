@@ -11,11 +11,7 @@ import pytest
 from repro.graph.generators import erdos_renyi_graph
 from repro.parallel.executor import SerialExecutor
 from repro.reachability.backends import BACKEND_NAMES
-from repro.reachability.monte_carlo import (
-    monte_carlo_component_reachability,
-    monte_carlo_expected_flow,
-    monte_carlo_reachability,
-)
+from repro.reachability.engine import SamplingEngine
 from repro.service import (
     BatchEvaluator,
     QueryRequest,
@@ -94,9 +90,7 @@ class TestBitForBitEquality:
             kind="expected_flow", source=0, n_samples=N_SAMPLES, seed=SEED
         )
         batched = BatchEvaluator(backend=backend, cache=0).evaluate_one(graph, request)
-        single = monte_carlo_expected_flow(
-            graph, 0, n_samples=N_SAMPLES, seed=SEED, backend=backend
-        )
+        single = SamplingEngine(backend).expected_flow(graph, 0, n_samples=N_SAMPLES, seed=SEED)
         assert batched.flow == single
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
@@ -105,8 +99,8 @@ class TestBitForBitEquality:
             kind="pair_reachability", source=0, target=7, n_samples=N_SAMPLES, seed=SEED
         )
         batched = BatchEvaluator(backend=backend, cache=0).evaluate_one(graph, request)
-        single = monte_carlo_reachability(
-            graph, 0, 7, n_samples=N_SAMPLES, seed=SEED, backend=backend
+        single = SamplingEngine(backend).pair_reachability(
+            graph, 0, 7, n_samples=N_SAMPLES, seed=SEED
         )
         assert batched.reachability == single
 
@@ -121,7 +115,7 @@ class TestBitForBitEquality:
             seed=SEED,
         )
         batched = BatchEvaluator(cache=0).evaluate_one(graph, request)
-        single = monte_carlo_component_reachability(
+        single = SamplingEngine().component_reachability(
             graph, anchor, list(vertices), list(edges), n_samples=N_SAMPLES, seed=SEED
         )
         assert batched.probabilities == single
@@ -139,7 +133,7 @@ class TestBitForBitEquality:
             seed=SEED,
         )
         batched = BatchEvaluator(cache=0).evaluate_one(graph, request)
-        single = monte_carlo_reachability(
+        single = SamplingEngine().pair_reachability(
             graph, 0, "isolated", n_samples=N_SAMPLES, seed=SEED
         )
         assert batched.reachability == single
@@ -151,7 +145,7 @@ class TestBitForBitEquality:
         )
         evaluator = BatchEvaluator(cache=WorldCache())
         result = evaluator.evaluate_one(graph, request)
-        single = monte_carlo_reachability(graph, 3, 3, n_samples=N_SAMPLES, seed=SEED)
+        single = SamplingEngine().pair_reachability(graph, 3, 3, n_samples=N_SAMPLES, seed=SEED)
         assert result.reachability == single
         assert result.reachability.probability == 1.0
         assert evaluator.batches_sampled == 0  # no worlds were drawn
@@ -162,7 +156,7 @@ class TestBitForBitEquality:
             kind="expected_flow", source=0, edges=edges, n_samples=N_SAMPLES, seed=SEED
         )
         batched = BatchEvaluator(cache=0).evaluate_one(graph, request)
-        single = monte_carlo_expected_flow(
+        single = SamplingEngine().expected_flow(
             graph, 0, n_samples=N_SAMPLES, seed=SEED, edges=list(edges)
         )
         assert batched.flow == single
@@ -176,14 +170,8 @@ class TestBitForBitEquality:
         batched = BatchEvaluator(
             backend=backend, executor=executor, shard_size=32, cache=0
         ).evaluate_one(graph, request)
-        single = monte_carlo_expected_flow(
-            graph,
-            0,
-            n_samples=N_SAMPLES,
-            seed=SEED,
-            backend=backend,
-            executor=executor,
-            shard_size=32,
+        single = SamplingEngine(backend, executor=executor, shard_size=32).expected_flow(
+            graph, 0, n_samples=N_SAMPLES, seed=SEED
         )
         assert batched.flow == single
 
@@ -194,7 +182,7 @@ class TestBitForBitEquality:
         )
         first = evaluator.evaluate_one(graph, request)
         second = evaluator.evaluate_one(graph, request)
-        single = monte_carlo_expected_flow(graph, 0, n_samples=N_SAMPLES, seed=SEED)
+        single = SamplingEngine().expected_flow(graph, 0, n_samples=N_SAMPLES, seed=SEED)
         assert second.from_cache
         assert first.flow == second.flow == single
 
@@ -231,13 +219,13 @@ class TestBatchingAndGrouping:
         assert results[0].world_digest == results[1].world_digest == results[2].world_digest
         assert results[3].world_digest != results[0].world_digest
         # and every answer equals its single-query counterpart
-        assert results[0].flow == monte_carlo_expected_flow(
+        assert results[0].flow == SamplingEngine().expected_flow(
             graph, 0, n_samples=N_SAMPLES, seed=SEED
         )
-        assert results[1].reachability == monte_carlo_reachability(
+        assert results[1].reachability == SamplingEngine().pair_reachability(
             graph, 0, 9, n_samples=N_SAMPLES, seed=SEED
         )
-        assert results[2].reachability == monte_carlo_reachability(
+        assert results[2].reachability == SamplingEngine().pair_reachability(
             graph, 0, 13, n_samples=N_SAMPLES, seed=SEED
         )
 

@@ -21,6 +21,7 @@ import threading
 import pytest
 
 import repro
+from repro.reachability.engine import SamplingEngine
 from repro.runtime import defaults
 from repro.server.metrics import ServerMetrics
 from repro.telemetry import (
@@ -325,7 +326,7 @@ class TestNullTelemetry:
         assert isinstance(NULL_TELEMETRY, NullTelemetry)
 
     def test_disabled_workload_stays_silent(self, random_graph):
-        repro.monte_carlo_expected_flow(random_graph, 0, n_samples=50, seed=SEED)
+        SamplingEngine().expected_flow(random_graph, 0, n_samples=50, seed=SEED)
         assert NULL_TELEMETRY.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
@@ -438,11 +439,11 @@ class TestTraced:
 # ----------------------------------------------------------------------
 class TestInstrumentation:
     def test_enabling_telemetry_never_changes_results(self, random_graph):
-        baseline = repro.monte_carlo_expected_flow(
+        baseline = SamplingEngine().expected_flow(
             random_graph, 0, n_samples=N_SAMPLES, seed=SEED
         )
         with repro.session(telemetry=True):
-            traced_run = repro.monte_carlo_expected_flow(
+            traced_run = SamplingEngine().expected_flow(
                 random_graph, 0, n_samples=N_SAMPLES, seed=SEED
             )
         assert traced_run.expected_flow == baseline.expected_flow
@@ -452,7 +453,7 @@ class TestInstrumentation:
         memory = InMemoryExporter()
         tel = Telemetry(exporters=[memory])
         with repro.session(telemetry=tel):
-            repro.monte_carlo_expected_flow(random_graph, 0, n_samples=N_SAMPLES, seed=SEED)
+            SamplingEngine().expected_flow(random_graph, 0, n_samples=N_SAMPLES, seed=SEED)
         counters = tel.snapshot()["counters"]
         assert counters["engine.sample_calls"] == 1
         assert counters["engine.worlds_sampled"] == N_SAMPLES
@@ -487,13 +488,8 @@ class TestInstrumentation:
     def test_serial_executor_accounts_shards(self, random_graph):
         tel = Telemetry()
         with repro.session(telemetry=tel):
-            repro.monte_carlo_expected_flow(
-                random_graph,
-                0,
-                n_samples=N_SAMPLES,
-                seed=SEED,
-                executor=repro.SerialExecutor(),
-                shard_size=50,
+            SamplingEngine(executor=repro.SerialExecutor(), shard_size=50).expected_flow(
+                random_graph, 0, n_samples=N_SAMPLES, seed=SEED
             )
         snapshot = tel.snapshot()
         assert snapshot["counters"]["executor.shards_run"] == N_SAMPLES // 50
