@@ -3,9 +3,12 @@
 The F-tree replaces whole-graph sampling by *local* sampling: only the
 edges of one bi-connected component are flipped, and reachability is
 measured towards the component's articulation vertex (paper Section 5.3,
-Example 2).  Components with few uncertain edges are evaluated exactly by
-possible-world enumeration — an extension over the paper that removes
-sampling noise from small cycles and keeps unit tests deterministic.
+Example 2).  Components with few uncertain edges are evaluated exactly
+over all of their possible worlds at once by
+:func:`~repro.reachability.exact.exact_closure`, straight from the
+component's ``(edge, probability)`` list with no subgraph copy — an
+extension over the paper that removes sampling noise from small cycles
+and keeps unit tests deterministic.
 
 Results are optionally memoized in a :class:`~repro.ftree.memo.MemoCache`
 keyed by the component content (Section 6.2).
@@ -39,7 +42,7 @@ from repro.graph.uncertain_graph import UncertainGraph
 from repro.parallel.executor import ExecutorLike
 from repro.reachability.backends import BackendLike
 from repro.reachability.engine import SamplingEngine
-from repro.reachability.exact import exact_reachability_all
+from repro.reachability.exact import exact_closure
 from repro.rng import SeedLike, ensure_rng
 from repro.types import Edge, VertexId
 
@@ -242,11 +245,10 @@ class ComponentSampler:
         vertices: Set[VertexId],
         edges: Set[Edge],
     ) -> Dict[VertexId, float]:
-        component_graph = graph.edge_subgraph(edges, keep_all_vertices=False)
-        if not component_graph.has_vertex(articulation):
-            # isolated articulation vertex: nothing is reachable
-            return {vertex: 0.0 for vertex in vertices}
-        probabilities = exact_reachability_all(
-            component_graph, articulation, limit=max(20, self.exact_threshold)
+        # an isolated articulation vertex reaches nothing: every vertex reads 0.0
+        return exact_closure(
+            articulation,
+            vertices,
+            [(edge, graph.probability(edge)) for edge in edges],
+            limit=max(20, self.exact_threshold),
         )
-        return {vertex: probabilities.get(vertex, 0.0) for vertex in vertices}

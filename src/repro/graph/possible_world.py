@@ -6,10 +6,12 @@ subset of its edges; the world occurs with the realization probability of
 Equation 1.  This module provides:
 
 * :class:`PossibleWorld` — a lightweight deterministic graph with fast
-  connectivity queries, used by every Monte-Carlo estimator;
+  connectivity queries;
 * :func:`enumerate_worlds` — exhaustive enumeration of all ``2^|E<1|``
-  worlds, used by the exact estimators and by the test suite as ground
-  truth;
+  worlds, one :class:`PossibleWorld` each.  It is the test suite's
+  ground truth: a per-world reference loop over it checks the
+  all-worlds closure of :mod:`repro.reachability.exact`, which numbers
+  its worlds in this same order;
 * :func:`sample_world` / :func:`sample_worlds` — unbiased world sampling.
 """
 

@@ -45,9 +45,10 @@ spectrum of estimators:
   back to the paper's literal per-candidate resampling with
   ``crn=False`` (selectors / ``make_selector``), ``ExperimentConfig``,
   or the CLI's ``--resample-per-candidate`` flag;
-* :mod:`repro.reachability.exact` — exhaustive possible-world
-  enumeration, exact but exponential, used as ground truth for small
-  graphs and small bi-connected components;
+* :mod:`repro.reachability.exact` — exact evaluation over every
+  possible world at once (one world bitset per vertex), exponential in
+  the uncertain edges, used as ground truth for small graphs and small
+  bi-connected components;
 * :mod:`repro.reachability.analytic` — closed-form reachability for
   mono-connected (tree-like) graphs (Lemma 2 / Theorem 2);
 * :mod:`repro.reachability.confidence` — confidence intervals for

@@ -1,25 +1,134 @@
-"""Exact reachability and expected flow by possible-world enumeration.
+"""Exact reachability and expected flow over every possible world at once.
 
-Exponential in the number of uncertain edges, so only usable on small
-graphs or small bi-connected components; the test suite and the exact
-component evaluator of the F-tree rely on it as ground truth.
+Exponential in the number ``m`` of uncertain edges, so only usable on
+small graphs or small bi-connected components; the test suite and the
+exact component evaluator of the F-tree rely on it as ground truth.
+
+The ``2^m`` worlds are not built one by one.  Every vertex carries one
+Python ``int`` whose bit ``w`` says "reached from the source in world
+``w``", and a single closure over the edges fills in all worlds
+together.  World ``w`` keeps the ``i``-th uncertain edge iff bit
+``m - 1 - i`` of ``w`` is set, which is the order in which
+:func:`~repro.graph.possible_world.enumerate_worlds` yields its worlds.
+World probabilities and per-vertex sums are accumulated in that order
+too, so every result equals a per-world loop over ``enumerate_worlds``
+bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exceptions import VertexNotFoundError
-from repro.graph.possible_world import DEFAULT_ENUMERATION_LIMIT, enumerate_worlds
+import numpy as np
+
+from repro.exceptions import ExactEnumerationError, VertexNotFoundError
+from repro.graph.possible_world import DEFAULT_ENUMERATION_LIMIT
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.reachability.estimators import FlowEstimate, ReachabilityEstimate
-from repro.types import Edge, VertexId
+from repro.types import Edge, VertexId, as_edge
+
+#: float64 terms summed per block of vertex rows: caps the working set of
+#: the sums at 8 MB instead of growing as ``vertices x 2^m``
+_BLOCK_TERMS = 1 << 20
 
 
-def _restrict(graph: UncertainGraph, edges: Optional[Iterable[Edge]]) -> UncertainGraph:
-    if edges is None:
-        return graph
-    return graph.edge_subgraph(edges, keep_all_vertices=True)
+def _survival_mask(half_period: int, n_worlds: int) -> int:
+    """Bitset of the worlds ``w`` whose bit ``log2(half_period)`` is set."""
+    mask, width = ((1 << half_period) - 1) << half_period, 2 * half_period
+    while width < n_worlds:
+        mask |= mask << width
+        width *= 2
+    return mask
+
+
+def _world_probabilities(uncertain: Sequence[float]) -> np.ndarray:
+    """``Pr(g)`` of every world in enumeration order, multiplied in edge order."""
+    probabilities = np.ones(1)
+    for p in uncertain:
+        probabilities = np.multiply.outer(probabilities, (1.0 - p, p)).ravel()
+    return probabilities
+
+
+def _reach_sums(rows: List[int], world_probability: np.ndarray) -> np.ndarray:
+    """Sum ``world_probability`` over the set bits of each world bitset.
+
+    ``np.cumsum`` adds left to right (``np.sum`` would add pairwise), so
+    each sum repeats the per-world loop's running ``+=`` exactly.
+    """
+    n_worlds = world_probability.size
+    n_bytes = (n_worlds + 7) // 8
+    block = max(1, _BLOCK_TERMS // n_worlds)
+    sums = np.empty(len(rows))
+    for start in range(0, len(rows), block):
+        chunk = rows[start : start + block]
+        packed = np.frombuffer(
+            b"".join(bits.to_bytes(n_bytes, "little") for bits in chunk), dtype=np.uint8
+        )
+        flags = np.unpackbits(
+            packed.reshape(len(chunk), n_bytes), axis=1, count=n_worlds, bitorder="little"
+        )
+        terms = np.where(flags.view(bool), world_probability, 0.0)
+        sums[start : start + len(chunk)] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+    return sums
+
+
+def exact_closure(
+    source: VertexId,
+    vertices: Iterable[VertexId],
+    edges: Sequence[Tuple[Edge, float]],
+    limit: int = DEFAULT_ENUMERATION_LIMIT,
+) -> Dict[VertexId, float]:
+    """Return ``P(source ↔ v)`` for every ``v`` in ``vertices`` over the worlds of ``edges``.
+
+    Parameters
+    ----------
+    source:
+        Source vertex (probability 1.0 to itself when listed).
+    vertices:
+        The vertices to report; one not reached in any world gets 0.0.
+    edges:
+        ``(edge, probability)`` pairs.  The order of the uncertain ones
+        fixes the world order, as a graph's edge order does for
+        :func:`~repro.graph.possible_world.enumerate_worlds`.
+    limit:
+        Maximum number of uncertain edges; more raise
+        :class:`~repro.exceptions.ExactEnumerationError` before anything
+        is allocated.
+    """
+    uncertain = [p for _, p in edges if p < 1.0]
+    if len(uncertain) > limit:
+        raise ExactEnumerationError(len(uncertain), limit)
+    n_worlds = 1 << len(uncertain)
+    every_world = (1 << n_worlds) - 1
+    neighbours: Dict[VertexId, List[Tuple[VertexId, int]]] = {}
+    half_period = n_worlds
+    for edge, p in edges:
+        if p < 1.0:
+            half_period >>= 1
+            mask = _survival_mask(half_period, n_worlds)
+        else:
+            mask = every_world
+        neighbours.setdefault(edge.u, []).append((edge.v, mask))
+        neighbours.setdefault(edge.v, []).append((edge.u, mask))
+    # label propagation: a vertex is re-expanded whenever its bitset grows
+    reached = {source: every_world}
+    frontier = [source]
+    while frontier:
+        vertex = frontier.pop()
+        bits = reached[vertex]
+        for neighbour, mask in neighbours.get(vertex, ()):
+            before = reached.get(neighbour, 0)
+            after = before | (bits & mask)
+            if after != before:
+                reached[neighbour] = after
+                frontier.append(neighbour)
+    probabilities = {vertex: 0.0 for vertex in vertices}
+    rows = [vertex for vertex in probabilities if vertex in reached]
+    sums = _reach_sums([reached[vertex] for vertex in rows], _world_probabilities(uncertain))
+    for vertex, total in zip(rows, sums.tolist()):
+        # guard against floating point drift beyond [0, 1]
+        probabilities[vertex] = min(1.0, max(0.0, total))
+    return probabilities
 
 
 def exact_reachability_all(
@@ -37,20 +146,21 @@ def exact_reachability_all(
     source:
         Source vertex (probability 1.0 to itself).
     edges:
-        Optional restriction to a subset of edges.
+        Optional restriction to a subset of edges; every vertex of
+        ``graph`` is still reported.
     limit:
         Maximum number of uncertain edges tolerated before raising
         :class:`~repro.exceptions.ExactEnumerationError`.
     """
     if not graph.has_vertex(source):
         raise VertexNotFoundError(source)
-    restricted = _restrict(graph, edges)
-    probabilities: Dict[VertexId, float] = {vertex: 0.0 for vertex in restricted.vertices()}
-    for world, world_probability in enumerate_worlds(restricted, limit=limit):
-        for vertex in world.reachable_from(source):
-            probabilities[vertex] += world_probability
-    # guard against floating point drift beyond [0, 1]
-    return {vertex: min(1.0, max(0.0, p)) for vertex, p in probabilities.items()}
+    if edges is None:
+        weighted = list(graph.probabilities().items())
+    else:
+        # a repeated edge keeps its first position, which fixes the world order
+        selected = dict.fromkeys(as_edge(edge) for edge in edges)
+        weighted = [(edge, graph.probability(edge)) for edge in selected]
+    return exact_closure(source, graph.vertices(), weighted, limit=limit)
 
 
 def exact_reachability(

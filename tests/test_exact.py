@@ -1,15 +1,55 @@
-"""Tests for exact reachability / flow via possible-world enumeration."""
+"""Tests for exact reachability / flow, checked against a per-world enumeration loop."""
+
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import ExactEnumerationError, VertexNotFoundError
-from repro.graph.generators import path_graph, star_graph
+from repro.exceptions import EdgeNotFoundError, ExactEnumerationError, VertexNotFoundError
+from repro.ftree.sampler import ComponentSampler
+from repro.graph.generators import cycle_graph, path_graph, star_graph
+from repro.graph.possible_world import enumerate_worlds
+from repro.graph.uncertain_graph import UncertainGraph
 from repro.reachability.exact import (
+    exact_closure,
     exact_expected_flow,
     exact_reachability,
     exact_reachability_all,
 )
 from repro.types import Edge
+
+
+def reference_reachability_all(graph, source, edges=None, limit=20):
+    """The per-world loop: one ``PossibleWorld`` and one BFS per enumerated world."""
+    restricted = graph if edges is None else graph.edge_subgraph(edges, keep_all_vertices=True)
+    probabilities = {vertex: 0.0 for vertex in restricted.vertices()}
+    for world, world_probability in enumerate_worlds(restricted, limit=limit):
+        for vertex in world.reachable_from(source):
+            probabilities[vertex] += world_probability
+    return {vertex: min(1.0, max(0.0, p)) for vertex, p in probabilities.items()}
+
+
+@st.composite
+def graphs_with_source(draw):
+    """Small graphs mixing certain (p = 1.0) and uncertain edges, with isolated vertices.
+
+    The source is any vertex, so it may be isolated or cut off from most
+    of the graph.
+    """
+    n_vertices = draw(st.integers(min_value=1, max_value=8))
+    graph = UncertainGraph()
+    for vertex in range(n_vertices):
+        graph.add_vertex(vertex, weight=draw(st.sampled_from([0.5, 1.0, 3.0])))
+    pairs = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=10, unique=True)) if pairs else []
+    for u, v in chosen:
+        probability = draw(
+            st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=0.99))
+        )
+        graph.add_edge(u, v, probability)
+    source = draw(st.integers(min_value=0, max_value=n_vertices - 1))
+    return graph, source
 
 
 class TestExactReachability:
@@ -79,3 +119,107 @@ class TestExactFlow:
 
     def test_flow_estimate_is_exact(self, triangle_graph):
         assert exact_expected_flow(triangle_graph, 0).is_exact
+
+
+class TestAgainstPerWorldLoop:
+    """The all-worlds closure against the per-world reference, compared with ``==``."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(graphs_with_source())
+    def test_whole_graph(self, case):
+        graph, source = case
+        expected = reference_reachability_all(graph, source)
+        actual = exact_reachability_all(graph, source)
+        assert list(actual) == list(expected)
+        assert actual == expected
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(graphs_with_source(), st.data())
+    def test_edge_restriction(self, case, data):
+        graph, source = case
+        edges = graph.edge_list()
+        subset = data.draw(st.lists(st.sampled_from(edges), max_size=12)) if edges else []
+        # raw pairs, reversed orientation and repeats are all accepted
+        restriction = [
+            (edge.v, edge.u) if index % 2 else edge for index, edge in enumerate(subset)
+        ]
+        expected = reference_reachability_all(graph, source, edges=restriction)
+        actual = exact_reachability_all(graph, source, edges=restriction)
+        assert list(actual) == list(graph.vertices())
+        assert actual == expected
+
+    def test_unknown_edge_in_restriction(self, triangle_graph):
+        triangle_graph.add_vertex(3)
+        with pytest.raises(EdgeNotFoundError):
+            exact_reachability_all(triangle_graph, 0, edges=[Edge(0, 1), Edge(0, 3)])
+
+    def test_restriction_keeps_every_vertex(self, triangle_graph):
+        triangle_graph.add_vertex(7)
+        probabilities = exact_reachability_all(triangle_graph, 0, edges=[Edge(1, 2)])
+        assert probabilities == {0: 1.0, 1: 0.0, 2: 0.0, 7: 0.0}
+
+
+class TestEnumerationLimit:
+    def test_limit_uncertain_edges_pass(self):
+        graph = path_graph(13, probability=0.5)
+        graph.add_edge(0, 12, 1.0)  # certain edges do not count against the limit
+        assert exact_reachability_all(graph, 0, limit=12) == reference_reachability_all(
+            graph, 0, limit=12
+        )
+
+    def test_one_over_the_limit_raises(self):
+        with pytest.raises(ExactEnumerationError) as raised:
+            exact_reachability_all(path_graph(14, probability=0.5), 0, limit=12)
+        assert (raised.value.n_edges, raised.value.limit) == (13, 12)
+
+    def test_raises_before_allocating_the_worlds(self):
+        # 2^65 worlds could not even be indexed: raising promptly and with a
+        # tiny footprint shows the check precedes every allocation
+        edges = [(Edge(i, i + 1), 0.5) for i in range(65)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExactEnumerationError):
+                exact_closure(0, range(66), edges, limit=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestBoundedMemory:
+    def test_twenty_uncertain_edges_peak_under_64_mb(self):
+        # the sums never hold a vertices x 2^20 float matrix (~160 MB here)
+        graph = cycle_graph(20, probability=0.5)
+        tracemalloc.start()
+        try:
+            probabilities = exact_reachability_all(graph, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        for k in range(1, 20):
+            # P(0 <-> k) on an n-cycle: either arc survives
+            assert probabilities[k] == pytest.approx(0.5**k + 0.5 ** (20 - k) - 0.5**20)
+
+
+class TestComponentSamplerExact:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(graphs_with_source())
+    def test_matches_reference_on_component(self, case):
+        graph, articulation = case
+        edges = set(graph.edge_list())
+        vertices = {vertex for edge in edges for vertex in edge} - {articulation}
+        sampler = ComponentSampler(n_samples=10, exact_threshold=20, seed=0)
+        actual = sampler._exact(graph, articulation, vertices, edges)
+        component = graph.edge_subgraph(edges, keep_all_vertices=False)
+        if not component.has_vertex(articulation):
+            assert actual == {vertex: 0.0 for vertex in vertices}
+            return
+        expected = reference_reachability_all(component, articulation)
+        assert actual == {vertex: expected[vertex] for vertex in vertices}
+
+    def test_isolated_articulation(self, triangle_graph):
+        triangle_graph.add_vertex(9)
+        sampler = ComponentSampler(n_samples=10, exact_threshold=20, seed=0)
+        edges = set(triangle_graph.edge_list())
+        assert sampler._exact(triangle_graph, 9, {0, 1, 2}, edges) == {0: 0.0, 1: 0.0, 2: 0.0}

@@ -75,10 +75,12 @@ class TestQuality:
         budget = 15
         ft = _selector(memoize=True, n_samples=120).select(graph, 0, budget)
         dijkstra = DijkstraSelector().select(graph, 0, budget)
-        ft_flow = exact_expected_flow(graph, 0, edges=ft.selected_edges, limit=25).expected_flow \
-            if len(ft.selected_edges) <= 25 else ft.expected_flow
         # compare with each selector's own consistent estimate: FT must not be worse
         assert ft.expected_flow >= dijkstra.expected_flow - 1e-6
+        # and on the exact flow of both selections (budget 15: 2^15 worlds each)
+        ft_flow = exact_expected_flow(graph, 0, edges=ft.selected_edges).expected_flow
+        dijkstra_flow = exact_expected_flow(graph, 0, edges=dijkstra.selected_edges).expected_flow
+        assert ft_flow >= dijkstra_flow
 
     def test_flow_is_monotone_over_iterations(self, random_graph):
         result = _selector().select(random_graph, 0, 8)
