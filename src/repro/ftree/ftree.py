@@ -27,15 +27,19 @@ the tree, then applies the plan.
 
 :meth:`FTree.probe` scores a candidate edge without inserting it, as a
 flow delta over per-vertex aggregates that are built once per tree
-state: an edge to a new vertex costs O(1), and an edge that closes a
-cycle costs one estimate of the planned bi component plus a sum over
-its vertices.
+state: an edge that closes a cycle costs one estimate of the planned bi
+component plus a sum over its vertices.  An edge to a new vertex costs
+one multiply-add, so :meth:`FTree.probe_new_vertices` scores a whole
+array of them at once over the aggregates' reach arrays; the scalar
+:meth:`FTree.probe` remains the oracle it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.exceptions import (
     DisconnectedInsertionError,
@@ -112,8 +116,9 @@ class _FlowSums:
 
     #: ``f(x)``
     factor: Dict[VertexId, float]
-    #: ``R(x)``: probability of reaching Q, the product of factors up to Q
-    reach: Dict[VertexId, float]
+    #: ``R(x)``: probability of reaching Q, the product of factors up to Q,
+    #: at ``x``'s id in :meth:`UncertainGraph.vertex_index` (0 if not connected)
+    reach: np.ndarray
     #: ``D(x) = w(x) + Σ_children f(c)·D(c)``: expected weight collected at ``x``
     down: Dict[VertexId, float]
     #: ``Σ_x w(x)·R(x)`` without the query vertex's own weight
@@ -166,6 +171,10 @@ class FTree:
         self._root_mono_id: Optional[int] = None
         #: probe aggregates of the current state (see :meth:`probe`)
         self._vertex_tree: Optional[_VertexTree] = None
+        #: probability of each mono vertex's parent edge, looked up once per
+        #: tree; like the memo cache's keys, this takes the graph's edge
+        #: probabilities as fixed while the tree lives
+        self._parent_probability: Dict[Tuple[VertexId, VertexId], float] = {}
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -556,12 +565,13 @@ class FTree:
         edge = u if isinstance(u, Edge) and v is None else Edge(u, v)
         probability = self._check_insertion(edge)
         tree = self._current_vertex_tree(alpha)
+        ids = self.graph.vertex_index().ids
         u_connected = self.is_connected_vertex(edge.u)
         v_connected = self.is_connected_vertex(edge.v)
         if not (u_connected and v_connected):
             anchor, new_vertex = (edge.u, edge.v) if u_connected else (edge.v, edge.u)
             gain = probability * self.graph.weight(new_vertex)
-            flows = [sums.flow + sums.reach[anchor] * gain for sums in tree.sums]
+            flows = [sums.flow + float(sums.reach[ids[anchor]]) * gain for sums in tree.sums]
             cost = 0
         else:
             component = self._plan_cycle(edge.u, edge.v, edge).component
@@ -571,9 +581,10 @@ class FTree:
             )
             merged: Tuple[Dict[VertexId, float], ...] = ({}, {}, {})
             _add_bi_factors(merged, component, local, tree.z)
-            articulation = component.articulation
+            articulation = ids[component.articulation]
             flows = [
-                sums.flow + sums.reach[articulation] * _merge_gain(sums, tree.parent, factor)
+                sums.flow
+                + float(sums.reach[articulation]) * _merge_gain(sums, tree.parent, factor)
                 for sums, factor in zip(tree.sums, merged)
             ]
         if include_query:
@@ -581,6 +592,31 @@ class FTree:
             flows = [flow + query_weight for flow in flows]
         flow, lower, upper = flows
         return ProbeScore(flow, lower, upper, cost)
+
+    def probe_new_vertices(
+        self,
+        anchors: np.ndarray,
+        gains: np.ndarray,
+        include_query: bool = False,
+        alpha: float = 0.01,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Score many edges to new vertices (Case II) at once.
+
+        Row ``i`` is an edge from the connected vertex whose
+        :meth:`UncertainGraph.vertex_index` id is ``anchors[i]`` to a
+        vertex not yet connected, with ``gains[i] = p(edge)·w(new
+        vertex)``.  Returns the ``flow``, ``lower`` and ``upper`` arrays
+        of :meth:`probe` for those rows, bit for bit: the same operands
+        in the same order, as elementwise IEEE arithmetic.  The caller
+        vouches for the rows; nothing is checked.
+        """
+        tree = self._current_vertex_tree(alpha)
+        flows = [sums.flow + sums.reach[anchors] * gains for sums in tree.sums]
+        if include_query:
+            query_weight = self.graph.weight(self.query)
+            flows = [flow + query_weight for flow in flows]
+        flow, lower, upper = flows
+        return flow, lower, upper
 
     def probe_cost(self, u: "VertexId | Edge", v: Optional[VertexId] = None) -> int:
         """Return the ``cost`` of :meth:`probe` without estimating anything."""
@@ -603,7 +639,10 @@ class FTree:
             if isinstance(component, MonoConnectedComponent):
                 for vertex, up in component.parent_of.items():
                     parent[vertex] = up
-                    probability = self.graph.probability(vertex, up)
+                    probability = self._parent_probability.get((vertex, up))
+                    if probability is None:
+                        probability = self.graph.probability(vertex, up)
+                        self._parent_probability[vertex, up] = probability
                     for factor in factors:
                         factor[vertex] = probability
             else:
@@ -622,7 +661,17 @@ class FTree:
             below = children.get(stack.pop(), ())
             order.extend(below)
             stack.extend(below)
-        estimate, lower, upper = (self._flow_sums(parent, order, factor) for factor in factors)
+        ids = self.graph.vertex_index().ids
+        positions = [ids[self.query]] + [ids[vertex] for vertex in order]
+        weights = [self.graph.weight(vertex) for vertex in order]
+        estimate = self._flow_sums(parent, order, weights, factors[0], positions)
+        # where no interval has width (nothing sampled) the bounds' sums are the estimate's
+        lower, upper = (
+            estimate
+            if factor == factors[0]
+            else self._flow_sums(parent, order, weights, factor, positions)
+            for factor in factors[1:]
+        )
         tree = _VertexTree(alpha=alpha, z=z, parent=parent, sums=(estimate, lower, upper))
         self._vertex_tree = tree
         return tree
@@ -631,18 +680,29 @@ class FTree:
         self,
         parent: Dict[VertexId, VertexId],
         order: List[VertexId],
+        weights: List[float],
         factor: Dict[VertexId, float],
+        positions: List[int],
     ) -> _FlowSums:
-        """Aggregate one set of factors over the vertex tree (``order``: parents first)."""
+        """Aggregate one set of factors over the vertex tree.
+
+        ``order`` lists the vertices parents first, ``weights`` their
+        weights and ``positions`` the vertex ids of Q and then of ``order``.
+        """
         reach = {self.query: 1.0}
-        for vertex in order:
-            reach[vertex] = factor[vertex] * reach[parent[vertex]]
-        down = {vertex: self.graph.weight(vertex) for vertex in order}
+        flow = 0.0
+        for vertex, weight in zip(order, weights):
+            reached = factor[vertex] * reach[parent[vertex]]
+            reach[vertex] = reached
+            flow += reached * weight
+        down = dict(zip(order, weights))
         for vertex in reversed(order):
             up = parent[vertex]
             if up != self.query:
                 down[up] += factor[vertex] * down[vertex]
-        return _FlowSums(factor=factor, reach=reach, down=down, flow=self._weighted_sum(reach))
+        reach_array = np.zeros(self.graph.n_vertices)
+        reach_array[positions] = list(reach.values())
+        return _FlowSums(factor=factor, reach=reach_array, down=down, flow=flow)
 
     # ------------------------------------------------------------------
     # flow evaluation (Section 5.3)
@@ -779,6 +839,7 @@ class FTree:
         clone._selected = set(self._selected)
         clone._next_id = self._next_id
         clone._root_mono_id = self._root_mono_id
+        clone._parent_probability = self._parent_probability
         return clone
 
     def check_invariants(self) -> None:

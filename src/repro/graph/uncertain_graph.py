@@ -16,7 +16,8 @@ attributes; all heavy algorithms live in :mod:`repro.algorithms`,
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
+from array import array
+from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.exceptions import (
     DuplicateEdgeError,
@@ -30,6 +31,18 @@ from repro.exceptions import (
 from repro.digest import graph_digest
 from repro.rng import SeedLike, ensure_rng
 from repro.types import Edge, EdgePair, VertexId, as_edge
+
+
+class VertexIndex(NamedTuple):
+    """Contiguous integer ids for a graph's vertices, and their ``repr`` order."""
+
+    #: id -> vertex, in insertion order
+    vertices: Tuple[VertexId, ...]
+    #: vertex -> id
+    ids: Dict[VertexId, int]
+    #: id -> position of the vertex when all vertices are sorted by
+    #: ``repr``; vertices with equal ``repr`` keep their insertion order
+    rank: "array[int]"
 
 
 class UncertainGraph:
@@ -49,7 +62,7 @@ class UncertainGraph:
     probabilities under possible-world semantics.
     """
 
-    __slots__ = ("name", "_adjacency", "_weights", "_probabilities", "_digest")
+    __slots__ = ("name", "_adjacency", "_weights", "_probabilities", "_digest", "_vertex_index")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
@@ -61,6 +74,8 @@ class UncertainGraph:
         self._probabilities: Dict[Edge, float] = {}
         #: memoized content digest; every mutator resets it to None
         self._digest: Optional[int] = None
+        #: memoized vertex index; reset whenever the vertex set changes
+        self._vertex_index: Optional[VertexIndex] = None
 
     def content_digest(self) -> int:
         """Stable 128-bit digest of the graph content (memoized).
@@ -75,6 +90,28 @@ class UncertainGraph:
         if self._digest is None:
             self._digest = graph_digest(self)
         return self._digest
+
+    def vertex_index(self) -> VertexIndex:
+        """Integer vertex ids and the vertices' ``repr`` order (memoized).
+
+        Built at most once between changes to the vertex set, so
+        array-based code (the greedy selectors' candidate frontier, the
+        F-tree's reach arrays) can key on small integers without
+        re-interning the graph per call.
+        """
+        if self._vertex_index is None:
+            vertices = tuple(self._adjacency)
+            reprs = [repr(vertex) for vertex in vertices]
+            by_repr = sorted(range(len(vertices)), key=reprs.__getitem__)
+            rank = array("q", bytes(8 * len(vertices)))
+            for position, vertex_id in enumerate(by_repr):
+                rank[vertex_id] = position
+            self._vertex_index = VertexIndex(
+                vertices=vertices,
+                ids={vertex: i for i, vertex in enumerate(vertices)},
+                rank=rank,
+            )
+        return self._vertex_index
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -112,8 +149,9 @@ class UncertainGraph:
         clone._adjacency = {v: set(nbrs) for v, nbrs in self._adjacency.items()}
         clone._weights = dict(self._weights)
         clone._probabilities = dict(self._probabilities)
-        # identical content ⇒ identical digest; share the memo if computed
+        # identical content ⇒ identical digest and index; share the memos if computed
         clone._digest = self._digest
+        clone._vertex_index = self._vertex_index
         return clone
 
     # ------------------------------------------------------------------
@@ -135,6 +173,7 @@ class UncertainGraph:
         self._adjacency[vertex] = set()
         self._weights[vertex] = float(weight)
         self._digest = None
+        self._vertex_index = None
 
     def remove_vertex(self, vertex: VertexId) -> None:
         """Remove a vertex and every edge incident to it."""
@@ -145,6 +184,7 @@ class UncertainGraph:
         del self._adjacency[vertex]
         del self._weights[vertex]
         self._digest = None
+        self._vertex_index = None
 
     def has_vertex(self, vertex: VertexId) -> bool:
         """Return True if the vertex exists in the graph."""

@@ -1,9 +1,14 @@
 """Greedy edge selection on top of the F-tree (FT, FT+M, FT+M+CI, FT+M+DS).
 
-The selector scores every candidate edge with :meth:`FTree.probe`, which
-computes the flow of the tree with the edge inserted as a delta over the
-committed tree, and commits the edge with the highest flow (Section
-6.1).  Three optional heuristics reduce the per-iteration work:
+Each round the selector scores every candidate edge as the flow of the
+tree with the edge inserted, a delta over the committed tree, and
+commits the edge with the highest flow (Section 6.1); ties go to the
+first candidate in rank order.  Edges to a new vertex (Case II) are
+scored all at once by :meth:`FTree.probe_new_vertices`, one array
+expression over the frontier; only edges that close a cycle go through
+:meth:`FTree.probe` one by one.  Three optional heuristics reduce the
+per-iteration work, and all three only ever concern cycle candidates,
+the only ones whose probe estimates anything:
 
 * **Memoization (M, Section 6.2)** — bi-connected component estimates
   are cached by component content, so probing the same cycle twice costs
@@ -22,6 +27,8 @@ from __future__ import annotations
 
 import math
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.ftree.ftree import FTree
 from repro.ftree.memo import MemoCache
@@ -178,12 +185,12 @@ class FTreeGreedySelector(EdgeSelector):
                 )
             if outcome is None:
                 break
-            best_edge, best_flow, probe_info, probed, pruned, skipped = outcome
+            best_edge, best_flow, cycle_info, probed, pruned, skipped = outcome
             total_pruned += pruned
             total_delayed += skipped
 
             if self.delayed:
-                self._update_delays(delays, probe_info, best_edge, best_flow)
+                self._update_delays(delays, cycle_info, best_edge, best_flow, probed)
 
             candidates.mark_selected(best_edge)
             ftree.insert_edge(best_edge.u, best_edge.v)
@@ -236,25 +243,54 @@ class FTreeGreedySelector(EdgeSelector):
         """Probe the current candidates and return the best edge.
 
         Returns ``None`` if no candidate could be probed (all suspended).
-        The returned tuple is ``(best edge, best flow, per-edge probe
-        info, probed count, pruned count, delayed count)`` where probe
-        info maps each probed edge to ``(flow estimate, sampling cost)``.
+        The returned tuple is ``(best edge, best flow, cycle probe info,
+        probed count, pruned count, delayed count)`` where the probe info
+        maps each probed cycle candidate to ``(flow estimate, sampling
+        cost)``.
+
+        The candidates are walked in rank order.  Case II scores come in
+        one batch; before each cycle candidate the block of Case II
+        scores preceding it is merged into the running best (its first
+        maximum, if strictly greater), so confidence-interval screening
+        sees the same best lower bound as a candidate-by-candidate walk.
+        Delays and screening apply only to candidates with a positive
+        sampling cost, and every such candidate closes a cycle.
         """
-        best_edge: Optional[Edge] = None
+        # the batch builds the committed tree's aggregates before any cycle probe
+        flows, lowers, _ = ftree.probe_new_vertices(
+            candidates.anchors,
+            candidates.gains,
+            include_query=self.include_query,
+            alpha=self.alpha,
+        )
+        cycles = np.flatnonzero(candidates.new_vertices < 0).tolist()
+        edges = candidates.candidates()
+        best_position = -1
         best_flow = float("-inf")
         best_lower = float("-inf")
-        probe_info: Dict[Edge, Tuple[float, int]] = {}
-        probed = 0
+        cycle_info: Dict[Edge, Tuple[float, int]] = {}
+        probed = len(edges) - len(cycles)
         pruned = 0
         skipped = 0
 
-        for edge in candidates:
+        start = 0
+        for position in cycles + [len(edges)]:
+            if position > start:
+                block = start + int(flows[start:position].argmax())
+                if flows[block] > best_flow:
+                    best_position = block
+                    best_flow = float(flows[block])
+                    best_lower = float(lowers[block])
+            start = position + 1
+            if position == len(edges):
+                break
+            edge = edges[position]
             if self.delayed and delays.get(edge, 0) > 0:
                 delays[edge] -= 1
                 skipped += 1
                 continue
             probed += 1
-            if self.confidence and best_edge is not None:
+            if self.confidence and best_position >= 0:
                 cost = ftree.probe_cost(edge)
                 if cost > 0:
                     # screening pass with a coarse sampler; prune hopeless candidates
@@ -266,35 +302,41 @@ class FTreeGreedySelector(EdgeSelector):
                     )
                     if screening.upper < best_lower:
                         pruned += 1
-                        probe_info[edge] = (screening.upper, cost)
+                        cycle_info[edge] = (screening.upper, cost)
                         continue
 
             score = ftree.probe(edge, include_query=self.include_query, alpha=self.alpha)
-            probe_info[edge] = (score.flow, score.cost)
+            cycle_info[edge] = (score.flow, score.cost)
             if score.flow > best_flow:
                 best_flow = score.flow
-                best_edge = edge
+                best_position = position
                 best_lower = score.lower
-        if best_edge is None:
+        if best_position < 0:
             return None
-        return best_edge, best_flow, probe_info, probed, pruned, skipped
+        return edges[best_position], best_flow, cycle_info, probed, pruned, skipped
 
     def _update_delays(
         self,
         delays: Dict[Edge, int],
-        probe_info: Dict[Edge, Tuple[float, int]],
+        cycle_info: Dict[Edge, Tuple[float, int]],
         best_edge: Edge,
         best_flow: float,
+        probed: int,
     ) -> None:
-        """Apply the delayed-sampling rule ``d = floor(log_c(cost / potential))``."""
-        for edge, (flow, cost) in probe_info.items():
+        """Apply the delayed-sampling rule ``d = floor(log_c(cost / potential))``.
+
+        Only cycle candidates can have a positive cost, so ``cycle_info``
+        holds every candidate the rule can delay; ``probed`` counts all
+        probed candidates.
+        """
+        for edge, (flow, cost) in cycle_info.items():
             if edge == best_edge or cost <= 0:
                 continue
             if best_flow <= 0:
                 continue
             potential = max(flow, 0.0) / best_flow
             if potential <= 0:
-                delay = len(probe_info)  # effectively suspend for a long time
+                delay = probed  # effectively suspend for a long time
             else:
                 delay = int(math.floor(math.log(cost / potential, self.delay_base)))
             if delay > 0:

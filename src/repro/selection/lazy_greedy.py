@@ -122,7 +122,6 @@ class LazyGreedySelector(EdgeSelector):
             heap.append((-float("inf"), -1, tie_breaker, edge))
             tie_breaker += 1
         heapq.heapify(heap)
-        in_heap = {entry[3] for entry in heap}
 
         for index in range(budget):
             if not candidates.has_candidates():
@@ -134,7 +133,6 @@ class LazyGreedySelector(EdgeSelector):
             best_flow = current_flow
             while heap:
                 negative_gain, evaluated_round, _, edge = heapq.heappop(heap)
-                in_heap.discard(edge)
                 if edge not in candidates:
                     continue
                 if evaluated_round == index and negative_gain != -float("inf"):
@@ -148,28 +146,24 @@ class LazyGreedySelector(EdgeSelector):
                 gain = flow - current_flow
                 tie_breaker += 1
                 heapq.heappush(heap, (-gain, index, tie_breaker, edge))
-                in_heap.add(edge)
                 # if this freshly evaluated candidate is still the best, take it
                 if heap and heap[0][3] == edge and heap[0][1] == index:
                     negative_gain, _, _, edge = heapq.heappop(heap)
-                    in_heap.discard(edge)
                     best_edge = edge
                     best_flow = current_flow - negative_gain
                     break
             if best_edge is None:
                 break
-            candidates_before = set(candidates.candidates())
-            newly_connected = candidates.mark_selected(best_edge)
+            candidates.mark_selected(best_edge)
             ftree.insert_edge(best_edge.u, best_edge.v)
             selected.append(best_edge)
             gain = best_flow - current_flow
             current_flow = best_flow
-            # push any brand-new frontier edges with an optimistic (infinite) key
-            for edge in candidates.candidates():
-                if edge not in candidates_before and edge not in in_heap:
-                    tie_breaker += 1
-                    heapq.heappush(heap, (-float("inf"), -1, tie_breaker, edge))
-                    in_heap.add(edge)
+            # push the brand-new frontier edges, in rank order, with an
+            # optimistic (infinite) key; none of them was ever on the frontier
+            for edge in candidates.added_edges:
+                tie_breaker += 1
+                heapq.heappush(heap, (-float("inf"), -1, tie_breaker, edge))
             iterations.append(
                 SelectionIteration(
                     index=index,
