@@ -128,20 +128,20 @@ class CandidateManager:
     def _add_rows(self, vertex: VertexId) -> None:
         """Add the edges from the newly connected ``vertex`` to unconnected
         neighbours; turn the rows of its other edges into cycle rows."""
-        ids, rank = self._index.ids, self._index.rank
-        keys = self._keys
+        ids = self._index.ids
         anchor = ids[vertex]
         added = []
         for neighbor in self.graph.neighbors(vertex):
             edge = Edge(vertex, neighbor)
-            key = rank[ids[edge.u]] * len(rank) + rank[ids[edge.v]]
-            position = bisect_left(keys, key)
             if neighbor in self._connected:
                 # an edge into ``vertex`` that now closes a cycle (or was just selected)
-                if position < len(keys) and keys[position] == key:
+                position = self._position(edge)
+                if position is not None:
                     self._new[position] = -1
                 continue
-            keys.insert(position, key)
+            key = self._key(edge)
+            position = bisect_left(self._keys, key)
+            self._keys.insert(position, key)
             self._edges.insert(position, edge)
             self._anchors.insert(position, anchor)
             self._new.insert(position, ids[neighbor])
