@@ -10,10 +10,16 @@ nothing since the previous sweep:
   and each edge carries a bitset of ``ceil(n_samples / 8)`` bytes (the
   worlds that reach the vertex, the worlds the edge survived in), and
   one sweep ORs every surviving half-edge's tail bitset into its head
-  for all worlds at once.  Propagation is *frontier-restricted*: each
-  round pulls updates only into the neighbours of vertices whose bitsets
-  changed in the previous round, so the per-round work shrinks with the
-  frontier instead of staying ``O(E)`` until the global fixpoint.
+  for all worlds at once.  The world-major flip matrix is packed by
+  :func:`_pack_rows`, which ORs eight world rows into one byte row with
+  shifts, so no pass transposes the matrix (a transposed
+  ``np.packbits`` costs more than the propagation itself).  A
+  source-only start sets the first ``n_samples`` bits of the source's
+  lane directly; an incremental baseline is packed like the flips.
+  Propagation is *frontier-restricted*: each round pulls updates only
+  into the neighbours of vertices whose bitsets changed in the previous
+  round, so the per-round work shrinks with the frontier instead of
+  staying ``O(E)`` until the global fixpoint.
   Inactive edges simply keep all-zero survival bitsets, which excludes
   them from propagation without a separate mask.
 * **numba path** — a compiled ``@njit(cache=True)`` kernel running one
@@ -109,6 +115,30 @@ def _get_numba_kernel():
     return _numba_kernel
 
 
+def _pack_rows(matrix: np.ndarray) -> np.ndarray:
+    """``np.packbits(matrix, axis=0)`` for a 2-D bool matrix, by shift-OR.
+
+    Rows are zero-padded to a multiple of 8 and viewed as uint8 planes of
+    shape ``(n_bytes, 8, n_cols)``; byte ``[b, c]`` is then the OR of
+    ``plane[k] << (7 - k)`` over the eight rows ``8b + k``, which is the
+    big-endian bit order of ``np.packbits``.  Each plane is a strided row
+    block, so no pass transposes the matrix, which is what makes
+    ``np.packbits(matrix.T, axis=1)`` slow on world-major flips.
+    """
+    n_rows, n_cols = matrix.shape
+    n_bytes = (n_rows + 7) // 8
+    rows = matrix.view(np.uint8)
+    if n_rows % 8:
+        padded = np.zeros((n_bytes * 8, n_cols), dtype=np.uint8)
+        padded[:n_rows] = rows
+        rows = padded
+    planes = rows.reshape(n_bytes, 8, n_cols)
+    packed = planes[:, 0] << 7
+    for k in range(1, 8):
+        packed |= planes[:, k] << (7 - k)
+    return packed
+
+
 class CSRSamplingBackend:
     """Frontier-sparse propagation over the shared CSR graph layout.
 
@@ -159,17 +189,17 @@ class CSRSamplingBackend:
         base_reached: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         n_samples = int(flips.shape[0])
+        edge_indices = np.asarray(edge_indices, dtype=np.int64)
+        if edge_indices.size and n_samples and not self.numba_active:
+            return self._propagate_numpy(problem, flips, edge_indices, base_reached)
         if base_reached is None:
             reached = np.zeros((n_samples, problem.n_vertices), dtype=bool)
         else:
             reached = base_reached.copy()
         reached[:, problem.source] = True
-        edge_indices = np.asarray(edge_indices, dtype=np.int64)
         if edge_indices.size == 0 or n_samples == 0:
             return reached
-        if self.numba_active:
-            return self._propagate_numba(problem, flips, edge_indices, reached)
-        return self._propagate_numpy(problem, flips, edge_indices, reached, base_reached)
+        return self._propagate_numba(problem, flips, edge_indices, reached)
 
     # ------------------------------------------------------------------
     def _propagate_numba(
@@ -193,7 +223,6 @@ class CSRSamplingBackend:
         problem: SamplingProblem,
         flips: np.ndarray,
         edge_indices: np.ndarray,
-        reached: np.ndarray,
         base_reached: Optional[np.ndarray],
     ) -> np.ndarray:
         n_samples = int(flips.shape[0])
@@ -214,23 +243,26 @@ class CSRSamplingBackend:
         if edge_indices.size == n_edges and np.array_equal(
             edge_indices, np.arange(n_edges)
         ):
-            alive8[:, :n_bytes] = np.packbits(flips.T, axis=1)
+            alive8[:, :n_bytes] = _pack_rows(flips).T
         else:
-            alive8[edge_indices, :n_bytes] = np.packbits(flips[:, edge_indices].T, axis=1)
+            alive8[edge_indices, :n_bytes] = _pack_rows(flips[:, edge_indices]).T
         # half-edge aligned survival lanes, gathered once per call
         # rather than once per sweep
         alive = alive8.view(np.uint64)[csr.edge_ids]
 
         # per-vertex bitset of the worlds that reach it, seeded from the
-        # starting closure (source-only or an incremental baseline)
+        # starting closure: the source lane alone (its first n_samples
+        # bits set), or an incremental baseline plus that lane
         bits8 = np.zeros((problem.n_vertices, padded), dtype=np.uint8)
-        bits8[:, :n_bytes] = np.packbits(reached.T, axis=1)
+        if base_reached is not None:
+            bits8[:, :n_bytes] = _pack_rows(base_reached).T
+        bits8[problem.source, :n_bytes] = np.packbits(np.ones(n_samples, dtype=bool))
         bits = bits8.view(np.uint64)
 
         if base_reached is None:
             frontier = np.array([problem.source], dtype=np.int64)
         else:
-            frontier = np.flatnonzero(reached.any(axis=0)).astype(np.int64)
+            frontier = np.flatnonzero(bits.any(axis=1)).astype(np.int64)
 
         pull_vertices, pull_offsets = csr.pull_groups()
         half_edges = len(neighbors)

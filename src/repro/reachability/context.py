@@ -48,7 +48,7 @@ from repro.exceptions import SampleSizeError, VertexNotFoundError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.parallel.executor import ExecutorLike
 from repro.reachability.backends import BackendLike
-from repro.reachability.engine import SamplingEngine, flow_weight_vector
+from repro.reachability.engine import SamplingEngine, _world_totals, flow_weight_vector
 from repro.rng import SeedLike, ensure_rng
 from repro.types import Edge, VertexId
 
@@ -202,7 +202,7 @@ class EvaluationContext:
         base_reached = self._engine.propagate(problem, flips, base_indices)
 
         weight_vector = flow_weight_vector(self.graph, problem, self.include_query)
-        base_flow_worlds = base_reached.astype(np.float64) @ weight_vector
+        base_flow_worlds = _world_totals(base_reached, weight_vector, with_counts=False)[0]
         base_flow = float(base_flow_worlds.mean())
 
         # vertices already touched by the base subgraph (plus the source):
@@ -239,7 +239,7 @@ class EvaluationContext:
                     problem, flips, active, base_reached=base_reached
                 )
                 scores[position] = float(
-                    (reached.astype(np.float64) @ weight_vector).mean()
+                    _world_totals(reached, weight_vector, with_counts=False)[0].mean()
                 )
                 delta += 1
 

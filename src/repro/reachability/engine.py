@@ -29,7 +29,7 @@ harness pins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,6 +67,16 @@ SampleSpec = Union[int, str]
 
 #: Shared in-process executor for sharded paths that were not handed one.
 _SERIAL_EXECUTOR = SerialExecutor()
+
+#: Aggregation blocks hold a multiple of this many world rows.  64 is a
+#: multiple of every BLAS gemv row-group width, so each row of a block
+#: takes the kernel path it takes in the product over the whole matrix.
+_BLOCK_ROWS = 64
+
+#: Matrix entries per aggregation block: narrow matrices get several
+#: 64-row groups per block, so per-block overhead stays small, and the
+#: float64 copy of a block stays within a few hundred KB.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +132,7 @@ class WorldBatch:
                 continue
             positions.append(position)
         if positions:
-            counts[positions] = self.reached[:, columns].sum(axis=0)
+            counts[positions] = _world_totals(self.reached[:, columns])[1]
         return counts
 
     def hit_frequencies(self, vertices: Iterable[VertexId]) -> np.ndarray:
@@ -457,7 +467,7 @@ class SamplingEngine:
             parts = active.map_shards(tasks)
             for part in parts:
                 blocks.append(part)
-                counts += part.sum(axis=0)
+                counts += _world_totals(part)[1]
                 drawn_samples += part.shape[0]
             drawn_shards += round_shards
             if drawn_samples >= settings.min_samples:
@@ -672,12 +682,29 @@ def aggregate_expected_flow(
     the batch (e.g. pooled pair-query targets) contribute exact zeros to
     the flow dot product and are skipped by the ``count`` filter, so
     pooling requests over one batch does not perturb the numbers.
+
+    Per-world flows and hit counts come from :func:`_world_totals`,
+    which converts the bool matrix to float64 one block of world rows at
+    a time instead of materializing an ``n_samples x n_vertices``
+    float64 copy (131 MB at 8192 x 2000).  A block is a multiple of 64
+    rows because 64 is a multiple of every BLAS gemv row-group width:
+    each world's dot product then runs through the same kernel path, and
+    so the same summation order, as in the whole-matrix product, and the
+    flows are bit-identical to ``reached.astype(np.float64) @ weights``.
+    A block whose row count is not such a multiple (7 or 1023 rows, say)
+    moves rows between the grouped and the remainder kernel and changes
+    last bits.  The one exception is a whole-matrix product large
+    enough for BLAS to split its rows between threads at a row that is
+    not a multiple of 4 (two threads split at ``ceil(n_samples / 2)``,
+    so never when ``n_samples`` is a multiple of 8): that product
+    depends on the thread count, and the blocks give the one-thread
+    answer.  The mean, variance and reachability dict are computed from
+    the flows and counts as before.
     """
     problem, reached = batch.problem, batch.reached
     n_samples = batch.n_samples
     weight_vector = flow_weight_vector(graph, problem, include_query)
-    flow_samples = reached.astype(np.float64) @ weight_vector
-    hit_counts = reached.sum(axis=0)
+    flow_samples, hit_counts = _world_totals(reached, weight_vector)
     reachability = {
         vertex: int(count) / n_samples
         for index, (vertex, count) in enumerate(zip(problem.vertex_ids, hit_counts))
@@ -691,6 +718,45 @@ def aggregate_expected_flow(
         variance=variance,
         include_query=include_query,
     )
+
+
+def _world_totals(
+    reached: np.ndarray,
+    weight_vector: Optional[np.ndarray] = None,
+    with_counts: bool = True,
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Per-world flows and per-vertex hit counts of a bool world matrix.
+
+    Returns ``(flows, counts)``: ``flows`` equals
+    ``reached.astype(np.float64) @ weight_vector`` bit for bit (``None``
+    without a weight vector) and ``counts`` equals ``reached.sum(axis=0)``
+    as ``int64`` (``None`` when ``with_counts`` is False).
+
+    The matrix is walked in blocks of a multiple of :data:`_BLOCK_ROWS`
+    rows (see :func:`aggregate_expected_flow` for why that keeps the
+    flows bit-identical).  A last block of fewer than 4 rows joins the
+    block before it: numpy sends a 1-row product to BLAS ``dot``, and
+    OpenBLAS sums a column-major (Fortran-order) matrix of 2 or 3 rows
+    on a path of its own, both in another order than the whole-matrix
+    ``gemv``.  Counts add each block's uint8 view in ``uint16``, which
+    cannot overflow at :data:`_BLOCK_ELEMENTS` rows or fewer.
+    """
+    n_samples, n_vertices = reached.shape
+    rows = _BLOCK_ROWS * max(1, _BLOCK_ELEMENTS // (_BLOCK_ROWS * max(1, n_vertices)))
+    stops = list(range(rows, n_samples, rows))
+    if stops and n_samples - stops[-1] < 4:
+        stops.pop()
+    flows = None if weight_vector is None else np.empty(n_samples, dtype=np.float64)
+    counts = np.zeros(n_vertices, dtype=np.int64) if with_counts else None
+    start = 0
+    for stop in stops + [n_samples]:
+        block = reached[start:stop]
+        if flows is not None:
+            flows[start:stop] = block.astype(np.float64) @ weight_vector
+        if counts is not None:
+            counts += block.view(np.uint8).sum(axis=0, dtype=np.uint16)
+        start = stop
+    return flows, counts
 
 
 def aggregate_pair_reachability(batch: WorldBatch, target: VertexId) -> ReachabilityEstimate:
