@@ -25,8 +25,8 @@ legs::
 
 The same diff covers ``BENCH_selection.json`` (bare ``speedup`` per
 ``algorithm`` row), ``BENCH_queries.json`` (``cold_speedup`` /
-``warm_speedup``), ``BENCH_parallel.json`` (``workers*_speedup`` under
-``sharded_rows``) and ``BENCH_distributed.json`` (``remote*_speedup``).
+``warm_speedup``) and ``BENCH_parallel.json`` (``workers*_speedup``
+under ``sharded_rows``).
 
 Exit codes separate the two failure families: **1** means a genuine
 ratio regression; **2** means the comparison itself could not run — a

@@ -8,7 +8,7 @@ the diff with exit code 2), rerun this script and commit the refreshed
 JSON alongside the code change::
 
     python benchmarks/refresh_baselines.py            # all baselines
-    python benchmarks/refresh_baselines.py --only distributed server
+    python benchmarks/refresh_baselines.py --only parallel server
 
 Baselines are recorded with ``--quick`` so a refresh stays cheap and the
 rows match what CI measures.  Only the dimensionless ratio fields are
@@ -34,7 +34,6 @@ BASELINES = {
     "queries": "bench_queries.py",
     "parallel": "bench_parallel.py",
     "server": "bench_server.py",
-    "distributed": "bench_distributed.py",
 }
 
 

@@ -148,32 +148,6 @@ def main() -> None:
     print(f"collapsed stacks for a flamegraph ({len(folded)} lines), e.g.:")
     print(f"  {folded[0]}")
 
-    # 7. distributed execution: the same sharded sampling fanned out over
-    #    a fleet of out-of-process workers speaking the JSONL wire
-    #    protocol.  local_fleet() spawns them as local subprocesses over
-    #    loopback; on real deployments each machine runs
-    #    `repro-flow worker --connect HOST:PORT` and the session passes
-    #    workers="remote:HOST:PORT" instead.  The determinism contract
-    #    crosses the network untouched: for the same
-    #    (seed, n_samples, shard_size) the fleet reproduces the
-    #    single-process estimate bit-for-bit.
-    from repro.distributed import local_fleet
-
-    with repro.session(workers=1, shard_size=64, n_samples=800, seed=7) as s:
-        local_estimate = s.expected_flow(graph, query)
-    with local_fleet(2) as fleet:
-        with repro.session(
-            workers=fleet.executor, shard_size=64, n_samples=800, seed=7
-        ) as s:
-            fleet_estimate = s.expected_flow(graph, query)
-        dispatched = fleet.executor.tasks_dispatched
-    assert fleet_estimate.expected_flow == local_estimate.expected_flow
-    print(
-        f"\nDistributed: 2 loopback workers answered {dispatched} shard tasks "
-        f"and reproduced the local estimate bit-for-bit "
-        f"({fleet_estimate.expected_flow:.3f})."
-    )
-
 
 if __name__ == "__main__":
     main()

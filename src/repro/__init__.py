@@ -85,7 +85,6 @@ from repro.service import (
     WorldCache,
 )
 from repro.server import ReproServer, ServerClient, ServerConfig
-from repro.distributed import RemoteExecutor
 from repro.ftree import FTree, ComponentSampler, MemoCache, build_ftree
 from repro.selection import (
     DijkstraSelector,
@@ -138,7 +137,6 @@ __all__ = [
     "ReproServer",
     "ServerClient",
     "ServerConfig",
-    "RemoteExecutor",
     "FTree",
     "ComponentSampler",
     "MemoCache",

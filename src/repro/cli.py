@@ -49,31 +49,19 @@ from repro.types import Edge
 
 
 _WORKERS_HELP = (
-    "worker processes for sharded possible-world sampling: a count, or "
-    "'remote:HOST:PORT' to coordinate remote worker agents (start them "
-    "with 'repro-flow worker --connect HOST:PORT'). Default: unsharded "
-    "single-process; results are identical for any worker count or "
-    "fleet at a fixed seed and shard size"
+    "worker processes for sharded possible-world sampling (a positive "
+    "count). Default: unsharded single-process; results are identical for "
+    "any worker count at a fixed seed and shard size"
 )
 _SHARD_SIZE_HELP = "possible worlds per shard when --workers is set"
 
 
-def _parse_workers_flag(value: str):
-    """``--workers`` accepts a count or a ``remote:HOST:PORT`` spec."""
-    from repro.parallel.executor import REMOTE_SPEC_PREFIX, parse_remote_spec
-
-    if value.startswith(REMOTE_SPEC_PREFIX):
-        try:
-            parse_remote_spec(value)
-        except ValueError as error:
-            raise argparse.ArgumentTypeError(str(error)) from None
-        return value
+def _parse_workers_flag(value: str) -> int:
+    """``--workers`` accepts a positive worker count."""
     try:
         count = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a worker count or 'remote:HOST:PORT', got {value!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"expected a worker count, got {value!r}") from None
     if count <= 0:
         raise argparse.ArgumentTypeError(f"--workers must be positive, got {count}")
     return count
@@ -237,11 +225,6 @@ def runtime_config_from_args(
     Validation errors surface as a clean ``SystemExit`` message instead
     of a deep-stack traceback.
     """
-    # RuntimeConfig accepts workers=0 as "pin unsharded sampling", but on
-    # the CLI unsharded is already the default — keep rejecting the
-    # historically invalid flag value loudly
-    if isinstance(args.workers, int) and args.workers <= 0:
-        raise SystemExit(f"--workers must be positive, got {args.workers}")
     telemetry, memory = _build_trace_telemetry(args)
     args.trace_state = (telemetry, memory)
     try:
@@ -357,21 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered sampling backends with availability "
              "(and why an optional backend is unavailable)",
     )
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="run a distributed sampling worker agent: register with a "
-             "coordinator (--workers remote:HOST:PORT on another command, "
-             "or a repro.RemoteExecutor) and evaluate shard tasks",
-    )
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator endpoint to register with")
-    worker.add_argument("--name", default=None,
-                        help="worker name reported to the coordinator "
-                             "(default: hostname:pid)")
-    worker.add_argument("--connect-timeout", type=float, default=10.0,
-                        metavar="SECONDS",
-                        help="TCP connect + registration deadline (default: 10)")
 
     telemetry_cmd = subparsers.add_parser(
         "telemetry",
@@ -648,16 +616,6 @@ async def _serve_until_signalled(graph, server_config) -> int:
     return 0
 
 
-def _command_worker(args: argparse.Namespace) -> int:
-    """Delegate to the worker agent's own entry point (shared argv shape)."""
-    from repro.distributed.worker import main as worker_main
-
-    argv = ["--connect", args.connect, "--connect-timeout", str(args.connect_timeout)]
-    if args.name is not None:
-        argv += ["--name", args.name]
-    return worker_main(argv)
-
-
 def _figure_rows(result) -> List[dict]:
     if isinstance(result, FigureResult):
         return result.rows
@@ -850,7 +808,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "batch": _command_batch,
         "serve": _command_serve,
         "backends": _command_backends,
-        "worker": _command_worker,
         "telemetry": _command_telemetry,
         "experiment": _command_experiment,
     }

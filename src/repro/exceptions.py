@@ -166,11 +166,9 @@ class WorkerCrashedError(ExecutorError, RuntimeError):
 class TransportTimeoutError(ReproError, TimeoutError):
     """A network read/connect deadline expired before the peer answered.
 
-    Raised by the serving tier's :class:`~repro.server.ServerClient`
-    (read/connect timeouts) and by the distributed transport
-    (:mod:`repro.distributed.wire`) — one typed error for every
-    "the peer went quiet" failure, so callers can retry or fail over
-    without string-matching socket errors.
+    Raised by the serving tier's :class:`~repro.server.ServerClient` on
+    read/connect timeouts — one typed error for "the server went quiet",
+    so callers can retry without string-matching socket errors.
     """
 
     def __init__(self, operation: str, timeout: float) -> None:
@@ -181,58 +179,6 @@ class TransportTimeoutError(ReproError, TimeoutError):
         )
         self.operation = operation
         self.timeout = timeout
-
-
-class DistributedError(ExecutorError):
-    """Base class for multi-node execution failures (:mod:`repro.distributed`)."""
-
-
-class WireFormatError(DistributedError, ValueError):
-    """A payload cannot be expressed in (or parsed from) the wire protocol.
-
-    Raised when serializing a shard whose backend has no registry name or
-    whose vertex ids are not JSON-representable, and when decoding a
-    malformed or version-incompatible message.
-    """
-
-
-class NoWorkersError(DistributedError, RuntimeError):
-    """No registered worker was available within the wait deadline.
-
-    The coordinator holds pending shards while its fleet is empty (so a
-    worker restart mid-run is survivable), but gives up after
-    ``worker_wait_timeout`` seconds rather than hanging forever.
-    """
-
-    def __init__(self, address: str, waited: float) -> None:
-        super().__init__(
-            f"no sampling workers connected to the coordinator at {address} "
-            f"within {waited:.1f}s; start workers with "
-            f"'repro-flow worker --connect {address}' (or raise "
-            f"worker_wait_timeout)"
-        )
-        self.address = address
-        self.waited = waited
-
-
-class ShardRetryExceededError(DistributedError, RuntimeError):
-    """One shard failed on every worker it was assigned to.
-
-    Retrying a shard is bit-safe (it carries its own pre-split seed), so
-    exceeding the retry budget means a systematic failure — a poisoned
-    input, a backend missing on every worker — not scheduling bad luck.
-    """
-
-    def __init__(self, shard_index: int, attempts: int, detail: str = "") -> None:
-        hint = f": {detail}" if detail else ""
-        super().__init__(
-            f"shard {shard_index} failed {attempts} time(s) across "
-            f"reassignments and exhausted its retry budget{hint}; the "
-            f"failure is systematic (same shard, different workers) — "
-            f"check the worker logs"
-        )
-        self.shard_index = shard_index
-        self.attempts = attempts
 
 
 class DatasetError(ReproError):

@@ -38,7 +38,6 @@ all pre-existing pinned results with it.
 
 from repro.parallel.adaptive import ADAPTIVE_CI_METHODS, AUTO_SAMPLES, AdaptiveSettings
 from repro.parallel.executor import (
-    REMOTE_SPEC_PREFIX,
     ExecutorLike,
     ProcessExecutor,
     SamplingExecutor,
@@ -46,7 +45,6 @@ from repro.parallel.executor import (
     ShardTask,
     get_default_executor,
     make_executor,
-    parse_remote_spec,
     resolve_executor,
     run_shard,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "DEFAULT_SHARD_SIZE",
     "ExecutorLike",
     "ProcessExecutor",
-    "REMOTE_SPEC_PREFIX",
     "SamplingExecutor",
     "SerialExecutor",
     "ShardPlan",
@@ -72,7 +69,6 @@ __all__ = [
     "get_default_executor",
     "get_default_shard_size",
     "make_executor",
-    "parse_remote_spec",
     "plan_shards",
     "resolve_executor",
     "run_shard",

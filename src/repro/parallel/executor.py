@@ -291,42 +291,8 @@ class ProcessExecutor(SamplingExecutor):
 
 #: Accepted forms of an executor specification: ``None`` (no sharding /
 #: defer to the process-wide default), a worker count (1 -> serial,
-#: > 1 -> process pool), a ``"remote:HOST:PORT"`` coordinator spec, or
-#: an executor instance.
-ExecutorLike = Union[None, int, str, SamplingExecutor]
-
-#: String executor specs starting with this build a
-#: :class:`repro.distributed.RemoteExecutor` listening on the given
-#: ``HOST:PORT`` for worker registrations.
-REMOTE_SPEC_PREFIX = "remote:"
-
-
-def parse_remote_spec(spec: str) -> Tuple[str, int]:
-    """Validate a ``"remote:HOST:PORT"`` spec into its ``(host, port)``.
-
-    Lives here (not in :mod:`repro.distributed`) so configuration layers
-    can validate specs without importing the distributed tier.
-    """
-    if not spec.startswith(REMOTE_SPEC_PREFIX):
-        raise ValueError(
-            f"executor spec strings must look like 'remote:HOST:PORT', got {spec!r}"
-        )
-    endpoint = spec[len(REMOTE_SPEC_PREFIX) :]
-    host, sep, port_text = endpoint.rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"remote executor spec {spec!r} must name both a host and a port "
-            f"('remote:HOST:PORT'; the coordinator listens there for workers)"
-        )
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(
-            f"remote executor spec {spec!r} has a non-numeric port {port_text!r}"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise ValueError(f"remote executor spec {spec!r} port must be 0-65535")
-    return host, port
+#: > 1 -> process pool) or an executor instance.
+ExecutorLike = Union[None, int, SamplingExecutor]
 
 
 def make_executor(executor: ExecutorLike) -> Optional[SamplingExecutor]:
@@ -334,11 +300,8 @@ def make_executor(executor: ExecutorLike) -> Optional[SamplingExecutor]:
 
     Integer specs mean a worker count: ``1`` builds the serial reference
     executor (sharded seed-splitting, no processes), anything larger a
-    :class:`ProcessExecutor`.  A ``"remote:HOST:PORT"`` string builds a
-    :class:`repro.distributed.RemoteExecutor` coordinator listening on
-    that endpoint (``PORT`` 0 binds an ephemeral port).  Instances pass
-    through unchanged so one pool can be shared across engines, contexts
-    and samplers.
+    :class:`ProcessExecutor`.  Instances pass through unchanged so one
+    pool can be shared across engines, contexts and samplers.
     """
     if executor is None:
         return None
@@ -350,13 +313,6 @@ def make_executor(executor: ExecutorLike) -> Optional[SamplingExecutor]:
         if executor <= 0:
             raise ValueError(f"worker count must be positive, got {executor!r}")
         return SerialExecutor() if executor == 1 else ProcessExecutor(executor)
-    if isinstance(executor, str):
-        host, port = parse_remote_spec(executor)
-        # deferred so importing repro.parallel never drags the network
-        # tier in (and to keep the module graph acyclic)
-        from repro.distributed import RemoteExecutor
-
-        return RemoteExecutor(host, port)
     raise TypeError(f"cannot interpret {executor!r} as a sampling executor")
 
 

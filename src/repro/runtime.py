@@ -98,7 +98,6 @@ from repro.parallel.executor import (
     ExecutorLike,
     SamplingExecutor,
     make_executor,
-    parse_remote_spec,
 )
 from repro.parallel.plan import get_default_shard_size
 from repro.reachability.backends import backend_names, get_default_backend
@@ -207,12 +206,7 @@ class RuntimeConfig:
                 f"RuntimeConfig.workers must be >= 0 (0 pins unsharded sampling), "
                 f"got {self.workers!r}"
             )
-        if isinstance(self.workers, str):
-            # "remote:HOST:PORT" — validated eagerly so a typo fails at
-            # config construction, not when the session builds the
-            # coordinator; the distributed tier itself stays unimported
-            parse_remote_spec(self.workers)
-        elif self.workers is not None and not isinstance(self.workers, (int, SamplingExecutor)):
+        if self.workers is not None and not isinstance(self.workers, (int, SamplingExecutor)):
             raise TypeError(
                 f"cannot interpret {self.workers!r} as a workers/executor spec"
             )
@@ -351,11 +345,9 @@ class Session:
         # workers == 0 pins explicitly unsharded sampling (an effective
         # executor of None, overriding any enclosing session's pool)
         self._force_unsharded = base.workers == 0 and isinstance(base.workers, int)
-        # count and "remote:HOST:PORT" specs build an executor here, so
-        # the session owns (and closes) it; instances are shared
-        self._owns_executor = (
-            isinstance(base.workers, int) and base.workers > 0
-        ) or isinstance(base.workers, str)
+        # a count builds an executor here, so the session owns (and
+        # closes) it; instances are shared
+        self._owns_executor = isinstance(base.workers, int) and base.workers > 0
         self._executor: Optional[SamplingExecutor] = (
             None if self._force_unsharded else make_executor(base.workers)
         )

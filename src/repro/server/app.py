@@ -74,6 +74,16 @@ logger = logging.getLogger(__name__)
 #: Tenant key of requests that do not name one.
 DEFAULT_TENANT = ""
 
+#: Longest request line a connection reads (the ``StreamReader`` limit);
+#: a longer line is answered with ``bad_request`` and its connection
+#: closed, because the line's unread tail leaves the framing unknown.
+_MAX_LINE_BYTES = 64 * 1024
+
+#: Seconds a connection closed for an overlong line keeps discarding
+#: input: closing with unread input makes the kernel reset the
+#: connection, which can destroy the error response before it is read.
+_LINGER_S = 5.0
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -248,7 +258,10 @@ class ReproServer:
             self._dispatch_loop(), name="repro-server-dispatch"
         )
         self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
+            self._handle_connection,
+            host=self.config.host,
+            port=self.config.port,
+            limit=_MAX_LINE_BYTES,
         )
         self._started_at = time.monotonic()
         if self.config.metrics_port is not None:
@@ -451,7 +464,7 @@ class ReproServer:
         """
         try:
             payload = protocol.decode_line(raw_line)
-        except (ValueError, UnicodeDecodeError) as error:
+        except ValueError as error:
             self.metrics.observe_bad_request()
             return protocol.error_response(
                 None, protocol.ERR_BAD_REQUEST, f"malformed request line: {error}"
@@ -532,9 +545,21 @@ class ReproServer:
         self._writers.add(writer)
         write_lock = asyncio.Lock()
         connection_tasks: set = set()
+        overlong = False
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # over the line limit: answer, then hang up — where
+                    # the next request starts is unknown
+                    overlong = True
+                    self.metrics.observe_bad_request()
+                    await self._write(writer, write_lock, protocol.error_response(
+                        None, protocol.ERR_BAD_REQUEST,
+                        f"request line exceeds {_MAX_LINE_BYTES} bytes",
+                    ))
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -557,6 +582,8 @@ class ReproServer:
             # the in-flight count); only the final close is ours to do
             if connection_tasks:
                 await asyncio.gather(*list(connection_tasks), return_exceptions=True)
+            if overlong:
+                await _linger(reader, writer)
             self._writers.discard(writer)
             writer.close()
             try:
@@ -650,6 +677,24 @@ class ReproServer:
             else:
                 for pending, result in zip(members, results):
                     pending.future.set_result(("ok", result))
+
+
+async def _linger(reader, writer) -> None:
+    """Half-close, then discard input until the client closes too.
+
+    Bounded by :data:`_LINGER_S`, so a client that never stops sending
+    cannot hold the connection open.
+    """
+
+    async def discard() -> None:
+        while await reader.read(_MAX_LINE_BYTES):
+            pass
+
+    try:
+        writer.write_eof()
+        await asyncio.wait_for(discard(), _LINGER_S)
+    except (asyncio.TimeoutError, OSError):
+        pass
 
 
 async def serve(

@@ -37,8 +37,9 @@ Failure — including the explicit admission-control rejections, which are
                "message": "server is at its in-flight request bound (256); retry"}}
 
 Error types: :data:`ERR_BAD_REQUEST` (malformed JSON, unknown fields,
-unknown vertices), :data:`ERR_OVER_CAPACITY` (admission control —
-retry later), :data:`ERR_SHUTTING_DOWN` (the server is draining),
+unknown vertices, lines over the server's 64 KiB limit),
+:data:`ERR_OVER_CAPACITY` (admission control — retry later),
+:data:`ERR_SHUTTING_DOWN` (the server is draining),
 :data:`ERR_EVALUATION` (the engine rejected the admitted batch), and
 :data:`ERR_INTERNAL` (unexpected server-side failure).
 """
@@ -71,8 +72,16 @@ def encode_line(payload: Dict[str, object]) -> bytes:
 
 
 def decode_line(line: bytes) -> Dict[str, object]:
-    """Parse one wire line into a JSON object (``ValueError`` on garbage)."""
-    payload = json.loads(line.decode("utf-8"))
+    """Parse one wire line into a JSON object (``ValueError`` on garbage).
+
+    Garbage includes nesting deep enough to exhaust the parser's
+    recursion limit: a hostile line must never escape as anything but a
+    ``ValueError`` (which the server answers as ``bad_request``).
+    """
+    try:
+        payload = json.loads(line.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("protocol line is nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError(f"protocol lines must be JSON objects, got {payload!r}")
     return payload

@@ -208,7 +208,7 @@ def _resolve_vertex(token: object, graph) -> object:
         return token
     try:
         candidate = int(token)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: ±inf
         return token
     return candidate if graph.has_vertex(candidate) else token
 

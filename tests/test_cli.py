@@ -27,6 +27,14 @@ class TestParser:
         )
         assert args.dataset == "erdos"
 
+    def test_workers_accepts_only_a_positive_count(self, capsys):
+        select = ["select", "--graph", "g.json", "--budget", "2", "--workers"]
+        assert build_parser().parse_args(select + ["2"]).workers == 2
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(select + ["remote:h:1"])
+        assert excinfo.value.code == 2
+        assert "expected a worker count" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_generates_json(self, tmp_path, capsys):

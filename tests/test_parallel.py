@@ -105,10 +105,10 @@ class TestExecutors:
             make_executor(0)
         with pytest.raises(TypeError):
             make_executor(True)
-        # strings are remote specs now; anything else is a malformed value
-        with pytest.raises(ValueError):
+        # a spec is a worker count or an instance; strings are neither
+        with pytest.raises(TypeError):
             make_executor("four")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             make_executor("remote:nope")
         with pytest.raises(TypeError):
             make_executor(3.5)

@@ -34,19 +34,9 @@ def graph():
 
 @pytest.fixture(scope="module")
 def pools():
-    """One shared pool per worker count, so tests don't respawn processes.
-
-    The ``"remote:2"`` entry is a :class:`~repro.distributed.RemoteExecutor`
-    fronting two out-of-process workers over loopback — every invariance
-    test below therefore also pins the distributed tier against the
-    serial reference for free.
-    """
-    from repro.distributed import local_fleet
-
-    with ProcessExecutor(2) as pool2, ProcessExecutor(4) as pool4, local_fleet(
-        2
-    ) as fleet:
-        yield {1: SerialExecutor(), 2: pool2, 4: pool4, "remote:2": fleet.executor}
+    """One shared pool per worker count, so tests don't respawn processes."""
+    with ProcessExecutor(2) as pool2, ProcessExecutor(4) as pool4:
+        yield {1: SerialExecutor(), 2: pool2, 4: pool4}
 
 
 class TestWorkerCountInvariance:

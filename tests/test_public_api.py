@@ -46,8 +46,6 @@ EXPECTED_PUBLIC_API = sorted(
         "ReproServer",
         "ServerClient",
         "ServerConfig",
-        # distributed execution tier
-        "RemoteExecutor",
         # F-tree
         "FTree",
         "ComponentSampler",

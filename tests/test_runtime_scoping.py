@@ -263,6 +263,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RuntimeConfig(shard_size=0)
 
+    def test_rejects_string_workers_spec(self):
+        with pytest.raises(TypeError, match="workers/executor spec"):
+            RuntimeConfig(workers="remote:h:1")
+
     def test_rejects_bad_sample_specs(self):
         with pytest.raises(ValueError):
             RuntimeConfig(n_samples="sometimes")

@@ -421,6 +421,65 @@ class TestAdmissionControl:
             assert response["ok"] is False
             assert response["error"]["type"] == protocol.ERR_BAD_REQUEST
 
+    def test_deeply_nested_json_is_a_bad_request_and_the_connection_survives(
+        self, graph
+    ):
+        async def scenario():
+            server = await start_server(graph)
+            host, port = server.address
+            client = await ServerClient.connect(host, port)
+            try:
+                await client.send_raw(b"[" * 5000 + b"\n")
+                rejected = await asyncio.wait_for(client.unmatched.get(), timeout=5.0)
+                health = await asyncio.wait_for(client.health(), timeout=5.0)
+                metrics = await client.metrics()
+            finally:
+                await client.close()
+                await server.stop()
+            return rejected, health, metrics
+
+        rejected, health, metrics = run(scenario())
+        assert rejected["ok"] is False
+        assert rejected["error"]["type"] == protocol.ERR_BAD_REQUEST
+        assert "nested too deeply" in rejected["error"]["message"]
+        assert health["ok"] is True
+        assert metrics["requests"]["bad_requests"] == 1
+
+    def test_oversized_line_is_answered_then_its_connection_closed(self, graph):
+        async def scenario():
+            server = await start_server(graph)
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            other = await ServerClient.connect(host, port)
+            try:
+                # a pipelined follow-up after the overlong line is not served:
+                # the connection is closed once the error is written
+                writer.write(b"x" * 1_000_000 + b"\n")
+                writer.write(protocol.request_line({"kind": "health"}, request_id=2))
+                await writer.drain()
+                lines = []
+                while True:
+                    line = await asyncio.wait_for(reader.readline(), timeout=5.0)
+                    if not line:
+                        break
+                    lines.append(protocol.decode_line(line))
+                health = await asyncio.wait_for(other.health(), timeout=5.0)
+                metrics = await other.metrics()
+            finally:
+                writer.close()
+                await other.close()
+                await server.stop()
+            return lines, health, metrics
+
+        lines, health, metrics = run(scenario())
+        assert len(lines) == 1
+        assert lines[0]["ok"] is False
+        assert lines[0]["error"]["type"] == protocol.ERR_BAD_REQUEST
+        assert "exceeds" in lines[0]["error"]["message"]
+        # other connections are unaffected
+        assert health["ok"] is True
+        assert metrics["requests"]["bad_requests"] == 1
+
     def test_unknown_vertex_rejected_before_the_queue(self, graph):
         async def scenario():
             server = await start_server(graph)

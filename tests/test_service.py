@@ -19,6 +19,7 @@ from repro.service import (
     request_from_dict,
     request_to_dict,
     result_to_dict,
+    validate_request,
 )
 from repro.types import Edge
 
@@ -323,6 +324,13 @@ class TestWireFormat:
     def test_unknown_fields_are_rejected(self):
         with pytest.raises(ValueError):
             request_from_dict({"kind": "flow", "query": 0, "n_sample": 10})
+
+    def test_infinite_vertex_token_is_an_unknown_vertex(self, graph):
+        from repro.exceptions import VertexNotFoundError
+
+        request = request_from_dict({"kind": "flow", "query": float("inf")}, graph=graph)
+        with pytest.raises(VertexNotFoundError):
+            validate_request(graph, request)
 
     def test_defaults_apply(self):
         request = request_from_dict(
