@@ -44,10 +44,10 @@ def bench_environment(
     sharded — a 4-worker speedup measured on a 1-core container is not a
     regression, it is a different machine.  ``runtime_config`` records
     the fully resolved :class:`repro.runtime.RuntimeConfig` the numbers
-    were measured under (active session → ``runtime.defaults`` →
-    built-in defaults), with the benchmark's explicit ``workers`` /
-    ``shard_size`` arguments overlaid, since benches thread those through
-    call arguments rather than sessions.
+    were measured under (active session → built-in defaults), with the
+    benchmark's explicit ``workers`` / ``shard_size`` arguments overlaid,
+    since benches thread those through call arguments rather than
+    sessions.
     """
     runtime_config = current_config().as_dict()
     if workers is not None:

@@ -52,8 +52,8 @@ from repro.experiments.reporting import format_table
 #         selector = repro.make_selector("FT+M", n_samples=1000, seed=7)
 #         result = selector.select(graph, query, budget)   # 4-way sharded, naive backend
 #
-# For a process-wide default outside any session, assign the matching
-# field of repro.runtime.defaults (e.g. repro.runtime.defaults.backend).
+# A session is the only place these knobs are set: outside every session
+# the built-in defaults apply (csr backend, CRN scoring, unsharded).
 
 
 def main() -> None:

@@ -1,4 +1,4 @@
-"""Internal state behind :mod:`repro.runtime`: defaults store + active session.
+"""Internal state behind :mod:`repro.runtime`: the active session.
 
 This module is deliberately dependency-free (it imports nothing from the
 rest of the library) so that the low-level configuration points — the
@@ -6,115 +6,42 @@ backend registry, the shard planner, the executor factory, the selection
 registry and the world cache — can consult it without import cycles.
 User-facing API lives in :mod:`repro.runtime`; nothing here is public.
 
-Two pieces of state live here:
-
-* :data:`defaults` — the **one** process-wide fallback store.  Each field
-  is ``None`` until something assigns it, meaning "use the library's
-  built-in default".
-* the **active session** — a :class:`contextvars.ContextVar` holding the
-  innermost :class:`repro.runtime.Session` activation.  Contextvars make
-  scoping both thread-safe and ``asyncio``-safe: a session entered in one
-  thread (or task) is invisible to every other, and nested activations
-  restore the previous one exactly.
+The one piece of state is the **active session** — a
+:class:`contextvars.ContextVar` holding the innermost
+:class:`repro.runtime.Session` activation.  Contextvars make scoping both
+thread-safe and ``asyncio``-safe: a session entered in one thread (or
+task) is invisible to every other, and nested activations restore the
+previous one exactly.
 
 Resolution order for every knob is therefore: explicit call argument →
 innermost active session (already merged over its parents at activation
-time) → :data:`defaults` → built-in library default.
+time) → built-in library default.
 """
 
 from __future__ import annotations
 
-import threading
 from contextvars import ContextVar, Token
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 #: Sentinel for "this activation does not pin the knob — fall through to
-#: the process-wide defaults store".  Distinct from ``None`` because
-#: ``None`` is meaningful for some knobs (executor ``None`` = unsharded,
-#: world cache ``None`` = caching disabled).
+#: the built-in default".  Distinct from ``None`` because ``None`` is
+#: meaningful for some knobs (executor ``None`` = unsharded, world cache
+#: ``None`` = caching disabled).
 UNSET: Any = type("_Unset", (), {"__repr__": lambda self: "<UNSET>"})()
 
 
-class RuntimeDefaults:
-    """The process-wide fallback configuration store.
-
-    Every field is ``None`` until assigned; ``None`` means "defer to the
-    library's built-in default" (``csr`` backend, CRN scoring on,
-    unsharded sampling, 256-world shards, lazily created shared world
-    cache).  Assign fields directly (``repro.runtime.defaults.backend =
-    "naive"``) for a process-wide override, or use a scoped
-    :func:`repro.session` — which always wins over this store.
-
-    Values are validated where they are consumed (e.g. an unknown backend
-    name raises at the next ``make_backend`` resolution).
-    """
-
-    __slots__ = ("backend", "crn", "executor", "shard_size", "world_cache", "telemetry")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Restore the pristine state (every knob back to built-in defaults).
-
-        Does not close a previously stored executor or clear a stored
-        cache — the store never owns resources, callers do.
-        """
-        self.backend: Optional[str] = None
-        self.crn: Optional[bool] = None
-        self.executor: Optional[object] = None
-        self.shard_size: Optional[int] = None
-        self.world_cache: Optional[object] = None
-        self.telemetry: Optional[object] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"<RuntimeDefaults {fields}>"
-
-
-#: The one process-wide defaults store (see :class:`RuntimeDefaults`).
-defaults = RuntimeDefaults()
-
-_STORE_LOCK = threading.Lock()
-
-
 def resolve_field(field: str, builtin: Any) -> Any:
-    """Resolve one knob through the documented chain, in one place.
+    """Resolve one knob: innermost active session (merged view) → ``builtin``.
 
-    Innermost active session (merged view) → ``defaults.<field>`` →
-    ``builtin``.  The shared implementation guarantees every knob follows
-    the same resolution order.
+    The shared implementation guarantees every knob follows the same
+    resolution order.
     """
     effective = current_effective()
     if effective is not None:
         value = getattr(effective, field)
         if value is not UNSET:
             return value
-    stored = getattr(defaults, field)
-    return stored if stored is not None else builtin
-
-
-def normalize_store_field(
-    field: str,
-    needs_normalize: Callable[[Any], bool],
-    normalize: Callable[[Any], Any],
-) -> Any:
-    """Read ``defaults.<field>``, normalizing raw specs once under one lock.
-
-    The store accepts whatever users assign (worker counts, cache entry
-    bounds, ...); the resolution points turn such raw specs into live
-    objects exactly once and pin the result back, double-checked under a
-    shared lock so concurrent first resolutions cannot build duplicate
-    resources (e.g. two process pools from one ``defaults.executor = 4``).
-    """
-    stored = getattr(defaults, field)
-    if needs_normalize(stored):
-        with _STORE_LOCK:
-            stored = getattr(defaults, field)
-            if needs_normalize(stored):
-                stored = normalize(stored)
-                setattr(defaults, field, stored)
-    return stored
+    return builtin
 
 
 class EffectiveConfig:
@@ -123,7 +50,7 @@ class EffectiveConfig:
     Built by :meth:`repro.runtime.Session` activation from its own
     :class:`~repro.runtime.RuntimeConfig` merged over the enclosing
     activation; fields the whole session chain leaves unset stay
-    :data:`UNSET` and resolution falls through to :data:`defaults`.
+    :data:`UNSET` and resolution falls through to the built-in default.
     ``executor`` and ``world_cache`` hold *resolved* objects (or ``None``
     for "explicitly unsharded"/"caching disabled"), never raw specs, and
     ``telemetry`` holds a resolved ``repro.telemetry.Telemetry`` pipeline

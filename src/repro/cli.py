@@ -67,6 +67,17 @@ def _parse_workers_flag(value: str) -> int:
     return count
 
 
+def _parse_seed_flag(value: str) -> int:
+    """``--seed`` accepts a non-negative integer (numpy's seeding domain)."""
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer seed, got {value!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def add_runtime_flags(
     parser: argparse.ArgumentParser, cache_size_default: Optional[int] = None
 ) -> None:
@@ -258,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate = subparsers.add_parser("generate", help="generate a named dataset and save it as JSON")
     generate.add_argument("--dataset", choices=DATASET_NAMES, required=True)
     generate.add_argument("--size", type=int, default=None, help="number of vertices")
-    generate.add_argument("--seed", type=int, default=0)
+    generate.add_argument("--seed", type=_parse_seed_flag, default=0)
     generate.add_argument("--out", type=Path, required=True, help="output JSON path")
 
     select = subparsers.add_parser("select", help="run an edge-selection algorithm on a graph")
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--budget", type=int, required=True)
     select.add_argument("--algorithm", choices=ALGORITHM_NAMES, default="FT+M")
     select.add_argument("--samples", type=int, default=500)
-    select.add_argument("--seed", type=int, default=0)
+    select.add_argument("--seed", type=_parse_seed_flag, default=0)
     add_runtime_flags(select)
     select.add_argument("--out", type=Path, default=None, help="write selected edges to this file")
 
@@ -276,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--query", default=None)
     evaluate.add_argument("--edges", type=Path, required=True, help="file with one 'u v' pair per line")
     evaluate.add_argument("--samples", type=int, default=1000)
-    evaluate.add_argument("--seed", type=int, default=0)
+    evaluate.add_argument("--seed", type=_parse_seed_flag, default=0)
     add_runtime_flags(evaluate)
 
     batch = subparsers.add_parser(
@@ -294,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--samples", type=int, default=1000,
                        help="default sample count for requests that do not set one")
-    batch.add_argument("--seed", type=int, default=0,
+    batch.add_argument("--seed", type=_parse_seed_flag, default=0,
                        help="default seed for requests that do not set one")
     batch.add_argument(
         "--warm", action="store_true",
@@ -315,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "address is printed on startup)")
     serve.add_argument("--samples", type=int, default=1000,
                        help="default sample count for requests that do not set one")
-    serve.add_argument("--seed", type=int, default=0,
+    serve.add_argument("--seed", type=_parse_seed_flag, default=0,
                        help="default seed for requests that do not set one")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="most requests coalesced into one evaluation batch")
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     telemetry_cmd.add_argument("--samples", type=int, default=500,
                                help="default sample count for requests that do not set one")
-    telemetry_cmd.add_argument("--seed", type=int, default=0,
+    telemetry_cmd.add_argument("--seed", type=_parse_seed_flag, default=0,
                                help="default seed for requests that do not set one")
     telemetry_cmd.add_argument(
         "--json", action="store_true",

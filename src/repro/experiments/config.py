@@ -7,6 +7,11 @@ is scaled down (see DESIGN.md §4 and EXPERIMENTS.md); the paper-scale
 values can be requested explicitly through :meth:`ExperimentConfig.paper_scale`
 or by setting the environment variable ``REPRO_BENCH_SCALE`` (a float
 multiplier applied to graph sizes and budgets by the benchmark suite).
+
+Runtime knobs — sampling backend, CRN mode, workers, shard size, world
+cache — are not experiment settings: every figure resolves them from the
+active :func:`repro.session`, so ``with repro.session(backend="naive"):``
+reaches every selector and yardstick an experiment runs.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 from repro.exceptions import ExperimentError
-from repro.reachability.backends import backend_names
 
 #: The algorithm set of the paper's figures, in plotting order.
 DEFAULT_ALGORITHMS: Tuple[str, ...] = (
@@ -89,35 +93,6 @@ class ExperimentConfig:
         Base random seed; every algorithm/point derives its own stream.
     repetitions:
         Number of independent repetitions averaged per point.
-    backend:
-        Possible-world sampling backend used by every sampling-based
-        selector and evaluator (see
-        :data:`repro.reachability.backends.BACKEND_NAMES`); ``None``
-        defers to the library-wide default
-        (:func:`repro.reachability.backends.get_default_backend`).
-    crn:
-        Common-random-numbers candidate scoring for the sampling-based
-        selectors (one shared world batch per selection round).
-        ``None`` defers to the library-wide default
-        (:func:`repro.selection.registry.get_default_crn`, normally
-        True); ``False`` forces the per-candidate resampling reference
-        mode everywhere.
-    workers:
-        Worker processes for sharded possible-world sampling (see
-        :mod:`repro.parallel`): ``None`` keeps the historical unsharded
-        single-process sampling, ``1`` the sharded serial reference,
-        larger counts a shared process pool.  Estimates and selections
-        are bit-for-bit identical for any worker count given the same
-        ``(seed, n_samples, shard_size)``.
-    shard_size:
-        Worlds per shard when ``workers`` is set (``None`` uses
-        :data:`repro.parallel.DEFAULT_SHARD_SIZE`).
-    world_cache_size:
-        Entry bound of the shared :class:`repro.service.WorldCache` used
-        by service-backed query evaluation (``run_query_batch`` and, for
-        multi-figure runs, one cache installed for the whole run so
-        repeated figures reuse each other's sampled worlds).  ``None``
-        keeps the process-wide default cache; ``0`` disables caching.
     """
 
     n_vertices: int = 300
@@ -130,11 +105,6 @@ class ExperimentConfig:
     seed: Optional[int] = 0
     repetitions: int = 1
     include_query: bool = False
-    backend: Optional[str] = None
-    crn: Optional[bool] = None
-    workers: Optional[int] = None
-    shard_size: Optional[int] = None
-    world_cache_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n_vertices <= 0:
@@ -145,19 +115,6 @@ class ExperimentConfig:
             raise ExperimentError("sample sizes must be positive")
         if self.repetitions <= 0:
             raise ExperimentError("repetitions must be positive")
-        if self.backend is not None and self.backend not in backend_names():
-            raise ExperimentError(
-                f"unknown sampling backend {self.backend!r}; expected one of {backend_names()}"
-            )
-        if self.workers is not None and self.workers <= 0:
-            raise ExperimentError(f"workers must be positive, got {self.workers!r}")
-        if self.shard_size is not None and self.shard_size <= 0:
-            raise ExperimentError(f"shard_size must be positive, got {self.shard_size!r}")
-        if self.world_cache_size is not None and self.world_cache_size < 0:
-            raise ExperimentError(
-                f"world_cache_size must be >= 0 (0 disables caching), "
-                f"got {self.world_cache_size!r}"
-            )
 
     def scaled(self, factor: float) -> "ExperimentConfig":
         """Return a copy with graph size and budget scaled by ``factor``."""
@@ -165,29 +122,6 @@ class ExperimentConfig:
             self,
             n_vertices=max(10, int(self.n_vertices * factor)),
             budget=max(1, int(self.budget * factor)),
-        )
-
-    def to_runtime_config(self):
-        """Project the runtime knobs into a :class:`repro.runtime.RuntimeConfig`.
-
-        Maps ``backend``/``crn``/``workers``/``shard_size`` onto the
-        session fields of the same meaning (experiment-only knobs —
-        sizes, budgets, algorithm lists — stay here).  The harness
-        activates the result as a session for every run, so one pool
-        serves the whole experiment.  ``world_cache_size`` is deliberately
-        *not* projected: it configures run-*wide* cache sharing — the
-        multi-figure runner installs it as one session around the whole
-        batch, and ``run_query_batch`` passes it per evaluator — so
-        projecting it here would pin a fresh per-run cache that shadows
-        the shared one.
-        """
-        from repro.runtime import RuntimeConfig
-
-        return RuntimeConfig(
-            backend=self.backend,
-            crn=self.crn,
-            workers=self.workers,
-            shard_size=self.shard_size,
         )
 
     @classmethod

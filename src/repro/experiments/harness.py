@@ -17,14 +17,9 @@ from repro.experiments.config import ExperimentConfig
 from repro.ftree.builder import build_ftree
 from repro.ftree.sampler import ComponentSampler
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.parallel.executor import ExecutorLike
-from repro.reachability.backends import BackendLike
-from repro.runtime import Session
 from repro.rng import SeedLike, derive_seed
 from repro.selection.base import SelectionResult
 from repro.selection.registry import make_selector
-from repro.service.evaluator import BatchEvaluator
-from repro.service.requests import QueryRequest, QueryResult
 from repro.types import Edge, VertexId
 
 
@@ -62,23 +57,16 @@ def evaluate_flow(
     exact_threshold: int = 14,
     seed: SeedLike = 12345,
     include_query: bool = False,
-    backend: BackendLike = None,
-    executor: ExecutorLike = None,
-    shard_size: Optional[int] = None,
 ) -> float:
     """Independently evaluate the expected flow of a selected edge set.
 
     Builds an F-tree from scratch over ``edges`` and evaluates it with a
     generous sample budget (exact for small cyclic components), so the
-    same yardstick is applied to every algorithm's output.
+    same yardstick is applied to every algorithm's output.  Backend,
+    executor and shard size resolve from the active session.
     """
     sampler = ComponentSampler(
-        n_samples=n_samples,
-        exact_threshold=exact_threshold,
-        seed=seed,
-        backend=backend,
-        executor=executor,
-        shard_size=shard_size,
+        n_samples=n_samples, exact_threshold=exact_threshold, seed=seed
     )
     ftree = build_ftree(graph, list(edges), query, sampler=sampler)
     return ftree.expected_flow(include_query=include_query)
@@ -106,28 +94,13 @@ def run_algorithms(
     config: Optional[ExperimentConfig] = None,
     seed: SeedLike = 0,
 ) -> List[AlgorithmRun]:
-    """Run every named algorithm on ``graph`` and evaluate the results uniformly."""
+    """Run every named algorithm on ``graph`` and evaluate the results uniformly.
+
+    Every selector and the shared evaluation yardstick resolve backend,
+    CRN mode, executor and shard size from the active session, so one
+    ``with repro.session(workers=4):`` around the call shares one pool.
+    """
     config = config or ExperimentConfig()
-    # one session for the whole run: it owns the executor built from
-    # config.workers, so every selector (and the shared evaluation
-    # yardstick) reuses a single process pool, the configured knobs are
-    # also ambient for any nested default resolution, and session exit
-    # releases the pool's worker processes even when a selector raises
-    with Session(config.to_runtime_config()) as session:
-        return _run_algorithms(
-            graph, query, budget, algorithms, config, seed, session.executor
-        )
-
-
-def _run_algorithms(
-    graph: UncertainGraph,
-    query: VertexId,
-    budget: int,
-    algorithms: Sequence[str],
-    config: ExperimentConfig,
-    seed: SeedLike,
-    executor,
-) -> List[AlgorithmRun]:
     runs: List[AlgorithmRun] = []
     for index, name in enumerate(algorithms):
         algorithm_seed = derive_seed(seed, index + 1)
@@ -138,10 +111,6 @@ def _run_algorithms(
             exact_threshold=config.exact_threshold,
             seed=algorithm_seed,
             include_query=config.include_query,
-            backend=config.backend,
-            crn=config.crn,
-            executor=executor,
-            shard_size=config.shard_size,
         )
         started = time.perf_counter()
         result: SelectionResult = selector.select(graph, query, budget)
@@ -154,9 +123,6 @@ def _run_algorithms(
             exact_threshold=max(12, config.exact_threshold),
             seed=derive_seed(seed, 10_000 + index),
             include_query=config.include_query,
-            backend=config.backend,
-            executor=executor,
-            shard_size=config.shard_size,
         )
         runs.append(
             AlgorithmRun(
@@ -170,39 +136,6 @@ def _run_algorithms(
             )
         )
     return runs
-
-
-def run_query_batch(
-    graph: UncertainGraph,
-    requests: Sequence[QueryRequest],
-    config: Optional[ExperimentConfig] = None,
-    evaluator: Optional[BatchEvaluator] = None,
-) -> List[QueryResult]:
-    """Answer a batch of service queries under an experiment configuration.
-
-    The harness-side entry point of :mod:`repro.service`: builds a
-    :class:`~repro.service.evaluator.BatchEvaluator` from the
-    configuration (backend, workers, shard size, ``world_cache_size``)
-    and answers the batch through it.  With ``world_cache_size=None``
-    the evaluator shares the process-wide world cache, so repeated
-    harness calls in one run — e.g. re-evaluating the same figure
-    configuration — reuse each other's sampled worlds.
-
-    Pass an explicit ``evaluator`` to share one instance (and its
-    cache/pool) across many calls; it is then left open for its owner.
-    An evaluator built here from ``config.workers`` owns its process
-    pool, and the pool is released even when evaluation raises.
-    """
-    if evaluator is not None:
-        return evaluator.evaluate(graph, requests)
-    config = config or ExperimentConfig()
-    with BatchEvaluator(
-        backend=config.backend,
-        executor=config.workers,
-        shard_size=config.shard_size,
-        cache=config.world_cache_size,
-    ) as owned:
-        return owned.evaluate(graph, requests)
 
 
 def run_sweep(

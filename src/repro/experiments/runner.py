@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import ALL_FIGURES, FigureResult, run_figure
 from repro.experiments.reporting import compare_algorithms, format_table, rows_to_csv
-from repro.runtime import session as runtime_session
 
 PathLike = Union[str, Path]
 
@@ -56,6 +55,11 @@ def run_all_figures(
         Figure ids (keys of :data:`ALL_FIGURES`); defaults to all of them.
     config:
         Experiment configuration passed to every figure that accepts one.
+
+    Runtime knobs come from the active session: run inside
+    ``repro.session(world_cache=N)`` to give the whole multi-figure run
+    one sized world cache, so service-backed evaluations in different
+    figures reuse each other's sampled batches.
     """
     selected = list(figures) if figures is not None else sorted(ALL_FIGURES)
     unknown = [figure for figure in selected if figure not in ALL_FIGURES]
@@ -66,21 +70,6 @@ def run_all_figures(
         directory = Path(output_dir)
         directory.mkdir(parents=True, exist_ok=True)
 
-    if config is not None and config.world_cache_size:
-        # one session-scoped, explicitly sized world cache for the whole
-        # multi-figure run, so service-backed evaluations in different
-        # figures reuse each other's sampled batches; session exit restores
-        # the enclosing cache (and drops this one's entries) even on error
-        with runtime_session(world_cache=config.world_cache_size):
-            return _run_selected_figures(selected, directory, config)
-    return _run_selected_figures(selected, directory, config)
-
-
-def _run_selected_figures(
-    selected: Sequence[str],
-    directory: Optional[Path],
-    config: Optional[ExperimentConfig],
-) -> List[FigureArtifacts]:
     artifacts: List[FigureArtifacts] = []
     for figure_id in selected:
         result = run_figure(figure_id, config)

@@ -92,8 +92,8 @@ class ComponentSampler:
         Worlds per shard for the executor path.
 
     ``backend``, ``executor`` and ``shard_size`` left at ``None`` resolve
-    from the active :func:`repro.session` (falling back to
-    ``repro.runtime.defaults``).  ``crn`` stays an explicit per-sampler
+    from the active :func:`repro.session` (falling back to the built-in
+    defaults).  ``crn`` stays an explicit per-sampler
     choice — the harness's evaluation yardstick relies on the sequential
     reference stream regardless of how the enclosing session scores
     selection candidates.

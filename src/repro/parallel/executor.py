@@ -27,11 +27,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._runtime_state import (
-    UNSET,
-    current_effective,
-    normalize_store_field,
-)
+from repro._runtime_state import resolve_field
 from repro.exceptions import WorkerCrashedError
 from repro.reachability.backends.base import SamplingProblem, sample_flips
 from repro.telemetry import current_telemetry
@@ -163,7 +159,7 @@ class ProcessExecutor(SamplingExecutor):
         self.workers = resolved
         self._pool = None
         # guards pool creation/teardown: two threads sharing one executor
-        # (a shared session, runtime.defaults.executor) must never each
+        # (e.g. one session used from several request threads) must never each
         # build a ProcessPoolExecutor — the loser's worker processes would
         # leak forever and the closed flag would desync
         self._pool_lock = threading.Lock()
@@ -289,8 +285,8 @@ class ProcessExecutor(SamplingExecutor):
             pass
 
 
-#: Accepted forms of an executor specification: ``None`` (no sharding /
-#: defer to the process-wide default), a worker count (1 -> serial,
+#: Accepted forms of an executor specification: ``None`` (defer to the
+#: active session; unsharded without one), a worker count (1 -> serial,
 #: > 1 -> process pool) or an executor instance.
 ExecutorLike = Union[None, int, SamplingExecutor]
 
@@ -320,24 +316,11 @@ def get_default_executor() -> Optional[SamplingExecutor]:
     """Return the executor every unspecified ``executor=None`` resolves to.
 
     Resolution order: the innermost active :func:`repro.session` (if it
-    pins workers/executor) → ``repro.runtime.defaults.executor`` →
-    ``None``.  ``None`` — the initial state — means sampling stays
+    pins workers/executor) → ``None``.  ``None`` means sampling stays
     unsharded single-process, i.e. exactly the pre-subsystem behaviour.
-    A raw spec assigned to ``repro.runtime.defaults.executor`` (e.g. a
-    worker count) is normalized through :func:`make_executor` here and
-    pinned back, so a worker count builds one pool, not one per call.
+    Sessions hold resolved executors, never raw specs.
     """
-    effective = current_effective()
-    if effective is not None and effective.executor is not UNSET:
-        return effective.executor
-    # raw specs in the store are normalized once and pinned, so an int
-    # spec does not build a fresh pool on every resolution (or two pools
-    # under concurrent first resolutions)
-    return normalize_store_field(
-        "executor",
-        lambda value: value is not None and not isinstance(value, SamplingExecutor),
-        make_executor,
-    )
+    return resolve_field("executor", None)
 
 
 def resolve_executor(executor: ExecutorLike) -> Optional[SamplingExecutor]:

@@ -26,10 +26,22 @@ def get_default_shard_size() -> int:
     """Return the shard size every unspecified ``shard_size=None`` resolves to.
 
     Resolution order: the innermost active :func:`repro.session` (if it
-    pins a shard size) → ``repro.runtime.defaults.shard_size`` →
-    :data:`DEFAULT_SHARD_SIZE`.
+    pins a shard size) → :data:`DEFAULT_SHARD_SIZE`.
     """
     return resolve_field("shard_size", DEFAULT_SHARD_SIZE)
+
+
+def check_shard_size(shard_size: object, name: str = "shard_size") -> None:
+    """Reject anything but a positive ``int`` shard size.
+
+    A bool or a fractional size is refused rather than truncated: the
+    shard size is part of the determinism key, so ``2.9`` silently
+    running 2-world shards would misreport which stream was drawn.
+    """
+    if isinstance(shard_size, bool) or not isinstance(shard_size, int):
+        raise TypeError(f"{name} must be an int, got {shard_size!r}")
+    if shard_size <= 0:
+        raise ValueError(f"{name} must be positive, got {shard_size!r}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +63,7 @@ class ShardPlan:
     def __post_init__(self) -> None:
         if self.n_samples < 0:
             raise ValueError(f"n_samples must be non-negative, got {self.n_samples!r}")
-        if self.shard_size <= 0:
-            raise ValueError(f"shard_size must be positive, got {self.shard_size!r}")
+        check_shard_size(self.shard_size)
 
     @property
     def n_shards(self) -> int:
@@ -78,4 +89,4 @@ class ShardPlan:
 
 def plan_shards(n_samples: int, shard_size: int = DEFAULT_SHARD_SIZE) -> ShardPlan:
     """Build the shard plan for a sampling request (validates both inputs)."""
-    return ShardPlan(n_samples=int(n_samples), shard_size=int(shard_size))
+    return ShardPlan(n_samples=int(n_samples), shard_size=shard_size)

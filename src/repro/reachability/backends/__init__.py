@@ -39,8 +39,7 @@ from repro.reachability.backends.naive import NaiveSamplingBackend
 BackendLike = Union[None, str, SamplingBackend]
 
 #: Backend used when nothing else pins one — neither an explicit call
-#: argument, nor an active :func:`repro.session`, nor
-#: ``repro.runtime.defaults.backend``.
+#: argument nor an active :func:`repro.session`.
 DEFAULT_BACKEND = "csr"
 
 _FACTORIES: Dict[str, Callable[[], SamplingBackend]] = {}
@@ -56,8 +55,7 @@ def get_default_backend() -> str:
     """Return the name every ``backend=None`` call currently resolves to.
 
     Resolution order: the innermost active :func:`repro.session` (if it
-    pins a backend) → ``repro.runtime.defaults.backend`` →
-    :data:`DEFAULT_BACKEND`.
+    pins a backend) → :data:`DEFAULT_BACKEND`.
     """
     return resolve_field("backend", DEFAULT_BACKEND)
 
@@ -105,7 +103,7 @@ def make_backend(backend: BackendLike = None) -> SamplingBackend:
     """Resolve a backend name / instance / ``None`` into a backend instance.
 
     ``None`` resolves to the current default (active session →
-    ``repro.runtime.defaults`` → :data:`DEFAULT_BACKEND`); instances of
+    :data:`DEFAULT_BACKEND`); instances of
     the :class:`SamplingBackend` protocol pass through unchanged so
     callers can share a configured backend object.  Anything else —
     including an object lacking ``propagate_reachability`` — raises

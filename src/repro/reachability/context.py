@@ -133,9 +133,9 @@ class EvaluationContext:
         Worlds per shard for the executor path.
 
     ``backend``, ``executor`` and ``shard_size`` left at ``None`` resolve
-    from the active :func:`repro.session` (falling back to
-    ``repro.runtime.defaults``), so contexts built inside a session
-    inherit its configuration without extra arguments.
+    from the active :func:`repro.session` (falling back to the built-in
+    defaults), so contexts built inside a session inherit its
+    configuration without extra arguments.
     """
 
     def __init__(

@@ -185,8 +185,8 @@ class SamplingEngine:
         default (:data:`repro.reachability.backends.DEFAULT_BACKEND`).
     executor:
         Sharded-sampling executor (see :mod:`repro.parallel`): ``None``
-        defers to the process-wide default (normally unsharded
-        single-stream sampling, the historical behaviour), an integer is
+        defers to the active session (unsharded single-stream sampling,
+        the historical behaviour, without one), an integer is
         a worker count, or pass a :class:`~repro.parallel.executor.SamplingExecutor`
         instance to share one pool across engines.
     shard_size:
@@ -222,7 +222,7 @@ class SamplingEngine:
 
     def _resolve_shard_size(self, shard_size: Optional[int]) -> int:
         resolved = shard_size if shard_size is not None else self.shard_size
-        return int(resolved) if resolved is not None else get_default_shard_size()
+        return resolved if resolved is not None else get_default_shard_size()
 
     def _run_sharded(
         self,

@@ -46,8 +46,8 @@ the session, so existing code composes with sessions without signature
 changes.
 
 Resolution order for every knob: explicit call argument → innermost
-active session → :data:`repro.runtime.defaults` (the process-wide
-fallback store) → built-in library default.
+active session → built-in library default.  A session is the only place
+a knob is set; there is no process-wide store to assign.
 
 Determinism
 -----------
@@ -65,12 +65,6 @@ private cache; :meth:`Session.close` (or context-manager exit) shuts the
 pool down and drops the cache's entries.  Shared instances passed in are
 left running for their owners, mirroring
 :class:`~repro.service.BatchEvaluator`.
-
-Process-wide defaults
----------------------
-For a genuinely process-wide default, assign the matching field of
-:data:`repro.runtime.defaults` directly (no scoping); any active
-session still wins over it.
 """
 
 from __future__ import annotations
@@ -81,15 +75,15 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from repro._runtime_state import (
     UNSET,
     EffectiveConfig,
-    RuntimeDefaults,
     activate,
     current_effective,
     current_session,
     deactivate,
-    defaults,
     pop_entry,
     push_entry,
 )
@@ -99,7 +93,7 @@ from repro.parallel.executor import (
     SamplingExecutor,
     make_executor,
 )
-from repro.parallel.plan import get_default_shard_size
+from repro.parallel.plan import check_shard_size, get_default_shard_size
 from repro.reachability.backends import backend_names, get_default_backend
 from repro.reachability.engine import SamplingEngine
 from repro.reachability.estimators import FlowEstimate, ReachabilityEstimate
@@ -109,7 +103,7 @@ from repro.selection.registry import get_default_crn, make_selector
 from repro.service.cache import CacheLike, WorldCache
 from repro.service.evaluator import BatchEvaluator
 from repro.service.requests import QueryRequest, QueryResult
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry, get_default_telemetry
 from repro.types import Edge, VertexId
 
 
@@ -118,8 +112,8 @@ class RuntimeConfig:
     """Every runtime knob of the estimation stack in one frozen object.
 
     Each field defaults to ``None`` = "unset": resolution falls through
-    to the enclosing session, then :data:`repro.runtime.defaults`, then
-    the built-in library default — so a config only pins what it names.
+    to the enclosing session, then the built-in library default — so a
+    config only pins what it names.
 
     Attributes
     ----------
@@ -133,15 +127,16 @@ class RuntimeConfig:
         paper's literal per-candidate resampling reference mode.
     workers:
         Sharded-sampling spec: ``None`` leaves the knob unset (inherit
-        from the enclosing session / defaults store — normally the
-        unsharded historical stream), ``0`` pins **explicitly unsharded**
+        from the enclosing session — outside any session, the unsharded
+        historical stream), ``0`` pins **explicitly unsharded**
         sampling even inside an outer sharded session, a positive worker
         count builds an executor the session *owns* and closes (``1`` =
         sharded serial reference, more = process pool), and a
         :class:`~repro.parallel.SamplingExecutor` instance is shared.
     shard_size:
-        Worlds per shard when an executor is active.  Part of the
-        determinism key ``(seed, n_samples, shard_size)``.
+        Worlds per shard when an executor is active: a positive ``int``
+        (a bool or a fractional size is refused, not truncated).  Part of
+        the determinism key ``(seed, n_samples, shard_size)``.
     n_samples:
         Default Monte-Carlo sample budget for session methods: a
         positive integer, or ``"auto"`` for adaptive CI-driven stopping
@@ -149,7 +144,8 @@ class RuntimeConfig:
     adaptive:
         Stopping rule used when ``n_samples="auto"``.
     seed:
-        Default seed for session methods that are not handed one.
+        Default seed for session methods that are not handed one: a
+        non-negative ``int`` or a :class:`numpy.random.Generator`.
     world_cache:
         World-cache spec for service-backed evaluation: ``None`` shares
         the ambient default cache, ``0`` disables caching, a positive
@@ -210,10 +206,8 @@ class RuntimeConfig:
             raise TypeError(
                 f"cannot interpret {self.workers!r} as a workers/executor spec"
             )
-        if self.shard_size is not None and self.shard_size <= 0:
-            raise ValueError(
-                f"RuntimeConfig.shard_size must be positive, got {self.shard_size!r}"
-            )
+        if self.shard_size is not None:
+            check_shard_size(self.shard_size, "RuntimeConfig.shard_size")
         if self.n_samples is not None:
             if isinstance(self.n_samples, str):
                 if self.n_samples != AUTO_SAMPLES:
@@ -230,6 +224,14 @@ class RuntimeConfig:
                 raise ValueError(
                     f"RuntimeConfig.n_samples must be positive, got {self.n_samples!r}"
                 )
+        if self.seed is not None and not isinstance(self.seed, np.random.Generator):
+            if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+                raise TypeError(
+                    f"RuntimeConfig.seed must be None, an int or a numpy Generator, "
+                    f"got {self.seed!r}"
+                )
+            if self.seed < 0:
+                raise ValueError(f"RuntimeConfig.seed must be >= 0, got {self.seed!r}")
         if self.adaptive is not None and not isinstance(self.adaptive, AdaptiveSettings):
             raise TypeError(
                 f"RuntimeConfig.adaptive must be AdaptiveSettings or None, "
@@ -354,7 +356,7 @@ class Session:
         spec = base.world_cache
         self._owns_cache = isinstance(spec, int) and spec > 0
         if spec is None:
-            self._cache = UNSET  # defer to the enclosing session / defaults store
+            self._cache = UNSET  # defer to the enclosing session / shared default
         elif isinstance(spec, WorldCache):
             self._cache = spec
         elif spec == 0:
@@ -800,60 +802,46 @@ def session(config: Optional[RuntimeConfig] = None, **overrides) -> Session:
 def current_config() -> RuntimeConfig:
     """Snapshot the fully resolved ambient configuration.
 
-    Collapses the whole resolution chain (active session → defaults
-    store → built-in defaults) into one concrete :class:`RuntimeConfig`:
-    ``workers`` holds the resolved executor instance (or ``None`` for
-    unsharded), ``world_cache`` the resolved cache instance — ``None``
-    either when a session disabled caching or when the lazily created
-    shared default cache simply does not exist yet (snapshotting is
-    read-only: it never creates or installs state).  Used by the
-    benchmark suite to record the runtime every BENCH JSON was measured
-    under.
+    Collapses the resolution chain (active session → built-in defaults)
+    into one concrete :class:`RuntimeConfig`: ``workers`` holds the
+    resolved executor instance (``None`` for unsharded), ``telemetry``
+    the resolved pipeline and ``profile`` whether it is a profiling one.
+    ``world_cache`` is the session's cache instance, ``0`` when a session
+    disabled caching, or ``None`` for the shared default cache —
+    snapshotting is read-only and never creates that lazy default.  Used
+    by the benchmark suite to record the runtime every BENCH JSON was
+    measured under.
     """
     effective = current_effective()
 
-    def policy(field):
+    def pinned(field):
         value = getattr(effective, field) if effective is not None else UNSET
         return None if value is UNSET else value
 
-    if effective is not None and effective.world_cache is not UNSET:
-        cache = effective.world_cache
-    else:
-        cache = defaults.world_cache  # peek only; may be None until first use
-    if effective is not None and effective.executor is not UNSET:
-        executor = effective.executor
-    else:
-        # peek only: get_default_executor() would normalize a raw spec in
-        # the store into a live executor (possibly spawning a pool), and a
-        # snapshot must never create or install state
-        executor = defaults.executor
-    if effective is not None and effective.telemetry is not UNSET:
-        telemetry = effective.telemetry
-    else:
-        # peek only; a raw spec in the store (True / a path) is reported
-        # as-is when it is a bool, else left out of the snapshot
-        telemetry = defaults.telemetry
-    if not isinstance(telemetry, (Telemetry, bool, type(None))):
-        telemetry = None
+    cache = effective.world_cache if effective is not None else UNSET
+    if cache is UNSET:
+        cache = None  # the shared default cache
+    elif cache is None:
+        cache = 0  # caching disabled in this scope
+    telemetry = get_default_telemetry()
     return RuntimeConfig(
         backend=get_default_backend(),
         crn=get_default_crn(),
-        workers=executor,
+        workers=pinned("executor"),
         shard_size=get_default_shard_size(),
-        n_samples=policy("n_samples"),
-        adaptive=policy("adaptive"),
-        seed=policy("seed"),
+        n_samples=pinned("n_samples"),
+        adaptive=pinned("adaptive"),
+        seed=pinned("seed"),
         world_cache=cache,
         telemetry=telemetry,
+        profile=bool(getattr(telemetry, "profiling", False)),
     )
 
 
 __all__ = [
     "RuntimeConfig",
-    "RuntimeDefaults",
     "Session",
     "current_config",
     "current_session",
-    "defaults",
     "session",
 ]

@@ -32,8 +32,7 @@ ALGORITHM_NAMES = (
 )
 
 #: Sampling mode used when nothing else pins one — neither an explicit
-#: ``crn=`` argument, nor an active :func:`repro.session`, nor
-#: ``repro.runtime.defaults.crn``.
+#: ``crn=`` argument nor an active :func:`repro.session`.
 DEFAULT_CRN = True
 
 
@@ -41,7 +40,7 @@ def get_default_crn() -> bool:
     """Return the sampling mode every ``crn=None`` call resolves to.
 
     Resolution order: the innermost active :func:`repro.session` (if it
-    pins a mode) → ``repro.runtime.defaults.crn`` → :data:`DEFAULT_CRN`.
+    pins a mode) → :data:`DEFAULT_CRN`.
     """
     return resolve_field("crn", DEFAULT_CRN)
 

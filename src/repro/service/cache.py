@@ -33,11 +33,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Union
 
-from repro._runtime_state import (
-    UNSET,
-    current_effective,
-    normalize_store_field,
-)
+from repro._runtime_state import UNSET, current_effective
 from repro.digest import combine_digests, graph_digest
 from repro.reachability.engine import WorldBatch
 from repro.reachability.layout import invalidate_graph_layouts
@@ -257,48 +253,37 @@ class WorldCache:
             }
 
 
-#: Accepted forms of a cache specification: ``None`` (process-wide
+#: Accepted forms of a cache specification: ``None`` (the ambient
 #: default), ``0`` (caching disabled), a positive entry bound, or an
 #: instance to share across evaluators.
 CacheLike = Union[None, int, WorldCache]
+
+#: The shared process-wide cache, created on first use (see
+#: :func:`get_default_world_cache`).
+_DEFAULT_WORLD_CACHE: Optional[WorldCache] = None
+_DEFAULT_WORLD_CACHE_LOCK = threading.Lock()
+
 
 def get_default_world_cache() -> Optional[WorldCache]:
     """Return the cache every unspecified ``cache=None`` spec resolves to.
 
     Resolution order: the innermost active :func:`repro.session` (which
     may pin a private cache, a shared instance, or ``None`` = caching
-    disabled) → ``repro.runtime.defaults.world_cache``, lazily creating
-    the shared process-wide :class:`WorldCache` on first use.  Sharing
-    that default instance is what lets successive batch calls (e.g.
-    repeated figure runs in one process) reuse each other's sampled
-    worlds.  A positive integer assigned to the store directly is
-    normalized once into a sized :class:`WorldCache` (mirroring the
-    executor store); to *disable* caching use a scoped
-    ``repro.session(world_cache=0)`` — the store itself cannot express
-    "off".
+    disabled) → the shared process-wide :class:`WorldCache`, created
+    lazily on first use.  Sharing that default instance is what lets
+    successive batch calls (e.g. repeated figure runs in one process)
+    reuse each other's sampled worlds.
     """
+    global _DEFAULT_WORLD_CACHE
     effective = current_effective()
     if effective is not None and effective.world_cache is not UNSET:
         return effective.world_cache
-    # lazy creation and raw-spec normalization happen once (shared lock in
-    # _runtime_state), so concurrent first resolutions share one instance
-    return normalize_store_field(
-        "world_cache",
-        lambda value: not isinstance(value, WorldCache),
-        _normalize_stored_cache,
-    )
-
-
-def _normalize_stored_cache(stored) -> WorldCache:
-    if stored is None:
-        return WorldCache()
-    if isinstance(stored, int) and not isinstance(stored, bool) and stored > 0:
-        return WorldCache(max_entries=stored)
-    raise TypeError(
-        f"repro.runtime.defaults.world_cache must be a WorldCache, a positive "
-        f"entry bound, or None, got {stored!r}; use "
-        f"repro.session(world_cache=0) to disable caching in a scope"
-    )
+    if _DEFAULT_WORLD_CACHE is None:
+        # double-checked so concurrent first resolutions share one instance
+        with _DEFAULT_WORLD_CACHE_LOCK:
+            if _DEFAULT_WORLD_CACHE is None:
+                _DEFAULT_WORLD_CACHE = WorldCache()
+    return _DEFAULT_WORLD_CACHE
 
 
 def resolve_cache(cache: CacheLike) -> Optional[WorldCache]:

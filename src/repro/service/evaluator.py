@@ -103,15 +103,15 @@ class BatchEvaluator:
         library-wide default backend).
     executor:
         Sharded-sampling executor spec (see :mod:`repro.parallel`):
-        ``None`` defers to the active session / process-wide default, an
+        ``None`` defers to the active session (unsharded without one), an
         integer worker count builds an executor the evaluator *owns*
         (closed by :meth:`close`), an instance is shared and left open.
     shard_size:
         Worlds per shard when an executor is active; part of every
         world key (the sharded and unsharded streams differ).
     cache:
-        World-cache spec: ``None`` shares the process-wide default
-        cache, ``0`` disables caching, a positive integer builds a
+        World-cache spec: ``None`` follows the active session, else the
+        shared process-wide default cache, ``0`` disables caching, a positive integer builds a
         private cache with that entry bound, an instance is shared.
     """
 
@@ -127,9 +127,9 @@ class BatchEvaluator:
         self._executor: Optional[SamplingExecutor] = make_executor(executor)
         self.shard_size = shard_size
         # a None spec tracks the ambient default cache *lazily* (like the
-        # backend spec), so the active repro.session — and changes to
-        # runtime.defaults.world_cache — affect existing evaluators and no
-        # replaced cache is pinned alive; explicit specs are resolved once
+        # backend spec), so the active repro.session affects existing
+        # evaluators and no replaced cache is pinned alive; explicit specs
+        # are resolved once
         self._use_default_cache = cache is None
         self._cache: Optional[WorldCache] = None if cache is None else resolve_cache(cache)
         self.planner = QueryPlanner()
@@ -156,7 +156,7 @@ class BatchEvaluator:
     # ------------------------------------------------------------------
     def _backend_name(self) -> str:
         """Resolve the default backend spec to a registry name (late, so
-        process-wide default changes are honoured per call)."""
+        the session active at call time is honoured)."""
         return make_backend(self._backend_spec).name
 
     def _effective_executor(self) -> Optional[SamplingExecutor]:

@@ -3,8 +3,8 @@
 One :class:`MetricsRegistry` (thread-safe counters / gauges /
 fixed-bucket histograms) plus span-based tracing with pluggable
 exporters, resolved like every other runtime knob: explicit argument →
-active :class:`repro.runtime.Session` → ``repro.runtime.defaults`` →
-:data:`NULL_TELEMETRY` (disabled, all no-ops).  Every hot path of the
+active :class:`repro.runtime.Session` → the pipeline ``REPRO_TELEMETRY``
+installed, if any → :data:`NULL_TELEMETRY` (disabled, all no-ops).  Every hot path of the
 stack — engine sampling, the CSR backend's dense/sparse round mix, the
 process-pool executor, the world/layout caches, the batch service and
 the server — emits through the resolved pipeline, so one snapshot
@@ -20,9 +20,8 @@ Enable per scope::
         s.expected_flow(graph, query, n_samples=1000)
     print(tel.snapshot()["counters"])          # engine.*, cache.*, ...
 
-or process-wide via ``repro.runtime.defaults.telemetry = True`` (raw
-specs — ``True``, a JSONL path, ``"log"`` — are normalized lazily), or
-without touching code via the ``REPRO_TELEMETRY`` environment variable.
+or process-wide, without touching code, via the ``REPRO_TELEMETRY``
+environment variable (``1``/``true``/``on``, ``log`` or a JSONL path).
 
 On the CLI: ``--trace`` / ``--trace-out`` / ``--profile`` on the
 workload subcommands, and ``repro-flow telemetry`` runs a workload and

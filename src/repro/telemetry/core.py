@@ -3,8 +3,10 @@
 ``Telemetry`` bundles one :class:`~repro.telemetry.registry.MetricsRegistry`
 with a span pipeline and its exporters.  It resolves exactly like every
 other runtime knob — explicit argument → innermost active
-:class:`repro.runtime.Session` → :data:`repro.runtime.defaults` →
-:data:`NULL_TELEMETRY`, the disabled singleton.
+:class:`repro.runtime.Session` → built-in default.  The built-in default
+is :data:`NULL_TELEMETRY`, the disabled singleton, unless the
+``REPRO_TELEMETRY`` environment variable installed a process-wide
+pipeline at import (see :func:`install_env_telemetry`).
 
 The disabled path is a guard-and-return fast path: every instrumented
 call site does ``tel = current_telemetry()`` followed by ``if
@@ -24,7 +26,7 @@ import logging
 import os
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro._runtime_state import UNSET, current_effective, defaults, normalize_store_field
+from repro._runtime_state import resolve_field
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import (
     NULL_SPAN,
@@ -150,8 +152,9 @@ def telemetry_from_spec(spec: object) -> Telemetry:
 
     ``True`` → an enabled metrics-only pipeline; ``"log"`` → the stdlib
     logging bridge; any other string → a :class:`JSONLExporter` writing
-    to that path.  Instances pass through.  This is what the defaults
-    store and the ``REPRO_TELEMETRY`` environment hook accept.
+    to that path.  Instances pass through.  This is what the
+    ``REPRO_TELEMETRY`` environment hook and :func:`resolve_telemetry`
+    accept.
     """
     if isinstance(spec, Telemetry):
         return spec
@@ -164,24 +167,14 @@ def telemetry_from_spec(spec: object) -> Telemetry:
     raise TypeError(f"cannot interpret {spec!r} as a telemetry spec")
 
 
-def _needs_normalize(stored: object) -> bool:
-    return stored is not None and not isinstance(stored, Telemetry)
+#: The pipeline ``REPRO_TELEMETRY`` installed at import, if any.
+_ENV_TELEMETRY: Optional[Telemetry] = None
 
 
 def get_default_telemetry() -> Telemetry:
-    """Resolve the ambient pipeline: session → defaults → disabled.
-
-    Raw specs assigned to ``repro.runtime.defaults.telemetry`` (``True``,
-    a JSONL path, ``"log"``) are normalized into a live pipeline exactly
-    once, under the shared store lock.
-    """
-    effective = current_effective()
-    if effective is not None:
-        value = getattr(effective, "telemetry", UNSET)
-        if value is not UNSET:
-            return value if value is not None else NULL_TELEMETRY
-    stored = normalize_store_field("telemetry", _needs_normalize, telemetry_from_spec)
-    return stored if stored is not None else NULL_TELEMETRY
+    """Resolve the ambient pipeline: session → ``REPRO_TELEMETRY`` → disabled."""
+    telemetry = resolve_field("telemetry", _ENV_TELEMETRY)
+    return telemetry if telemetry is not None else NULL_TELEMETRY
 
 
 #: Alias used by the instrumented call sites: ``tel = current_telemetry()``.
@@ -191,7 +184,7 @@ current_telemetry = get_default_telemetry
 def resolve_telemetry(spec: object) -> Telemetry:
     """Resolve an explicit argument through the documented chain.
 
-    ``None`` → ambient (session → defaults → disabled); ``False`` →
+    ``None`` → ambient (session → ``REPRO_TELEMETRY`` → disabled); ``False`` →
     :data:`NULL_TELEMETRY` (explicitly off, even inside an enabled
     scope); ``True`` / path / instance → a live pipeline.
     """
@@ -230,23 +223,25 @@ def install_env_telemetry(environ=os.environ) -> None:
     """Install a process-wide default pipeline from ``REPRO_TELEMETRY``.
 
     Values: ``1``/``true``/``on`` → metrics-only, ``log`` → the logging
-    bridge, anything else → a JSONL trace file at that path.  A default
-    already assigned (or an unset/empty variable) wins — the hook never
-    overwrites explicit configuration.  Called once at package import so
+    bridge, anything else → a JSONL trace file at that path.  A pipeline
+    already installed (or an unset/empty variable) wins — the hook never
+    overwrites one.  Any active session still wins over the installed
+    pipeline.  Called once at package import so
     any entry point (pytest, CLI, server) can be traced without code
     changes; the CI ``telemetry-smoke`` job runs the tier-1 suite under
     ``REPRO_TELEMETRY=trace.jsonl`` to prove instrumentation never
     changes results.
     """
+    global _ENV_TELEMETRY
     raw = environ.get("REPRO_TELEMETRY", "").strip()
-    if not raw or defaults.telemetry is not None:
+    if not raw or _ENV_TELEMETRY is not None:
         return
     if raw.lower() in ("0", "false", "off"):
         return
     if raw.lower() in ("1", "true", "on"):
-        defaults.telemetry = Telemetry()
+        _ENV_TELEMETRY = Telemetry()
     else:
-        defaults.telemetry = telemetry_from_spec(raw)
+        _ENV_TELEMETRY = telemetry_from_spec(raw)
 
 
 __all__ = [

@@ -35,6 +35,26 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "expected a worker count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["generate", "--dataset", "erdos", "--out", "x.json"],
+            ["select", "--graph", "g.json", "--budget", "2"],
+            ["select", "--graph", "g.json", "--budget", "2", "--algorithm", "Naive"],
+            ["evaluate", "--graph", "g.json", "--edges", "e.txt"],
+            ["batch", "--graph", "g.json", "--requests", "r.jsonl"],
+            ["serve", "--graph", "g.json"],
+            ["telemetry", "--graph", "g.json"],
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, command, capsys):
+        assert build_parser().parse_args(command + ["--seed", "3"]).seed == 3
+        for bad in ("-1", "abc"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(command + ["--seed", bad])
+            assert excinfo.value.code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_generates_json(self, tmp_path, capsys):

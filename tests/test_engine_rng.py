@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ExperimentError, SampleSizeError, VertexNotFoundError
-from repro.experiments.config import ExperimentConfig
+from repro.exceptions import SampleSizeError, VertexNotFoundError
 from repro.ftree.sampler import ComponentSampler
 from repro.graph.generators import cycle_graph, erdos_renyi_graph
 from repro.reachability.backends import (
@@ -187,30 +186,13 @@ class TestBackendRegistry:
         finally:
             _FACTORIES.pop("test-slow-bfs", None)
 
-    def test_experiment_config_validates_backend(self):
-        assert ExperimentConfig(backend="naive").backend == "naive"
-        assert ExperimentConfig().backend is None
-        with pytest.raises(ExperimentError, match="unknown sampling backend"):
-            ExperimentConfig(backend="warp-drive")
-
-    def test_runtime_default_redirects_none(self):
-        from repro.runtime import defaults
-
-        defaults.backend = "naive"
-        try:
-            assert get_default_backend() == "naive"
-            assert make_backend(None).name == "naive"
-            assert ComponentSampler(n_samples=10)._engine.backend.name == "naive"
-        finally:
-            defaults.backend = None
-        assert get_default_backend() == DEFAULT_BACKEND
-
     def test_session_scope_redirects_none(self):
         import repro
 
         with repro.session(backend="naive"):
             assert get_default_backend() == "naive"
             assert make_backend(None).name == "naive"
+            assert ComponentSampler(n_samples=10)._engine.backend.name == "naive"
         assert get_default_backend() == DEFAULT_BACKEND
 
 

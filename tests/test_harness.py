@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.exceptions import ExperimentError
 from repro.experiments.config import DEFAULT_ALGORITHMS, ExperimentConfig, bench_scale
 from repro.experiments.harness import (
@@ -165,8 +166,8 @@ class TestExecutorLifecycle:
             self.closed = True
 
     def test_failing_selector_closes_the_shared_executor(self, monkeypatch):
-        # run_algorithms now builds its executor through the Session it
-        # opens for the run, so the leak guard lives in repro.runtime
+        # the session built around the run owns the executor, so its exit
+        # releases the pool even when a selector raises
         import repro.runtime as runtime_module
 
         created = []
@@ -179,10 +180,11 @@ class TestExecutorLifecycle:
 
         monkeypatch.setattr(runtime_module, "make_executor", recording_make_executor)
         graph = erdos_renyi_graph(20, average_degree=3, seed=0)
-        config = ExperimentConfig(workers=2, n_samples=20, naive_samples=20)
+        config = ExperimentConfig(n_samples=20, naive_samples=20)
         with pytest.raises(ValueError, match="unknown algorithm"):
-            run_algorithms(graph, 0, 2, ["NoSuchAlgorithm"], config=config)
-        assert created, "run_algorithms never built the shared executor"
+            with repro.session(workers=2):
+                run_algorithms(graph, 0, 2, ["NoSuchAlgorithm"], config=config)
+        assert created, "the session never built the shared executor"
         assert all(executor.closed for executor in created)
 
     def test_failing_selector_closes_a_real_process_pool(self):
@@ -196,11 +198,12 @@ class TestExecutorLifecycle:
             captured.append(executor)
 
         graph = erdos_renyi_graph(20, average_degree=3, seed=0)
-        config = ExperimentConfig(workers=2, n_samples=20, naive_samples=20)
+        config = ExperimentConfig(n_samples=20, naive_samples=20)
         ProcessExecutor.__init__ = capturing_init
         try:
             with pytest.raises(ValueError, match="unknown algorithm"):
-                run_algorithms(graph, 0, 2, ["NoSuchAlgorithm"], config=config)
+                with repro.session(workers=2):
+                    run_algorithms(graph, 0, 2, ["NoSuchAlgorithm"], config=config)
         finally:
             ProcessExecutor.__init__ = original_init
         assert len(captured) == 1
@@ -218,15 +221,17 @@ class TestExecutorLifecycle:
 
         monkeypatch.setattr(runtime_module, "make_executor", recording_make_executor)
         graph = erdos_renyi_graph(20, average_degree=3, seed=0)
-        config = ExperimentConfig(workers=1, n_samples=20, naive_samples=20)
-        runs = run_algorithms(graph, 0, 2, ["Dijkstra"], config=config)
+        config = ExperimentConfig(n_samples=20, naive_samples=20)
+        with repro.session(workers=1):
+            runs = run_algorithms(graph, 0, 2, ["Dijkstra"], config=config)
         assert len(runs) == 1
         assert created and all(executor.closed for executor in created)
 
 
 class TestRunQueryBatch:
+    """Service batches run through ``Session.batch`` under one session."""
+
     def test_answers_match_single_query_estimators(self):
-        from repro.experiments.harness import run_query_batch
         from repro.reachability.engine import SamplingEngine
         from repro.service import QueryRequest
 
@@ -236,20 +241,120 @@ class TestRunQueryBatch:
             QueryRequest(kind="pair_reachability", source=0, target=4,
                          n_samples=80, seed=5),
         ]
-        config = ExperimentConfig(world_cache_size=8)
-        results = run_query_batch(graph, requests, config=config)
+        with repro.session(world_cache=8) as session:
+            results = session.batch(graph, requests)
         assert results[0].flow == SamplingEngine().expected_flow(graph, 0, n_samples=80, seed=5)
         assert results[1].reachability.n_samples == 80
 
     def test_shared_evaluator_reuses_its_cache(self):
-        from repro.experiments.harness import run_query_batch
-        from repro.service import BatchEvaluator, QueryRequest, WorldCache
+        from repro.service import QueryRequest, WorldCache
 
         graph = erdos_renyi_graph(30, average_degree=3, seed=1)
         requests = [QueryRequest(kind="expected_flow", source=0, n_samples=80, seed=5)]
-        evaluator = BatchEvaluator(cache=WorldCache())
-        first = run_query_batch(graph, requests, evaluator=evaluator)
-        second = run_query_batch(graph, requests, evaluator=evaluator)
+        with repro.session(world_cache=WorldCache()) as session:
+            first = session.batch(graph, requests)
+            second = session.batch(graph, requests)
         assert not first[0].from_cache
         assert second[0].from_cache
         assert first[0].flow == second[0].flow
+
+
+def _count_backend_calls(monkeypatch):
+    """Count sampling calls per backend class (in-process shards only)."""
+    from repro.reachability.backends.csr import CSRSamplingBackend
+    from repro.reachability.backends.naive import NaiveSamplingBackend
+
+    calls = {"naive": 0, "csr": 0}
+    for name, cls in (("naive", NaiveSamplingBackend), ("csr", CSRSamplingBackend)):
+        for method in ("sample_reachability", "propagate_reachability"):
+            original = getattr(cls, method)
+
+            def counting(self, *args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counting)
+    return calls
+
+
+#: the reference runtime of the session tests below: the naive backend,
+#: per-candidate resampling and 32-world shards on the serial executor
+REFERENCE_RUNTIME = dict(backend="naive", crn=False, workers=1, shard_size=32)
+
+SESSION_CONFIG = ExperimentConfig(
+    n_vertices=40, degree=6, budget=8, n_samples=40, naive_samples=20,
+    exact_threshold=0, algorithms=("Naive", "FT+M"), seed=2,
+)
+
+
+class TestSessionReachesEveryEntryPoint:
+    """One session configures every experiment path; none falls back to csr."""
+
+    def test_run_algorithms(self, monkeypatch):
+        calls = _count_backend_calls(monkeypatch)
+        graph = erdos_renyi_graph(30, average_degree=4.0, seed=3)
+        with repro.session(**REFERENCE_RUNTIME):
+            run_algorithms(graph, pick_query_vertex(graph), 4, ["Naive", "FT+M"],
+                           config=SESSION_CONFIG)
+        assert calls["naive"] > 0
+        assert calls["csr"] == 0
+
+    def test_exact_threshold_ablation(self, monkeypatch):
+        from repro.experiments.ablations import exact_threshold_ablation
+
+        calls = _count_backend_calls(monkeypatch)
+        with repro.session(**REFERENCE_RUNTIME):
+            exact_threshold_ablation(thresholds=(0,), config=SESSION_CONFIG)
+        assert calls["naive"] > 0
+        assert calls["csr"] == 0
+
+    def test_session_run_figure(self, monkeypatch):
+        calls = _count_backend_calls(monkeypatch)
+        with repro.session(**REFERENCE_RUNTIME) as session:
+            session.run_figure("7a", SESSION_CONFIG)
+        assert calls["naive"] > 0
+        assert calls["csr"] == 0
+
+
+#: ``run_algorithms`` rows (without ``elapsed_seconds``) and extras, recorded
+#: while the experiment config itself still carried :data:`REFERENCE_RUNTIME`;
+#: the session path must reproduce them bit for bit
+GOLDEN_ROWS = [
+    (
+        {"algorithm": "Dijkstra", "budget": 10, "n_selected": 10,
+         "expected_flow": 30.8654786679824, "evaluated_flow": 30.8654786679824},
+        {"tree_depth": 2.0},
+    ),
+    (
+        {"algorithm": "Naive", "budget": 10, "n_selected": 10,
+         "expected_flow": 52.5, "evaluated_flow": 44.63694556699787},
+        {"n_samples": 20.0, "crn": 0.0},
+    ),
+    (
+        {"algorithm": "FT", "budget": 10, "n_selected": 10,
+         "expected_flow": 59.175236531761826, "evaluated_flow": 55.097131055784494},
+        {"sampled_components": 5.0, "exact_components": 0.0, "sampled_edges": 23.0,
+         "pruned_candidates": 0.0, "delayed_candidates": 0.0},
+    ),
+    (
+        {"algorithm": "FT+M", "budget": 10, "n_selected": 10,
+         "expected_flow": 53.9373431652151, "evaluated_flow": 55.097131055784494},
+        {"sampled_components": 3.0, "exact_components": 0.0, "sampled_edges": 15.0,
+         "pruned_candidates": 0.0, "delayed_candidates": 0.0, "memo_hits": 2.0,
+         "memo_hit_rate": 0.4},
+    ),
+]
+
+
+def test_run_algorithms_under_a_session_matches_the_recorded_rows():
+    graph = erdos_renyi_graph(40, average_degree=6.0, seed=11)
+    config = ExperimentConfig(n_samples=40, naive_samples=20, exact_threshold=2)
+    with repro.session(**REFERENCE_RUNTIME):
+        runs = run_algorithms(graph, pick_query_vertex(graph), 10,
+                              ("Dijkstra", "Naive", "FT", "FT+M"), config=config, seed=7)
+    observed = []
+    for run in runs:
+        row = run.as_row()
+        del row["elapsed_seconds"]
+        observed.append((row, run.extras))
+    assert observed == GOLDEN_ROWS

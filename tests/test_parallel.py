@@ -8,6 +8,7 @@ from repro.parallel import (
     DEFAULT_SHARD_SIZE,
     ProcessExecutor,
     SerialExecutor,
+    ShardPlan,
     ShardTask,
     get_default_executor,
     get_default_shard_size,
@@ -15,7 +16,9 @@ from repro.parallel import (
     plan_shards,
 )
 from repro.parallel.adaptive import shard_rounds
+from repro.graph.generators import path_graph
 from repro.reachability.backends import make_backend
+from repro.reachability.engine import SamplingEngine
 from repro.reachability.backends.base import SamplingProblem
 from repro.rng import split_seed_sequences
 from repro.types import Edge
@@ -58,6 +61,17 @@ class TestShardPlan:
             plan_shards(10, 0)
         with pytest.raises(ValueError):
             plan_shards(-1, 4)
+
+    def test_non_integral_shard_sizes_are_refused_not_truncated(self):
+        # truncating 2.9 to 2 would misreport the (seed, n_samples, shard_size) key
+        for bad in (2.9, 2.0, True, "4"):
+            with pytest.raises(TypeError, match="shard_size"):
+                plan_shards(10, bad)
+            with pytest.raises(TypeError, match="shard_size"):
+                ShardPlan(n_samples=10, shard_size=bad)
+        engine = SamplingEngine(executor=SerialExecutor(), shard_size=2.9)
+        with pytest.raises(TypeError, match="shard_size"):
+            engine.expected_flow(path_graph(4), 0, n_samples=10, seed=1)
 
 
 class TestExecutors:
@@ -119,28 +133,6 @@ class TestExecutors:
 
 
 class TestDefaults:
-    def test_default_executor_round_trip(self):
-        from repro.runtime import defaults
-
-        assert get_default_executor() is None
-        defaults.executor = SerialExecutor()
-        try:
-            assert isinstance(get_default_executor(), SerialExecutor)
-        finally:
-            defaults.executor = None
-        assert get_default_executor() is None
-
-    def test_default_shard_size_round_trip(self):
-        from repro.runtime import defaults
-
-        baseline = get_default_shard_size()
-        defaults.shard_size = 64
-        try:
-            assert get_default_shard_size() == 64
-        finally:
-            defaults.shard_size = None
-        assert get_default_shard_size() == baseline
-
     def test_session_scope_pins_executor_and_shard_size(self):
         import repro
 

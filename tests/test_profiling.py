@@ -28,7 +28,7 @@ import pytest
 
 from repro.exceptions import ReproError
 from repro.graph.generators import erdos_renyi_graph
-from repro.runtime import RuntimeConfig, Session, defaults
+from repro.runtime import RuntimeConfig, Session
 from repro.service import QueryRequest, request_to_dict
 from repro.telemetry import InMemoryExporter, Telemetry
 from repro.telemetry.expo import (
@@ -56,12 +56,11 @@ N_THREADS = 8
 
 
 @pytest.fixture(autouse=True)
-def _no_ambient_telemetry():
+def _no_ambient_telemetry(monkeypatch):
     """Pin the ambient default off so tests see only their own pipelines."""
-    before = defaults.telemetry
-    defaults.telemetry = None
-    yield
-    defaults.telemetry = before
+    import repro.telemetry.core as telemetry_core
+
+    monkeypatch.setattr(telemetry_core, "_ENV_TELEMETRY", None)
 
 
 @pytest.fixture(scope="module")

@@ -78,11 +78,9 @@ EXPECTED_PUBLIC_API = sorted(
 EXPECTED_RUNTIME_API = sorted(
     [
         "RuntimeConfig",
-        "RuntimeDefaults",
         "Session",
         "current_config",
         "current_session",
-        "defaults",
         "session",
     ]
 )

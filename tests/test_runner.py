@@ -63,29 +63,27 @@ class TestSummaryTable:
 
 class TestSharedWorldCache:
     def test_run_all_figures_installs_and_restores_the_cache(self, monkeypatch):
+        import repro
         import repro.experiments.runner as runner_module
-        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.figures import FigureResult
         from repro.runtime import current_session
         from repro.service.cache import get_default_world_cache
 
         sentinel = get_default_world_cache()
-        seen = {}
+        seen = []
 
-        def fake_run(selected, directory, config):
-            # the session-scoped, explicitly sized cache is active during
-            # the run and resolves ahead of the process default
-            seen["cache"] = get_default_world_cache()
-            seen["session"] = current_session()
-            return []
+        def fake_run_figure(figure_id, config):
+            # every figure of the run resolves the session's sized cache
+            # ahead of the process default
+            seen.append((get_default_world_cache(), current_session()))
+            return FigureResult(figure=figure_id, description="", x_name="x")
 
-        monkeypatch.setattr(runner_module, "_run_selected_figures", fake_run)
-        from dataclasses import replace
-
-        config = replace(ExperimentConfig.quick(), world_cache_size=16)
-        runner_module.run_all_figures(figures=["variance"], config=config)
-        assert seen["cache"] is not sentinel
-        assert seen["cache"].max_entries == 16
-        assert seen["session"] is not None
+        monkeypatch.setattr(runner_module, "run_figure", fake_run_figure)
+        with repro.session(world_cache=16) as session:
+            runner_module.run_all_figures(figures=["variance", "7a"], config=TINY)
+        assert [cache for cache, _ in seen] == [session.world_cache] * 2
+        assert seen[0][0].max_entries == 16
+        assert all(active is session for _, active in seen)
         # scope exited afterwards: the process default is back
         assert get_default_world_cache() is sentinel
         assert current_session() is None

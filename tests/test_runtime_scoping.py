@@ -4,7 +4,7 @@ Three contracts are pinned here:
 
 1. **Scoping** — ``with repro.session(...)`` nests field-by-field and
    restores the enclosing configuration exactly; sessions are invisible
-   to other threads; the defaults store is only a fallback.
+   to other threads; outside every session the built-in defaults apply.
 2. **Lifecycle** — a session owns the executor/cache it builds from
    integer specs and releases them at close/context-exit (extending the
    PR-4 leak regression tests); shared instances are left alone; a
@@ -26,18 +26,10 @@ from repro.parallel.executor import ProcessExecutor, SerialExecutor, get_default
 from repro.parallel.plan import DEFAULT_SHARD_SIZE, get_default_shard_size
 from repro.reachability.backends import BACKEND_NAMES, DEFAULT_BACKEND, get_default_backend
 from repro.reachability.engine import SamplingEngine
-from repro.runtime import RuntimeConfig, Session, current_config, current_session, defaults
+from repro.runtime import RuntimeConfig, Session, current_config, current_session
 from repro.selection.registry import get_default_crn, make_selector
 from repro.service import BatchEvaluator, QueryRequest, WorldCache
 from repro.service.cache import get_default_world_cache
-
-
-@pytest.fixture(autouse=True)
-def restore_defaults():
-    saved = {name: getattr(defaults, name) for name in defaults.__slots__}
-    yield
-    for name, value in saved.items():
-        setattr(defaults, name, value)
 
 
 @pytest.fixture
@@ -68,35 +60,6 @@ class TestScoping:
                 assert get_default_backend() == "csr"
                 assert get_default_shard_size() == 64
             assert get_default_backend() == "naive"
-
-    def test_session_wins_over_defaults_store(self):
-        defaults.backend = "naive"
-        assert get_default_backend() == "naive"
-        with repro.session(backend="csr"):
-            assert get_default_backend() == "csr"
-        assert get_default_backend() == "naive"
-
-    def test_store_assignment_does_not_warn(self, recwarn):
-        defaults.backend = "naive"
-        defaults.crn = False
-        defaults.shard_size = 32
-        assert get_default_backend() == "naive"
-        assert get_default_crn() is False
-        assert get_default_shard_size() == 32
-        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
-
-    def test_store_write_inside_session_surfaces_after_exit(self):
-        # the store is process-wide: a write inside a session does not
-        # affect the session's pinned knob, but persists past it
-        with repro.session(shard_size=32):
-            defaults.shard_size = 48
-            assert get_default_shard_size() == 32
-        assert get_default_shard_size() == 48
-
-    def test_unset_fields_fall_through_to_defaults_store(self):
-        defaults.shard_size = 48
-        with repro.session(backend="naive"):
-            assert get_default_shard_size() == 48
 
     def test_current_session_tracks_the_innermost_activation(self):
         assert current_session() is None
@@ -133,20 +96,39 @@ class TestScoping:
             session.close()
 
     def test_current_config_resolves_the_whole_chain(self):
-        defaults.shard_size = 96
-        with repro.session(backend="naive", crn=False, seed=5):
-            resolved = current_config()
+        with repro.session(shard_size=96):
+            with repro.session(backend="naive", crn=False, seed=5):
+                resolved = current_config()
         assert resolved.backend == "naive"
         assert resolved.crn is False
-        assert resolved.shard_size == 96
+        assert resolved.shard_size == 96  # inherited from the outer session
         assert resolved.seed == 5
         assert resolved.as_dict()["backend"] == "naive"
+        outside = current_config()
+        assert outside.backend == DEFAULT_BACKEND
+        assert outside.shard_size == DEFAULT_SHARD_SIZE
+        assert outside.workers is None  # unsharded without a session
 
-    def test_current_config_snapshot_has_no_side_effects(self):
-        defaults.world_cache = None
-        current_config()
+    def test_current_config_snapshot_has_no_side_effects(self, monkeypatch):
+        import repro.service.cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_DEFAULT_WORLD_CACHE", None)
+        assert current_config().world_cache is None  # the shared default
         # a read-only snapshot must not instantiate the lazy default cache
-        assert defaults.world_cache is None
+        assert cache_module._DEFAULT_WORLD_CACHE is None
+
+    def test_current_config_reports_a_disabled_cache_as_zero(self):
+        with repro.session(world_cache=0):
+            assert current_config().world_cache == 0
+
+    def test_current_config_reports_profiling(self):
+        with repro.session(profile=True):
+            resolved = current_config()
+        assert resolved.profile is True
+        assert resolved.telemetry.profiling
+        assert resolved.as_dict()["profile"] is True
+        with repro.session(telemetry=True):
+            assert current_config().profile is False
 
     def test_nested_sessions_inherit_policy_fields(self, graph):
         # n_samples / seed / adaptive merge over parents exactly like the
@@ -231,27 +213,6 @@ class TestScoping:
         session.__exit__(None, None, None)  # the owning context exits fine
         assert session.closed
 
-    def test_defaults_store_normalizes_raw_executor_specs(self):
-        # a raw worker-count spec is normalized into an executor once
-        defaults.executor = 1
-        try:
-            first = get_default_executor()
-            assert isinstance(first, SerialExecutor)
-            assert get_default_executor() is first  # normalized once, pinned
-        finally:
-            defaults.executor = None
-
-    def test_defaults_store_normalizes_raw_cache_specs(self):
-        defaults.world_cache = 8
-        first = get_default_world_cache()
-        assert isinstance(first, WorldCache)
-        assert first.max_entries == 8
-        assert get_default_world_cache() is first  # normalized once, pinned
-        defaults.world_cache = 0  # "off" is a session concept, not a store value
-        with pytest.raises(TypeError, match="world_cache=0"):
-            get_default_world_cache()
-
-
 class TestConfigValidation:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown sampling backend"):
@@ -262,6 +223,22 @@ class TestConfigValidation:
             RuntimeConfig(workers=-1)
         with pytest.raises(ValueError):
             RuntimeConfig(shard_size=0)
+        # fractional, bool and string sizes are refused, never truncated
+        for bad in (2.9, 2.0, True, "32"):
+            with pytest.raises(TypeError, match="shard_size"):
+                RuntimeConfig(shard_size=bad)
+
+    def test_rejects_bad_seeds(self):
+        import numpy as np
+
+        with pytest.raises(ValueError, match="seed"):
+            RuntimeConfig(seed=-1)
+        for bad in ("abc", True, 1.5):
+            with pytest.raises(TypeError, match="seed"):
+                RuntimeConfig(seed=bad)
+        assert RuntimeConfig(seed=0).seed == 0
+        generator = np.random.default_rng(3)
+        assert RuntimeConfig(seed=generator).seed is generator
 
     def test_rejects_string_workers_spec(self):
         with pytest.raises(TypeError, match="workers/executor spec"):
@@ -484,23 +461,6 @@ class TestLegacyEquivalence:
         with repro.session(seed=21) as session:
             scoped = session.evaluate_flow(graph, edges, 0, n_samples=200)
         assert scoped == legacy
-
-    def test_experiment_config_projection(self):
-        from repro.experiments.config import ExperimentConfig
-
-        config = ExperimentConfig(
-            backend="naive", crn=False, workers=1, shard_size=32, world_cache_size=8
-        )
-        runtime_config = config.to_runtime_config()
-        assert runtime_config.backend == "naive"
-        assert runtime_config.crn is False
-        assert runtime_config.workers == 1
-        assert runtime_config.shard_size == 32
-        # experiment-only knobs never leak into the runtime config, and
-        # world_cache_size is run-wide (installed by the multi-figure
-        # runner), not per-run — projecting it would shadow the shared cache
-        assert runtime_config.world_cache is None
-        assert runtime_config.n_samples is None
 
     def test_close_defers_release_while_a_call_is_in_flight(self, graph):
         # the shared-session service pattern: the owner closing must not

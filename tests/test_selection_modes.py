@@ -113,22 +113,12 @@ class TestDefaultCrnToggle:
         assert get_default_crn() is True
         assert make_selector("Naive", n_samples=10).crn is True
 
-    def test_runtime_default_redirects_none(self):
-        from repro.runtime import defaults
-
-        defaults.crn = False
-        try:
-            assert make_selector("Naive", n_samples=10).crn is False
-            assert make_selector("FT+M", n_samples=10).crn is False
-            # an explicit argument still wins over the default
-            assert make_selector("Naive", n_samples=10, crn=True).crn is True
-        finally:
-            defaults.crn = None
-        assert get_default_crn() is True
-
     def test_session_scope_redirects_none(self):
         import repro
 
         with repro.session(crn=False):
             assert make_selector("Naive", n_samples=10).crn is False
+            assert make_selector("FT+M", n_samples=10).crn is False
+            # an explicit argument still wins over the session
+            assert make_selector("Naive", n_samples=10, crn=True).crn is True
         assert get_default_crn() is True

@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro.reachability.engine import SamplingEngine
-from repro.runtime import defaults
+import repro.telemetry.core as telemetry_core
 from repro.server.metrics import ServerMetrics
 from repro.telemetry import (
     NULL_TELEMETRY,
@@ -48,17 +48,14 @@ SEED = 7
 
 
 @pytest.fixture(autouse=True)
-def _clean_ambient_telemetry():
+def _clean_ambient_telemetry(monkeypatch):
     """Pin the ambient default to 'disabled' regardless of REPRO_TELEMETRY.
 
     The CI telemetry-smoke job runs the tier-1 suites with a process-wide
     pipeline installed; this file tests the resolution chain itself, so
     it needs a known-clean starting point.
     """
-    before = defaults.telemetry
-    defaults.telemetry = None
-    yield
-    defaults.telemetry = before
+    monkeypatch.setattr(telemetry_core, "_ENV_TELEMETRY", None)
 
 
 # ----------------------------------------------------------------------
@@ -362,10 +359,10 @@ class TestResolutionChain:
                 assert current_telemetry() is tel
 
     def test_defaults_spec_normalized_once(self):
-        defaults.telemetry = True
+        install_env_telemetry({"REPRO_TELEMETRY": "true"})
         first = current_telemetry()
         assert first.enabled
-        assert current_telemetry() is first  # normalized in place, not rebuilt
+        assert current_telemetry() is first  # built once at install, not per call
 
     def test_resolve_telemetry_chain(self):
         tel = Telemetry()
@@ -391,24 +388,28 @@ class TestResolutionChain:
 
     def test_env_hook_installs_process_default(self):
         install_env_telemetry({"REPRO_TELEMETRY": "1"})
-        assert isinstance(defaults.telemetry, Telemetry)
-        assert defaults.telemetry.enabled
+        installed = current_telemetry()
+        assert isinstance(installed, Telemetry)
+        assert installed.enabled
+        # any session still wins over the installed pipeline
+        with repro.session(telemetry=False):
+            assert current_telemetry() is NULL_TELEMETRY
 
     def test_env_hook_never_overwrites(self):
-        pinned = Telemetry()
-        defaults.telemetry = pinned
         install_env_telemetry({"REPRO_TELEMETRY": "1"})
-        assert defaults.telemetry is pinned
+        pinned = current_telemetry()
+        install_env_telemetry({"REPRO_TELEMETRY": "log"})
+        assert current_telemetry() is pinned
 
     def test_env_hook_ignores_off_values(self):
         for value in ("", "0", "false", "off"):
             install_env_telemetry({"REPRO_TELEMETRY": value})
-            assert defaults.telemetry is None
+            assert current_telemetry() is NULL_TELEMETRY
 
     def test_env_hook_path_means_jsonl(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         install_env_telemetry({"REPRO_TELEMETRY": str(path)})
-        assert any(isinstance(e, JSONLExporter) for e in defaults.telemetry.exporters)
+        assert any(isinstance(e, JSONLExporter) for e in current_telemetry().exporters)
 
 
 class TestTraced:

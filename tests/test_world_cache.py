@@ -187,36 +187,30 @@ class TestCachedAnswersEqualFresh:
 
 
 class TestDefaultCache:
-    def test_default_cache_is_shared_and_restorable(self, graph):
-        from repro.runtime import defaults
+    def test_default_cache_is_shared_and_restorable(self):
+        import repro
 
-        replacement = WorldCache(max_entries=4)
-        previous = defaults.world_cache
-        defaults.world_cache = replacement
-        try:
-            assert get_default_world_cache() is replacement
-            evaluator = BatchEvaluator()  # cache=None -> ambient default
-            assert evaluator.cache is replacement
-            evaluator.evaluate_one(graph, flow_request())
-            assert len(replacement) == 1
-        finally:
-            defaults.world_cache = previous
+        shared = get_default_world_cache()
+        assert isinstance(shared, WorldCache)
+        assert get_default_world_cache() is shared  # one instance per process
+        assert BatchEvaluator().cache is shared  # cache=None -> ambient default
+        with repro.session(world_cache=4) as session:
+            assert get_default_world_cache() is session.world_cache
+        assert get_default_world_cache() is shared  # restored on exit
 
-    def test_default_cache_is_tracked_lazily(self, graph):
-        from repro.runtime import defaults
+    def test_default_cache_is_tracked_lazily(self, graph, monkeypatch):
+        import repro.service.cache as cache_module
 
-        # an evaluator built BEFORE the default cache is swapped must
-        # follow the swap (and must not pin the old cache alive)
+        # the shared default is created on first resolution, not at import,
+        # and an evaluator built before that follows it at call time
+        monkeypatch.setattr(cache_module, "_DEFAULT_WORLD_CACHE", None)
         evaluator = BatchEvaluator()
-        replacement = WorldCache(max_entries=4)
-        previous = defaults.world_cache
-        defaults.world_cache = replacement
-        try:
-            evaluator.evaluate_one(graph, flow_request())
-            assert len(replacement) == 1
-        finally:
-            defaults.world_cache = previous
-        assert evaluator.cache is not replacement
+        assert cache_module._DEFAULT_WORLD_CACHE is None
+        evaluator.evaluate_one(graph, flow_request())
+        created = cache_module._DEFAULT_WORLD_CACHE
+        assert isinstance(created, WorldCache)
+        assert len(created) == 1
+        assert evaluator.cache is created
 
     def test_session_cache_wins_over_the_default(self, graph):
         import repro
