@@ -36,10 +36,10 @@ from typing import Dict, Iterable, Optional, Set
 
 import numpy as np
 
-from repro.exceptions import SampleSizeError
 from repro.ftree.memo import MemoCache, MemoEntry, content_digest
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.parallel.executor import ExecutorLike
+from repro.parallel.plan import check_sample_count
 from repro.reachability.backends import BackendLike
 from repro.reachability.engine import SamplingEngine
 from repro.reachability.exact import exact_closure
@@ -110,8 +110,7 @@ class ComponentSampler:
         executor: ExecutorLike = None,
         shard_size: Optional[int] = None,
     ) -> None:
-        if n_samples <= 0:
-            raise SampleSizeError(n_samples)
+        check_sample_count(n_samples)
         if exact_threshold < 0:
             raise ValueError(f"exact_threshold must be >= 0, got {exact_threshold!r}")
         self.n_samples = int(n_samples)

@@ -24,15 +24,12 @@ import logging
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.parallel.plan import plan_shards
+from repro.parallel.plan import AUTO_SAMPLES, plan_shards
 
 logger = logging.getLogger(__name__)
 
 #: Interval methods accepted by :class:`AdaptiveSettings`.
 ADAPTIVE_CI_METHODS = ("wilson", "normal")
-
-#: Sentinel accepted by the estimators' ``n_samples`` argument.
-AUTO_SAMPLES = "auto"
 
 
 @dataclass(frozen=True)

@@ -153,10 +153,13 @@ class ProcessExecutor(SamplingExecutor):
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        resolved = int(workers) if workers is not None else (os.cpu_count() or 1)
-        if resolved <= 0:
+        if workers is None:
+            workers = os.cpu_count() or 1
+        elif isinstance(workers, bool) or not isinstance(workers, int):
+            raise TypeError(f"workers must be a positive int, got {workers!r}")
+        if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers!r}")
-        self.workers = resolved
+        self.workers = workers
         self._pool = None
         # guards pool creation/teardown: two threads sharing one executor
         # (e.g. one session used from several request threads) must never each

@@ -21,9 +21,10 @@ two primitives rather than one monolithic call:
 
 * :func:`sample_flips` — the *one* implementation of the stream
   contract.  It draws the ``(n_samples, n_edges)`` boolean edge-survival
-  matrix in world-major chunks, so every backend (and the evaluation
-  context, which shares one flip matrix across a whole round of
-  candidates) sees identical worlds for the same seed by construction.
+  matrix in world-major blocks through one reused draw buffer, so every
+  backend (and the evaluation context, which shares one flip matrix
+  across a whole round of candidates) sees identical worlds for the
+  same seed by construction.
 * :meth:`SamplingBackend.propagate_reachability` — deterministic closure
   of a flip matrix: given the survival matrix and the indices of the
   *active* edges, compute which vertices each world connects to the
@@ -57,11 +58,20 @@ from repro.types import Edge, VertexId
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (layout imports base)
     from repro.reachability.layout import GraphLayout
 
-#: Ceiling on uniform doubles drawn per block (~32 MB of float64), so a
-#: flip draw never materializes ``n_samples x n_edges`` float64 at once:
-#: worlds are drawn in world-major chunks, which consumes the identical
-#: random stream and therefore preserves the bit-for-bit seed contract.
-MAX_FLIP_BLOCK_ELEMENTS = 4_194_304
+#: Ceiling on uniform doubles drawn per block by :func:`sample_flips`:
+#: the size of its one reused float64 draw buffer (2**17 doubles, 1 MB,
+#: about an L2 cache).  Each block of whole worlds is drawn into the
+#: buffer and compared into the bool flip matrix in place, so a draw
+#: never materializes ``n_samples x n_edges`` float64.  Drawing in
+#: world-major blocks consumes the identical random stream, so the block
+#: size does not change a single bit.
+MAX_FLIP_BLOCK_ELEMENTS = 1 << 17
+
+#: Ceiling on the bool flip matrix of one propagation chunk of
+#: :func:`chunked_sample_reachability` (2**25 entries, 32 MB), so a huge
+#: sample count never holds all its flips at once.  A 1024-world shard
+#: at |E| = 6000 (6 MB of flips) is drawn and propagated in one pass.
+MAX_FLIP_CHUNK_BYTES = 1 << 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,18 +279,23 @@ def sample_flips(
     This is the single implementation of the random-stream contract:
     ``n_samples * n_edges`` uniform doubles consumed in world-major
     order, an edge surviving iff its draw is strictly below its
-    probability.  Draws happen in world-major chunks of at most
-    ``max_block_elements`` doubles; chunk boundaries do not change the
-    stream, so the matrix is identical for any chunk size.
+    probability.  Whole worlds are drawn in blocks of at most
+    ``max_block_elements`` doubles (at least one world) into one float64
+    buffer that every block reuses, and each block is compared straight
+    into its rows of the flip matrix.  Block boundaries do not change the
+    stream, so the matrix is identical for any block size.
     """
     n_edges = problem.n_edges
     flips = np.empty((n_samples, n_edges), dtype=bool)
     if n_edges == 0 or n_samples == 0:
         return flips
-    chunk = max(1, max_block_elements // n_edges)
+    chunk = min(n_samples, max(1, max_block_elements // n_edges))
+    buffer = np.empty((chunk, n_edges))
     for start in range(0, n_samples, chunk):
         stop = min(start + chunk, n_samples)
-        flips[start:stop] = rng.random((stop - start, n_edges)) < problem.probabilities
+        block = buffer[: stop - start]
+        rng.random(out=block)
+        np.less(block, problem.probabilities, out=flips[start:stop])
     return flips
 
 
@@ -289,15 +304,17 @@ def chunked_sample_reachability(
     problem: SamplingProblem,
     n_samples: int,
     rng: np.random.Generator,
-    max_block_elements: int = MAX_FLIP_BLOCK_ELEMENTS,
+    max_block_elements: int = MAX_FLIP_CHUNK_BYTES,
 ) -> np.ndarray:
     """Draw-and-propagate in bounded world-major chunks.
 
     The shared ``sample_reachability`` body of the built-in backends:
-    flip matrices are drawn (and discarded) chunk by chunk so a big
+    each chunk's bool flip matrix holds at most ``max_block_elements``
+    entries (at least one world), is drawn by :func:`sample_flips`,
+    closed by one ``propagate_reachability`` pass and discarded, so a big
     sample count never materializes the full ``n_samples x n_edges``
     matrix.  Chunk boundaries do not change the random stream, so the
-    result is identical for any block size.
+    result is identical for any chunk size.
     """
     reached = np.zeros((n_samples, problem.n_vertices), dtype=bool)
     reached[:, problem.source] = True
@@ -308,9 +325,7 @@ def chunked_sample_reachability(
     chunk = max(1, max_block_elements // n_edges)
     for start in range(0, n_samples, chunk):
         stop = min(start + chunk, n_samples)
-        flips = sample_flips(
-            problem, stop - start, rng, max_block_elements=max_block_elements
-        )
+        flips = sample_flips(problem, stop - start, rng)
         reached[start:stop] = backend.propagate_reachability(problem, flips, all_edges)
     return reached
 

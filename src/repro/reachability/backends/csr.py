@@ -44,14 +44,15 @@ from typing import Optional
 import numpy as np
 
 from repro.reachability.backends.base import (
-    MAX_FLIP_BLOCK_ELEMENTS,
+    MAX_FLIP_CHUNK_BYTES,
     SamplingProblem,
     chunked_sample_reachability,
 )
 from repro.telemetry import current_telemetry
 
-#: Per-draw block ceiling (module attribute so tests can force tiny chunks).
-_MAX_BLOCK_ELEMENTS = MAX_FLIP_BLOCK_ELEMENTS
+#: Flip-matrix entries (bool bytes) per draw-and-propagate chunk of
+#: ``sample_reachability`` (module attribute so tests can force tiny chunks).
+_MAX_BLOCK_ELEMENTS = MAX_FLIP_CHUNK_BYTES
 
 #: Sentinel distinguishing "probe not run yet" from "probe passed" (None).
 _UNPROBED = object()

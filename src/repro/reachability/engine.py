@@ -33,9 +33,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import SampleSizeError, VertexNotFoundError
+from repro.exceptions import VertexNotFoundError
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.parallel.adaptive import AUTO_SAMPLES, AdaptiveSettings, shard_rounds
+from repro.parallel.adaptive import AdaptiveSettings, shard_rounds
 from repro.parallel.executor import (
     ExecutorLike,
     SamplingExecutor,
@@ -44,7 +44,7 @@ from repro.parallel.executor import (
     make_executor,
     resolve_executor,
 )
-from repro.parallel.plan import get_default_shard_size, plan_shards
+from repro.parallel.plan import check_sample_count, get_default_shard_size, plan_shards
 from repro.reachability.backends import BackendLike, make_backend
 from repro.reachability.backends.base import (
     SamplingBackend,
@@ -299,8 +299,7 @@ class SamplingEngine:
         shard_size:
             Worlds per shard for the executor path.
         """
-        if n_samples <= 0:
-            raise SampleSizeError(n_samples)
+        check_sample_count(n_samples)
         problem = graph_layout(graph, edges).problem(source, extra_vertices)
         active = self._resolve_executor(executor)
         tel = current_telemetry()
@@ -357,8 +356,7 @@ class SamplingEngine:
         With an active ``executor`` the matrix is drawn shard by shard
         (still backend-independent, still worker-count invariant).
         """
-        if n_samples <= 0:
-            raise SampleSizeError(n_samples)
+        check_sample_count(n_samples)
         problem = graph_layout(graph, edges).problem(source, extra_vertices)
         active = self._resolve_executor(executor)
         tel = current_telemetry()
@@ -522,7 +520,7 @@ class SamplingEngine:
         """
         if not graph.has_vertex(query):
             raise VertexNotFoundError(query)
-        if _is_auto(n_samples):
+        if check_sample_count(n_samples, allow_auto=True):
             settings = adaptive or AdaptiveSettings()
             weights = graph.weights()
 
@@ -581,9 +579,7 @@ class SamplingEngine:
         for vertex in (source, target):
             if not graph.has_vertex(vertex):
                 raise VertexNotFoundError(vertex)
-        auto = _is_auto(n_samples)
-        if not auto and n_samples <= 0:
-            raise SampleSizeError(n_samples)
+        auto = check_sample_count(n_samples, allow_auto=True)
         if source == target:
             pinned = (adaptive or AdaptiveSettings()).min_samples if auto else n_samples
             return ReachabilityEstimate(probability=1.0, n_samples=pinned, successes=pinned)
@@ -789,17 +785,6 @@ def aggregate_component_reachability(
     targets = list(targets)
     frequencies = batch.hit_frequencies(targets)
     return {vertex: float(f) for vertex, f in zip(targets, frequencies)}
-
-
-def _is_auto(n_samples: SampleSpec) -> bool:
-    """True for the adaptive sentinel; rejects any other string loudly."""
-    if isinstance(n_samples, str):
-        if n_samples != AUTO_SAMPLES:
-            raise ValueError(
-                f"n_samples must be a positive integer or {AUTO_SAMPLES!r}, got {n_samples!r}"
-            )
-        return True
-    return False
 
 
 __all__ = [

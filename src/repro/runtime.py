@@ -87,13 +87,13 @@ from repro._runtime_state import (
     pop_entry,
     push_entry,
 )
-from repro.parallel.adaptive import AUTO_SAMPLES, AdaptiveSettings
+from repro.parallel.adaptive import AdaptiveSettings
 from repro.parallel.executor import (
     ExecutorLike,
     SamplingExecutor,
     make_executor,
 )
-from repro.parallel.plan import check_shard_size, get_default_shard_size
+from repro.parallel.plan import check_sample_count, check_shard_size, get_default_shard_size
 from repro.reachability.backends import backend_names, get_default_backend
 from repro.reachability.engine import SamplingEngine
 from repro.reachability.estimators import FlowEstimate, ReachabilityEstimate
@@ -209,21 +209,7 @@ class RuntimeConfig:
         if self.shard_size is not None:
             check_shard_size(self.shard_size, "RuntimeConfig.shard_size")
         if self.n_samples is not None:
-            if isinstance(self.n_samples, str):
-                if self.n_samples != AUTO_SAMPLES:
-                    raise ValueError(
-                        f"RuntimeConfig.n_samples must be a positive integer or "
-                        f"{AUTO_SAMPLES!r}, got {self.n_samples!r}"
-                    )
-            elif isinstance(self.n_samples, bool) or not isinstance(self.n_samples, int):
-                raise TypeError(
-                    f"RuntimeConfig.n_samples must be a positive integer or "
-                    f"{AUTO_SAMPLES!r}, got {self.n_samples!r}"
-                )
-            elif self.n_samples <= 0:
-                raise ValueError(
-                    f"RuntimeConfig.n_samples must be positive, got {self.n_samples!r}"
-                )
+            check_sample_count(self.n_samples, allow_auto=True, name="RuntimeConfig.n_samples")
         if self.seed is not None and not isinstance(self.seed, np.random.Generator):
             if isinstance(self.seed, bool) or not isinstance(self.seed, int):
                 raise TypeError(

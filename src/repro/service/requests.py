@@ -36,6 +36,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.parallel.plan import check_sample_count
 from repro.reachability.estimators import FlowEstimate, ReachabilityEstimate
 from repro.types import Edge, VertexId, as_edge
 
@@ -114,12 +115,7 @@ class QueryRequest:
             raise ValueError(
                 f"unknown query kind {self.kind!r}; expected one of {QUERY_KINDS}"
             )
-        if isinstance(self.n_samples, bool) or not isinstance(
-            self.n_samples, (int, np.integer)
-        ):
-            raise TypeError(f"n_samples must be an integer, got {self.n_samples!r}")
-        if self.n_samples <= 0:
-            raise ValueError(f"n_samples must be positive, got {self.n_samples!r}")
+        check_sample_count(self.n_samples)
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise TypeError(
                 f"seed must be a plain integer (service answers are content-addressed), "

@@ -10,6 +10,7 @@ selection registry it mirrors.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import SampleSizeError, VertexNotFoundError
@@ -28,6 +29,7 @@ from repro.reachability.backends import _FACTORIES
 from repro.reachability.backends import csr as csr_module
 from repro.reachability.engine import SamplingEngine
 from repro.rng import ensure_rng
+from repro.selection import make_selector
 
 
 @pytest.fixture
@@ -144,6 +146,65 @@ class TestEngineValidation:
         batch = SamplingEngine().sample_worlds(medium_graph, 0, 5, seed=0, edges=[])
         assert batch.problem.n_vertices == 1
         assert batch.reached.all()
+
+
+class TestSampleCounts:
+    """Sample counts are refused, never truncated (2.9 must not run 2 worlds)."""
+
+    BAD_COUNTS = (2.9, 2.5, 2.0, True, np.float64(3.0), "3")
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS)
+    def test_engine_draws_and_estimators_refuse(self, medium_graph, bad):
+        engine = SamplingEngine()
+        calls = [
+            lambda: engine.sample_worlds(medium_graph, 0, bad, seed=1),
+            lambda: engine.sample_flips(medium_graph, 0, bad, seed=1),
+            lambda: engine.component_reachability(
+                medium_graph, 0, [1, 2], list(medium_graph.edges())[:3], n_samples=bad
+            ),
+        ]
+        if not isinstance(bad, str):  # a wrong string is the "auto" sentinel's ValueError
+            calls += [
+                lambda: engine.expected_flow(medium_graph, 0, n_samples=bad, seed=1),
+                lambda: engine.pair_reachability(medium_graph, 0, 3, n_samples=bad, seed=1),
+                lambda: engine.pair_reachability(medium_graph, 0, 0, n_samples=bad, seed=1),
+            ]
+        for call in calls:
+            with pytest.raises(TypeError, match="n_samples"):
+                call()
+
+    def test_wrong_sentinel_string_stays_a_value_error(self, medium_graph):
+        for call in (
+            lambda: SamplingEngine().expected_flow(medium_graph, 0, n_samples="3", seed=1),
+            lambda: SamplingEngine().pair_reachability(medium_graph, 0, 3, n_samples="3"),
+        ):
+            with pytest.raises(ValueError, match="auto"):
+                call()
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS)
+    def test_component_sampler_and_selector_refuse(self, medium_graph, bad):
+        with pytest.raises(TypeError, match="n_samples"):
+            ComponentSampler(n_samples=bad)
+        with pytest.raises(TypeError, match="n_samples"):
+            make_selector("FT", n_samples=bad, seed=1).select(medium_graph, 0, 2)
+
+    def test_non_positive_counts_are_sample_size_errors(self, medium_graph):
+        for bad in (0, -3, np.int64(0)):
+            with pytest.raises(SampleSizeError):
+                SamplingEngine().component_reachability(medium_graph, 0, [1], [], n_samples=bad)
+            with pytest.raises(SampleSizeError):
+                ComponentSampler(n_samples=bad)
+
+    def test_numpy_integers_and_auto_are_accepted(self, medium_graph):
+        from repro.parallel.plan import check_sample_count
+
+        assert check_sample_count(np.int64(5)) is False
+        assert check_sample_count("auto", allow_auto=True) is True
+        with pytest.raises(TypeError):
+            check_sample_count("auto")
+        estimate = SamplingEngine().expected_flow(medium_graph, 0, n_samples=np.int32(7), seed=1)
+        assert estimate.n_samples == 7
+        assert ComponentSampler(n_samples=np.int64(9)).n_samples == 9
 
 
 class TestBackendRegistry:

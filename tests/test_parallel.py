@@ -131,6 +131,17 @@ class TestExecutors:
         with pytest.raises(ValueError):
             ProcessExecutor(0)
 
+    def test_process_executor_refuses_what_make_executor_refuses(self):
+        # truncating 2.5 to 2 workers, or parsing "2", would accept a spec
+        # that make_executor and RuntimeConfig reject
+        for bad in (True, False, 2.5, 2.0, "2", "four"):
+            with pytest.raises(TypeError, match="workers"):
+                ProcessExecutor(bad)
+        with pytest.raises(ValueError):
+            ProcessExecutor(-1)
+        assert ProcessExecutor(3).workers == 3
+        assert ProcessExecutor().workers >= 1
+
 
 class TestDefaults:
     def test_session_scope_pins_executor_and_shard_size(self):
