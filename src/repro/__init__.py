@@ -38,7 +38,9 @@ The package is organised as:
   evaluation batches, with per-tenant sessions, admission control and
   a health/metrics surface;
 * :mod:`repro.digest` — the stable content-hashing scheme shared by the
-  F-tree memo and the world cache;
+  F-tree memo, the layout cache and the world cache;
+* :mod:`repro.lru` — the one bounded, thread-safe LRU those three
+  content-addressed caches are built on;
 * :mod:`repro.runtime` — the unified Session API: one frozen
   :class:`~repro.runtime.RuntimeConfig` bundling every runtime knob
   (backend, CRN mode, workers, shard size, sample/seed policy, world

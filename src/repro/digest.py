@@ -3,10 +3,12 @@
 Several subsystems need to answer the same question: *"is this the same
 content I have already paid to evaluate?"* — the F-tree memo caches
 per-component reachability by component content, the CRN component
-sampler keys counter-based random streams on that same content, and the
-batched query service (:mod:`repro.service`) caches whole sampled world
-batches by graph content.  This module is the one hashing scheme behind
-all of them.
+sampler keys counter-based random streams on that same content, the
+layout cache (:mod:`repro.reachability.layout`) interns edge sequences
+by their ``(edge, probability)`` content, and the batched query service
+(:mod:`repro.service`) caches whole sampled world batches by graph
+content.  This module is the one hashing scheme behind all of them; the
+caches themselves are uses of one LRU, :class:`repro.lru.LRUCache`.
 
 Digests are 128-bit integers computed with BLAKE2b over a canonical
 ``repr`` payload, so they are:
@@ -20,7 +22,8 @@ Digests are 128-bit integers computed with BLAKE2b over a canonical
   moves the digest.
 
 Order sensitivity is deliberate and documented per function:
-:func:`edge_sequence_digest` preserves order because the possible-world
+:func:`edge_sequence_digest` and :func:`edge_probability_digest`
+preserve order because the possible-world
 random stream consumes edge flips in edge order — two requests with the
 same edge *set* but different order sample different worlds and must not
 share a cache entry.  :func:`content_digest` (the F-tree memo key)
@@ -30,7 +33,7 @@ canonicalises order because a bi-connected component's content is a set.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.types import Edge, VertexId
 
@@ -89,6 +92,23 @@ def edge_sequence_digest(edges: Optional[Iterable[Edge]]) -> Optional[int]:
     return stable_digest(tuple((repr(edge.u), repr(edge.v)) for edge in edges))
 
 
+def edge_probability_digest(pairs: Iterable[Tuple[Edge, float]]) -> int:
+    """Return an **order-sensitive** digest of an ``(edge, probability)`` sequence.
+
+    The key of a restricted graph layout: the layout is a pure function
+    of exactly this ordered sequence, so equal content shares a digest
+    whichever graph it came from, and changing one probability, edge or
+    the order moves it.  Tagged so it never collides with a
+    :func:`graph_digest` payload.
+    """
+    return stable_digest(
+        (
+            "edges",
+            tuple((repr(edge.u), repr(edge.v), float(probability)) for edge, probability in pairs),
+        )
+    )
+
+
 def graph_digest(graph) -> int:
     """Return a stable digest of an uncertain graph's full content.
 
@@ -129,6 +149,7 @@ __all__ = [
     "DIGEST_BYTES",
     "combine_digests",
     "content_digest",
+    "edge_probability_digest",
     "edge_sequence_digest",
     "graph_digest",
     "query_digest",

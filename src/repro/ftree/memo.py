@@ -8,30 +8,28 @@ edge, which subsumes the paper's per-candidate memoization and stays
 valid when the same component re-appears while probing a different
 candidate edge.
 
-:func:`repro.digest.content_digest` (re-exported here for backwards
-compatibility) hashes the same content notion into a stable integer.
-The CRN mode of :class:`~repro.ftree.sampler.ComponentSampler` keys its
-counter-based random streams on that digest, so that within a selection
-round every probe of the same component content draws the same possible
-worlds — memoization and common random numbers agree on what "the same
-component" means.  The hashing scheme itself lives in
-:mod:`repro.digest`, shared with the world-batch cache of the batched
-query service (:mod:`repro.service`).
+:class:`MemoCache` is one use of the shared :class:`repro.lru.LRUCache`
+and reports under ``cache.memo``.  :func:`repro.digest.content_digest`
+hashes the same content notion into a stable integer: the CRN mode of
+:class:`~repro.ftree.sampler.ComponentSampler` keys its counter-based
+random streams on that digest, so that within a selection round every
+probe of the same component content draws the same possible worlds —
+memoization and common random numbers agree on what "the same
+component" means.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
-from repro.digest import content_digest
+from repro.lru import LRUCache
 from repro.types import Edge, VertexId
 
 #: Cache key: (frozenset of component edges, articulation vertex).
 MemoKey = Tuple[FrozenSet[Edge], VertexId]
 
-__all__ = ["MemoCache", "MemoEntry", "MemoKey", "content_digest"]
+__all__ = ["MemoCache", "MemoEntry", "MemoKey"]
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class MemoEntry:
     exact: bool
 
 
-class MemoCache:
+class MemoCache(LRUCache[MemoKey, MemoEntry]):
     """Bounded LRU cache of component reachability estimates.
 
     Parameters
@@ -54,58 +52,9 @@ class MemoCache:
     """
 
     def __init__(self, max_entries: Optional[int] = 10_000) -> None:
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError(f"max_entries must be positive or None, got {max_entries!r}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[MemoKey, MemoEntry]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        super().__init__(max_entries, prefix="cache.memo")
 
     @staticmethod
     def make_key(edges: Iterable[Edge], articulation: VertexId) -> MemoKey:
         """Build the cache key for a component content."""
         return frozenset(edges), articulation
-
-    def get(self, key: MemoKey) -> Optional[MemoEntry]:
-        """Return the cached entry for ``key`` (and count a hit/miss)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: MemoKey, entry: MemoEntry) -> None:
-        """Store ``entry`` under ``key``, evicting the LRU entry if needed."""
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        if self.max_entries is not None and len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every cached entry and reset the hit/miss counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: MemoKey) -> bool:
-        return key in self._entries
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when no lookups)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        """Return hit/miss statistics for reporting."""
-        return {
-            "entries": float(len(self._entries)),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "hit_rate": self.hit_rate,
-        }

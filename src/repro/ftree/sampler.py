@@ -22,7 +22,7 @@ Two sampling modes govern where the Monte-Carlo randomness comes from:
 * ``crn=True`` (common random numbers): each estimation derives its
   stream from a counter-based generator keyed on ``(base seed, round,
   sample size, component content)`` via
-  :func:`~repro.ftree.memo.content_digest`.  Within a selection round
+  :func:`~repro.digest.content_digest`.  Within a selection round
   (see :meth:`ComponentSampler.begin_round`) every probe of the same
   component content draws the same worlds, so candidate comparisons are
   free of cross-candidate sampling noise and estimates are independent
@@ -36,7 +36,8 @@ from typing import Dict, Iterable, Optional, Set
 
 import numpy as np
 
-from repro.ftree.memo import MemoCache, MemoEntry, content_digest
+from repro.digest import content_digest
+from repro.ftree.memo import MemoCache, MemoEntry
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.parallel.executor import ExecutorLike
 from repro.parallel.plan import check_sample_count

@@ -16,12 +16,11 @@ spectrum of estimators:
 * :mod:`repro.reachability.layout` — the flat precomputed graph layout:
   :class:`GraphLayout` interns a graph's vertices once into contiguous
   ``edge_u`` / ``edge_v`` / ``probabilities`` arrays plus a CSR
-  half-edge adjacency, keyed by ``(graph content digest, ordered edge
-  restriction digest)`` in a process-wide LRU so repeated estimator
-  calls on the same graph skip all per-call re-interning;
-  :meth:`GraphLayout.problem` hands out :class:`SamplingProblem` views
-  in O(1).  The cache is invalidated alongside the service tier's
-  ``WorldCache`` (same graph-mutation path);
+  half-edge adjacency, keyed by the graph's content digest (or, for a
+  restriction, by its ordered ``(edge, probability)`` pairs) in a
+  process-wide LRU so repeated estimator calls on the same content
+  skip all per-call re-interning; :meth:`GraphLayout.problem` hands
+  out :class:`SamplingProblem` views in O(1);
 * :mod:`repro.reachability.backends` — the backend registry.  Built-ins:
   ``"naive"`` (one Python BFS per world, the behavioural reference),
   ``"csr"`` (the fast default: frontier-sparse bit-packed propagation

@@ -7,8 +7,8 @@ possible worlds, mark which vertices each world connects to a source,
 and average.  The engine factors that shared core out:
 
 1. :func:`repro.reachability.layout.graph_layout` maps the (restricted)
-   edge set to contiguous integer ids **once per graph content** — the
-   digest-keyed :class:`~repro.reachability.layout.LayoutCache` shares
+   edge set to contiguous integer ids **once per content** — the
+   content-keyed :class:`~repro.reachability.layout.LayoutCache` shares
    the interned :class:`~repro.reachability.layout.GraphLayout` across
    calls, engines and threads, and
    :meth:`~repro.reachability.layout.GraphLayout.problem` materializes

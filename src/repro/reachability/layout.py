@@ -5,8 +5,7 @@ set of its graph into a fresh
 :class:`~repro.reachability.backends.base.SamplingProblem` — a Python
 loop over every edge, per call, even when the service answered hundreds
 of queries against the same graph.  A :class:`GraphLayout` is that
-interning paid **once** per ``(graph content, ordered edge restriction)``
-pair and reused everywhere:
+interning paid **once** per distinct content and reused everywhere:
 
 * contiguous ``edge_u`` / ``edge_v`` / ``probabilities`` arrays plus the
   ``vertex_ids`` tuple, exactly the payload of a sampling problem;
@@ -17,37 +16,33 @@ pair and reused everywhere:
   API-compatible :class:`SamplingProblem` for a given source (and any
   extra vertices), sharing the layout's arrays instead of copying.
 
-Layouts are cached in a :class:`LayoutCache`, a small digest-keyed LRU
-mirroring :class:`repro.service.cache.WorldCache`: the key combines the
-graph **content** digest (memoized on
-:meth:`~repro.graph.uncertain_graph.UncertainGraph.content_digest`) with
-the **order-sensitive** digest of the edge restriction, so any graph
-mutation moves the key and stale layouts can never be hit.
-:meth:`WorldCache.invalidate_graph` calls
-:func:`invalidate_graph_layouts` so both caches are reclaimed from the
-same mutation path.
+Layouts are cached in a :class:`LayoutCache`, one use of the shared
+:class:`repro.lru.LRUCache`, keyed on exactly the content a layout is a
+pure function of.  The unrestricted graph is keyed on its memoized
+:meth:`~repro.graph.uncertain_graph.UncertainGraph.content_digest`; a
+restriction is keyed on the **order-sensitive** digest of the ``(edge,
+probability)`` pairs the layout is built from
+(:func:`repro.digest.edge_probability_digest`).  A component layout on
+the F-tree path therefore never hashes the whole graph, equal component
+content shares one layout across graphs, and any mutation of the
+content moves the key, so a stale layout can never be hit.
 """
 
 from __future__ import annotations
 
-import logging
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.digest import combine_digests, edge_sequence_digest, graph_digest
+from repro.digest import edge_probability_digest
+from repro.lru import LRUCache
 from repro.reachability.backends.base import (
     CSRAdjacency,
     SamplingProblem,
     build_csr_adjacency,
 )
-from repro.telemetry import current_telemetry
 from repro.types import Edge, VertexId
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,176 +182,16 @@ class GraphLayout:
         return problem
 
 
-@dataclass(frozen=True)
-class LayoutKey:
-    """Everything a cached layout is a pure function of.
+class LayoutCache(LRUCache[int, GraphLayout]):
+    """Bounded, thread-safe LRU cache of graph layouts (``cache.layout``).
 
-    ``graph_digest`` covers the full graph content (so any mutation
-    moves the key); ``edges_digest`` is the **order-sensitive** digest of
-    the edge restriction, ``None`` for the unrestricted graph — the
-    same distinction :class:`~repro.service.cache.WorldKey` draws,
-    because edge order is the flip order of the random stream.
-    """
-
-    graph_digest: int
-    edges_digest: Optional[int]
-
-    @property
-    def digest(self) -> int:
-        """Stable 128-bit digest of the full key."""
-        return combine_digests("layout", self.graph_digest, self.edges_digest)
-
-
-class LayoutCache:
-    """Bounded LRU cache of graph layouts with hit/miss/eviction stats.
-
-    A structural sibling of :class:`repro.service.cache.WorldCache`
-    (same locking, same ``_by_graph`` secondary index for eager
-    invalidation) holding interned layouts instead of sampled worlds.
     Layouts are tiny next to world batches — a few arrays of ``O(E)`` —
     so the default bound is generous relative to how many distinct
-    ``(graph, restriction)`` pairs a process works with.
+    graphs and restrictions a process works with.
     """
 
     def __init__(self, max_entries: Optional[int] = 128) -> None:
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError(f"max_entries must be positive or None, got {max_entries!r}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[int, tuple[LayoutKey, GraphLayout]]" = OrderedDict()
-        self._by_graph: Dict[int, Set[int]] = {}
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<LayoutCache entries={len(self._entries)}"
-            f"/{self.max_entries} hits={self.hits} misses={self.misses}>"
-        )
-
-    #: registry namespace the stats are re-emitted under (the world cache
-    #: uses ``cache.world`` — see :mod:`repro.service.cache`)
-    _metric_prefix = "cache.layout"
-
-    # ------------------------------------------------------------------
-    def get(self, key: LayoutKey) -> Optional[GraphLayout]:
-        """Return the cached layout for ``key`` (counting a hit or miss)."""
-        with self._lock:
-            entry = self._entries.get(key.digest)
-            if entry is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-                self._entries.move_to_end(key.digest)
-        tel = current_telemetry()
-        if tel.enabled:
-            tel.count(f"{self._metric_prefix}.{'misses' if entry is None else 'hits'}")
-        return None if entry is None else entry[1]
-
-    def put(self, key: LayoutKey, layout: GraphLayout) -> None:
-        """Store ``layout`` under ``key``, evicting the LRU entry if needed."""
-        digest = key.digest
-        evicted = False
-        with self._lock:
-            self._entries[digest] = (key, layout)
-            self._entries.move_to_end(digest)
-            self._by_graph.setdefault(key.graph_digest, set()).add(digest)
-            if self.max_entries is not None and len(self._entries) > self.max_entries:
-                evicted_digest, (evicted_key, _) = self._entries.popitem(last=False)
-                self._drop_graph_index(evicted_key.graph_digest, evicted_digest)
-                self.evictions += 1
-                evicted = True
-            entries = len(self._entries)
-        tel = current_telemetry()
-        if tel.enabled:
-            tel.count(f"{self._metric_prefix}.puts")
-            if evicted:
-                tel.count(f"{self._metric_prefix}.evictions")
-            tel.gauge(f"{self._metric_prefix}.entries", entries)
-
-    def _drop_graph_index(self, graph_key: int, digest: int) -> None:
-        members = self._by_graph.get(graph_key)
-        if members is not None:
-            members.discard(digest)
-            if not members:
-                del self._by_graph[graph_key]
-
-    # ------------------------------------------------------------------
-    def invalidate_graph(self, graph_or_digest: Union[int, object]) -> int:
-        """Drop every layout interned from the given graph content.
-
-        Accepts a graph (its current content digest is computed) or a
-        digest previously obtained from :func:`repro.digest.graph_digest`
-        — useful to reclaim entries for the *pre-mutation* content.
-        Returns the number of dropped entries.
-        """
-        digest = _resolve_graph_digest(graph_or_digest)
-        with self._lock:
-            members = self._by_graph.pop(digest, set())
-            for entry_digest in members:
-                self._entries.pop(entry_digest, None)
-            self.invalidations += len(members)
-            dropped = len(members)
-        if dropped:
-            logger.warning(
-                "invalidated %d interned graph layout(s) for graph digest %d",
-                dropped,
-                digest,
-            )
-            tel = current_telemetry()
-            if tel.enabled:
-                tel.count(f"{self._metric_prefix}.invalidations", dropped)
-        return dropped
-
-    def clear(self) -> None:
-        """Drop every entry and reset all counters."""
-        with self._lock:
-            self._entries.clear()
-            self._by_graph.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.invalidations = 0
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: LayoutKey) -> bool:
-        with self._lock:
-            return key.digest in self._entries
-
-    def keys(self) -> "list[LayoutKey]":
-        """Cached keys, least recently used first (for tests/diagnostics)."""
-        with self._lock:
-            return [key for key, _ in self._entries.values()]
-
-    def stats(self) -> Dict[str, float]:
-        """Hit/miss/eviction statistics for reporting (one consistent view)."""
-        with self._lock:
-            hits, misses = self.hits, self.misses
-            total = hits + misses
-            return {
-                "entries": float(len(self._entries)),
-                "hits": float(hits),
-                "misses": float(misses),
-                "evictions": float(self.evictions),
-                "invalidations": float(self.invalidations),
-                "hit_rate": hits / total if total else 0.0,
-            }
-
-
-def _resolve_graph_digest(graph_or_digest: Union[int, object]) -> int:
-    """Content digest of a graph, preferring the memoized accessor."""
-    if isinstance(graph_or_digest, int):
-        return graph_or_digest
-    content_digest = getattr(graph_or_digest, "content_digest", None)
-    if callable(content_digest):
-        return content_digest()
-    return graph_digest(graph_or_digest)
+        super().__init__(max_entries, prefix="cache.layout")
 
 
 #: The process-wide layout cache every ``cache=None`` call resolves to.
@@ -377,39 +212,33 @@ def graph_layout(
 
     The one construction entry point: ``SamplingEngine``, the evaluation
     context and the service layer all route problem construction through
-    here, so the interning cost is paid once per distinct
-    ``(graph content, ordered edge restriction)`` instead of per call.
-    ``edges=None`` means the unrestricted graph (edges in insertion
-    order, the order the stream flips them in).
+    here, so the interning cost is paid once per distinct content
+    instead of per call.  ``edges=None`` means the unrestricted graph
+    (edges in insertion order, the order the stream flips them in),
+    keyed on the graph's memoized content digest.  A restriction is
+    keyed on its ordered ``(edge, probability)`` pairs alone — the
+    layout is a pure function of that sequence — so restricting to a
+    small component never hashes the whole graph.
     """
-    if edges is not None:
-        edges = list(edges)
     cache = cache if cache is not None else _DEFAULT_LAYOUT_CACHE
-    key = LayoutKey(
-        graph_digest=_resolve_graph_digest(graph),
-        edges_digest=edge_sequence_digest(edges),
-    )
+    if edges is None:
+        pairs = None
+        key = graph.content_digest()
+    else:
+        pairs = [(edge, graph.probability(edge)) for edge in edges]
+        key = edge_probability_digest(pairs)
     layout = cache.get(key)
     if layout is None:
-        if edges is None:
+        if pairs is None:
             pairs = list(graph.probabilities().items())
-        else:
-            pairs = [(edge, graph.probability(edge)) for edge in edges]
         layout = GraphLayout.from_edges(pairs)
         cache.put(key, layout)
     return layout
 
 
-def invalidate_graph_layouts(graph_or_digest: Union[int, object]) -> int:
-    """Drop the default cache's layouts for one graph content; return the count."""
-    return _DEFAULT_LAYOUT_CACHE.invalidate_graph(graph_or_digest)
-
-
 __all__ = [
     "GraphLayout",
     "LayoutCache",
-    "LayoutKey",
     "get_default_layout_cache",
     "graph_layout",
-    "invalidate_graph_layouts",
 ]

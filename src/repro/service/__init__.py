@@ -14,11 +14,11 @@ sampling — across everything that can share it:
   shard plan)`` so every group is answered from **one** shared
   :class:`~repro.reachability.engine.WorldBatch` via bulk column
   gathers;
-* :mod:`repro.service.cache` — :class:`WorldCache`, a bounded LRU keyed
-  by a stable digest of the graph content (via :mod:`repro.digest`, the
-  same hashing scheme as the F-tree memo), reusing sampled batches
-  across successive batches and runs, with hit/miss/eviction statistics
-  and explicit invalidation;
+* :mod:`repro.service.cache` — :class:`WorldCache`, a bounded LRU
+  (:class:`repro.lru.LRUCache`) keyed by a stable digest of the graph
+  content (via :mod:`repro.digest`, the same hashing scheme as the
+  F-tree memo), reusing sampled batches across successive batches and
+  runs, with hit/miss/eviction statistics;
 * :mod:`repro.service.evaluator` — :class:`BatchEvaluator`, the front
   door tying the three together.
 

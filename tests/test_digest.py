@@ -3,6 +3,7 @@
 from repro.digest import (
     combine_digests,
     content_digest,
+    edge_probability_digest,
     edge_sequence_digest,
     graph_digest,
     query_digest,
@@ -37,12 +38,6 @@ class TestContentDigest:
         assert content_digest(edges, 1) != content_digest(edges, 2)
         assert content_digest(edges, 1, 7) != content_digest(edges, 1, 8)
 
-    def test_reexported_from_ftree_memo(self):
-        # the F-tree memo keys and the world cache share one scheme
-        from repro.ftree.memo import content_digest as memo_digest
-
-        assert memo_digest is content_digest
-
 
 class TestEdgeSequenceDigest:
     def test_none_means_full_graph(self):
@@ -57,6 +52,24 @@ class TestEdgeSequenceDigest:
 
     def test_same_sequence_same_digest(self):
         assert edge_sequence_digest([Edge(1, 2)]) == edge_sequence_digest([Edge(1, 2)])
+
+
+class TestEdgeProbabilityDigest:
+    def test_same_pairs_same_digest(self):
+        pairs = [(Edge(1, 2), 0.5), (Edge(2, 3), 0.25)]
+        assert edge_probability_digest(pairs) == edge_probability_digest(list(pairs))
+
+    def test_order_probability_and_edge_all_matter(self):
+        base = edge_probability_digest([(Edge(1, 2), 0.5), (Edge(2, 3), 0.25)])
+        assert edge_probability_digest([(Edge(2, 3), 0.25), (Edge(1, 2), 0.5)]) != base
+        assert edge_probability_digest([(Edge(1, 2), 0.5), (Edge(2, 3), 0.3)]) != base
+        assert edge_probability_digest([(Edge(1, 2), 0.5), (Edge(2, 4), 0.25)]) != base
+
+    def test_never_equals_a_graph_digest(self):
+        graph = UncertainGraph()
+        graph.add_edge(1, 2, 0.5, create_vertices=True)
+        pairs = list(graph.probabilities().items())
+        assert edge_probability_digest(pairs) != graph_digest(graph)
 
 
 class TestGraphDigest:

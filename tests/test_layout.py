@@ -9,37 +9,15 @@ from repro.reachability.backends import backend_availability, make_backend
 from repro.reachability.engine import SamplingEngine
 from repro.reachability.layout import (
     LayoutCache,
-    LayoutKey,
     get_default_layout_cache,
     graph_layout,
 )
-from repro.service.cache import WorldCache
+from repro.selection.ftree_greedy import FTreeGreedySelector
 
 
 @pytest.fixture
 def graph():
     return erdos_renyi_graph(30, average_degree=4, seed=5)
-
-
-def make_key(**overrides) -> LayoutKey:
-    base = dict(graph_digest=1, edges_digest=None)
-    base.update(overrides)
-    return LayoutKey(**base)
-
-
-class TestLayoutKey:
-    def test_digest_is_stable(self):
-        assert make_key().digest == make_key().digest
-
-    def test_every_component_separates_keys(self):
-        base = make_key().digest
-        assert make_key(graph_digest=2).digest != base
-        assert make_key(edges_digest=5).digest != base
-
-    def test_full_graph_differs_from_empty_restriction(self):
-        from repro.digest import edge_sequence_digest
-
-        assert make_key(edges_digest=edge_sequence_digest([])).digest != make_key().digest
 
 
 class TestGraphContentDigest:
@@ -118,49 +96,9 @@ class TestLayoutCaching:
         assert after is not before
         assert float(after.probabilities.sum()) != float(before.probabilities.sum())
 
-    def test_eviction_order_is_least_recently_used(self, graph):
-        cache = LayoutCache(max_entries=2)
-        graphs = [erdos_renyi_graph(10, average_degree=3, seed=s) for s in (1, 2, 3)]
-        first = graph_layout(graphs[0], cache=cache)
-        graph_layout(graphs[1], cache=cache)
-        # touch the first entry so the second becomes LRU, then overflow
-        assert graph_layout(graphs[0], cache=cache) is first
-        graph_layout(graphs[2], cache=cache)
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        kept = [key.graph_digest for key in cache.keys()]
-        assert graphs[1].content_digest() not in kept
-        assert graphs[0].content_digest() in kept
-
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
             LayoutCache(max_entries=0)
-
-    def test_invalidate_graph_reclaims_entries(self, graph):
-        cache = LayoutCache()
-        graph_layout(graph, cache=cache)
-        graph_layout(graph, edges=graph.edge_list()[:3], cache=cache)
-        assert len(cache) == 2
-        assert cache.invalidate_graph(graph) == 2
-        assert len(cache) == 0
-        assert cache.invalidations == 2
-
-    def test_invalidate_by_pre_mutation_digest(self, graph):
-        cache = LayoutCache()
-        old_digest = graph.content_digest()
-        graph_layout(graph, cache=cache)
-        graph.set_weight(0, 5.0)
-        assert cache.invalidate_graph(graph) == 0
-        assert cache.invalidate_graph(old_digest) == 1
-        assert len(cache) == 0
-
-    def test_world_cache_invalidation_reaches_the_default_layout_cache(self, graph):
-        layout_cache = get_default_layout_cache()
-        graph_layout(graph)  # populate the process-wide default
-        key = LayoutKey(graph_digest=graph.content_digest(), edges_digest=None)
-        assert key in layout_cache
-        WorldCache().invalidate_graph(graph)
-        assert key not in layout_cache
 
     def test_engine_reuses_one_layout_across_calls(self, graph):
         cache = get_default_layout_cache()
@@ -170,6 +108,51 @@ class TestLayoutCaching:
         second = engine.sample_worlds(graph, 1, 16, seed=2)
         assert cache.misses == misses  # second call re-used the interned layout
         assert first.problem.layout is second.problem.layout
+
+
+class TestRestrictionKey:
+    """A restriction is keyed on its own ordered ``(edge, probability)`` pairs."""
+
+    def test_equal_restriction_content_shares_one_layout_across_graphs(self, graph):
+        cache = LayoutCache()
+        edges = graph.edge_list()[:5]
+        other = graph.copy()
+        other.set_weight(0, 42.0)
+        other.add_edge(0, "elsewhere", 0.5, create_vertices=True)  # outside the restriction
+        assert other.content_digest() != graph.content_digest()
+        first = graph_layout(graph, edges=edges, cache=cache)
+        assert graph_layout(other, edges=edges, cache=cache) is first
+        assert len(cache) == 1
+
+    def test_restricted_probability_change_moves_the_key(self, graph):
+        cache = LayoutCache()
+        edges = graph.edge_list()[:5]
+        before = graph_layout(graph, edges=edges, cache=cache)
+        graph.set_probability(edges[2].u, edges[2].v, 0.123)
+        after = graph_layout(graph, edges=edges, cache=cache)
+        assert after is not before
+        assert after.probabilities[2] == 0.123
+        assert len(cache) == 2
+
+    def test_full_graph_differs_from_empty_restriction(self, graph):
+        cache = LayoutCache()
+        full = graph_layout(graph, cache=cache)
+        empty = graph_layout(graph, edges=[], cache=cache)
+        assert (full.n_edges, empty.n_edges) == (graph.n_edges, 0)
+        assert len(cache) == 2
+
+    def test_ftm_selection_never_calls_graph_digest(self, monkeypatch):
+        # the F-tree path samples components through restricted layouts,
+        # which must never hash the whole graph
+        def refuse(graph):
+            raise AssertionError("graph_digest called on the F-tree path")
+
+        monkeypatch.setattr("repro.digest.graph_digest", refuse)
+        monkeypatch.setattr("repro.graph.uncertain_graph.graph_digest", refuse)
+        fresh = erdos_renyi_graph(40, average_degree=6, seed=11)
+        selector = FTreeGreedySelector(n_samples=64, exact_threshold=2, memoize=True, seed=3)
+        result = selector.select(fresh, 0, 8)
+        assert result.extras["sampled_components"] > 0
 
 
 class TestProblemView:
