@@ -45,9 +45,8 @@ def bench_environment(
     regression, it is a different machine.  ``runtime_config`` records
     the fully resolved :class:`repro.runtime.RuntimeConfig` the numbers
     were measured under (active session → built-in defaults), with the
-    benchmark's explicit ``workers`` / ``shard_size`` arguments overlaid,
-    since benches thread those through call arguments rather than
-    sessions.
+    benchmark's ``workers`` / ``shard_size`` overlaid, since a bench that
+    shards opens its own inner sessions rather than running under one.
     """
     runtime_config = current_config().as_dict()
     if workers is not None:

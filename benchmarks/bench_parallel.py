@@ -39,6 +39,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+import repro
 from _helpers import bench_environment
 from repro.graph.generators import erdos_renyi_graph
 from repro.parallel import AdaptiveSettings, ProcessExecutor, SerialExecutor
@@ -98,20 +99,22 @@ def bench_sharded(sizes, n_samples: int) -> List[dict]:
         }
         flows = {}
 
+        engine = SamplingEngine(BACKEND)
         started = time.perf_counter()
-        serial = SamplingEngine(BACKEND, executor=SerialExecutor(), shard_size=SHARD_SIZE)
-        estimate = serial.expected_flow(graph, query, n_samples=n_samples, seed=SEED)
+        with repro.session(workers=SerialExecutor(), shard_size=SHARD_SIZE):
+            estimate = engine.expected_flow(graph, query, n_samples=n_samples, seed=SEED)
         row["serial_seconds"] = time.perf_counter() - started
         flows["serial"] = estimate.expected_flow
 
         for workers in WORKER_COUNTS:
-            with ProcessExecutor(workers) as pool:
-                pooled = SamplingEngine(BACKEND, executor=pool, shard_size=SHARD_SIZE)
+            with ProcessExecutor(workers) as pool, repro.session(
+                workers=pool, shard_size=SHARD_SIZE
+            ):
                 # warm the pool on a tiny request so process start-up is
                 # not billed to the measured run
-                pooled.expected_flow(graph, query, n_samples=SHARD_SIZE, seed=SEED)
+                engine.expected_flow(graph, query, n_samples=SHARD_SIZE, seed=SEED)
                 started = time.perf_counter()
-                estimate = pooled.expected_flow(graph, query, n_samples=n_samples, seed=SEED)
+                estimate = engine.expected_flow(graph, query, n_samples=n_samples, seed=SEED)
                 row[f"workers{workers}_seconds"] = time.perf_counter() - started
                 flows[f"workers{workers}"] = estimate.expected_flow
             row[f"workers{workers}_speedup"] = (

@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 from typing import List
 
+import repro
 from _helpers import bench_environment
 from repro.graph.generators import erdos_renyi_graph
 from repro.reachability.backends import BACKEND_NAMES, DEFAULT_BACKEND
@@ -54,11 +55,11 @@ TARGET_SPEEDUP = 5.0
 SEED = 7
 
 
-def _make_selector(algorithm: str, n_samples: int, crn: bool, backend=None):
+def _make_selector(algorithm: str, n_samples: int, crn: bool):
     if algorithm == "Naive":
-        return NaiveGreedySelector(n_samples=n_samples, seed=SEED, crn=crn, backend=backend)
+        return NaiveGreedySelector(n_samples=n_samples, seed=SEED, crn=crn)
     if algorithm == "FT+Lazy":
-        return LazyGreedySelector(n_samples=n_samples, seed=SEED, crn=crn, backend=backend)
+        return LazyGreedySelector(n_samples=n_samples, seed=SEED, crn=crn)
     raise ValueError(algorithm)
 
 
@@ -73,11 +74,9 @@ def _check_cross_backend(
     for backend in BACKEND_NAMES:
         if backend == DEFAULT_BACKEND:
             continue
-        edges = (
-            _make_selector(algorithm, n_samples, crn=True, backend=backend)
-            .select(graph, query, budget)
-            .selected_edges
-        )
+        with repro.session(backend=backend):
+            selector = _make_selector(algorithm, n_samples, crn=True)
+            edges = selector.select(graph, query, budget).selected_edges
         if edges != reference_edges:
             raise SystemExit(
                 f"{algorithm}: CRN selections disagree across backends on the same seed"

@@ -45,8 +45,9 @@ from repro.experiments.reporting import format_table
 # Sessions scope cleanly (contextvar-based): they nest, restore the
 # enclosing configuration on exit, and are invisible to other threads.
 # The mechanism-level API (make_selector, SamplingEngine, BatchEvaluator,
-# EvaluationContext, ...) resolves its unspecified arguments from the
-# active session, so both styles compose:
+# EvaluationContext, ...) takes no backend, workers or shard-size
+# arguments: it samples with those of the session active when it runs,
+# so both styles compose:
 #
 #     with repro.session(backend="naive", workers=4):
 #         selector = repro.make_selector("FT+M", n_samples=1000, seed=7)
@@ -126,8 +127,8 @@ def main() -> None:
     )
     print(format_span_tree(memory.spans[-1]))
 
-    # 6. profiling: profile=True upgrades the pipeline so every span also
-    #    records CPU time, allocation deltas and GC collections — the
+    # 6. profiling: a ProfilingTelemetry pipeline makes every span also
+    #    record CPU time, allocation deltas and GC collections — the
     #    hot-span table ranks where the resources went, and the collapsed
     #    stacks feed flamegraph.pl / speedscope.  Like tracing, profiling
     #    never changes a sampled result.
@@ -139,7 +140,7 @@ def main() -> None:
 
     profile_memory = InMemoryExporter()
     profile_tel = ProfilingTelemetry(exporters=[profile_memory])
-    with repro.session(telemetry=profile_tel, profile=True, seed=7) as s:
+    with repro.session(telemetry=profile_tel, seed=7) as s:
         s.expected_flow(graph, query, n_samples=800)
     profile_tel.close()
     print("\nProfiling: hot spans by self time (CPU / alloc / gc per span):")

@@ -35,8 +35,8 @@ The package is organised as:
   batches, with a digest-keyed LRU world cache;
 * :mod:`repro.server` — the async serving tier: a JSONL-over-TCP front
   end that coalesces concurrently-arriving queries into shared
-  evaluation batches, with per-tenant sessions, admission control and
-  a health/metrics surface;
+  evaluation batches, with admission control and a health/metrics
+  surface;
 * :mod:`repro.digest` — the stable content-hashing scheme shared by the
   F-tree memo, the layout cache and the world cache;
 * :mod:`repro.lru` — the one bounded, thread-safe LRU those three

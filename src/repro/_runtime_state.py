@@ -13,9 +13,11 @@ thread-safe and ``asyncio``-safe: a session entered in one thread (or
 task) is invisible to every other, and nested activations restore the
 previous one exactly.
 
-Resolution order for every knob is therefore: explicit call argument →
-innermost active session (already merged over its parents at activation
-time) → built-in library default.
+A knob resolves in one step: innermost active session (already merged
+over its parents at activation time) → built-in library default.  The
+backend, executor and shard size have no other source (bar a backend
+pinned by ``SamplingEngine(backend)``); ``crn`` and ``cache`` arguments
+that are not ``None`` win over the session.
 """
 
 from __future__ import annotations

@@ -206,7 +206,7 @@ def _emit_trace_report(args: argparse.Namespace, stream=None) -> None:
         print(format_span_tree(root), file=out)
     for line in registry_lines:
         print(line, file=out)
-    if getattr(telemetry, "profiling", False) and memory.spans:
+    if telemetry.profiling and memory.spans:
         from repro.telemetry.profile import format_hot_spans
 
         print(file=out)
@@ -248,7 +248,6 @@ def runtime_config_from_args(
             seed=seed,
             world_cache=args.cache_size,
             telemetry=telemetry,
-            profile=True if _profiling_requested(args) else None,
         )
     except (TypeError, ValueError) as error:
         raise SystemExit(str(error)) from error
@@ -714,7 +713,7 @@ def _command_telemetry(args: argparse.Namespace) -> int:
             except ReproError as error:
                 raise SystemExit(f"telemetry workload failed: {error}") from error
     telemetry.close()
-    profiled = getattr(telemetry, "profiling", False)
+    profiled = telemetry.profiling
     if args.json:
         document = {
             "spans": [root.to_dict() for root in memory.spans],

@@ -39,9 +39,7 @@ import numpy as np
 from repro.digest import content_digest
 from repro.ftree.memo import MemoCache, MemoEntry
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.parallel.executor import ExecutorLike
 from repro.parallel.plan import check_sample_count
-from repro.reachability.backends import BackendLike
 from repro.reachability.engine import SamplingEngine
 from repro.reachability.exact import exact_closure
 from repro.rng import SeedLike, ensure_rng
@@ -75,29 +73,19 @@ class ComponentSampler:
     memo:
         Optional :class:`MemoCache`; when provided, identical component
         contents are only estimated once (the FT+M heuristic).
-    backend:
-        Possible-world sampling backend name or instance for the
-        Monte-Carlo path (see :mod:`repro.reachability.backends`).
     crn:
         Common-random-numbers mode (see the module docstring).  Off by
         default so directly constructed samplers keep the sequential
         reference stream; the greedy selectors enable it per default.
-    executor:
-        Sharded-sampling executor or worker count (see
-        :mod:`repro.parallel`): the Monte-Carlo stream of every sampled
-        component is split into per-shard child streams and fanned out.
-        ``None`` keeps the unsharded single-process stream; with an
-        executor, estimates are bit-for-bit identical for any worker
-        count given ``(seed, n_samples, shard_size)``.
-    shard_size:
-        Worlds per shard for the executor path.
 
-    ``backend``, ``executor`` and ``shard_size`` left at ``None`` resolve
-    from the active :func:`repro.session` (falling back to the built-in
-    defaults).  ``crn`` stays an explicit per-sampler
-    choice — the harness's evaluation yardstick relies on the sequential
-    reference stream regardless of how the enclosing session scores
-    selection candidates.
+    The Monte-Carlo path samples with the backend, executor and shard
+    size of the session active at each estimate (see
+    :func:`repro.session`); with an executor, estimates are bit-for-bit
+    identical for any worker count given ``(seed, n_samples,
+    shard_size)``.  ``crn`` stays an explicit per-sampler choice — the
+    harness's evaluation yardstick relies on the sequential reference
+    stream regardless of how the enclosing session scores selection
+    candidates.
     """
 
     def __init__(
@@ -106,10 +94,8 @@ class ComponentSampler:
         exact_threshold: int = 10,
         seed: SeedLike = None,
         memo: Optional[MemoCache] = None,
-        backend: BackendLike = None,
+        *,
         crn: bool = False,
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
     ) -> None:
         check_sample_count(n_samples)
         if exact_threshold < 0:
@@ -118,7 +104,7 @@ class ComponentSampler:
         self.exact_threshold = int(exact_threshold)
         self.memo = memo
         self.crn = bool(crn)
-        self._engine = SamplingEngine(backend, executor=executor, shard_size=shard_size)
+        self._engine = SamplingEngine()
         self._rng = ensure_rng(seed)
         self._round = 0
         # the CRN base key: reuse an integer seed directly so estimates

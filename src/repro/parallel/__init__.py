@@ -31,9 +31,10 @@ allowed to change results (it re-keys the seed split, like changing the
 seed); changing ``workers`` is not.
 
 Sharded sampling draws different (equally valid) worlds than the
-original single-stream path, so ``executor=None`` — the default
-everywhere — keeps the historical unsharded stream byte-for-byte and
-all pre-existing pinned results with it.
+original single-stream path, so it runs only where the active session
+names workers (``repro.session(workers=...)``); without one, sampling
+keeps the historical unsharded stream byte-for-byte and all
+pre-existing pinned results with it.
 """
 
 from repro.parallel.adaptive import ADAPTIVE_CI_METHODS, AUTO_SAMPLES, AdaptiveSettings
@@ -45,7 +46,6 @@ from repro.parallel.executor import (
     ShardTask,
     get_default_executor,
     make_executor,
-    resolve_executor,
     run_shard,
 )
 from repro.parallel.plan import (
@@ -70,6 +70,5 @@ __all__ = [
     "get_default_shard_size",
     "make_executor",
     "plan_shards",
-    "resolve_executor",
     "run_shard",
 ]

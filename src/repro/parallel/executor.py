@@ -288,9 +288,9 @@ class ProcessExecutor(SamplingExecutor):
             pass
 
 
-#: Accepted forms of an executor specification: ``None`` (defer to the
-#: active session; unsharded without one), a worker count (1 -> serial,
-#: > 1 -> process pool) or an executor instance.
+#: Accepted forms of a session's ``workers`` spec (see
+#: :class:`repro.runtime.RuntimeConfig`): ``None`` (unsharded), a worker
+#: count (1 -> serial, > 1 -> process pool) or an executor instance.
 ExecutorLike = Union[None, int, SamplingExecutor]
 
 
@@ -300,7 +300,7 @@ def make_executor(executor: ExecutorLike) -> Optional[SamplingExecutor]:
     Integer specs mean a worker count: ``1`` builds the serial reference
     executor (sharded seed-splitting, no processes), anything larger a
     :class:`ProcessExecutor`.  Instances pass through unchanged so one
-    pool can be shared across engines, contexts and samplers.
+    pool can be shared across sessions.
     """
     if executor is None:
         return None
@@ -316,18 +316,11 @@ def make_executor(executor: ExecutorLike) -> Optional[SamplingExecutor]:
 
 
 def get_default_executor() -> Optional[SamplingExecutor]:
-    """Return the executor every unspecified ``executor=None`` resolves to.
+    """Return the executor sampling runs on: the active session's.
 
-    Resolution order: the innermost active :func:`repro.session` (if it
-    pins workers/executor) → ``None``.  ``None`` means sampling stays
-    unsharded single-process, i.e. exactly the pre-subsystem behaviour.
-    Sessions hold resolved executors, never raw specs.
+    The innermost active :func:`repro.session` that pins workers names
+    it; ``None`` — no session pins one — means sampling stays unsharded
+    single-process, i.e. exactly the pre-subsystem behaviour.  Sessions
+    hold resolved executors, never raw specs.
     """
     return resolve_field("executor", None)
-
-
-def resolve_executor(executor: ExecutorLike) -> Optional[SamplingExecutor]:
-    """Resolve a call-site spec, falling back to the session/process default."""
-    if executor is None:
-        return get_default_executor()
-    return make_executor(executor)

@@ -29,10 +29,10 @@ DEFAULT_SHARD_SIZE = 256
 
 
 def get_default_shard_size() -> int:
-    """Return the shard size every unspecified ``shard_size=None`` resolves to.
+    """Return the shard size sharded sampling uses.
 
-    Resolution order: the innermost active :func:`repro.session` (if it
-    pins a shard size) → :data:`DEFAULT_SHARD_SIZE`.
+    The innermost active :func:`repro.session` that pins a shard size
+    names it, else :data:`DEFAULT_SHARD_SIZE`.
     """
     return resolve_field("shard_size", DEFAULT_SHARD_SIZE)
 

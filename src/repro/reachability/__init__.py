@@ -30,9 +30,9 @@ spectrum of estimators:
   when numba is importable — ``repro-flow backends`` lists
   availability).  All consume
   the random stream identically, so estimates are bit-for-bit
-  reproducible per seed on every backend; pick one via the ``backend``
-  argument of the estimators, :class:`ComponentSampler`,
-  ``ExperimentConfig`` or the CLI's ``--backend`` flag;
+  reproducible per seed on every backend; pick one with
+  ``repro.session(backend=...)`` (or the CLI's ``--backend`` flag), or
+  pin one for a single engine with ``SamplingEngine(backend)``;
 * :mod:`repro.reachability.context` — the evaluation-context layer
   between the engine and the greedy selectors:
   :class:`EvaluationContext` draws one shared edge-flip matrix per
@@ -42,8 +42,9 @@ spectrum of estimators:
   carry no cross-candidate sampling noise, and selections are identical
   across backends per seed.  All selectors use it by default; switch
   back to the paper's literal per-candidate resampling with
-  ``crn=False`` (selectors / ``make_selector``), ``ExperimentConfig``,
-  or the CLI's ``--resample-per-candidate`` flag;
+  ``crn=False`` (selectors / ``make_selector``),
+  ``repro.session(crn=False)`` or the CLI's
+  ``--resample-per-candidate`` flag;
 * :mod:`repro.reachability.exact` — exact evaluation over every
   possible world at once (one world bitset per vertex), exponential in
   the uncertain edges, used as ground truth for small graphs and small

@@ -40,14 +40,12 @@ Typical use (one call per greedy round)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import SampleSizeError, VertexNotFoundError
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.parallel.executor import ExecutorLike
-from repro.reachability.backends import BackendLike
 from repro.reachability.engine import SamplingEngine, _world_totals, flow_weight_vector
 from repro.rng import SeedLike, ensure_rng
 from repro.types import Edge, VertexId
@@ -113,29 +111,19 @@ class EvaluationContext:
     seed:
         Seed or generator; each round consumes fresh draws from the one
         stream, so a seeded context is fully reproducible.
-    backend:
-        Possible-world sampling backend name or instance (see
-        :mod:`repro.reachability.backends`).  Flips are drawn by shared
-        stream code and propagation is exact on every backend, so the
-        scores — and therefore the selections — are identical across
-        backends for the same seed.
     include_query:
         Whether the query vertex's own weight counts towards the flow.
-    executor:
-        Sharded-sampling executor or worker count (see
-        :mod:`repro.parallel`).  When active, each round's shared flip
-        matrix is drawn shard by shard from per-shard child seeds — a
-        different (equally valid) stream than the unsharded default,
-        but bit-for-bit identical for any worker count given
-        ``(seed, n_samples, shard_size)``, so selections stay
-        reproducible when scaling across cores.
-    shard_size:
-        Worlds per shard for the executor path.
 
-    ``backend``, ``executor`` and ``shard_size`` left at ``None`` resolve
-    from the active :func:`repro.session` (falling back to the built-in
-    defaults), so contexts built inside a session inherit its
-    configuration without extra arguments.
+    Each round samples with the backend, executor and shard size of the
+    session active at that call (see :func:`repro.session`).  Flips are
+    drawn by shared stream code and propagation is exact on every
+    backend, so the scores — and therefore the selections — are
+    identical across backends for the same seed.  With an executor,
+    each round's shared flip matrix is drawn shard by shard from
+    per-shard child seeds — a different (equally valid) stream than the
+    unsharded default, but bit-for-bit identical for any worker count
+    given ``(seed, n_samples, shard_size)``, so selections stay
+    reproducible when scaling across cores.
     """
 
     def __init__(
@@ -144,10 +132,8 @@ class EvaluationContext:
         source: VertexId,
         n_samples: int = 1000,
         seed: SeedLike = None,
-        backend: BackendLike = None,
+        *,
         include_query: bool = False,
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
     ) -> None:
         if not graph.has_vertex(source):
             raise VertexNotFoundError(source)
@@ -157,7 +143,7 @@ class EvaluationContext:
         self.source = source
         self.n_samples = int(n_samples)
         self.include_query = include_query
-        self._engine = SamplingEngine(backend, executor=executor, shard_size=shard_size)
+        self._engine = SamplingEngine()
         self._rng = ensure_rng(seed)
         #: number of completed scoring rounds (diagnostics)
         self.rounds = 0

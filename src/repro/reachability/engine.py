@@ -37,12 +37,10 @@ from repro.exceptions import VertexNotFoundError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.parallel.adaptive import AdaptiveSettings, shard_rounds
 from repro.parallel.executor import (
-    ExecutorLike,
     SamplingExecutor,
     SerialExecutor,
     ShardTask,
-    make_executor,
-    resolve_executor,
+    get_default_executor,
 )
 from repro.parallel.plan import check_sample_count, get_default_shard_size, plan_shards
 from repro.reachability.backends import BackendLike, make_backend
@@ -65,7 +63,7 @@ from repro.types import Edge, VertexId
 #: :data:`~repro.parallel.adaptive.AUTO_SAMPLES` for CI-driven stopping.
 SampleSpec = Union[int, str]
 
-#: Shared in-process executor for sharded paths that were not handed one.
+#: In-process executor adaptive sampling shards on when the session names none.
 _SERIAL_EXECUTOR = SerialExecutor()
 
 #: Aggregation blocks hold a multiple of this many world rows.  64 is a
@@ -180,78 +178,31 @@ class SamplingEngine:
     Parameters
     ----------
     backend:
-        A backend name from :data:`repro.reachability.backends.BACKEND_NAMES`,
-        an already constructed backend instance, or ``None`` for the
-        default (:data:`repro.reachability.backends.DEFAULT_BACKEND`).
-    executor:
-        Sharded-sampling executor (see :mod:`repro.parallel`): ``None``
-        defers to the active session (unsharded single-stream sampling,
-        the historical behaviour, without one), an integer is
-        a worker count, or pass a :class:`~repro.parallel.executor.SamplingExecutor`
-        instance to share one pool across engines.
-    shard_size:
-        Worlds per shard when an executor is active (``None`` uses
-        :data:`~repro.parallel.plan.DEFAULT_SHARD_SIZE`).  Part of the
-        determinism key: results are a pure function of
-        ``(seed, n_samples, shard_size)`` and never of worker count.
+        A backend name from :data:`repro.reachability.backends.BACKEND_NAMES`
+        or an already constructed backend instance pins the backend;
+        ``None`` follows the session active at each call (the library
+        default :data:`repro.reachability.backends.DEFAULT_BACKEND`
+        without one).
+
+    The executor and the shard size always come from the session active
+    at each call (see :mod:`repro.parallel`): without a session that pins
+    workers, sampling is the unsharded single stream.  With an executor,
+    results are a pure function of ``(seed, n_samples, shard_size)`` and
+    never of the worker count.
     """
 
-    def __init__(
-        self,
-        backend: BackendLike = None,
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
-    ) -> None:
-        self.backend: SamplingBackend = make_backend(backend)
-        self.executor: Optional[SamplingExecutor] = make_executor(executor)
-        self.shard_size = shard_size
+    def __init__(self, backend: BackendLike = None) -> None:
+        self._backend: Optional[SamplingBackend] = (
+            None if backend is None else make_backend(backend)
+        )
+
+    @property
+    def backend(self) -> SamplingBackend:
+        """The pinned backend, else the one the active session names."""
+        return self._backend if self._backend is not None else make_backend(None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<SamplingEngine backend={self.backend.name!r}>"
-
-    # ------------------------------------------------------------------
-    # executor / shard plumbing
-    # ------------------------------------------------------------------
-    def _resolve_executor(self, executor: ExecutorLike) -> Optional[SamplingExecutor]:
-        """Call-level spec beats the engine's executor beats the global default."""
-        if executor is not None:
-            return make_executor(executor)
-        if self.executor is not None:
-            return self.executor
-        return resolve_executor(None)
-
-    def _resolve_shard_size(self, shard_size: Optional[int]) -> int:
-        resolved = shard_size if shard_size is not None else self.shard_size
-        return resolved if resolved is not None else get_default_shard_size()
-
-    def _run_sharded(
-        self,
-        problem: SamplingProblem,
-        n_samples: int,
-        seed: SeedLike,
-        executor: SamplingExecutor,
-        shard_size: Optional[int],
-        backend: Optional[SamplingBackend],
-    ) -> np.ndarray:
-        """Split one request into seeded shard tasks and reduce in order.
-
-        ``backend=None`` draws raw flip matrices, otherwise reachability
-        matrices.  Deterministic per ``(seed, n_samples, shard_size)``:
-        shard ``i`` runs on the ``i``-th spawned child seed and the
-        partial results are concatenated in shard order, so worker count
-        and completion order never influence the reduction.
-        """
-        plan = plan_shards(n_samples, self._resolve_shard_size(shard_size))
-        children = split_seed_sequences(seed, plan.n_shards)
-        tasks = [
-            ShardTask(problem=problem, n_samples=size, seed=child, backend=backend)
-            for size, child in zip(plan.shard_sizes, children)
-        ]
-        parts = executor.map_shards(tasks)
-        width = problem.n_edges if backend is None else problem.n_vertices
-        if not parts:
-            return np.zeros((0, width), dtype=bool)
-        return np.vstack(parts)
 
     # ------------------------------------------------------------------
     # core: draw a batch of worlds
@@ -264,8 +215,6 @@ class SamplingEngine:
         seed: SeedLike = None,
         edges: Optional[Iterable[Edge]] = None,
         extra_vertices: Iterable[VertexId] = (),
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
     ) -> WorldBatch:
         """Draw ``n_samples`` worlds and compute reachability from ``source``.
 
@@ -286,51 +235,30 @@ class SamplingEngine:
         extra_vertices:
             Vertices to index even when no restricted edge touches them
             (e.g. the isolated targets of a component estimate).
-        executor:
-            Sharded-sampling executor override (see :mod:`repro.parallel`).
-            With an active executor the batch is drawn shard by shard
-            from per-shard child seeds — a different (equally valid)
-            stream than the unsharded path, but bit-for-bit identical
-            for any worker count given ``(seed, n_samples, shard_size)``.
-            Note an *integer* spec here builds (and tears down) a fresh
-            executor per call — for repeated calls pass an executor
-            instance, or set one at engine construction, so the process
-            pool is reused.
-        shard_size:
-            Worlds per shard for the executor path.
+
+        When the active session names an executor, the batch is drawn
+        shard by shard from per-shard child seeds — a different (equally
+        valid) stream than the unsharded path, but bit-for-bit identical
+        for any worker count given ``(seed, n_samples, shard_size)``.
         """
         check_sample_count(n_samples)
         problem = graph_layout(graph, edges).problem(source, extra_vertices)
-        active = self._resolve_executor(executor)
+        backend = self.backend
+        active = get_default_executor()
         tel = current_telemetry()
         if tel.enabled:
             with tel.span(
                 "engine.sample_worlds",
-                backend=self.backend.name,
+                backend=backend.name,
                 n_samples=int(n_samples),
                 sharded=active is not None,
             ):
-                reached = self._draw_worlds(problem, n_samples, seed, active, shard_size)
+                reached = _draw(problem, n_samples, seed, active, backend)
             tel.count("engine.sample_calls")
             tel.count("engine.worlds_sampled", int(n_samples))
         else:
-            reached = self._draw_worlds(problem, n_samples, seed, active, shard_size)
+            reached = _draw(problem, n_samples, seed, active, backend)
         return WorldBatch(problem=problem, reached=reached)
-
-    def _draw_worlds(
-        self,
-        problem: SamplingProblem,
-        n_samples: int,
-        seed: SeedLike,
-        active: Optional[SamplingExecutor],
-        shard_size: Optional[int],
-    ) -> np.ndarray:
-        if active is None:
-            rng = ensure_rng(seed)
-            return self.backend.sample_reachability(problem, int(n_samples), rng)
-        return self._run_sharded(
-            problem, int(n_samples), seed, active, shard_size, self.backend
-        )
 
     # ------------------------------------------------------------------
     # flip-matrix / delta-propagation primitives (CRN candidate scoring)
@@ -343,8 +271,6 @@ class SamplingEngine:
         seed: SeedLike = None,
         edges: Optional[Iterable[Edge]] = None,
         extra_vertices: Iterable[VertexId] = (),
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
     ) -> FlipBatch:
         """Draw one shared edge-flip matrix without propagating it.
 
@@ -353,12 +279,13 @@ class SamplingEngine:
         implementation, so the batch is bit-for-bit identical across
         backends for the same seed — which is what lets the evaluation
         context guarantee identical candidate scores on any backend.
-        With an active ``executor`` the matrix is drawn shard by shard
-        (still backend-independent, still worker-count invariant).
+        When the active session names an executor the matrix is drawn
+        shard by shard (still backend-independent, still worker-count
+        invariant).
         """
         check_sample_count(n_samples)
         problem = graph_layout(graph, edges).problem(source, extra_vertices)
-        active = self._resolve_executor(executor)
+        active = get_default_executor()
         tel = current_telemetry()
         if tel.enabled:
             with tel.span(
@@ -366,27 +293,12 @@ class SamplingEngine:
                 n_samples=int(n_samples),
                 sharded=active is not None,
             ):
-                flips = self._draw_flips(problem, n_samples, seed, active, shard_size)
+                flips = _draw(problem, n_samples, seed, active, None)
             tel.count("engine.flip_calls")
             tel.count("engine.worlds_sampled", int(n_samples))
         else:
-            flips = self._draw_flips(problem, n_samples, seed, active, shard_size)
+            flips = _draw(problem, n_samples, seed, active, None)
         return FlipBatch(problem=problem, flips=flips)
-
-    def _draw_flips(
-        self,
-        problem: SamplingProblem,
-        n_samples: int,
-        seed: SeedLike,
-        active: Optional[SamplingExecutor],
-        shard_size: Optional[int],
-    ) -> np.ndarray:
-        if active is None:
-            rng = ensure_rng(seed)
-            return sample_flips(problem, int(n_samples), rng)
-        return self._run_sharded(
-            problem, int(n_samples), seed, active, shard_size, backend=None
-        )
 
     # ------------------------------------------------------------------
     # adaptive (CI-driven) sampling
@@ -398,8 +310,6 @@ class SamplingEngine:
         seed: SeedLike,
         edges: Optional[Iterable[Edge]],
         extra_vertices: Iterable[VertexId],
-        executor: ExecutorLike,
-        shard_size: Optional[int],
         settings: AdaptiveSettings,
         width_of: Callable[[SamplingProblem, np.ndarray, int], float],
     ) -> WorldBatch:
@@ -411,72 +321,32 @@ class SamplingEngine:
         identical for any worker count.
         """
         problem = graph_layout(graph, edges).problem(source, extra_vertices)
-        active = self._resolve_executor(executor) or _SERIAL_EXECUTOR
-        size = self._resolve_shard_size(shard_size)
+        backend = self.backend
+        active = get_default_executor() or _SERIAL_EXECUTOR
+        size = get_default_shard_size()
         plan = plan_shards(settings.max_samples, size)
         children = split_seed_sequences(seed, plan.n_shards)
 
+        def loop():
+            return _adaptive_loop(
+                problem, backend, active, size, plan.shard_sizes, children, settings, width_of
+            )
+
         tel = current_telemetry()
         if not tel.enabled:
-            return self._adaptive_loop(
-                problem, active, size, plan.shard_sizes, children, settings, width_of
-            )[0]
+            return loop()[0]
         with tel.span(
             "engine.sample_worlds_adaptive",
-            backend=self.backend.name,
+            backend=backend.name,
             max_samples=settings.max_samples,
             shard_size=size,
         ) as span:
-            batch, rounds = self._adaptive_loop(
-                problem, active, size, plan.shard_sizes, children, settings, width_of
-            )
+            batch, rounds = loop()
             span.set(n_samples=batch.n_samples, rounds=rounds)
         tel.count("engine.adaptive.rounds", rounds)
         tel.count("engine.worlds_sampled", batch.n_samples)
         tel.count("engine.sample_calls")
         return batch
-
-    def _adaptive_loop(
-        self,
-        problem: SamplingProblem,
-        active: SamplingExecutor,
-        size: int,
-        shard_sizes,
-        children,
-        settings: AdaptiveSettings,
-        width_of: Callable[[SamplingProblem, np.ndarray, int], float],
-    ):
-        blocks: List[np.ndarray] = []
-        counts = np.zeros(problem.n_vertices, dtype=np.int64)
-        drawn_shards = 0
-        drawn_samples = 0
-        rounds = 0
-        for round_shards in shard_rounds(settings, size):
-            rounds += 1
-            tasks = [
-                ShardTask(
-                    problem=problem,
-                    n_samples=shard_sizes[index],
-                    seed=children[index],
-                    backend=self.backend,
-                )
-                for index in range(drawn_shards, drawn_shards + round_shards)
-            ]
-            parts = active.map_shards(tasks)
-            for part in parts:
-                blocks.append(part)
-                counts += _world_totals(part)[1]
-                drawn_samples += part.shape[0]
-            drawn_shards += round_shards
-            if drawn_samples >= settings.min_samples:
-                if width_of(problem, counts, drawn_samples) <= settings.target_width:
-                    break
-        reached = (
-            np.vstack(blocks)
-            if blocks
-            else np.zeros((0, problem.n_vertices), dtype=bool)
-        )
-        return WorldBatch(problem=problem, reached=reached), rounds
 
     def propagate(
         self,
@@ -506,8 +376,7 @@ class SamplingEngine:
         seed: SeedLike = None,
         edges: Optional[Iterable[Edge]] = None,
         include_query: bool = False,
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
+        *,
         adaptive: Optional[AdaptiveSettings] = None,
     ) -> FlowEstimate:
         """Monte-Carlo estimate of ``E[flow(Q, G)]`` (Lemma 1).
@@ -544,18 +413,10 @@ class SamplingEngine:
                 ).width
 
             batch = self._sample_worlds_adaptive(
-                graph, query, seed, edges, (), executor, shard_size, settings, flow_width
+                graph, query, seed, edges, (), settings, flow_width
             )
         else:
-            batch = self.sample_worlds(
-                graph,
-                query,
-                n_samples,
-                seed=seed,
-                edges=edges,
-                executor=executor,
-                shard_size=shard_size,
-            )
+            batch = self.sample_worlds(graph, query, n_samples, seed=seed, edges=edges)
         return aggregate_expected_flow(graph, batch, include_query=include_query)
 
     def pair_reachability(
@@ -566,8 +427,7 @@ class SamplingEngine:
         n_samples: SampleSpec = 1000,
         seed: SeedLike = None,
         edges: Optional[Iterable[Edge]] = None,
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
+        *,
         adaptive: Optional[AdaptiveSettings] = None,
     ) -> ReachabilityEstimate:
         """Monte-Carlo estimate of the two-terminal reachability ``P(source ↔ target)``.
@@ -592,26 +452,11 @@ class SamplingEngine:
                 return interval_fn(successes, n, alpha=settings.alpha).width
 
             batch = self._sample_worlds_adaptive(
-                graph,
-                source,
-                seed,
-                edges,
-                (target,),
-                executor,
-                shard_size,
-                settings,
-                pair_width,
+                graph, source, seed, edges, (target,), settings, pair_width
             )
         else:
             batch = self.sample_worlds(
-                graph,
-                source,
-                n_samples,
-                seed=seed,
-                edges=edges,
-                extra_vertices=(target,),
-                executor=executor,
-                shard_size=shard_size,
+                graph, source, n_samples, seed=seed, edges=edges, extra_vertices=(target,)
             )
         return aggregate_pair_reachability(batch, target)
 
@@ -623,8 +468,6 @@ class SamplingEngine:
         edges: Iterable[Edge],
         n_samples: int = 1000,
         seed: SeedLike = None,
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
     ) -> Dict[VertexId, float]:
         """Estimate ``P(v ↔ anchor)`` for every ``v`` of an edge-induced component."""
         targets: List[VertexId] = [v for v in vertices if v != anchor]
@@ -635,10 +478,86 @@ class SamplingEngine:
             seed=seed,
             edges=list(edges),
             extra_vertices=targets,
-            executor=executor,
-            shard_size=shard_size,
         )
         return aggregate_component_reachability(batch, targets)
+
+
+def _draw(
+    problem: SamplingProblem,
+    n_samples: int,
+    seed: SeedLike,
+    active: Optional[SamplingExecutor],
+    backend: Optional[SamplingBackend],
+) -> np.ndarray:
+    """Draw a reachability matrix (``backend``) or a flip matrix (``None``).
+
+    Without an executor: one stream from ``seed``.  With one: the request
+    splits into seeded shard tasks reduced in order, deterministic per
+    ``(seed, n_samples, shard_size)`` — shard ``i`` runs on the ``i``-th
+    spawned child seed and the partial results are concatenated in shard
+    order, so worker count and completion order never influence the
+    reduction.
+    """
+    n_samples = int(n_samples)
+    if active is None:
+        rng = ensure_rng(seed)
+        if backend is None:
+            return sample_flips(problem, n_samples, rng)
+        return backend.sample_reachability(problem, n_samples, rng)
+    plan = plan_shards(n_samples, get_default_shard_size())
+    children = split_seed_sequences(seed, plan.n_shards)
+    tasks = [
+        ShardTask(problem=problem, n_samples=size, seed=child, backend=backend)
+        for size, child in zip(plan.shard_sizes, children)
+    ]
+    parts = active.map_shards(tasks)
+    if not parts:
+        width = problem.n_edges if backend is None else problem.n_vertices
+        return np.zeros((0, width), dtype=bool)
+    return np.vstack(parts)
+
+
+def _adaptive_loop(
+    problem: SamplingProblem,
+    backend: SamplingBackend,
+    active: SamplingExecutor,
+    size: int,
+    shard_sizes,
+    children,
+    settings: AdaptiveSettings,
+    width_of: Callable[[SamplingProblem, np.ndarray, int], float],
+):
+    blocks: List[np.ndarray] = []
+    counts = np.zeros(problem.n_vertices, dtype=np.int64)
+    drawn_shards = 0
+    drawn_samples = 0
+    rounds = 0
+    for round_shards in shard_rounds(settings, size):
+        rounds += 1
+        tasks = [
+            ShardTask(
+                problem=problem,
+                n_samples=shard_sizes[index],
+                seed=children[index],
+                backend=backend,
+            )
+            for index in range(drawn_shards, drawn_shards + round_shards)
+        ]
+        parts = active.map_shards(tasks)
+        for part in parts:
+            blocks.append(part)
+            counts += _world_totals(part)[1]
+            drawn_samples += part.shape[0]
+        drawn_shards += round_shards
+        if drawn_samples >= settings.min_samples:
+            if width_of(problem, counts, drawn_samples) <= settings.target_width:
+                break
+    reached = (
+        np.vstack(blocks)
+        if blocks
+        else np.zeros((0, problem.n_vertices), dtype=bool)
+    )
+    return WorldBatch(problem=problem, reached=reached), rounds
 
 
 # ----------------------------------------------------------------------

@@ -37,17 +37,18 @@ each other's knobs.  ``with session:`` ties the scope to the session's
 across sequential requests should instead call its workload methods
 directly (each call scopes itself) or use ``with session.activate():``,
 which scopes without closing — the owner calls :meth:`Session.close`
-at shutdown.  Inside an active session, every mechanism-level entry
-point (``SamplingEngine``, ``make_selector``, ``BatchEvaluator``,
-``EvaluationContext``, ``ComponentSampler``, the experiment harness)
-resolves its unspecified ``backend=None`` / ``crn=None`` /
-``executor=None`` / ``shard_size=None`` / ``cache=None`` arguments from
-the session, so existing code composes with sessions without signature
-changes.
+at shutdown.
 
-Resolution order for every knob: explicit call argument → innermost
-active session → built-in library default.  A session is the only place
-a knob is set; there is no process-wide store to assign.
+A session is the only place the sampling backend, the executor and the
+shard size are set: every mechanism-level object (``SamplingEngine``,
+the selectors, ``BatchEvaluator``, ``EvaluationContext``,
+``ComponentSampler``, the experiment harness) reads them from the
+session active when it samples, in one step — innermost active session,
+else the built-in library default.  The one exception is
+``SamplingEngine(backend)``, which pins a backend for that engine (the
+batch evaluator's per-request backend overrides use it).  ``crn=None``
+and ``cache=None`` arguments resolve the same way; an explicit value
+wins.  There is no process-wide store to assign.
 
 Determinism
 -----------
@@ -63,8 +64,7 @@ A session built with an integer ``workers`` spec owns the resulting
 executor, and one built with an integer ``world_cache`` bound owns that
 private cache; :meth:`Session.close` (or context-manager exit) shuts the
 pool down and drops the cache's entries.  Shared instances passed in are
-left running for their owners, mirroring
-:class:`~repro.service.BatchEvaluator`.
+left running for their owners.
 """
 
 from __future__ import annotations
@@ -156,18 +156,11 @@ class RuntimeConfig:
         (normally disabled), ``True`` builds a session-owned
         metrics-only :class:`~repro.telemetry.Telemetry` (closed with
         the session), ``False`` pins telemetry **off** even inside an
-        enabled outer scope, an instance is shared.
-    profile:
-        Resource profiling: ``True`` makes the session's telemetry a
-        :class:`~repro.telemetry.profile.ProfilingTelemetry`, so every
-        span additionally carries CPU time, tracemalloc allocation
-        deltas and GC-collection counts.  Requires telemetry (combining
-        ``profile=True`` with ``telemetry=False`` raises); when the
-        ``telemetry`` field names an instance it must already be a
-        profiling pipeline.  ``None``/``False`` leave the pipeline
-        exactly as the ``telemetry`` field says — results are
-        bit-for-bit identical either way, profiling only adds
-        measurement.
+        enabled outer scope, an instance is shared.  Pass a
+        :class:`~repro.telemetry.profile.ProfilingTelemetry` instance to
+        profile: every span then also carries CPU time, tracemalloc
+        allocation deltas and GC-collection counts (results stay
+        bit-for-bit identical; profiling only adds measurement).
     """
 
     backend: Optional[str] = None
@@ -179,7 +172,6 @@ class RuntimeConfig:
     seed: SeedLike = None
     world_cache: CacheLike = None
     telemetry: Optional[object] = None
-    profile: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.backend is not None:
@@ -238,24 +230,6 @@ class RuntimeConfig:
                 f"RuntimeConfig.telemetry must be None, a bool or a Telemetry "
                 f"instance, got {self.telemetry!r}"
             )
-        if self.profile is not None and not isinstance(self.profile, bool):
-            raise TypeError(
-                f"RuntimeConfig.profile must be a bool or None, got {self.profile!r}"
-            )
-        if self.profile:
-            if self.telemetry is False:
-                raise ValueError(
-                    "RuntimeConfig.profile=True requires telemetry; "
-                    "telemetry=False pins the pipeline off"
-                )
-            if isinstance(self.telemetry, Telemetry) and not getattr(
-                self.telemetry, "profiling", False
-            ):
-                raise ValueError(
-                    "RuntimeConfig.profile=True with a telemetry instance "
-                    "requires a ProfilingTelemetry; got "
-                    f"{type(self.telemetry).__name__}"
-                )
 
     def replace(self, **changes) -> "RuntimeConfig":
         """Return a copy with the named fields replaced (re-validated)."""
@@ -292,7 +266,6 @@ class RuntimeConfig:
             "seed": seed,
             "world_cache": cache,
             "telemetry": telemetry,
-            "profile": self.profile,
         }
 
 
@@ -350,28 +323,15 @@ class Session:
         else:
             self._cache = WorldCache(max_entries=spec)
         tspec = base.telemetry
-        if base.profile:
-            # profiling needs a profiling span pipeline: build an owned
-            # one for None/True specs; a passed instance is already a
-            # ProfilingTelemetry (validated by RuntimeConfig) and shared
-            from repro.telemetry.profile import ProfilingTelemetry
-
-            if tspec is None or tspec is True:
-                self._owns_telemetry = True
-                self._telemetry = ProfilingTelemetry()
-            else:
-                self._owns_telemetry = False
-                self._telemetry = tspec
+        self._owns_telemetry = tspec is True
+        if tspec is None:
+            self._telemetry = UNSET  # inherit the ambient pipeline
+        elif tspec is False:
+            self._telemetry = NULL_TELEMETRY  # pinned off in this scope
+        elif tspec is True:
+            self._telemetry = Telemetry()
         else:
-            self._owns_telemetry = tspec is True
-            if tspec is None:
-                self._telemetry = UNSET  # inherit the ambient pipeline
-            elif tspec is False:
-                self._telemetry = NULL_TELEMETRY  # pinned off in this scope
-            elif tspec is True:
-                self._telemetry = Telemetry()
-            else:
-                self._telemetry = tspec
+            self._telemetry = tspec
         self._evaluator: Optional[BatchEvaluator] = None
         # lifecycle bookkeeping: activation tokens must be reset in the
         # context that created them, so entries live on a context-local
@@ -509,7 +469,7 @@ class Session:
     def evaluator(self) -> BatchEvaluator:
         """The session's lazily built batch evaluator (shared by :meth:`batch`).
 
-        Built with all-unset specs, so it resolves backend, executor,
+        Built with an unset cache spec, so it reads backend, executor,
         shard size and cache from this session at every call — use it
         inside ``with session:`` (or via :meth:`batch` / :meth:`warm`,
         which activate the session themselves).  The lazy build is
@@ -562,9 +522,7 @@ class Session:
         return ready
 
     def _release_resources(self) -> None:
-        if self._evaluator is not None:
-            self._evaluator.close()
-            self._evaluator = None
+        self._evaluator = None
         if self._owns_executor and self._executor is not None:
             self._executor.close()
         if self._owns_cache and isinstance(self._cache, WorldCache):
@@ -695,9 +653,9 @@ class Session:
 
         Builds the selector through
         :func:`repro.selection.make_selector` with the session's
-        resolved sample budget and seed; every other knob (backend, CRN
-        mode, executor, shard size) resolves from the active session
-        unless overridden via ``selector_options``.
+        resolved sample budget and seed; the backend, executor and shard
+        size come from this session, and the CRN mode too unless
+        ``selector_options`` pins ``crn``.
         """
         with self._use():
             selector = make_selector(
@@ -790,8 +748,9 @@ def current_config() -> RuntimeConfig:
 
     Collapses the resolution chain (active session → built-in defaults)
     into one concrete :class:`RuntimeConfig`: ``workers`` holds the
-    resolved executor instance (``None`` for unsharded), ``telemetry``
-    the resolved pipeline and ``profile`` whether it is a profiling one.
+    resolved executor instance (``None`` for unsharded) and ``telemetry``
+    the resolved pipeline (``telemetry.profiling`` says whether it
+    profiles).
     ``world_cache`` is the session's cache instance, ``0`` when a session
     disabled caching, or ``None`` for the shared default cache —
     snapshotting is read-only and never creates that lazy default.  Used
@@ -809,7 +768,6 @@ def current_config() -> RuntimeConfig:
         cache = None  # the shared default cache
     elif cache is None:
         cache = 0  # caching disabled in this scope
-    telemetry = get_default_telemetry()
     return RuntimeConfig(
         backend=get_default_backend(),
         crn=get_default_crn(),
@@ -819,8 +777,7 @@ def current_config() -> RuntimeConfig:
         adaptive=pinned("adaptive"),
         seed=pinned("seed"),
         world_cache=cache,
-        telemetry=telemetry,
-        profile=bool(getattr(telemetry, "profiling", False)),
+        telemetry=get_default_telemetry(),
     )
 
 

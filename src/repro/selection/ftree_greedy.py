@@ -34,8 +34,6 @@ from repro.ftree.ftree import FTree
 from repro.ftree.memo import MemoCache
 from repro.ftree.sampler import ComponentSampler
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.parallel.executor import ExecutorLike, make_executor
-from repro.reachability.backends import BackendLike
 from repro.rng import SeedLike, derive_seed, ensure_rng
 from repro.selection.base import EdgeSelector, SelectionIteration, SelectionResult, Stopwatch
 from repro.selection.candidates import CandidateManager
@@ -70,9 +68,6 @@ class FTreeGreedySelector(EdgeSelector):
         Random seed or generator.
     include_query:
         Whether the query vertex's own weight counts towards the flow.
-    backend:
-        Possible-world sampling backend name or instance used by the
-        component samplers (see :mod:`repro.reachability.backends`).
     crn:
         Common-random-numbers candidate scoring (the default): the
         component samplers key their streams per selection round and
@@ -80,14 +75,11 @@ class FTreeGreedySelector(EdgeSelector):
         so within one round every probe of the same component draws the
         same worlds and candidate comparisons are noise-free.  ``False``
         restores the sequential-stream resampling reference behaviour.
-    executor:
-        Sharded-sampling executor or worker count (see
-        :mod:`repro.parallel`); the component samplers shard their
-        Monte-Carlo streams over it.  Selections stay bit-for-bit
-        identical for any worker count given
-        ``(seed, n_samples, shard_size)``.
-    shard_size:
-        Worlds per shard for the executor path.
+
+    The component samplers are built in :meth:`select` and sample with
+    the backend, executor and shard size of the session active there;
+    selections stay bit-for-bit identical for any worker count given
+    ``(seed, n_samples, shard_size)``.
     """
 
     def __init__(
@@ -101,10 +93,8 @@ class FTreeGreedySelector(EdgeSelector):
         alpha: float = 0.01,
         seed: SeedLike = None,
         include_query: bool = False,
-        backend: BackendLike = None,
+        *,
         crn: bool = True,
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
     ) -> None:
         if delay_base <= 1.0:
             raise ValueError(f"delay_base must be greater than 1, got {delay_base!r}")
@@ -116,10 +106,7 @@ class FTreeGreedySelector(EdgeSelector):
         self.delay_base = delay_base
         self.alpha = alpha
         self.include_query = include_query
-        self.backend = backend
         self.crn = bool(crn)
-        self._executor = make_executor(executor)
-        self._shard_size = shard_size
         self._seed = seed
         self.name = self._build_name()
 
@@ -144,20 +131,14 @@ class FTreeGreedySelector(EdgeSelector):
             exact_threshold=self.exact_threshold,
             seed=rng,
             memo=memo,
-            backend=self.backend,
             crn=self.crn,
-            executor=self._executor,
-            shard_size=self._shard_size,
         )
         screening_sampler = ComponentSampler(
             n_samples=_SCREENING_SAMPLES,
             exact_threshold=self.exact_threshold,
             seed=derive_seed(self._seed, 1) if self._seed is not None else None,
             memo=None,
-            backend=self.backend,
             crn=self.crn,
-            executor=self._executor,
-            shard_size=self._shard_size,
         )
         ftree = FTree(graph, query, sampler=sampler)
         candidates = CandidateManager(graph, query)

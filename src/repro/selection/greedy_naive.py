@@ -24,8 +24,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.parallel.executor import ExecutorLike, make_executor
-from repro.reachability.backends import BackendLike
 from repro.reachability.context import EvaluationContext
 from repro.reachability.engine import SamplingEngine
 from repro.rng import SeedLike, ensure_rng
@@ -45,20 +43,15 @@ class NaiveGreedySelector(EdgeSelector):
         Random seed or generator.
     include_query:
         Whether the query vertex's own weight counts towards the flow.
-    backend:
-        Possible-world sampling backend name or instance (see
-        :mod:`repro.reachability.backends`).
     crn:
         Common-random-numbers candidate scoring (see the module
         docstring).  On by default; ``False`` restores the paper's
         per-candidate resampling reference behaviour.
-    executor:
-        Sharded-sampling executor or worker count (see
-        :mod:`repro.parallel`); every world batch the selector draws is
-        fanned out over it.  Selections stay bit-for-bit identical for
-        any worker count given ``(seed, n_samples, shard_size)``.
-    shard_size:
-        Worlds per shard for the executor path.
+
+    Every world batch is drawn with the backend, executor and shard size
+    of the session active in :meth:`select`; selections stay bit-for-bit
+    identical for any worker count given ``(seed, n_samples,
+    shard_size)``.
     """
 
     name = "Naive"
@@ -68,17 +61,12 @@ class NaiveGreedySelector(EdgeSelector):
         n_samples: int = 1000,
         seed: SeedLike = None,
         include_query: bool = False,
-        backend: BackendLike = None,
+        *,
         crn: bool = True,
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
     ) -> None:
         self.n_samples = n_samples
         self.include_query = include_query
         self.crn = bool(crn)
-        self._executor = make_executor(executor)
-        self._shard_size = shard_size
-        self._engine = SamplingEngine(backend, executor=self._executor, shard_size=shard_size)
         self._rng = ensure_rng(seed)
 
     def select(self, graph: UncertainGraph, query: VertexId, budget: int) -> SelectionResult:
@@ -97,10 +85,7 @@ class NaiveGreedySelector(EdgeSelector):
                 query,
                 n_samples=self.n_samples,
                 seed=self._rng,
-                backend=self._engine.backend,
                 include_query=self.include_query,
-                executor=self._executor,
-                shard_size=self._shard_size,
             )
 
         for index in range(budget):
@@ -158,12 +143,13 @@ class NaiveGreedySelector(EdgeSelector):
         frontier: List[Edge],
     ):
         """Reference mode: re-sample the whole subgraph per candidate."""
+        engine = SamplingEngine()
         best_edge: Optional[Edge] = None
         best_flow = float("-inf")
         probed = 0
         for edge in frontier:
             probed += 1
-            estimate = self._engine.expected_flow(
+            estimate = engine.expected_flow(
                 graph,
                 query,
                 n_samples=self.n_samples,

@@ -27,8 +27,6 @@ from repro.ftree.ftree import FTree
 from repro.ftree.memo import MemoCache
 from repro.ftree.sampler import ComponentSampler
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.parallel.executor import ExecutorLike, make_executor
-from repro.reachability.backends import BackendLike
 from repro.rng import SeedLike, ensure_rng
 from repro.selection.base import EdgeSelector, SelectionIteration, SelectionResult, Stopwatch
 from repro.selection.candidates import CandidateManager
@@ -51,22 +49,16 @@ class LazyGreedySelector(EdgeSelector):
         Random seed or generator.
     include_query:
         Whether the query vertex's own weight counts towards the flow.
-    backend:
-        Possible-world sampling backend name or instance (see
-        :mod:`repro.reachability.backends`).
     crn:
         Common-random-numbers candidate scoring (the default): the
         component sampler keys its streams per selection round and
         component content, so re-evaluating the heap's top candidate
         compares against gains measured on the same worlds.  ``False``
         restores the sequential-stream resampling reference behaviour.
-    executor:
-        Sharded-sampling executor or worker count (see
-        :mod:`repro.parallel`); the component sampler shards its
-        Monte-Carlo streams over it, keeping selections bit-for-bit
-        identical for any worker count.
-    shard_size:
-        Worlds per shard for the executor path.
+
+    The component sampler is built in :meth:`select` and samples with
+    the backend, executor and shard size of the session active there,
+    keeping selections bit-for-bit identical for any worker count.
     """
 
     name = "FT+Lazy"
@@ -78,19 +70,14 @@ class LazyGreedySelector(EdgeSelector):
         memoize: bool = True,
         seed: SeedLike = None,
         include_query: bool = False,
-        backend: BackendLike = None,
+        *,
         crn: bool = True,
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
     ) -> None:
         self.n_samples = n_samples
         self.exact_threshold = exact_threshold
         self.memoize = memoize
         self.include_query = include_query
-        self.backend = backend
         self.crn = bool(crn)
-        self._executor = make_executor(executor)
-        self._shard_size = shard_size
         self._seed = seed
 
     def select(self, graph: UncertainGraph, query: VertexId, budget: int) -> SelectionResult:
@@ -103,10 +90,7 @@ class LazyGreedySelector(EdgeSelector):
             exact_threshold=self.exact_threshold,
             seed=rng,
             memo=memo,
-            backend=self.backend,
             crn=self.crn,
-            executor=self._executor,
-            shard_size=self._shard_size,
         )
         ftree = FTree(graph, query, sampler=sampler)
         candidates = CandidateManager(graph, query)

@@ -13,8 +13,6 @@ from typing import List
 from repro.ftree.builder import build_ftree
 from repro.ftree.sampler import ComponentSampler
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.parallel.executor import ExecutorLike, make_executor
-from repro.reachability.backends import BackendLike
 from repro.rng import SeedLike, ensure_rng
 from repro.selection.base import EdgeSelector, SelectionIteration, SelectionResult, Stopwatch
 from repro.selection.candidates import CandidateManager
@@ -32,17 +30,12 @@ class RandomSelector(EdgeSelector):
         exact_threshold: int = 10,
         seed: SeedLike = None,
         include_query: bool = False,
-        backend: BackendLike = None,
+        *,
         crn: bool = True,
-        executor: ExecutorLike = None,
-        shard_size: "int | None" = None,
     ) -> None:
         self.n_samples = n_samples
         self.exact_threshold = exact_threshold
         self.include_query = include_query
-        self.backend = backend
-        self._executor = make_executor(executor)
-        self._shard_size = shard_size
         # the random choice itself draws no worlds; crn only keys the
         # final flow evaluation's component streams, kept for API
         # uniformity with the greedy selectors
@@ -69,10 +62,7 @@ class RandomSelector(EdgeSelector):
             n_samples=self.n_samples,
             exact_threshold=self.exact_threshold,
             seed=self._rng,
-            backend=self.backend,
             crn=self.crn,
-            executor=self._executor,
-            shard_size=self._shard_size,
         )
         ftree = build_ftree(graph, selected, query, sampler=sampler)
         flow = ftree.expected_flow(include_query=self.include_query)

@@ -10,8 +10,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro._runtime_state import resolve_field
-from repro.parallel.executor import ExecutorLike
-from repro.reachability.backends import BackendLike
 from repro.rng import SeedLike
 from repro.selection.base import EdgeSelector
 from repro.selection.dijkstra_tree import DijkstraSelector
@@ -53,10 +51,8 @@ def make_selector(
     alpha: float = 0.01,
     seed: SeedLike = None,
     include_query: bool = False,
-    backend: BackendLike = None,
+    *,
     crn: Optional[bool] = None,
-    executor: ExecutorLike = None,
-    shard_size: Optional[int] = None,
 ) -> EdgeSelector:
     """Instantiate one of the paper's algorithms by name.
 
@@ -77,22 +73,16 @@ def make_selector(
         Random seed or generator.
     include_query:
         Whether the query vertex's own weight counts towards the flow.
-    backend:
-        Possible-world sampling backend used by the sampling-based
-        selectors (see :data:`repro.reachability.backends.BACKEND_NAMES`).
     crn:
         Common-random-numbers candidate scoring for the sampling-based
         selectors: one shared batch of possible worlds per selection
         round instead of a fresh draw per candidate.  ``None`` (the
         default) defers to :func:`get_default_crn`; ``False`` restores
         the paper's literal per-candidate resampling reference mode.
-    executor:
-        Sharded-sampling executor for the sampling-based selectors (see
-        :mod:`repro.parallel`): a worker count, an executor instance
-        (pass one instance to share a process pool across selectors), or
-        ``None`` for the process-wide default (normally unsharded).
-    shard_size:
-        Worlds per shard when an executor is active.
+
+    The sampling backend, executor and shard size are not arguments: a
+    selector samples with those of the session active when its
+    ``select`` runs (see :func:`repro.session`).
     """
     if crn is None:
         crn = get_default_crn()
@@ -109,20 +99,14 @@ def make_selector(
             alpha=alpha,
             seed=seed,
             include_query=include_query,
-            backend=backend,
             crn=crn,
-            executor=executor,
-            shard_size=shard_size,
         )
     if name == "Naive":
         return NaiveGreedySelector(
             n_samples=n_samples,
             seed=seed,
             include_query=include_query,
-            backend=backend,
             crn=crn,
-            executor=executor,
-            shard_size=shard_size,
         )
     if name == "Dijkstra":
         return DijkstraSelector(include_query=include_query)
@@ -132,10 +116,7 @@ def make_selector(
             exact_threshold=exact_threshold,
             seed=seed,
             include_query=include_query,
-            backend=backend,
             crn=crn,
-            executor=executor,
-            shard_size=shard_size,
         )
     raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES}")
 

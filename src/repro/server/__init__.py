@@ -10,8 +10,8 @@ pool:
 * :mod:`repro.server.protocol` — the line-oriented wire format:
   request/response envelopes, error types, and the ``health`` /
   ``metrics`` control kinds;
-* :mod:`repro.server.app` — :class:`ReproServer` itself: per-tenant
-  :class:`~repro.runtime.Session` resolution, the coalescing queue that
+* :mod:`repro.server.app` — :class:`ReproServer` itself: one
+  :class:`~repro.runtime.Session` for every request, the coalescing queue that
   folds concurrently-arriving requests into shared
   :class:`~repro.service.planner.QueryPlanner` groups, admission
   control with bounded in-flight work and explicit ``over_capacity``
@@ -30,7 +30,6 @@ line with ``repro serve --graph graph.json`` or in-process via
 """
 
 from repro.server.app import (
-    DEFAULT_TENANT,
     ReproServer,
     ServerConfig,
     load_warm_requests,
@@ -60,7 +59,6 @@ from repro.server.protocol import (
 __all__ = [
     "BACKPRESSURE_ERRORS",
     "CONTROL_KINDS",
-    "DEFAULT_TENANT",
     "ERR_BAD_REQUEST",
     "ERR_EVALUATION",
     "ERR_INTERNAL",

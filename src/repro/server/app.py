@@ -1,4 +1,4 @@
-"""The asyncio serving tier: coalescing, admission control, sessions.
+"""The asyncio serving tier: coalescing, admission control, one session.
 
 :class:`ReproServer` stands a long-lived JSONL-over-TCP endpoint (plain
 ``asyncio.start_server``, stdlib only) on top of the batched evaluation
@@ -20,12 +20,12 @@ service.  The moving parts, in request order:
    where the :class:`~repro.service.planner.QueryPlanner` collapses
    them onto shared world batches — the whole point of the tier.
 3. **Evaluation** — batches run on one dedicated worker thread (the
-   event loop stays responsive for health/metrics and admission), each
-   tenant's slice through that tenant's contextvar-scoped
-   :class:`repro.runtime.Session`.  All tenants share the server's
-   executor and world cache; what a session scopes per tenant is the
-   configuration (and any future per-tenant knobs), so one tenant's
-   requests can never leak configuration into another's.
+   event loop stays responsive for health/metrics and admission),
+   through the server's one :class:`repro.runtime.Session` built from
+   :attr:`ServerConfig.runtime`.  A request's ``tenant`` is validated
+   but keeps no server state: every tenant would derive the identical
+   runtime, so a batch is evaluated whole, whatever tenants it mixes,
+   and untrusted tenant names cannot grow the server's memory.
 4. **Response** — per-request writer tasks send each answer as soon as
    its future resolves, tagged with the request's ``id`` (responses may
    interleave across a pipelining connection) and its measured latency.
@@ -40,7 +40,7 @@ Lifecycle: :meth:`ReproServer.start` optionally warms the world cache
 (:attr:`ServerConfig.warm_requests`) before accepting connections;
 :meth:`ReproServer.stop` drains gracefully — stop listening, reject new
 work, finish every admitted request, flush every response, then release
-sessions, pool and evaluation thread.
+the session, pool and evaluation thread.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ from repro.service.requests import (
 from repro.telemetry import get_default_telemetry
 
 logger = logging.getLogger(__name__)
-
-#: Tenant key of requests that do not name one.
-DEFAULT_TENANT = ""
 
 #: Longest request line a connection reads (the ``StreamReader`` limit);
 #: a longer line is answered with ``bad_request`` and its connection
@@ -108,8 +105,8 @@ class ServerConfig:
     default_n_samples, default_seed:
         Fallbacks for requests that do not pin their own.
     runtime:
-        The :class:`~repro.runtime.RuntimeConfig` every tenant session
-        derives from (backend, workers, shard size, world-cache spec).
+        The :class:`~repro.runtime.RuntimeConfig` of the server's
+        session (backend, workers, shard size, world-cache spec).
     warm_requests:
         Requests whose world batches are pre-sampled into the cache
         before the server starts accepting connections.
@@ -168,11 +165,10 @@ class ServerConfig:
 class _Pending:
     """One admitted query request travelling through the coalescing queue."""
 
-    __slots__ = ("request_id", "tenant", "request", "future", "enqueued_at")
+    __slots__ = ("request_id", "request", "future", "enqueued_at")
 
-    def __init__(self, request_id, tenant, request, future, enqueued_at):
+    def __init__(self, request_id, request, future, enqueued_at):
         self.request_id = request_id
-        self.tenant = tenant
         self.request = request
         self.future = future
         self.enqueued_at = enqueued_at
@@ -216,7 +212,6 @@ class ReproServer:
         self._window_rates = WindowRates()
         self._metrics_http: Optional[MetricsHTTPServer] = None
         self._rates_task: Optional[asyncio.Task] = None
-        self._sessions: Dict[str, Session] = {DEFAULT_TENANT: self._root}
         self._queue: "asyncio.Queue[_Pending]" = asyncio.Queue()
         self._inflight = 0
         self._draining = False
@@ -329,41 +324,7 @@ class ReproServer:
                 pass
         self._writers.clear()
         self._eval_pool.shutdown(wait=True)
-        for session in list(self._sessions.values()):
-            if session is not self._root:
-                session.close()
         self._root.close()
-
-    # ------------------------------------------------------------------
-    # per-tenant sessions
-    # ------------------------------------------------------------------
-    def _tenant_runtime(self) -> RuntimeConfig:
-        """The runtime a tenant session derives from: the server's config
-        with owned resources replaced by the *resolved shared instances*,
-        so every tenant shares one pool and one world cache."""
-        runtime = self.config.runtime
-        executor = self._root.executor
-        if executor is not None:
-            runtime = runtime.replace(workers=executor)
-        cache = self._root.world_cache
-        if cache is not None:
-            runtime = runtime.replace(world_cache=cache)
-        if self.telemetry.enabled:
-            # tenants emit into the server's pipeline, not a private one
-            runtime = runtime.replace(telemetry=self.telemetry)
-        return runtime
-
-    def _session_for(self, tenant: str) -> Session:
-        session = self._sessions.get(tenant)
-        if session is None:
-            session = Session(self._tenant_runtime())
-            self._sessions[tenant] = session
-        return session
-
-    @property
-    def tenants(self) -> List[str]:
-        """Tenants that have a live session (the default tenant is ``""``)."""
-        return sorted(self._sessions)
 
     # ------------------------------------------------------------------
     # observability
@@ -402,7 +363,6 @@ class ReproServer:
                 else round(time.monotonic() - self._started_at, 3)
             ),
             "inflight": self._inflight,
-            "tenants": len(self._sessions),
         }
 
     def _metrics_payload(self) -> Dict[str, object]:
@@ -412,7 +372,6 @@ class ReproServer:
         payload["executor"] = self._executor_info()
         payload["inflight"] = self._inflight
         payload["max_inflight"] = self.config.max_inflight
-        payload["tenants"] = len(self._sessions)
         # the shared-registry view: engine/executor/cache/server counters
         # in one merged snapshot (None when the pipeline is disabled)
         payload["telemetry"] = (
@@ -483,7 +442,9 @@ class ReproServer:
                 request_id,
                 {"kind": protocol.KIND_METRICS_TEXT, "text": self.metrics_text()},
             )
-        tenant = payload.pop("tenant", DEFAULT_TENANT)
+        # tenant is a validated wire field that selects nothing: every
+        # tenant is served by the one session
+        tenant = payload.pop("tenant", "")
         if not isinstance(tenant, str):
             self.metrics.observe_bad_request()
             return protocol.error_response(
@@ -528,7 +489,6 @@ class ReproServer:
         loop = asyncio.get_running_loop()
         pending = _Pending(
             request_id=request_id,
-            tenant=tenant,
             request=request,
             future=loop.create_future(),
             enqueued_at=loop.time(),
@@ -653,30 +613,21 @@ class ReproServer:
                     self._queue.task_done()
 
     async def _execute_batch(self, batch: Sequence[_Pending]) -> None:
-        """Evaluate one coalesced batch, one slice per tenant."""
+        """Evaluate one coalesced batch through the server's session."""
         self.metrics.observe_batch(len(batch))
-        by_tenant: Dict[str, List[_Pending]] = {}
-        for pending in batch:
-            by_tenant.setdefault(pending.tenant, []).append(pending)
-        loop = asyncio.get_running_loop()
-        for tenant, members in by_tenant.items():
-            session = self._session_for(tenant)
-            requests = [pending.request for pending in members]
-            try:
-                results = await loop.run_in_executor(
-                    self._eval_pool, session.batch, self.graph, requests
-                )
-            except ReproError as error:
-                outcome = ("error", (protocol.ERR_EVALUATION, str(error)))
-                for pending in members:
-                    pending.future.set_result(outcome)
-            except Exception as error:  # pragma: no cover - defensive
-                outcome = ("error", (protocol.ERR_INTERNAL, repr(error)))
-                for pending in members:
-                    pending.future.set_result(outcome)
-            else:
-                for pending, result in zip(members, results):
-                    pending.future.set_result(("ok", result))
+        requests = [pending.request for pending in batch]
+        try:
+            results = await asyncio.get_running_loop().run_in_executor(
+                self._eval_pool, self._root.batch, self.graph, requests
+            )
+        except ReproError as error:
+            outcomes = [("error", (protocol.ERR_EVALUATION, str(error)))] * len(batch)
+        except Exception as error:  # pragma: no cover - defensive
+            outcomes = [("error", (protocol.ERR_INTERNAL, repr(error)))] * len(batch)
+        else:
+            outcomes = [("ok", result) for result in results]
+        for pending, outcome in zip(batch, outcomes):
+            pending.future.set_result(outcome)
 
 
 async def _linger(reader, writer) -> None:
@@ -738,7 +689,6 @@ def load_warm_requests(
 
 
 __all__ = [
-    "DEFAULT_TENANT",
     "ReproServer",
     "ServerConfig",
     "load_warm_requests",

@@ -9,9 +9,10 @@ two transport fields::
 
 ``id`` (optional, any JSON value) is echoed verbatim on the response so
 clients may pipeline requests on one connection — responses are **not**
-guaranteed to arrive in request order.  ``tenant`` (optional string)
-selects the per-tenant :class:`repro.runtime.Session` the request is
-evaluated under; omitted means the server's default tenant.
+guaranteed to arrive in request order.  ``tenant`` (optional) must be
+a string when present; it labels the request but selects nothing —
+every request is evaluated under the server's one
+:class:`repro.runtime.Session`.
 
 Two *control* kinds bypass the coalescing queue and are answered inline
 even when the server is saturated or draining:

@@ -40,14 +40,9 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.exceptions import VertexNotFoundError
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.parallel.executor import (
-    ExecutorLike,
-    SamplingExecutor,
-    get_default_executor,
-    make_executor,
-)
+from repro.parallel.executor import get_default_executor
 from repro.parallel.plan import get_default_shard_size
-from repro.reachability.backends import BackendLike, make_backend
+from repro.reachability.backends import get_default_backend
 from repro.reachability.engine import (
     SamplingEngine,
     WorldBatch,
@@ -97,39 +92,21 @@ class BatchEvaluator:
 
     Parameters
     ----------
-    backend:
-        Default sampling backend for requests without an override
-        (``None`` defers to the active :func:`repro.session` /
-        library-wide default backend).
-    executor:
-        Sharded-sampling executor spec (see :mod:`repro.parallel`):
-        ``None`` defers to the active session (unsharded without one), an
-        integer worker count builds an executor the evaluator *owns*
-        (closed by :meth:`close`), an instance is shared and left open.
-    shard_size:
-        Worlds per shard when an executor is active; part of every
-        world key (the sharded and unsharded streams differ).
     cache:
         World-cache spec: ``None`` follows the active session, else the
         shared process-wide default cache, ``0`` disables caching, a positive integer builds a
         private cache with that entry bound, an instance is shared.
+
+    Requests without a backend override, and every world batch's shard
+    plan, use the backend, executor and shard size of the session active
+    at each call (see :func:`repro.session`); the shard plan is part of
+    every world key (the sharded and unsharded streams differ).
     """
 
-    def __init__(
-        self,
-        backend: BackendLike = None,
-        executor: ExecutorLike = None,
-        shard_size: Optional[int] = None,
-        cache: CacheLike = None,
-    ) -> None:
-        self._backend_spec = backend
-        self._owns_executor = isinstance(executor, int) and not isinstance(executor, bool)
-        self._executor: Optional[SamplingExecutor] = make_executor(executor)
-        self.shard_size = shard_size
-        # a None spec tracks the ambient default cache *lazily* (like the
-        # backend spec), so the active repro.session affects existing
-        # evaluators and no replaced cache is pinned alive; explicit specs
-        # are resolved once
+    def __init__(self, *, cache: CacheLike = None) -> None:
+        # a None spec tracks the ambient default cache *lazily*, so the
+        # active repro.session affects existing evaluators and no
+        # replaced cache is pinned alive; explicit specs are resolved once
         self._use_default_cache = cache is None
         self._cache: Optional[WorldCache] = None if cache is None else resolve_cache(cache)
         self.planner = QueryPlanner()
@@ -149,45 +126,26 @@ class BatchEvaluator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cache = "off" if self.cache is None else len(self.cache)
-        return f"<BatchEvaluator backend={self._backend_name()!r} cache={cache}>"
-
-    # ------------------------------------------------------------------
-    # resolution helpers
-    # ------------------------------------------------------------------
-    def _backend_name(self) -> str:
-        """Resolve the default backend spec to a registry name (late, so
-        the session active at call time is honoured)."""
-        return make_backend(self._backend_spec).name
-
-    def _effective_executor(self) -> Optional[SamplingExecutor]:
-        if self._executor is not None:
-            return self._executor
-        return get_default_executor()
-
-    def _shard_signature(self, executor: Optional[SamplingExecutor]) -> Optional[int]:
-        """The shard-plan component of world keys: ``None`` = unsharded."""
-        if executor is None:
-            return None
-        return int(self.shard_size) if self.shard_size is not None else get_default_shard_size()
+        return f"<BatchEvaluator backend={get_default_backend()!r} cache={cache}>"
 
     # ------------------------------------------------------------------
     # planning and sampling
     # ------------------------------------------------------------------
     def plan(self, graph: UncertainGraph, requests: Sequence[QueryRequest]) -> QueryPlan:
-        """Return the sharing plan for a batch without executing it."""
-        executor = self._effective_executor()
+        """Return the sharing plan for a batch under the active session.
+
+        The shard-plan component of the world keys is ``None`` when the
+        session names no executor (unsharded), else its shard size.
+        """
         return self.planner.plan(
             graph,
             requests,
-            default_backend=self._backend_name(),
-            shard_size=self._shard_signature(executor),
+            default_backend=get_default_backend(),
+            shard_size=None if get_default_executor() is None else get_default_shard_size(),
         )
 
     def _group_batch(
-        self,
-        graph: UncertainGraph,
-        group: QueryGroup,
-        executor: Optional[SamplingExecutor],
+        self, graph: UncertainGraph, group: QueryGroup
     ) -> tuple[WorldBatch, bool]:
         """Fetch the group's world batch from the cache or sample it."""
         cache = self.cache  # resolve once so get and put hit the same instance
@@ -199,10 +157,7 @@ class BatchEvaluator:
                 if tel.enabled:
                     tel.count("service.batches_reused")
                 return cached, True
-        engine = SamplingEngine(
-            group.key.backend, executor=executor, shard_size=self.shard_size
-        )
-        batch = engine.sample_worlds(
+        batch = SamplingEngine(group.key.backend).sample_worlds(
             graph,
             group.source,
             group.key.n_samples,
@@ -304,18 +259,11 @@ class BatchEvaluator:
         for request in request_list:
             self._validate(graph, request)
         results: List[Optional[QueryResult]] = [None] * len(request_list)
-        executor = self._effective_executor()
-        plan = self.planner.plan(
-            graph,
-            request_list,
-            default_backend=self._backend_name(),
-            shard_size=self._shard_signature(executor),
-        )
-        self.last_plan = plan
+        plan = self.last_plan = self.plan(graph, request_list)
         for position, request in plan.trivial:
             results[position] = self._trivial_result(request)
         for group in plan.groups:
-            batch, from_cache = self._group_batch(graph, group, executor)
+            batch, from_cache = self._group_batch(graph, group)
             digest = group.key.digest
             for position, request in group.requests:
                 results[position] = self._answer(
@@ -358,37 +306,19 @@ class BatchEvaluator:
     ) -> None:
         for request in request_list:
             self._validate(graph, request)
-        executor = self._effective_executor()
-        plan = self.planner.plan(
-            graph,
-            request_list,
-            default_backend=self._backend_name(),
-            shard_size=self._shard_signature(executor),
-        )
-        self.last_plan = plan
+        plan = self.last_plan = self.plan(graph, request_list)
         for group in plan.groups:
-            self._group_batch(graph, group, executor)
+            self._group_batch(graph, group)
 
     def cache_stats(self) -> Dict[str, float]:
         """Statistics of the active cache (empty dict when disabled)."""
         return {} if self.cache is None else self.cache.stats()
 
-    def close(self) -> None:
-        """Release the evaluator-owned executor (idempotent).
-
-        Only executors the evaluator built itself (integer specs) are
-        closed; shared instances and the process-wide default are left
-        running for their owners.
-        """
-        if self._owns_executor and self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
     def __enter__(self) -> "BatchEvaluator":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Nothing to release: executors and caches belong to sessions."""
 
 
 __all__ = ["BatchEvaluator", "validate_request"]

@@ -56,6 +56,9 @@ class Telemetry:
     """
 
     enabled = True
+    #: True only on :class:`~repro.telemetry.profile.ProfilingTelemetry`,
+    #: whose spans also carry resource deltas.
+    profiling = False
 
     def __init__(
         self,

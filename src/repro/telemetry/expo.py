@@ -207,7 +207,6 @@ def render_server_text(payload: Dict[str, object]) -> str:
 
     builder.gauge("repro_server_inflight", payload.get("inflight"))
     builder.gauge("repro_server_max_inflight", payload.get("max_inflight"))
-    builder.gauge("repro_server_tenants", payload.get("tenants"))
 
     rates: Dict[str, object] = payload.get("rates") or {}  # type: ignore[assignment]
     for field in ("qps", "hit_rate", "rejection_rate", "window_s"):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import SampleSizeError, VertexNotFoundError
 from repro.ftree.sampler import ComponentSampler
 from repro.graph.generators import cycle_graph, erdos_renyi_graph
@@ -101,12 +102,11 @@ class TestComponentSamplerRewiring:
     def test_sampler_backends_bitwise_equal_per_seed(self):
         graph = cycle_graph(9, probability=0.5)
         vertices = [v for v in graph.vertices() if v != 0]
-        per_backend = [
-            ComponentSampler(
-                n_samples=400, exact_threshold=0, seed=21, backend=backend
-            ).reachability(graph, 0, vertices, graph.edge_list())
-            for backend in BACKEND_NAMES
-        ]
+        per_backend = []
+        for backend in BACKEND_NAMES:
+            sampler = ComponentSampler(n_samples=400, exact_threshold=0, seed=21)
+            with repro.session(backend=backend):
+                per_backend.append(sampler.reachability(graph, 0, vertices, graph.edge_list()))
         reference = per_backend[0].probabilities
         for estimate in per_backend[1:]:
             assert estimate.probabilities == reference
@@ -248,8 +248,6 @@ class TestBackendRegistry:
             _FACTORIES.pop("test-slow-bfs", None)
 
     def test_session_scope_redirects_none(self):
-        import repro
-
         with repro.session(backend="naive"):
             assert get_default_backend() == "naive"
             assert make_backend(None).name == "naive"

@@ -6,8 +6,9 @@ The contract under test (see :mod:`repro.reachability.context`):
   shared flip matrix over ``base + candidate`` — the attach-column fast
   path and the incremental delta re-propagation are pure optimizations;
 * scores, and therefore greedy selections, are bit-for-bit identical
-  across the ``naive`` and ``csr`` backends for the same seed
-  (the acceptance criterion of the CRN refactor);
+  across every registered backend for the same seed (the acceptance
+  criterion of the CRN refactor); the backend is chosen by the session
+  active when the context scores;
 * candidate gains over the round's base flow are nonnegative by
   construction (monotone reachability on shared worlds).
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import SampleSizeError, VertexNotFoundError
 from repro.graph.generators import erdos_renyi_graph, star_graph
 from repro.graph.uncertain_graph import UncertainGraph
@@ -67,8 +69,9 @@ class TestScoreCorrectness:
         # with cycle-closing ones
         for _ in range(3):
             frontier = manager.candidates()
-            context = EvaluationContext(graph, 0, n_samples=200, seed=17, backend=backend)
-            scores = context.score_candidates(base, frontier)
+            context = EvaluationContext(graph, 0, n_samples=200, seed=17)
+            with repro.session(backend=backend):
+                scores = context.score_candidates(base, frontier)
             batch = engine.sample_flips(
                 graph, 0, 200, seed=17, edges=list(base) + frontier
             )
@@ -79,11 +82,12 @@ class TestScoreCorrectness:
             base.append(edge)
 
     def test_gains_are_nonnegative(self, dense_random_graph, backend):
-        context = EvaluationContext(dense_random_graph, 0, n_samples=150, seed=5, backend=backend)
+        context = EvaluationContext(dense_random_graph, 0, n_samples=150, seed=5)
         manager = CandidateManager(dense_random_graph, 0)
         base = []
         for _ in range(4):
-            scores = context.score_candidates(base, manager.candidates())
+            with repro.session(backend=backend):
+                scores = context.score_candidates(base, manager.candidates())
             assert (scores.gains() >= 0.0).all()
             assert (scores.scores >= scores.base_flow).all()
             _, edge, _ = scores.best()
@@ -97,20 +101,22 @@ class TestScoreCorrectness:
             graph.add_vertex(vertex, weight=1.0)
         for u, v in [(0, 1), (0, 2), (1, 2), (1, 3)]:
             graph.add_edge(u, v, 0.5)
-        context = EvaluationContext(graph, 0, n_samples=200, seed=2, backend=backend)
+        context = EvaluationContext(graph, 0, n_samples=200, seed=2)
         base = [Edge(0, 1), Edge(0, 2)]
         # (1, 2) closes a cycle (both endpoints touched); (1, 3) attaches
-        scores = context.score_candidates(base, [Edge(1, 2), Edge(1, 3)])
+        with repro.session(backend=backend):
+            scores = context.score_candidates(base, [Edge(1, 2), Edge(1, 3)])
         assert scores.delta_evaluations == 1
         assert scores.fast_evaluations == 1
         assert (scores.gains() >= 0.0).all()
 
     def test_rounds_consume_fresh_worlds(self, dense_random_graph, backend):
         """Two rounds with identical inputs draw different worlds."""
-        context = EvaluationContext(dense_random_graph, 0, n_samples=100, seed=9, backend=backend)
+        context = EvaluationContext(dense_random_graph, 0, n_samples=100, seed=9)
         frontier = CandidateManager(dense_random_graph, 0).candidates()
-        first = context.score_candidates([], frontier)
-        second = context.score_candidates([], frontier)
+        with repro.session(backend=backend):
+            first = context.score_candidates([], frontier)
+            second = context.score_candidates([], frontier)
         assert context.rounds == 2
         assert not np.array_equal(first.scores, second.scores)
 
@@ -120,12 +126,11 @@ class TestCrossBackendSelections:
 
     def test_candidate_scores_bitwise_identical_across_backends(self, dense_random_graph):
         frontier = CandidateManager(dense_random_graph, 0).candidates()
-        per_backend = [
-            EvaluationContext(
-                dense_random_graph, 0, n_samples=300, seed=23, backend=backend
-            ).score_candidates([], frontier)
-            for backend in BACKEND_NAMES
-        ]
+        per_backend = []
+        for backend in BACKEND_NAMES:
+            with repro.session(backend=backend):
+                context = EvaluationContext(dense_random_graph, 0, n_samples=300, seed=23)
+                per_backend.append(context.score_candidates([], frontier))
         reference = per_backend[0]
         for scores in per_backend[1:]:
             np.testing.assert_array_equal(scores.scores, reference.scores)
@@ -133,12 +138,11 @@ class TestCrossBackendSelections:
 
     def test_naive_selector_selections_identical_across_backends(self):
         graph = erdos_renyi_graph(40, average_degree=5.0, seed=8)
-        results = [
-            NaiveGreedySelector(n_samples=200, seed=13, crn=True, backend=backend).select(
-                graph, 0, 8
-            )
-            for backend in BACKEND_NAMES
-        ]
+        results = []
+        for backend in BACKEND_NAMES:
+            with repro.session(backend=backend):
+                selector = NaiveGreedySelector(n_samples=200, seed=13, crn=True)
+                results.append(selector.select(graph, 0, 8))
         reference = results[0]
         for result in results[1:]:
             assert result.selected_edges == reference.selected_edges
@@ -146,12 +150,11 @@ class TestCrossBackendSelections:
 
     def test_lazy_selector_selections_identical_across_backends(self):
         graph = erdos_renyi_graph(30, average_degree=4.0, seed=4)
-        results = [
-            LazyGreedySelector(n_samples=150, seed=6, crn=True, backend=backend).select(
-                graph, 0, 6
-            )
-            for backend in BACKEND_NAMES
-        ]
+        results = []
+        for backend in BACKEND_NAMES:
+            with repro.session(backend=backend):
+                selector = LazyGreedySelector(n_samples=150, seed=6, crn=True)
+                results.append(selector.select(graph, 0, 6))
         reference = results[0]
         for result in results[1:]:
             assert result.selected_edges == reference.selected_edges

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.parallel import (
     AdaptiveSettings,
     DEFAULT_SHARD_SIZE,
@@ -16,9 +17,7 @@ from repro.parallel import (
     plan_shards,
 )
 from repro.parallel.adaptive import shard_rounds
-from repro.graph.generators import path_graph
 from repro.reachability.backends import make_backend
-from repro.reachability.engine import SamplingEngine
 from repro.reachability.backends.base import SamplingProblem
 from repro.rng import split_seed_sequences
 from repro.types import Edge
@@ -69,9 +68,9 @@ class TestShardPlan:
                 plan_shards(10, bad)
             with pytest.raises(TypeError, match="shard_size"):
                 ShardPlan(n_samples=10, shard_size=bad)
-        engine = SamplingEngine(executor=SerialExecutor(), shard_size=2.9)
-        with pytest.raises(TypeError, match="shard_size"):
-            engine.expected_flow(path_graph(4), 0, n_samples=10, seed=1)
+            # the session is the one place a shard size is set
+            with pytest.raises(TypeError, match="shard_size"):
+                repro.session(workers=SerialExecutor(), shard_size=bad)
 
 
 class TestExecutors:
@@ -145,8 +144,6 @@ class TestExecutors:
 
 class TestDefaults:
     def test_session_scope_pins_executor_and_shard_size(self):
-        import repro
-
         with repro.session(workers=1, shard_size=64) as session:
             assert get_default_executor() is session.executor
             assert get_default_shard_size() == 64

@@ -4,12 +4,15 @@ The hard guarantee of :mod:`repro.parallel`: for a fixed
 ``(seed, n_samples, shard_size)`` every estimate and every greedy
 selection is bit-for-bit identical no matter how many workers run the
 shards — the serial reference executor and process pools of 2 and 4
-workers must agree exactly, on both sampling backends.
+workers must agree exactly, on every registered sampling backend.  The
+executor, shard size and backend come from the session each draw runs
+in.
 """
 
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import SampleSizeError
 from repro.graph.generators import erdos_renyi_graph
 from repro.parallel import (
@@ -32,6 +35,11 @@ def graph():
     return erdos_renyi_graph(60, average_degree=6.0, seed=5)
 
 
+def sharded(executor, shard_size=SHARD_SIZE, **knobs):
+    """The session a sharded draw of these tests runs in."""
+    return repro.session(workers=executor, shard_size=shard_size, **knobs)
+
+
 @pytest.fixture(scope="module")
 def pools():
     """One shared pool per worker count, so tests don't respawn processes."""
@@ -43,12 +51,10 @@ class TestWorkerCountInvariance:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_world_batches_identical(self, graph, pools, backend):
         engine = SamplingEngine(backend)
-        batches = {
-            workers: engine.sample_worlds(
-                graph, 0, N_SAMPLES, seed=123, executor=executor, shard_size=SHARD_SIZE
-            )
-            for workers, executor in pools.items()
-        }
+        batches = {}
+        for workers, executor in pools.items():
+            with sharded(executor):
+                batches[workers] = engine.sample_worlds(graph, 0, N_SAMPLES, seed=123)
         reference = batches[1]
         assert reference.n_samples == N_SAMPLES
         for workers, batch in batches.items():
@@ -56,23 +62,21 @@ class TestWorkerCountInvariance:
 
     def test_flip_batches_identical(self, graph, pools):
         engine = SamplingEngine()
-        flips = [
-            engine.sample_flips(
-                graph, 0, N_SAMPLES, seed=9, executor=executor, shard_size=SHARD_SIZE
-            ).flips
-            for executor in pools.values()
-        ]
+        flips = []
+        for executor in pools.values():
+            with sharded(executor):
+                flips.append(engine.sample_flips(graph, 0, N_SAMPLES, seed=9).flips)
         for other in flips[1:]:
             assert np.array_equal(flips[0], other)
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_flow_estimates_identical(self, graph, pools, backend):
-        estimates = [
-            SamplingEngine(backend, executor=executor, shard_size=SHARD_SIZE).expected_flow(
-                graph, 0, n_samples=N_SAMPLES, seed=7
-            )
-            for executor in pools.values()
-        ]
+        estimates = []
+        for executor in pools.values():
+            with sharded(executor, backend=backend):
+                estimates.append(
+                    SamplingEngine().expected_flow(graph, 0, n_samples=N_SAMPLES, seed=7)
+                )
         assert len({e.expected_flow for e in estimates}) == 1
         assert len({e.variance for e in estimates}) == 1
         for other in estimates[1:]:
@@ -82,10 +86,9 @@ class TestWorkerCountInvariance:
     def test_naive_greedy_selections_identical(self, graph, pools, backend):
         selections = []
         for executor in pools.values():
-            selector = NaiveGreedySelector(
-                n_samples=64, seed=3, backend=backend, executor=executor, shard_size=SHARD_SIZE
-            )
-            selections.append(selector.select(graph, 0, budget=3))
+            selector = NaiveGreedySelector(n_samples=64, seed=3)
+            with sharded(executor, backend=backend):
+                selections.append(selector.select(graph, 0, budget=3))
         reference = selections[0]
         for result in selections[1:]:
             assert result.selected_edges == reference.selected_edges
@@ -100,11 +103,9 @@ class TestWorkerCountInvariance:
                 exact_threshold=0,  # force sampling so the executor is exercised
                 memoize=True,
                 seed=3,
-                backend=backend,
-                executor=executor,
-                shard_size=SHARD_SIZE,
             )
-            selections.append(selector.select(graph, 0, budget=3))
+            with sharded(executor, backend=backend):
+                selections.append(selector.select(graph, 0, budget=3))
         reference = selections[0]
         for result in selections[1:]:
             assert result.selected_edges == reference.selected_edges
@@ -115,10 +116,9 @@ class TestWorkerCountInvariance:
         base, candidates = edges[:3], edges[3:9]
         all_scores = []
         for executor in pools.values():
-            context = EvaluationContext(
-                graph, 0, n_samples=N_SAMPLES, seed=21, executor=executor, shard_size=SHARD_SIZE
-            )
-            all_scores.append(context.score_candidates(base, candidates).scores)
+            context = EvaluationContext(graph, 0, n_samples=N_SAMPLES, seed=21)
+            with sharded(executor):
+                all_scores.append(context.score_candidates(base, candidates).scores)
         for other in all_scores[1:]:
             assert np.array_equal(all_scores[0], other)
 
@@ -126,38 +126,41 @@ class TestWorkerCountInvariance:
 class TestShardBoundaries:
     def test_indivisible_sample_count(self, graph, pools):
         engine = SamplingEngine()
-        batches = [
-            engine.sample_worlds(graph, 0, 50, seed=2, executor=executor, shard_size=16)
-            for executor in pools.values()
-        ]
+        batches = []
+        for executor in pools.values():
+            with sharded(executor, shard_size=16):
+                batches.append(engine.sample_worlds(graph, 0, 50, seed=2))
         assert batches[0].n_samples == 50
         for other in batches[1:]:
             assert np.array_equal(batches[0].reached, other.reached)
 
     def test_single_shard_request(self, graph, pools):
         engine = SamplingEngine()
-        batches = [
-            engine.sample_worlds(graph, 0, 5, seed=2, executor=executor, shard_size=100)
-            for executor in pools.values()
-        ]
+        batches = []
+        for executor in pools.values():
+            with sharded(executor, shard_size=100):
+                batches.append(engine.sample_worlds(graph, 0, 5, seed=2))
         for other in batches[1:]:
             assert np.array_equal(batches[0].reached, other.reached)
 
     def test_zero_samples_still_rejected(self, graph):
-        engine = SamplingEngine(executor=SerialExecutor(), shard_size=8)
-        with pytest.raises(SampleSizeError):
-            engine.sample_worlds(graph, 0, 0, seed=2)
-        with pytest.raises(SampleSizeError):
-            engine.sample_flips(graph, 0, 0, seed=2)
+        engine = SamplingEngine()
+        with sharded(SerialExecutor(), shard_size=8):
+            with pytest.raises(SampleSizeError):
+                engine.sample_worlds(graph, 0, 0, seed=2)
+            with pytest.raises(SampleSizeError):
+                engine.sample_flips(graph, 0, 0, seed=2)
 
     def test_shard_size_is_part_of_the_determinism_key(self, graph):
-        engine = SamplingEngine(executor=SerialExecutor())
-        a = engine.sample_worlds(graph, 0, 64, seed=2, shard_size=16)
-        b = engine.sample_worlds(graph, 0, 64, seed=2, shard_size=32)
+        engine = SamplingEngine()
+        with sharded(SerialExecutor(), shard_size=16):
+            a = engine.sample_worlds(graph, 0, 64, seed=2)
+        with sharded(SerialExecutor(), shard_size=32):
+            b = engine.sample_worlds(graph, 0, 64, seed=2)
         assert not np.array_equal(a.reached, b.reached)
 
     def test_unsharded_path_untouched_by_subsystem(self, graph):
-        # executor=None must keep the historical single-stream draw
+        # no session executor must keep the historical single-stream draw
         engine = SamplingEngine("naive")
         import numpy.random as npr
 
@@ -169,15 +172,13 @@ class TestShardBoundaries:
 
 class TestDefaultExecutorRouting:
     def test_session_default_shards_unspecified_calls(self, graph):
-        import repro
-
+        built_outside = SamplingEngine()
         with repro.session(workers=SerialExecutor()):
-            via_default = SamplingEngine().expected_flow(graph, 0, n_samples=64, seed=6)
-        explicit = SamplingEngine(executor=SerialExecutor()).expected_flow(
-            graph, 0, n_samples=64, seed=6
-        )
-        unsharded = SamplingEngine().expected_flow(graph, 0, n_samples=64, seed=6)
-        assert via_default.expected_flow == explicit.expected_flow
+            via_default = built_outside.expected_flow(graph, 0, n_samples=64, seed=6)
+        with repro.session(workers=1):
+            built_inside = SamplingEngine().expected_flow(graph, 0, n_samples=64, seed=6)
+        unsharded = built_outside.expected_flow(graph, 0, n_samples=64, seed=6)
+        assert via_default.expected_flow == built_inside.expected_flow
         assert via_default.expected_flow != unsharded.expected_flow
 
 
@@ -228,10 +229,8 @@ class TestConcurrentServiceUse:
     def _serial_reference(self, graph, requests):
         from repro.service import BatchEvaluator
 
-        evaluator = BatchEvaluator(
-            executor=SerialExecutor(), shard_size=SHARD_SIZE, cache=0
-        )
-        return self._payloads(evaluator.evaluate(graph, requests))
+        with sharded(SerialExecutor()):
+            return self._payloads(BatchEvaluator(cache=0).evaluate(graph, requests))
 
     def test_threaded_shared_cache_and_executor_match_serial(self, graph):
         import threading
@@ -246,12 +245,11 @@ class TestConcurrentServiceUse:
         with ProcessExecutor(2) as pool:
 
             def run(slot):
-                evaluator = BatchEvaluator(
-                    executor=pool, shard_size=SHARD_SIZE, cache=cache
-                )
+                evaluator = BatchEvaluator(cache=cache)
                 start.wait(timeout=10)  # all threads hit the cold pool together
                 try:
-                    outcomes[slot] = self._payloads(evaluator.evaluate(graph, requests))
+                    with sharded(pool):
+                        outcomes[slot] = self._payloads(evaluator.evaluate(graph, requests))
                 except Exception as error:  # pragma: no cover - fails below
                     outcomes[slot] = error
 
@@ -274,8 +272,6 @@ class TestConcurrentServiceUse:
 
     def test_asyncio_tasks_over_shared_session_match_serial(self, graph):
         import asyncio
-
-        import repro
 
         requests = self._requests(graph)
         reference = self._serial_reference(graph, requests)
@@ -300,12 +296,14 @@ class TestAdaptiveStopping:
         settings = AdaptiveSettings(
             target_width=0.15, alpha=0.05, max_samples=2000, min_samples=50
         )
-        estimates = [
-            SamplingEngine(executor=executor, shard_size=SHARD_SIZE).pair_reachability(
-                graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
-            )
-            for executor in pools.values()
-        ]
+        estimates = []
+        for executor in pools.values():
+            with sharded(executor):
+                estimates.append(
+                    SamplingEngine().pair_reachability(
+                        graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
+                    )
+                )
         assert len({e.n_samples for e in estimates}) == 1
         assert len({e.probability for e in estimates}) == 1
 
@@ -313,9 +311,10 @@ class TestAdaptiveStopping:
         settings = AdaptiveSettings(
             target_width=0.5, alpha=0.05, max_samples=4000, min_samples=32
         )
-        estimate = SamplingEngine(shard_size=32).pair_reachability(
-            graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
-        )
+        with repro.session(shard_size=32):
+            estimate = SamplingEngine().pair_reachability(
+                graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
+            )
         assert estimate.n_samples < settings.max_samples
         assert estimate.n_samples >= settings.min_samples
 
@@ -323,18 +322,20 @@ class TestAdaptiveStopping:
         settings = AdaptiveSettings(
             target_width=1e-6, alpha=0.05, max_samples=256, min_samples=32
         )
-        estimate = SamplingEngine(shard_size=32).pair_reachability(
-            graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
-        )
+        with repro.session(shard_size=32):
+            estimate = SamplingEngine().pair_reachability(
+                graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
+            )
         assert estimate.n_samples == settings.max_samples
 
     def test_adaptive_flow_estimate(self, graph):
         settings = AdaptiveSettings(
             target_width=20.0, alpha=0.05, max_samples=2000, min_samples=64
         )
-        estimate = SamplingEngine(shard_size=32).expected_flow(
-            graph, 0, n_samples="auto", seed=13, adaptive=settings
-        )
+        with repro.session(shard_size=32):
+            estimate = SamplingEngine().expected_flow(
+                graph, 0, n_samples="auto", seed=13, adaptive=settings
+            )
         assert estimate.n_samples >= settings.min_samples
         assert estimate.n_samples <= settings.max_samples
         assert estimate.expected_flow > 0.0

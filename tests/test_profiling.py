@@ -216,7 +216,7 @@ class TestAttribution:
 
     def test_invariants_on_a_real_profiled_run(self, graph):
         tel = ProfilingTelemetry(exporters=[memory := InMemoryExporter()])
-        with Session(RuntimeConfig(telemetry=tel, profile=True)) as session:
+        with Session(RuntimeConfig(telemetry=tel)) as session:
             session.expected_flow(graph, 0, n_samples=200, seed=5)
         tel.close()
         assert memory.spans
@@ -239,7 +239,7 @@ class TestAttribution:
 
     def test_collapsed_round_trip_on_a_real_profiled_run(self, graph):
         tel = ProfilingTelemetry(exporters=[memory := InMemoryExporter()])
-        with Session(RuntimeConfig(telemetry=tel, profile=True)) as session:
+        with Session(RuntimeConfig(telemetry=tel)) as session:
             session.batch(
                 graph,
                 [QueryRequest(kind="expected_flow", source=0, n_samples=150, seed=2)],
@@ -280,26 +280,15 @@ class TestAttribution:
 # ----------------------------------------------------------------------
 class TestProfileResolution:
     def test_profile_config_validation(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(profile=True, telemetry=False)
-        with pytest.raises(ValueError):
-            RuntimeConfig(profile=True, telemetry=Telemetry())
+        # profiling is chosen by the pipeline, not by a config flag
         with pytest.raises(TypeError):
-            RuntimeConfig(profile="yes")
-        assert RuntimeConfig(profile=True).as_dict()["profile"] is True
-        assert RuntimeConfig().as_dict()["profile"] is None
-
-    def test_profile_true_builds_owned_profiling_pipeline(self):
-        session = Session(RuntimeConfig(profile=True))
-        try:
-            assert isinstance(session.telemetry, ProfilingTelemetry)
-            assert session.telemetry.enabled
-        finally:
-            session.close()
+            RuntimeConfig(profile=True)
+        assert "profile" not in RuntimeConfig().as_dict()
+        assert ProfilingTelemetry.profiling and not Telemetry.profiling
 
     def test_profile_shares_a_passed_profiling_instance(self):
         tel = ProfilingTelemetry()
-        session = Session(RuntimeConfig(profile=True, telemetry=tel))
+        session = Session(RuntimeConfig(telemetry=tel))
         assert session.telemetry is tel
         session.close()
         assert tel.enabled  # shared instances are left alone
@@ -308,8 +297,10 @@ class TestProfileResolution:
     def test_profiled_run_is_bit_identical_to_unprofiled(self, graph):
         with Session() as session:
             plain = session.expected_flow(graph, 0, n_samples=400, seed=9)
-        with Session(RuntimeConfig(profile=True)) as session:
+        tel = ProfilingTelemetry()
+        with Session(RuntimeConfig(telemetry=tel)) as session:
             profiled = session.expected_flow(graph, 0, n_samples=400, seed=9)
+        tel.close()
         with Session(RuntimeConfig(telemetry=True)) as session:
             traced = session.expected_flow(graph, 0, n_samples=400, seed=9)
         assert profiled.expected_flow == plain.expected_flow
@@ -325,8 +316,10 @@ class TestProfileResolution:
         with Session() as session:
             plain = [request_to_dict(r) for r in requests]  # keep requests fixed
             baseline = session.batch(graph, requests)
-        with Session(RuntimeConfig(profile=True)) as session:
+        tel = ProfilingTelemetry()
+        with Session(RuntimeConfig(telemetry=tel)) as session:
             profiled = session.batch(graph, requests)
+        tel.close()
         assert plain == [request_to_dict(r) for r in requests]
         assert [r.value for r in profiled] == [r.value for r in baseline]
 
@@ -437,7 +430,6 @@ class TestExposition:
             "executor": {"workers": 2, "shard_size": 256, "sharded": True},
             "inflight": 1,
             "max_inflight": 256,
-            "tenants": 1,
             "rates": {"qps": 1.5, "hit_rate": 0.8, "rejection_rate": 0.0, "window_s": 5.0},
             "telemetry": None,
         }

@@ -11,8 +11,9 @@ Three contracts are pinned here:
    closed session refuses further use.
 3. **Equivalence** — for a fixed ``(seed, backend, shard plan)``, every
    ``Session`` method reproduces the exact bits of the mechanism-level
-   ``SamplingEngine``/selector/service call path, on both backends,
-   sharded and unsharded (the acceptance criterion of the API redesign).
+   ``SamplingEngine``/selector/service call path run inside an active
+   session, on every backend, sharded and unsharded (the acceptance
+   criterion of the API redesign).
 """
 
 import threading
@@ -122,13 +123,16 @@ class TestScoping:
             assert current_config().world_cache == 0
 
     def test_current_config_reports_profiling(self):
-        with repro.session(profile=True):
+        from repro.telemetry.profile import ProfilingTelemetry
+
+        tel = ProfilingTelemetry()
+        with repro.session(telemetry=tel):
             resolved = current_config()
-        assert resolved.profile is True
+        tel.close()  # a passed pipeline belongs to its creator
         assert resolved.telemetry.profiling
-        assert resolved.as_dict()["profile"] is True
+        assert "profile" not in resolved.as_dict()
         with repro.session(telemetry=True):
-            assert current_config().profile is False
+            assert not current_config().telemetry.profiling
 
     def test_nested_sessions_inherit_policy_fields(self, graph):
         # n_samples / seed / adaptive merge over parents exactly like the
@@ -358,6 +362,105 @@ class TestLifecycle:
         assert session.executor.closed
 
 
+class _RecordingExecutor(SerialExecutor):
+    """The serial reference executor, keeping every shard task it ran."""
+
+    def __init__(self):
+        super().__init__()
+        self.tasks = []
+
+    def map_shards(self, tasks):
+        self.tasks.extend(tasks)
+        return super().map_shards(tasks)
+
+
+class TestObjectsFollowTheSession:
+    """Objects built outside a session sample with the session they run in.
+
+    Each object is built with no session active, then run inside one that
+    names the naive backend, a serial executor and 32-world shards: every
+    reachability draw and propagation must go through the naive backend
+    (the csr one is made to fail) and every shard must follow the plan.
+    """
+
+    SHARD_SIZE = 32
+
+    @pytest.fixture
+    def k5(self):
+        from repro.graph.generators import complete_graph
+
+        return complete_graph(5, probability=0.5)
+
+    @pytest.fixture
+    def naive_calls(self, monkeypatch):
+        from repro.reachability.backends import CSRSamplingBackend, NaiveSamplingBackend
+
+        calls = []
+        for name in ("sample_reachability", "propagate_reachability"):
+            original = getattr(NaiveSamplingBackend, name)
+
+            def counting(self, *args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            def refuse(self, *args, _name=name, **kwargs):
+                raise AssertionError(f"csr {_name} ran inside a naive session")
+
+            monkeypatch.setattr(NaiveSamplingBackend, name, counting)
+            monkeypatch.setattr(CSRSamplingBackend, name, refuse)
+        return calls
+
+    def _run(self, work, naive_calls):
+        executor = _RecordingExecutor()
+        with repro.session(backend="naive", workers=executor, shard_size=self.SHARD_SIZE):
+            work()
+        assert naive_calls, "no naive backend call"
+        assert executor.tasks, "nothing was sharded"
+        sizes = [task.n_samples for task in executor.tasks]
+        assert max(sizes) == self.SHARD_SIZE
+        for task in executor.tasks:
+            assert task.backend is None or task.backend.name == "naive"
+
+    @pytest.mark.parametrize("algorithm", ["FT", "FT+M"])
+    def test_ftree_selector(self, k5, naive_calls, algorithm):
+        selector = make_selector(algorithm, n_samples=64, exact_threshold=0, seed=1)
+        self._run(lambda: selector.select(k5, 0, 6), naive_calls)
+
+    @pytest.mark.parametrize("crn", [True, False])
+    def test_naive_selector(self, k5, naive_calls, crn):
+        selector = make_selector("Naive", n_samples=64, seed=1, crn=crn)
+        self._run(lambda: selector.select(k5, 0, 4), naive_calls)
+
+    def test_lazy_selector(self, k5, naive_calls):
+        from repro.selection.lazy_greedy import LazyGreedySelector
+
+        selector = LazyGreedySelector(n_samples=64, exact_threshold=0, seed=1)
+        self._run(lambda: selector.select(k5, 0, 6), naive_calls)
+
+    def test_random_selector(self, k5, naive_calls):
+        selector = make_selector("Random", n_samples=64, exact_threshold=0, seed=1)
+        self._run(lambda: selector.select(k5, 0, k5.n_edges), naive_calls)
+
+    def test_component_sampler(self, k5, naive_calls):
+        from repro.ftree.sampler import ComponentSampler
+
+        sampler = ComponentSampler(n_samples=64, exact_threshold=0, seed=1)
+        vertices = [v for v in k5.vertices() if v != 0]
+        self._run(lambda: sampler.reachability(k5, 0, vertices, k5.edge_list()), naive_calls)
+
+    def test_evaluation_context(self, k5, naive_calls):
+        from repro.reachability.context import EvaluationContext
+
+        context = EvaluationContext(k5, 0, n_samples=64, seed=1)
+        edges = k5.edge_list()
+        self._run(lambda: context.score_candidates(edges[:2], edges[2:]), naive_calls)
+
+    def test_batch_evaluator(self, k5, naive_calls):
+        evaluator = BatchEvaluator(cache=0)
+        request = QueryRequest(kind="expected_flow", source=0, n_samples=64, seed=1)
+        self._run(lambda: evaluator.evaluate(k5, [request]), naive_calls)
+
+
 ALL_BACKENDS = list(BACKEND_NAMES)
 
 
@@ -375,9 +478,8 @@ class TestLegacyEquivalence:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_expected_flow_sharded(self, graph, backend):
-        legacy = SamplingEngine(backend, executor=SerialExecutor(), shard_size=32).expected_flow(
-            graph, 0, n_samples=80, seed=7
-        )
+        with repro.session(backend=backend, workers=SerialExecutor(), shard_size=32):
+            legacy = SamplingEngine().expected_flow(graph, 0, n_samples=80, seed=7)
         with repro.session(backend=backend, workers=1, shard_size=32,
                            seed=7, n_samples=80) as session:
             scoped = session.expected_flow(graph, 0)
@@ -419,19 +521,18 @@ class TestLegacyEquivalence:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("algorithm", ["Naive", "FT+M"])
     def test_selection(self, graph, backend, algorithm):
-        legacy = make_selector(
-            algorithm, n_samples=60, seed=11, backend=backend
-        ).select(graph, 0, 5)
+        selector = make_selector(algorithm, n_samples=60, seed=11)
+        with repro.session(backend=backend):
+            legacy = selector.select(graph, 0, 5)
         with repro.session(backend=backend, seed=11, n_samples=60) as session:
             scoped = session.select(graph, 0, 5, algorithm=algorithm)
         assert scoped.selected_edges == legacy.selected_edges
         assert scoped.expected_flow == legacy.expected_flow
 
     def test_selection_sharded_and_resample_mode(self, graph):
-        legacy = make_selector(
-            "FT+M", n_samples=60, seed=11, crn=False,
-            executor=SerialExecutor(), shard_size=32,
-        ).select(graph, 0, 4)
+        selector = make_selector("FT+M", n_samples=60, seed=11, crn=False)
+        with repro.session(workers=SerialExecutor(), shard_size=32):
+            legacy = selector.select(graph, 0, 4)
         with repro.session(crn=False, workers=1, shard_size=32,
                            seed=11, n_samples=60) as session:
             scoped = session.select(graph, 0, 4)
@@ -445,7 +546,7 @@ class TestLegacyEquivalence:
             QueryRequest(kind="pair_reachability", source=0, target=9,
                          n_samples=60, seed=3),
         ]
-        with BatchEvaluator(backend=backend, cache=4) as evaluator:
+        with repro.session(backend=backend), BatchEvaluator(cache=4) as evaluator:
             legacy = evaluator.evaluate(graph, requests)
         with repro.session(backend=backend, world_cache=4) as session:
             scoped = session.batch(graph, requests)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.graph.generators import erdos_renyi_graph
 from repro.parallel import SerialExecutor
 from repro.runtime import RuntimeConfig
@@ -249,7 +250,8 @@ class TestServedBitsMatchDirectEvaluation:
 
     def test_sharded_server_matches_sharded_direct_evaluation(self, graph):
         requests = workload(graph)[:6]
-        with BatchEvaluator(executor=SerialExecutor(), shard_size=32, cache=0) as ev:
+        with repro.session(workers=SerialExecutor(), shard_size=32), \
+                BatchEvaluator(cache=0) as ev:
             reference = [
                 comparable(json.loads(json.dumps(result_to_dict(r))))
                 for r in ev.evaluate(graph, requests)
@@ -281,7 +283,8 @@ class TestServedBitsMatchDirectEvaluation:
         # produce different (but each internally deterministic) streams
         request = workload()[0]
         direct_unsharded = direct_reference(graph, [request])[0]
-        with BatchEvaluator(executor=SerialExecutor(), shard_size=32, cache=0) as ev:
+        with repro.session(workers=SerialExecutor(), shard_size=32), \
+                BatchEvaluator(cache=0) as ev:
             direct_sharded = comparable(
                 json.loads(json.dumps(result_to_dict(ev.evaluate(graph, [request])[0])))
             )
@@ -504,8 +507,20 @@ class TestAdmissionControl:
 
 
 class TestTenants:
-    def test_tenants_get_their_own_session_but_share_the_cache(self, graph):
+    def test_tenant_names_keep_no_server_state(self, graph, monkeypatch):
+        """Untrusted tenant names cannot grow the server: one session serves all."""
+        import repro.server.app as app
+
+        built = []
+
+        class CountingSession(app.Session):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(app, "Session", CountingSession)
         request = workload()[0]
+        names = [f"tenant-{index}" for index in range(40)]
 
         async def scenario():
             server = await start_server(graph, runtime=RuntimeConfig(world_cache=8))
@@ -513,25 +528,25 @@ class TestTenants:
             client = await ServerClient.connect(host, port)
             try:
                 default = await client.query(request_to_dict(request))
-                team_a = await client.query(request_to_dict(request), tenant="team-a")
-                team_b = await client.query(request_to_dict(request), tenant="team-b")
+                named = await asyncio.gather(
+                    *(client.query(request_to_dict(request), tenant=name) for name in names)
+                )
+                health = await client.health()
                 metrics = await client.metrics()
             finally:
                 await client.close()
-                tenants = server.tenants
                 await server.stop()
-            return default, team_a, team_b, metrics, tenants
+            return default, named, health, metrics
 
-        default, team_a, team_b, metrics, tenants = run(scenario())
-        # identical bits for every tenant ...
-        assert comparable(team_a) == comparable(default)
-        assert comparable(team_b) == comparable(default)
-        # ... and the later tenants were served from the shared cache
+        default, named, health, metrics = run(scenario())
+        assert len(built) == 1  # the server's own session, whatever the names
+        # identical bits for every tenant, served from the one shared cache
         assert default["from_cache"] is False
-        assert team_a["from_cache"] is True
-        assert team_b["from_cache"] is True
-        assert tenants == ["", "team-a", "team-b"]
-        assert metrics["tenants"] == 3
+        for response in named:
+            assert comparable(response) == comparable(default)
+            assert response["from_cache"] is True
+        assert "tenants" not in health
+        assert "tenants" not in metrics
 
     def test_non_string_tenant_is_a_bad_request(self, graph):
         async def scenario():

@@ -8,8 +8,9 @@ shard plan)``.
 
 import pytest
 
+import repro
 from repro.graph.generators import erdos_renyi_graph
-from repro.parallel.executor import SerialExecutor
+from repro.parallel.executor import ProcessExecutor, SerialExecutor
 from repro.reachability.backends import BACKEND_NAMES
 from repro.reachability.engine import SamplingEngine
 from repro.service import (
@@ -90,7 +91,9 @@ class TestBitForBitEquality:
         request = QueryRequest(
             kind="expected_flow", source=0, n_samples=N_SAMPLES, seed=SEED
         )
-        batched = BatchEvaluator(backend=backend, cache=0).evaluate_one(graph, request)
+        evaluator = BatchEvaluator(cache=0)
+        with repro.session(backend=backend):
+            batched = evaluator.evaluate_one(graph, request)
         single = SamplingEngine(backend).expected_flow(graph, 0, n_samples=N_SAMPLES, seed=SEED)
         assert batched.flow == single
 
@@ -99,7 +102,9 @@ class TestBitForBitEquality:
         request = QueryRequest(
             kind="pair_reachability", source=0, target=7, n_samples=N_SAMPLES, seed=SEED
         )
-        batched = BatchEvaluator(backend=backend, cache=0).evaluate_one(graph, request)
+        evaluator = BatchEvaluator(cache=0)
+        with repro.session(backend=backend):
+            batched = evaluator.evaluate_one(graph, request)
         single = SamplingEngine(backend).pair_reachability(
             graph, 0, 7, n_samples=N_SAMPLES, seed=SEED
         )
@@ -164,17 +169,17 @@ class TestBitForBitEquality:
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_sharded_plan_matches_single_query(self, graph, backend):
-        executor = SerialExecutor()
         request = QueryRequest(
             kind="expected_flow", source=0, n_samples=N_SAMPLES, seed=SEED
         )
-        batched = BatchEvaluator(
-            backend=backend, executor=executor, shard_size=32, cache=0
-        ).evaluate_one(graph, request)
-        single = SamplingEngine(backend, executor=executor, shard_size=32).expected_flow(
+        with repro.session(backend=backend, workers=SerialExecutor(), shard_size=32):
+            batched = BatchEvaluator(cache=0).evaluate_one(graph, request)
+            single = SamplingEngine().expected_flow(graph, 0, n_samples=N_SAMPLES, seed=SEED)
+        unsharded = SamplingEngine(backend).expected_flow(
             graph, 0, n_samples=N_SAMPLES, seed=SEED
         )
         assert batched.flow == single
+        assert batched.flow != unsharded  # the session's shard plan was used
 
     def test_cached_answers_stay_bit_for_bit(self, graph):
         evaluator = BatchEvaluator(cache=WorldCache())
@@ -358,19 +363,16 @@ class TestWireFormat:
 
 
 class TestLifecycle:
-    def test_owned_executor_is_closed(self, graph):
-        evaluator = BatchEvaluator(executor=1)  # int spec -> evaluator owns it
-        evaluator.evaluate_one(
-            graph, QueryRequest(kind="expected_flow", source=0, n_samples=60, seed=1)
-        )
-        assert evaluator._executor is not None
-        evaluator.close()
-        assert evaluator._executor is None
-
     def test_shared_executor_is_left_open(self, graph):
-        executor = SerialExecutor()
-        with BatchEvaluator(executor=executor) as evaluator:
-            evaluator.evaluate_one(
-                graph, QueryRequest(kind="expected_flow", source=0, n_samples=60, seed=1)
-            )
-        assert evaluator._executor is executor  # still attached, not closed
+        request = QueryRequest(kind="expected_flow", source=0, n_samples=60, seed=1)
+        executor = ProcessExecutor(2)
+        try:
+            with repro.session(workers=executor):
+                with BatchEvaluator(cache=0) as evaluator:
+                    evaluator.evaluate_one(graph, request)
+                # the evaluator owns no executor: leaving its block
+                # leaves the session's pool running
+                assert not executor.closed
+                evaluator.evaluate_one(graph, request)
+        finally:
+            executor.close()

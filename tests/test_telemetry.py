@@ -488,10 +488,8 @@ class TestInstrumentation:
 
     def test_serial_executor_accounts_shards(self, random_graph):
         tel = Telemetry()
-        with repro.session(telemetry=tel):
-            SamplingEngine(executor=repro.SerialExecutor(), shard_size=50).expected_flow(
-                random_graph, 0, n_samples=N_SAMPLES, seed=SEED
-            )
+        with repro.session(telemetry=tel, workers=repro.SerialExecutor(), shard_size=50):
+            SamplingEngine().expected_flow(random_graph, 0, n_samples=N_SAMPLES, seed=SEED)
         snapshot = tel.snapshot()
         assert snapshot["counters"]["executor.shards_run"] == N_SAMPLES // 50
         assert snapshot["histograms"]["executor.shard_seconds"]["count"] == N_SAMPLES // 50

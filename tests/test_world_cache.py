@@ -101,11 +101,13 @@ class TestKeySeparation:
     def test_sharded_and_unsharded_streams_do_not_cross_hit(self, graph):
         from repro.parallel.executor import SerialExecutor
 
+        import repro
+
         cache = WorldCache()
-        unsharded = BatchEvaluator(cache=cache)
-        sharded = BatchEvaluator(cache=cache, executor=SerialExecutor(), shard_size=64)
-        unsharded.evaluate_one(graph, flow_request())
-        result = sharded.evaluate_one(graph, flow_request())
+        evaluator = BatchEvaluator(cache=cache)
+        evaluator.evaluate_one(graph, flow_request())
+        with repro.session(workers=SerialExecutor(), shard_size=64):
+            result = evaluator.evaluate_one(graph, flow_request())
         assert cache.hits == 0 and len(cache) == 2
         assert not result.from_cache
 

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.parallel.adaptive import AdaptiveSettings
 from repro.reachability.backends.csr import _pack_rows
@@ -226,10 +227,9 @@ def test_candidate_scores_equal_the_literal_flow_products(backend, include_query
     graph = cyclic_graph(3)
     edges = sorted(graph.edges())
     base, candidates = edges[:12], edges[12:40]
-    context = EvaluationContext(
-        graph, 0, n_samples=777, seed=11, backend=backend, include_query=include_query
-    )
-    scores = context.score_candidates(base, candidates)
+    context = EvaluationContext(graph, 0, n_samples=777, seed=11, include_query=include_query)
+    with repro.session(backend=backend):
+        scores = context.score_candidates(base, candidates)
     assert scores.delta_evaluations > 0
 
     engine = SamplingEngine(backend)
@@ -272,7 +272,7 @@ def test_hit_counts_equal_the_literal_column_sums():
 
 def test_adaptive_counts_equal_the_literal_shard_sums():
     graph = cyclic_graph(8)
-    engine = SamplingEngine("csr", shard_size=256)
+    engine = SamplingEngine("csr")
     seen = []
 
     def width_of(problem, counts, n):
@@ -280,9 +280,8 @@ def test_adaptive_counts_equal_the_literal_shard_sums():
         return 1.0
 
     settings_ = AdaptiveSettings(min_samples=256, max_samples=1024, target_width=1e-9)
-    batch = engine._sample_worlds_adaptive(
-        graph, 0, 5, None, (), None, None, settings_, width_of
-    )
+    with repro.session(shard_size=256):
+        batch = engine._sample_worlds_adaptive(graph, 0, 5, None, (), settings_, width_of)
     assert seen
     for counts, n in seen:
         assert counts.tolist() == batch.reached[:n].sum(axis=0).tolist()
