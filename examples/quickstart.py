@@ -12,8 +12,9 @@ Run with:  python examples/quickstart.py
 from __future__ import annotations
 
 import repro
-from repro.experiments.harness import pick_query_vertex
+from repro.experiments.harness import evaluate_flow, pick_query_vertex
 from repro.experiments.reporting import format_table
+from repro.reachability import SamplingEngine
 
 # All runtime knobs live in one scoped configuration object,
 # repro.RuntimeConfig, activated with `with repro.session(...)`:
@@ -35,19 +36,19 @@ from repro.experiments.reporting import format_table
 #                   ProcessExecutor instance.  Results are bit-for-bit
 #                   identical for any worker count at a fixed
 #                   (seed, n_samples, shard_size).
-#   * n_samples   — default Monte-Carlo budget for the session's methods;
-#                   "auto" switches to adaptive CI-driven stopping.
-#   * seed        — default seed for the session's methods.
 #   * world_cache — digest-keyed LRU world cache for the batched query
 #                   service (an entry bound, 0 to disable, or a shared
 #                   WorldCache instance).
+#   * telemetry   — the observability pipeline (see steps 5 and 6).
+#
+# The sample budget ("auto" for adaptive CI-driven stopping) and the seed
+# are not runtime knobs: they are arguments of each call.
 #
 # Sessions scope cleanly (contextvar-based): they nest, restore the
 # enclosing configuration on exit, and are invisible to other threads.
 # The mechanism-level API (make_selector, SamplingEngine, BatchEvaluator,
 # EvaluationContext, ...) takes no backend, workers or shard-size
-# arguments: it samples with those of the session active when it runs,
-# so both styles compose:
+# arguments: it samples with those of the session active when it runs:
 #
 #     with repro.session(backend="naive", workers=4):
 #         selector = repro.make_selector("FT+M", n_samples=1000, seed=7)
@@ -68,16 +69,16 @@ def main() -> None:
           f"query vertex {query}, budget k={budget}\n")
 
     # 2. run three algorithms on the same instance inside one session;
-    #    every selection and evaluation below inherits the session's seed
-    #    policy and would inherit backend/workers/... the same way
+    #    every selection and evaluation below would take its backend,
+    #    workers, ... from that session
     rows = []
-    with repro.session(seed=7) as s:
+    with repro.session():
         for name in ("Dijkstra", "Naive", "FT+M"):
             n_samples = 100 if name == "Naive" else 300
-            result = s.select(graph, query, budget, algorithm=name, n_samples=n_samples)
+            selector = repro.make_selector(name, n_samples=n_samples, seed=7)
+            result = selector.select(graph, query, budget)
             # evaluate every result with the same independent estimator
-            flow = s.evaluate_flow(graph, result.selected_edges, query,
-                                   n_samples=800, seed=1)
+            flow = evaluate_flow(graph, result.selected_edges, query, n_samples=800, seed=1)
             rows.append(
                 {
                     "algorithm": result.algorithm,
@@ -96,13 +97,13 @@ def main() -> None:
         "repro.session(crn=False) to see the paper's literal per-candidate resampling cost."
     )
 
-    # 4. adaptive sampling: a session whose default budget is "auto" stops
-    #    as soon as the estimate is tight enough instead of always paying
-    #    a fixed cost
+    # 4. adaptive sampling: a budget of "auto" stops as soon as the
+    #    estimate is tight enough instead of always paying a fixed cost
     target = next(iter(graph.neighbors(query)))
     settings = repro.AdaptiveSettings(target_width=0.05, alpha=0.05, max_samples=4000)
-    with repro.session(n_samples="auto", adaptive=settings, seed=7) as s:
-        estimate = s.pair_reachability(graph, query, target)
+    estimate = SamplingEngine().pair_reachability(
+        graph, query, target, n_samples="auto", seed=7, adaptive=settings
+    )
     print(
         f"\nAdaptive sampling: P({query} <-> {target}) = {estimate.probability:.3f} "
         f"pinned to a {settings.target_width}-wide CI after {estimate.n_samples} of "
@@ -118,8 +119,8 @@ def main() -> None:
 
     memory = InMemoryExporter()
     tel = Telemetry(exporters=[memory])
-    with repro.session(telemetry=tel, seed=7) as s:
-        s.expected_flow(graph, query, n_samples=800)
+    with repro.session(telemetry=tel) as s:
+        s.expected_flow(graph, query, n_samples=800, seed=7)
     counters = tel.snapshot()["counters"]
     print(
         f"\nTelemetry: {counters.get('engine.worlds_sampled', 0)} worlds sampled in "
@@ -140,8 +141,8 @@ def main() -> None:
 
     profile_memory = InMemoryExporter()
     profile_tel = ProfilingTelemetry(exporters=[profile_memory])
-    with repro.session(telemetry=profile_tel, seed=7) as s:
-        s.expected_flow(graph, query, n_samples=800)
+    with repro.session(telemetry=profile_tel) as s:
+        s.expected_flow(graph, query, n_samples=800, seed=7)
     profile_tel.close()
     print("\nProfiling: hot spans by self time (CPU / alloc / gc per span):")
     print(format_hot_spans(profile_memory.spans, limit=5))

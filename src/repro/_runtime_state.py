@@ -2,8 +2,9 @@
 
 This module is deliberately dependency-free (it imports nothing from the
 rest of the library) so that the low-level configuration points — the
-backend registry, the shard planner, the executor factory, the selection
-registry and the world cache — can consult it without import cycles.
+backend registry, the shard planner, the executor factory, the CRN
+default of the selectors, the world cache and the telemetry resolver —
+can consult it without import cycles.
 User-facing API lives in :mod:`repro.runtime`; nothing here is public.
 
 The one piece of state is the **active session** — a
@@ -17,7 +18,9 @@ A knob resolves in one step: innermost active session (already merged
 over its parents at activation time) → built-in library default.  The
 backend, executor and shard size have no other source (bar a backend
 pinned by ``SamplingEngine(backend)``); ``crn`` and ``cache`` arguments
-that are not ``None`` win over the session.
+that are not ``None`` win over the session.  Only those six runtime
+knobs live here: a call's sample budget, seed and stopping rule are its
+own arguments, never session state.
 """
 
 from __future__ import annotations
@@ -57,10 +60,9 @@ class EffectiveConfig:
     for "explicitly unsharded"/"caching disabled"), never raw specs, and
     ``telemetry`` holds a resolved ``repro.telemetry.Telemetry`` pipeline
     (the disabled singleton when a session pins telemetry off).
-    The ambient knobs are what the library-wide ``get_default_*``
-    resolution points consult; ``n_samples``, ``adaptive`` and ``seed``
-    are the call-policy fields only Session methods read — carried here
-    so nested sessions inherit them too.
+    These are exactly the knobs the library-wide ``get_default_*``
+    resolution points consult; call policy (sample budget, seed,
+    stopping rule) is never session state.
     """
 
     __slots__ = (
@@ -70,9 +72,6 @@ class EffectiveConfig:
         "shard_size",
         "world_cache",
         "telemetry",
-        "n_samples",
-        "adaptive",
-        "seed",
     )
 
     def __init__(
@@ -83,9 +82,6 @@ class EffectiveConfig:
         shard_size: Any = UNSET,
         world_cache: Any = UNSET,
         telemetry: Any = UNSET,
-        n_samples: Any = UNSET,
-        adaptive: Any = UNSET,
-        seed: Any = UNSET,
     ) -> None:
         self.backend = backend
         self.crn = crn
@@ -93,9 +89,6 @@ class EffectiveConfig:
         self.shard_size = shard_size
         self.world_cache = world_cache
         self.telemetry = telemetry
-        self.n_samples = n_samples
-        self.adaptive = adaptive
-        self.seed = seed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -37,14 +37,14 @@ from repro.datasets.registry import DATASET_NAMES, load_dataset
 from repro.exceptions import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import ALL_FIGURES, FigureResult, run_figure
-from repro.experiments.harness import pick_query_vertex
+from repro.experiments.harness import evaluate_flow, pick_query_vertex
 from repro.experiments.reporting import format_table, rows_to_csv
 from repro.graph.io import read_json, write_json
 from repro.graph.validation import graph_stats
 from repro.reachability.backends import BACKEND_NAMES
 from repro.runtime import RuntimeConfig, current_config, session as runtime_session
-from repro.selection.registry import ALGORITHM_NAMES
-from repro.service import request_from_dict, result_to_dict
+from repro.selection.registry import ALGORITHM_NAMES, make_selector
+from repro.service import BatchEvaluator, request_from_dict, result_to_dict
 from repro.types import Edge
 
 
@@ -228,12 +228,12 @@ def _write_flame(args: argparse.Namespace, memory, out) -> None:
     print(f"collapsed stacks written to {flame_out}", file=out)
 
 
-def runtime_config_from_args(
-    args: argparse.Namespace, n_samples: Optional[int] = None, seed=None
-) -> RuntimeConfig:
+def runtime_config_from_args(args: argparse.Namespace) -> RuntimeConfig:
     """Build the command's RuntimeConfig from the shared flag group.
 
-    Validation errors surface as a clean ``SystemExit`` message instead
+    Sample budgets and seeds are not runtime knobs: each command passes
+    its ``--samples`` / ``--seed`` to the call it makes.  Validation
+    errors surface as a clean ``SystemExit`` message instead
     of a deep-stack traceback.
     """
     telemetry, memory = _build_trace_telemetry(args)
@@ -244,8 +244,6 @@ def runtime_config_from_args(
             crn=False if args.resample_per_candidate else None,
             workers=args.workers,
             shard_size=args.shard_size,
-            n_samples=n_samples,
-            seed=seed,
             world_cache=args.cache_size,
             telemetry=telemetry,
         )
@@ -415,11 +413,12 @@ def _command_generate(args: argparse.Namespace) -> int:
 def _command_select(args: argparse.Namespace) -> int:
     # build (and validate) the runtime config before touching the graph
     # file, so a bad flag exits before any I/O
-    config = runtime_config_from_args(args, n_samples=args.samples, seed=args.seed)
+    config = runtime_config_from_args(args)
     graph = read_json(args.graph)
     query = _parse_vertex(args.query, graph)
-    with runtime_session(config) as session:
-        result = session.select(graph, query, args.budget, algorithm=args.algorithm)
+    with runtime_session(config):
+        selector = make_selector(args.algorithm, n_samples=args.samples, seed=args.seed)
+        result = selector.select(graph, query, args.budget)
         resolved = current_config()  # the knobs the run actually used
     print(f"algorithm      : {result.algorithm}")
     print(f"query vertex   : {query}")
@@ -463,14 +462,12 @@ def _read_edge_file(path: Path, graph) -> List[Edge]:
 
 
 def _command_evaluate(args: argparse.Namespace) -> int:
-    config = runtime_config_from_args(args, seed=args.seed)
+    config = runtime_config_from_args(args)
     graph = read_json(args.graph)
     query = _parse_vertex(args.query, graph)
     edges = _read_edge_file(args.edges, graph)
-    with runtime_session(config) as session:
-        flow = session.evaluate_flow(
-            graph, edges, query, n_samples=args.samples, seed=args.seed
-        )
+    with runtime_session(config):
+        flow = evaluate_flow(graph, edges, query, n_samples=args.samples, seed=args.seed)
     print(f"query vertex  : {query}")
     print(f"edges         : {len(edges)}")
     print(f"expected flow : {flow:.4f}")
@@ -507,13 +504,15 @@ def _command_batch(args: argparse.Namespace) -> int:
         raise SystemExit(f"--samples must be positive, got {args.samples}")
     graph = read_json(args.graph)
     requests = _read_request_file(args.requests, graph, args.samples, args.seed)
-    with runtime_session(config) as session:
+    evaluator = BatchEvaluator()
+    with runtime_session(config):
         try:
-            results = session.batch(graph, requests, warm=args.warm)
+            if args.warm:
+                evaluator.warm(graph, requests)
+            results = evaluator.evaluate(graph, requests)
         except ReproError as error:
             raise SystemExit(f"batch evaluation failed: {error}") from error
-        evaluator = session.evaluator
-        plan = evaluator.last_plan  # the plan batch() just built
+        plan = evaluator.last_plan  # the plan evaluate() just built
         sampled, reused = evaluator.batches_sampled, evaluator.batches_reused
         stats = evaluator.cache_stats()
     lines = [json.dumps(result_to_dict(result)) for result in results]
@@ -702,14 +701,14 @@ def _command_telemetry(args: argparse.Namespace) -> int:
     else:
         requests = _synthesize_requests(graph, args.samples, args.seed)
     telemetry, memory = args.trace_state
-    with runtime_session(config) as session:
+    with runtime_session(config):
         # one root span over the whole workload, so the per-layer times
         # underneath it visibly sum to (approximately) the wall time
         with telemetry.span(
             "cli.telemetry", graph=graph.name or "graph", n_requests=len(requests)
         ):
             try:
-                session.batch(graph, requests)
+                BatchEvaluator().evaluate(graph, requests)
             except ReproError as error:
                 raise SystemExit(f"telemetry workload failed: {error}") from error
     telemetry.close()

@@ -1,29 +1,33 @@
-"""``repro.runtime`` — the unified, scoped Session API.
+"""``repro.runtime`` — scoped runtime configuration.
 
-Four generations of scaling work (pluggable sampling backends, CRN
-candidate scoring, sharded executors, the batched query service) each
-added its own knob, threaded as the same six kwargs through every entry
-point.  This module collapses that surface into one typed, scoped
-runtime object:
+The estimation stack has six runtime knobs: the sampling backend, CRN
+candidate scoring, the sharded-sampling executor and its shard size, the
+world cache and the telemetry pipeline.  None of them is an argument of
+the estimators, selectors or the batch evaluator; they come from the
+session active when those objects sample.  This module is where sessions
+are built:
 
-* :class:`RuntimeConfig` — a frozen dataclass bundling every knob:
-  sampling backend, CRN mode, workers/executor spec, shard size, the
-  default sample budget (fixed or ``"auto"`` with
-  :class:`~repro.parallel.AdaptiveSettings`), the default seed, and the
-  world-cache spec.
-* :class:`Session` — a facade that owns the resolved executor and world
-  cache for one scope and exposes the full workload as methods:
-  :meth:`~Session.expected_flow`, :meth:`~Session.pair_reachability`,
-  :meth:`~Session.component_reachability`, :meth:`~Session.select`,
-  :meth:`~Session.batch`, :meth:`~Session.evaluate_flow`,
-  :meth:`~Session.run_figure`.
+* :class:`RuntimeConfig` — a frozen dataclass holding the six knobs.
+* :class:`Session` — one merged configuration plus the resources it
+  owns (an executor built from a worker count, a private world cache, a
+  metrics pipeline), scoped with contextvars and drained on close.
 * :func:`session` — the one-liner entry point::
 
       import repro
+      from repro.selection import make_selector
 
-      with repro.session(backend="naive", workers=4, seed=7) as s:
-          flow = s.expected_flow(graph, query, n_samples=2000)
-          result = s.select(graph, query, budget=20, algorithm="FT+M")
+      with repro.session(backend="naive", workers=4):
+          result = make_selector("FT+M", n_samples=1000, seed=7).select(
+              graph, query, budget=20
+          )
+
+A session sets *where* work runs, never *what* is computed: the sample
+budget, seed and stopping rule are arguments of each call (of
+:class:`~repro.reachability.engine.SamplingEngine`, the selectors,
+:class:`~repro.service.evaluator.BatchEvaluator` requests and
+:func:`~repro.experiments.harness.evaluate_flow`).
+:meth:`Session.expected_flow` is the one workload method left on the
+session, a pass-through to the engine with the engine's own signature.
 
 Scoping
 -------
@@ -34,10 +38,9 @@ exiting restores the enclosing configuration exactly — which makes
 configuration safe in threaded services where two requests must not see
 each other's knobs.  ``with session:`` ties the scope to the session's
 *lifecycle* (the last exit closes it); a long-lived session shared
-across sequential requests should instead call its workload methods
-directly (each call scopes itself) or use ``with session.activate():``,
-which scopes without closing — the owner calls :meth:`Session.close`
-at shutdown.
+across sequential requests should instead use ``with
+session.activate():``, which scopes without closing — the owner calls
+:meth:`Session.close` at shutdown.
 
 A session is the only place the sampling backend, the executor and the
 shard size are set: every mechanism-level object (``SamplingEngine``,
@@ -53,10 +56,9 @@ wins.  There is no process-wide store to assign.
 Determinism
 -----------
 A session changes *where* configuration comes from, never *what* is
-computed: for a fixed ``(seed, backend, shard plan)``, every ``Session``
-method reproduces the exact bits of the corresponding
-``SamplingEngine`` / selector / service call (pinned by
-``tests/test_runtime_scoping.py``).
+computed: for a fixed ``(seed, backend, shard plan)``, a call inside a
+session reproduces the exact bits of the same call with that backend and
+shard plan pinned directly (pinned by ``tests/test_runtime_scoping.py``).
 
 Lifecycle
 ---------
@@ -73,9 +75,7 @@ import contextlib
 import dataclasses
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterable, Optional
 
 from repro._runtime_state import (
     UNSET,
@@ -91,18 +91,16 @@ from repro.parallel.adaptive import AdaptiveSettings
 from repro.parallel.executor import (
     ExecutorLike,
     SamplingExecutor,
+    get_default_executor,
     make_executor,
 )
-from repro.parallel.plan import check_sample_count, check_shard_size, get_default_shard_size
+from repro.parallel.plan import check_shard_size, get_default_shard_size
 from repro.reachability.backends import backend_names, get_default_backend
-from repro.reachability.engine import SamplingEngine
-from repro.reachability.estimators import FlowEstimate, ReachabilityEstimate
+from repro.reachability.engine import SampleSpec, SamplingEngine
+from repro.reachability.estimators import FlowEstimate
 from repro.rng import SeedLike
-from repro.selection.base import SelectionResult
-from repro.selection.registry import get_default_crn, make_selector
+from repro.selection.base import get_default_crn
 from repro.service.cache import CacheLike, WorldCache
-from repro.service.evaluator import BatchEvaluator
-from repro.service.requests import QueryRequest, QueryResult
 from repro.telemetry import NULL_TELEMETRY, Telemetry, get_default_telemetry
 from repro.types import Edge, VertexId
 
@@ -137,15 +135,6 @@ class RuntimeConfig:
         Worlds per shard when an executor is active: a positive ``int``
         (a bool or a fractional size is refused, not truncated).  Part of
         the determinism key ``(seed, n_samples, shard_size)``.
-    n_samples:
-        Default Monte-Carlo sample budget for session methods: a
-        positive integer, or ``"auto"`` for adaptive CI-driven stopping
-        (see :class:`~repro.parallel.AdaptiveSettings`).
-    adaptive:
-        Stopping rule used when ``n_samples="auto"``.
-    seed:
-        Default seed for session methods that are not handed one: a
-        non-negative ``int`` or a :class:`numpy.random.Generator`.
     world_cache:
         World-cache spec for service-backed evaluation: ``None`` shares
         the ambient default cache, ``0`` disables caching, a positive
@@ -167,9 +156,6 @@ class RuntimeConfig:
     crn: Optional[bool] = None
     workers: ExecutorLike = None
     shard_size: Optional[int] = None
-    n_samples: Optional[object] = None
-    adaptive: Optional[AdaptiveSettings] = None
-    seed: SeedLike = None
     world_cache: CacheLike = None
     telemetry: Optional[object] = None
 
@@ -200,21 +186,6 @@ class RuntimeConfig:
             )
         if self.shard_size is not None:
             check_shard_size(self.shard_size, "RuntimeConfig.shard_size")
-        if self.n_samples is not None:
-            check_sample_count(self.n_samples, allow_auto=True, name="RuntimeConfig.n_samples")
-        if self.seed is not None and not isinstance(self.seed, np.random.Generator):
-            if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-                raise TypeError(
-                    f"RuntimeConfig.seed must be None, an int or a numpy Generator, "
-                    f"got {self.seed!r}"
-                )
-            if self.seed < 0:
-                raise ValueError(f"RuntimeConfig.seed must be >= 0, got {self.seed!r}")
-        if self.adaptive is not None and not isinstance(self.adaptive, AdaptiveSettings):
-            raise TypeError(
-                f"RuntimeConfig.adaptive must be AdaptiveSettings or None, "
-                f"got {self.adaptive!r}"
-            )
         if isinstance(self.world_cache, bool):
             raise TypeError("RuntimeConfig.world_cache must be a bound or cache, not bool")
         if isinstance(self.world_cache, int) and self.world_cache < 0:
@@ -239,7 +210,7 @@ class RuntimeConfig:
         """JSON-safe summary of the config (for BENCH payloads and logs).
 
         Executor and cache instances are reduced to their worker count /
-        entry bound; a non-integer seed is rendered as its ``repr``.
+        entry bound, a telemetry instance to whether it is enabled.
         """
         workers = self.workers
         if isinstance(workers, SamplingExecutor):
@@ -247,12 +218,6 @@ class RuntimeConfig:
         cache = self.world_cache
         if isinstance(cache, WorldCache):
             cache = cache.max_entries
-        seed = self.seed
-        if seed is not None and not isinstance(seed, int):
-            seed = repr(seed)
-        adaptive = (
-            dataclasses.asdict(self.adaptive) if self.adaptive is not None else None
-        )
         telemetry = self.telemetry
         if isinstance(telemetry, Telemetry):
             telemetry = telemetry.enabled
@@ -261,9 +226,6 @@ class RuntimeConfig:
             "crn": self.crn,
             "workers": workers,
             "shard_size": self.shard_size,
-            "n_samples": self.n_samples,
-            "adaptive": adaptive,
-            "seed": seed,
             "world_cache": cache,
             "telemetry": telemetry,
         }
@@ -273,10 +235,10 @@ class Session:
     """A scoped runtime: one resolved configuration plus owned resources.
 
     Build one from a :class:`RuntimeConfig` (and/or keyword overrides)
-    and either use it as a context manager — activating it for the
-    current thread so every library call inside resolves its unspecified
-    knobs from it — or call its workload methods directly; each method
-    activates the session for the duration of the call.
+    and use it as a context manager — activating it for the current
+    thread so every library call inside resolves its unspecified knobs
+    from it — or, for a session shared across requests, scope each
+    request with :meth:`activate`.
 
     Parameters
     ----------
@@ -332,13 +294,12 @@ class Session:
             self._telemetry = Telemetry()
         else:
             self._telemetry = tspec
-        self._evaluator: Optional[BatchEvaluator] = None
         # lifecycle bookkeeping: activation tokens must be reset in the
         # context that created them, so entries live on a context-local
         # stack (see _runtime_state.push_entry); the entry and in-flight
         # counts are shared across threads so a session used concurrently
         # only releases its resources after the last exit AND the last
-        # in-flight workload call have drained — close() marks the
+        # in-flight activation have drained — close() marks the
         # session closed immediately (rejecting new work) but never pulls
         # the pool out from under a running call
         self._entry_lock = threading.Lock()
@@ -380,20 +341,13 @@ class Session:
             ),
             world_cache=merged(self._cache, "world_cache"),
             telemetry=merged(self._telemetry, "telemetry"),
-            n_samples=merged(
-                cfg.n_samples if cfg.n_samples is not None else UNSET, "n_samples"
-            ),
-            adaptive=merged(
-                cfg.adaptive if cfg.adaptive is not None else UNSET, "adaptive"
-            ),
-            seed=merged(cfg.seed if cfg.seed is not None else UNSET, "seed"),
         )
 
     @contextlib.contextmanager
     def _use(self):
-        """Activate the session for the duration of one method call.
+        """Activate the session for one call or :meth:`activate` scope.
 
-        Registers the call as in-flight so a concurrent :meth:`close`
+        Registers the scope as in-flight so a concurrent :meth:`close`
         (or the owner's ``with`` exit) defers resource release until the
         call completes instead of shutting the pool down underneath it.
         """
@@ -440,9 +394,9 @@ class Session:
         down).  ``with session.activate():`` is the sharing-safe
         spelling: it scopes the configuration exactly like ``with
         session:`` but never closes; whoever built the session calls
-        :meth:`close` when the service shuts down.  (Calling the
-        session's workload methods directly is equally safe — each call
-        activates the session just for its own duration.)
+        :meth:`close` when the service shuts down.  A :meth:`close`
+        arriving while the scope is open only marks the session closed;
+        its resources are released when the scope ends.
         """
         with self._use():
             yield self
@@ -465,38 +419,14 @@ class Session:
         """The session's resolved pipeline (``None`` when inherited)."""
         return self._telemetry if self._telemetry is not UNSET else None
 
-    @property
-    def evaluator(self) -> BatchEvaluator:
-        """The session's lazily built batch evaluator (shared by :meth:`batch`).
-
-        Built with an unset cache spec, so it reads backend, executor,
-        shard size and cache from this session at every call — use it
-        inside ``with session:`` (or via :meth:`batch` / :meth:`warm`,
-        which activate the session themselves).  The lazy build is
-        guarded so concurrent first calls from a shared session get one
-        evaluator (and therefore one set of stats), not two.
-
-        Admission control lives in :meth:`_use` — this property only
-        refuses once the session's resources are actually *released*, so
-        a ``batch()`` call admitted before a concurrent :meth:`close`
-        still reaches its evaluator and completes (the documented drain
-        guarantee).
-        """
-        with self._entry_lock:
-            if self._released:
-                raise RuntimeError("this Session is closed; build a new one")
-            if self._evaluator is None:
-                self._evaluator = BatchEvaluator()
-            return self._evaluator
-
     def close(self) -> None:
         """Close the session and release owned resources (idempotent).
 
-        The session is marked closed immediately — new ``with`` entries
-        and workload calls are rejected — but resource release (shutting
-        down an owned executor's worker processes, dropping an owned
-        private cache's entries) is deferred until every in-flight
-        workload call and every open ``with`` entry has drained, so a
+        The session is marked closed immediately — new ``with`` entries,
+        :meth:`activate` scopes and calls are rejected — but resource
+        release (shutting down an owned executor's worker processes,
+        dropping an owned private cache's entries) is deferred until every
+        in-flight scope and every open ``with`` entry has drained, so a
         concurrent request on a shared session completes instead of
         losing its pool mid-computation.  Shared executor/cache instances
         are left running for their owners.  Exiting the outermost ``with
@@ -522,7 +452,6 @@ class Session:
         return ready
 
     def _release_resources(self) -> None:
-        self._evaluator = None
         if self._owns_executor and self._executor is not None:
             self._executor.close()
         if self._owns_cache and isinstance(self._cache, WorldCache):
@@ -531,205 +460,37 @@ class Session:
             self._telemetry.close()
 
     # ------------------------------------------------------------------
-    # knob resolution for the workload methods.  All four helpers run
-    # inside ``_use()``, so ``current_effective()`` is this session's view
-    # merged over its parents — nested sessions inherit the policy fields
-    # (n_samples, adaptive, seed) exactly like the ambient knobs.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _effective_field(field):
-        effective = current_effective()
-        value = getattr(effective, field) if effective is not None else UNSET
-        return None if value is UNSET else value
-
-    def _resolve_samples(self, n_samples):
-        """Explicit argument → session chain → library default (1000)."""
-        if n_samples is not None:
-            return n_samples
-        inherited = self._effective_field("n_samples")
-        return inherited if inherited is not None else 1000
-
-    def _resolve_int_samples(self, n_samples, default: int) -> int:
-        value = n_samples if n_samples is not None else self._effective_field("n_samples")
-        if value is None:
-            return default
-        if isinstance(value, str):
-            raise ValueError(
-                "adaptive n_samples='auto' applies to the estimators; pass an "
-                "integer n_samples for selection/evaluation"
-            )
-        return int(value)
-
-    def _resolve_seed(self, seed: SeedLike) -> SeedLike:
-        return seed if seed is not None else self._effective_field("seed")
-
-    def _resolve_adaptive(self, adaptive):
-        return adaptive if adaptive is not None else self._effective_field("adaptive")
-
-    # ------------------------------------------------------------------
-    # the workload
+    # the one workload method
     # ------------------------------------------------------------------
     def expected_flow(
         self,
         graph,
         query: VertexId,
-        n_samples=None,
+        n_samples: SampleSpec = 1000,
         seed: SeedLike = None,
         edges: Optional[Iterable[Edge]] = None,
         include_query: bool = False,
+        *,
         adaptive: Optional[AdaptiveSettings] = None,
     ) -> FlowEstimate:
-        """Monte-Carlo expected information flow under this session's config.
+        """:meth:`SamplingEngine.expected_flow
+        <repro.reachability.engine.SamplingEngine.expected_flow>` run
+        inside this session, with the engine's own signature and defaults.
 
-        Resolves ``n_samples``, ``seed`` and ``adaptive`` from the session
-        chain, then calls :meth:`SamplingEngine.expected_flow
-        <repro.reachability.engine.SamplingEngine.expected_flow>`, whose
-        backend, executor and shard size resolve from this session.
+        Activates the session for the call (so a concurrent :meth:`close`
+        waits for it); the backend, executor and shard size come from
+        this session.
         """
         with self._use():
             return SamplingEngine().expected_flow(
                 graph,
                 query,
-                n_samples=self._resolve_samples(n_samples),
-                seed=self._resolve_seed(seed),
+                n_samples=n_samples,
+                seed=seed,
                 edges=edges,
                 include_query=include_query,
-                adaptive=self._resolve_adaptive(adaptive),
+                adaptive=adaptive,
             )
-
-    def pair_reachability(
-        self,
-        graph,
-        source: VertexId,
-        target: VertexId,
-        n_samples=None,
-        seed: SeedLike = None,
-        edges: Optional[Iterable[Edge]] = None,
-        adaptive: Optional[AdaptiveSettings] = None,
-    ) -> ReachabilityEstimate:
-        """Two-terminal reachability ``P(source ↔ target)`` under this session."""
-        with self._use():
-            return SamplingEngine().pair_reachability(
-                graph,
-                source,
-                target,
-                n_samples=self._resolve_samples(n_samples),
-                seed=self._resolve_seed(seed),
-                edges=edges,
-                adaptive=self._resolve_adaptive(adaptive),
-            )
-
-    def component_reachability(
-        self,
-        graph,
-        anchor: VertexId,
-        vertices: Iterable[VertexId],
-        edges: Iterable[Edge],
-        n_samples=None,
-        seed: SeedLike = None,
-    ) -> Dict[VertexId, float]:
-        """Per-vertex reachability of one edge-induced component."""
-        with self._use():
-            return SamplingEngine().component_reachability(
-                graph,
-                anchor,
-                vertices,
-                edges,
-                n_samples=self._resolve_int_samples(n_samples, 1000),
-                seed=self._resolve_seed(seed),
-            )
-
-    def select(
-        self,
-        graph,
-        query: VertexId,
-        budget: int,
-        algorithm: str = "FT+M",
-        n_samples=None,
-        seed: SeedLike = None,
-        **selector_options,
-    ) -> SelectionResult:
-        """Run one of the paper's edge-selection algorithms under this session.
-
-        Builds the selector through
-        :func:`repro.selection.make_selector` with the session's
-        resolved sample budget and seed; the backend, executor and shard
-        size come from this session, and the CRN mode too unless
-        ``selector_options`` pins ``crn``.
-        """
-        with self._use():
-            selector = make_selector(
-                algorithm,
-                n_samples=self._resolve_int_samples(n_samples, 1000),
-                seed=self._resolve_seed(seed),
-                **selector_options,
-            )
-            return selector.select(graph, query, budget)
-
-    def batch(
-        self, graph, requests: Sequence[QueryRequest], warm: bool = False
-    ) -> List[QueryResult]:
-        """Answer a mixed batch of service queries under this session.
-
-        Routes through the session's shared :attr:`evaluator`, so
-        successive batches reuse the session's world cache; ``warm=True``
-        pre-samples every needed world batch first (the answering pass is
-        then served entirely from cache).
-        """
-        with self._use():
-            evaluator = self.evaluator
-            if warm:
-                evaluator.warm(graph, requests)
-            return evaluator.evaluate(graph, requests)
-
-    def warm(self, graph, requests: Sequence[QueryRequest]) -> Dict[str, float]:
-        """Pre-sample every world batch a request batch will need."""
-        with self._use():
-            return self.evaluator.warm(graph, requests)
-
-    def evaluate_flow(
-        self,
-        graph,
-        edges: Iterable[Edge],
-        query: VertexId,
-        n_samples=None,
-        exact_threshold: int = 14,
-        seed: SeedLike = None,
-        include_query: bool = False,
-    ) -> float:
-        """Independently evaluate the expected flow of a selected edge set.
-
-        The harness yardstick
-        (:func:`repro.experiments.harness.evaluate_flow`) run under this
-        session; its historical defaults (1000 samples, seed 12345) apply
-        when neither the call nor the config pins them.
-        """
-        with self._use():
-            from repro.experiments.harness import evaluate_flow
-
-            resolved_seed = self._resolve_seed(seed)
-            return evaluate_flow(
-                graph,
-                edges,
-                query,
-                n_samples=self._resolve_int_samples(n_samples, 1000),
-                exact_threshold=exact_threshold,
-                seed=resolved_seed if resolved_seed is not None else 12345,
-                include_query=include_query,
-            )
-
-    def run_figure(self, figure: str, config=None):
-        """Reproduce one of the paper's figures under this session.
-
-        Dispatches through :func:`repro.experiments.figures.run_figure`:
-        ``figure`` is a key of ``ALL_FIGURES`` and ``config`` an optional
-        :class:`~repro.experiments.ExperimentConfig` forwarded to figures
-        that accept one.
-        """
-        with self._use():
-            from repro.experiments.figures import run_figure
-
-            return run_figure(figure, config)
 
 
 def session(config: Optional[RuntimeConfig] = None, **overrides) -> Session:
@@ -737,8 +498,8 @@ def session(config: Optional[RuntimeConfig] = None, **overrides) -> Session:
 
     The canonical entry point::
 
-        with repro.session(backend="naive", workers=2, seed=7) as s:
-            result = s.select(graph, query, budget=20)
+        with repro.session(backend="naive", workers=2):
+            result = make_selector("FT+M", seed=7).select(graph, query, budget=20)
     """
     return Session(config, **overrides)
 
@@ -758,11 +519,6 @@ def current_config() -> RuntimeConfig:
     measured under.
     """
     effective = current_effective()
-
-    def pinned(field):
-        value = getattr(effective, field) if effective is not None else UNSET
-        return None if value is UNSET else value
-
     cache = effective.world_cache if effective is not None else UNSET
     if cache is UNSET:
         cache = None  # the shared default cache
@@ -771,11 +527,8 @@ def current_config() -> RuntimeConfig:
     return RuntimeConfig(
         backend=get_default_backend(),
         crn=get_default_crn(),
-        workers=pinned("executor"),
+        workers=get_default_executor(),
         shard_size=get_default_shard_size(),
-        n_samples=pinned("n_samples"),
-        adaptive=pinned("adaptive"),
-        seed=pinned("seed"),
         world_cache=cache,
         telemetry=get_default_telemetry(),
     )

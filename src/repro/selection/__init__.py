@@ -20,14 +20,17 @@ per-iteration diagnostics.  Available selectors:
 All sampling-based selectors score candidates with common random
 numbers by default (one shared batch of possible worlds per selection
 round, see :mod:`repro.reachability.context`); pass ``crn=False`` — or
-scope the default with ``with repro.session(crn=False):`` — for the
+scope the default with ``with repro.session(crn=False):``, which a
+selector left at ``crn=None`` reads when its ``select`` runs — for the
 paper's literal per-candidate resampling reference mode.
 """
 
 from repro.selection.base import (
+    DEFAULT_CRN,
     EdgeSelector,
     SelectionIteration,
     SelectionResult,
+    get_default_crn,
 )
 from repro.selection.candidates import CandidateManager
 from repro.selection.dijkstra_tree import DijkstraSelector
@@ -36,12 +39,7 @@ from repro.selection.ftree_greedy import FTreeGreedySelector
 from repro.selection.lazy_greedy import LazyGreedySelector
 from repro.selection.random_baseline import RandomSelector
 from repro.selection.exact_optimal import exhaustive_optimal_selection
-from repro.selection.registry import (
-    ALGORITHM_NAMES,
-    DEFAULT_CRN,
-    get_default_crn,
-    make_selector,
-)
+from repro.selection.registry import ALGORITHM_NAMES, make_selector
 
 __all__ = [
     "EdgeSelector",

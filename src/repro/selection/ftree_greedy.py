@@ -35,7 +35,13 @@ from repro.ftree.memo import MemoCache
 from repro.ftree.sampler import ComponentSampler
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.rng import SeedLike, derive_seed, ensure_rng
-from repro.selection.base import EdgeSelector, SelectionIteration, SelectionResult, Stopwatch
+from repro.selection.base import (
+    EdgeSelector,
+    SelectionIteration,
+    SelectionResult,
+    Stopwatch,
+    get_default_crn,
+)
 from repro.selection.candidates import CandidateManager
 from repro.types import Edge, VertexId
 
@@ -74,7 +80,8 @@ class FTreeGreedySelector(EdgeSelector):
         component content (see :class:`~repro.ftree.sampler.ComponentSampler`),
         so within one round every probe of the same component draws the
         same worlds and candidate comparisons are noise-free.  ``False``
-        restores the sequential-stream resampling reference behaviour.
+        restores the sequential-stream resampling reference behaviour;
+        ``None`` reads the active session's mode when :meth:`select` runs.
 
     The component samplers are built in :meth:`select` and sample with
     the backend, executor and shard size of the session active there;
@@ -94,7 +101,7 @@ class FTreeGreedySelector(EdgeSelector):
         seed: SeedLike = None,
         include_query: bool = False,
         *,
-        crn: bool = True,
+        crn: Optional[bool] = None,
     ) -> None:
         if delay_base <= 1.0:
             raise ValueError(f"delay_base must be greater than 1, got {delay_base!r}")
@@ -106,7 +113,7 @@ class FTreeGreedySelector(EdgeSelector):
         self.delay_base = delay_base
         self.alpha = alpha
         self.include_query = include_query
-        self.crn = bool(crn)
+        self.crn = crn
         self._seed = seed
         self.name = self._build_name()
 
@@ -126,19 +133,20 @@ class FTreeGreedySelector(EdgeSelector):
         stopwatch = Stopwatch()
         rng = ensure_rng(self._seed)
         memo = MemoCache() if self.memoize else None
+        crn = self.crn if self.crn is not None else get_default_crn()
         sampler = ComponentSampler(
             n_samples=self.n_samples,
             exact_threshold=self.exact_threshold,
             seed=rng,
             memo=memo,
-            crn=self.crn,
+            crn=crn,
         )
         screening_sampler = ComponentSampler(
             n_samples=_SCREENING_SAMPLES,
             exact_threshold=self.exact_threshold,
             seed=derive_seed(self._seed, 1) if self._seed is not None else None,
             memo=None,
-            crn=self.crn,
+            crn=crn,
         )
         ftree = FTree(graph, query, sampler=sampler)
         candidates = CandidateManager(graph, query)

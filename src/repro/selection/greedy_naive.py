@@ -7,7 +7,7 @@ subgraph (1000 worlds by default).
 
 Two evaluation modes are supported:
 
-* ``crn=True`` (the default): one shared batch of possible worlds per
+* ``crn=True`` (the default mode): one shared batch of possible worlds per
   selection round, scored through
   :class:`~repro.reachability.context.EvaluationContext` — every
   candidate of a round is evaluated on the *same* worlds (common random
@@ -27,7 +27,13 @@ from repro.graph.uncertain_graph import UncertainGraph
 from repro.reachability.context import EvaluationContext
 from repro.reachability.engine import SamplingEngine
 from repro.rng import SeedLike, ensure_rng
-from repro.selection.base import EdgeSelector, SelectionIteration, SelectionResult, Stopwatch
+from repro.selection.base import (
+    EdgeSelector,
+    SelectionIteration,
+    SelectionResult,
+    Stopwatch,
+    get_default_crn,
+)
 from repro.selection.candidates import CandidateManager
 from repro.types import Edge, VertexId
 
@@ -45,8 +51,10 @@ class NaiveGreedySelector(EdgeSelector):
         Whether the query vertex's own weight counts towards the flow.
     crn:
         Common-random-numbers candidate scoring (see the module
-        docstring).  On by default; ``False`` restores the paper's
-        per-candidate resampling reference behaviour.
+        docstring).  ``None`` (the default) reads the active session's
+        mode when :meth:`select` runs, which is on unless a session pins
+        it off; ``False`` restores the paper's per-candidate resampling
+        reference behaviour.
 
     Every world batch is drawn with the backend, executor and shard size
     of the session active in :meth:`select`; selections stay bit-for-bit
@@ -62,11 +70,11 @@ class NaiveGreedySelector(EdgeSelector):
         seed: SeedLike = None,
         include_query: bool = False,
         *,
-        crn: bool = True,
+        crn: Optional[bool] = None,
     ) -> None:
         self.n_samples = n_samples
         self.include_query = include_query
-        self.crn = bool(crn)
+        self.crn = crn
         self._rng = ensure_rng(seed)
 
     def select(self, graph: UncertainGraph, query: VertexId, budget: int) -> SelectionResult:
@@ -79,7 +87,8 @@ class NaiveGreedySelector(EdgeSelector):
         fast_evaluations = 0
         delta_evaluations = 0
         context: Optional[EvaluationContext] = None
-        if self.crn and budget > 0:
+        crn = self.crn if self.crn is not None else get_default_crn()
+        if crn and budget > 0:
             context = EvaluationContext(
                 graph,
                 query,
@@ -120,7 +129,7 @@ class NaiveGreedySelector(EdgeSelector):
                 )
             )
 
-        extras = {"n_samples": float(self.n_samples), "crn": float(self.crn)}
+        extras = {"n_samples": float(self.n_samples), "crn": float(crn)}
         if context is not None:
             extras["fast_evaluations"] = float(fast_evaluations)
             extras["delta_evaluations"] = float(delta_evaluations)

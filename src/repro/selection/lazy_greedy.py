@@ -28,7 +28,13 @@ from repro.ftree.memo import MemoCache
 from repro.ftree.sampler import ComponentSampler
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.rng import SeedLike, ensure_rng
-from repro.selection.base import EdgeSelector, SelectionIteration, SelectionResult, Stopwatch
+from repro.selection.base import (
+    EdgeSelector,
+    SelectionIteration,
+    SelectionResult,
+    Stopwatch,
+    get_default_crn,
+)
 from repro.selection.candidates import CandidateManager
 from repro.types import Edge, VertexId
 
@@ -54,7 +60,8 @@ class LazyGreedySelector(EdgeSelector):
         component sampler keys its streams per selection round and
         component content, so re-evaluating the heap's top candidate
         compares against gains measured on the same worlds.  ``False``
-        restores the sequential-stream resampling reference behaviour.
+        restores the sequential-stream resampling reference behaviour;
+        ``None`` reads the active session's mode when :meth:`select` runs.
 
     The component sampler is built in :meth:`select` and samples with
     the backend, executor and shard size of the session active there,
@@ -71,13 +78,13 @@ class LazyGreedySelector(EdgeSelector):
         seed: SeedLike = None,
         include_query: bool = False,
         *,
-        crn: bool = True,
+        crn: Optional[bool] = None,
     ) -> None:
         self.n_samples = n_samples
         self.exact_threshold = exact_threshold
         self.memoize = memoize
         self.include_query = include_query
-        self.crn = bool(crn)
+        self.crn = crn
         self._seed = seed
 
     def select(self, graph: UncertainGraph, query: VertexId, budget: int) -> SelectionResult:
@@ -90,7 +97,7 @@ class LazyGreedySelector(EdgeSelector):
             exact_threshold=self.exact_threshold,
             seed=rng,
             memo=memo,
-            crn=self.crn,
+            crn=self.crn if self.crn is not None else get_default_crn(),
         )
         ftree = FTree(graph, query, sampler=sampler)
         candidates = CandidateManager(graph, query)

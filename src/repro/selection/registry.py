@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro._runtime_state import resolve_field
 from repro.rng import SeedLike
 from repro.selection.base import EdgeSelector
 from repro.selection.dijkstra_tree import DijkstraSelector
@@ -28,20 +27,6 @@ ALGORITHM_NAMES = (
     "FT+M+CI+DS",
     "Random",
 )
-
-#: Sampling mode used when nothing else pins one — neither an explicit
-#: ``crn=`` argument nor an active :func:`repro.session`.
-DEFAULT_CRN = True
-
-
-def get_default_crn() -> bool:
-    """Return the sampling mode every ``crn=None`` call resolves to.
-
-    Resolution order: the innermost active :func:`repro.session` (if it
-    pins a mode) → :data:`DEFAULT_CRN`.
-    """
-    return resolve_field("crn", DEFAULT_CRN)
-
 
 def make_selector(
     name: str,
@@ -77,15 +62,14 @@ def make_selector(
         Common-random-numbers candidate scoring for the sampling-based
         selectors: one shared batch of possible worlds per selection
         round instead of a fresh draw per candidate.  ``None`` (the
-        default) defers to :func:`get_default_crn`; ``False`` restores
-        the paper's literal per-candidate resampling reference mode.
+        default) defers to :func:`~repro.selection.base.get_default_crn`
+        when ``select`` runs; ``False`` restores the paper's literal
+        per-candidate resampling reference mode.
 
     The sampling backend, executor and shard size are not arguments: a
     selector samples with those of the session active when its
     ``select`` runs (see :func:`repro.session`).
     """
-    if crn is None:
-        crn = get_default_crn()
     flags = _FT_FLAGS.get(name)
     if flags is not None:
         memoize, confidence, delayed = flags

@@ -21,8 +21,10 @@ service.  The moving parts, in request order:
    them onto shared world batches — the whole point of the tier.
 3. **Evaluation** — batches run on one dedicated worker thread (the
    event loop stays responsive for health/metrics and admission),
-   through the server's one :class:`repro.runtime.Session` built from
-   :attr:`ServerConfig.runtime`.  A request's ``tenant`` is validated
+   through the server's one
+   :class:`~repro.service.evaluator.BatchEvaluator`, inside its one
+   :class:`repro.runtime.Session` built from :attr:`ServerConfig.runtime`.
+   A request's ``tenant`` is validated
    but keeps no server state: every tenant would derive the identical
    runtime, so a batch is evaluated whole, whatever tenants it mixes,
    and untrusted tenant names cannot grow the server's memory.
@@ -61,9 +63,10 @@ from repro.server import protocol
 from repro.server.metrics import ServerMetrics
 from repro.telemetry.expo import MetricsHTTPServer, WindowRates, render_server_text
 from repro.service.cache import get_default_world_cache
-from repro.service.evaluator import validate_request
+from repro.service.evaluator import BatchEvaluator, validate_request
 from repro.service.requests import (
     QueryRequest,
+    QueryResult,
     request_from_dict,
     result_to_dict,
 )
@@ -200,6 +203,9 @@ class ReproServer:
         self.graph = graph
         self.config = base
         self._root = Session(base.runtime)
+        # built with an unset cache spec, so it samples with the root
+        # session's backend, executor, shard size and cache
+        self._evaluator = BatchEvaluator()
         # the pipeline is resolved once, at construction: the session's
         # (owned/shared/pinned-off) pipeline when the runtime names one,
         # else whatever is ambient *now* — the server outlives request
@@ -246,9 +252,7 @@ class ReproServer:
         loop = asyncio.get_running_loop()
         if self.config.warm_requests:
             requests = list(self.config.warm_requests)
-            await loop.run_in_executor(
-                self._eval_pool, self._root.warm, self.graph, requests
-            )
+            await loop.run_in_executor(self._eval_pool, self._warm, requests)
         self._dispatcher = asyncio.create_task(
             self._dispatch_loop(), name="repro-server-dispatch"
         )
@@ -612,13 +616,27 @@ class ReproServer:
                 for _ in batch:
                     self._queue.task_done()
 
+    def _warm(self, requests: Sequence[QueryRequest]) -> None:
+        """Pre-sample the warm-up batches (runs on the evaluation thread)."""
+        with self._root.activate():
+            self._evaluator.warm(self.graph, requests)
+
+    def _evaluate(self, requests: Sequence[QueryRequest]) -> List[QueryResult]:
+        """Answer one coalesced batch (runs on the evaluation thread).
+
+        The root session is activated for the call, so a concurrent
+        :meth:`Session.close` waits for it to finish.
+        """
+        with self._root.activate():
+            return self._evaluator.evaluate(self.graph, requests)
+
     async def _execute_batch(self, batch: Sequence[_Pending]) -> None:
         """Evaluate one coalesced batch through the server's session."""
         self.metrics.observe_batch(len(batch))
         requests = [pending.request for pending in batch]
         try:
             results = await asyncio.get_running_loop().run_in_executor(
-                self._eval_pool, self._root.batch, self.graph, requests
+                self._eval_pool, self._evaluate, requests
             )
         except ReproError as error:
             outcomes = [("error", (protocol.ERR_EVALUATION, str(error)))] * len(batch)

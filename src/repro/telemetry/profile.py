@@ -20,30 +20,32 @@ one ``a;b;c <weight>`` line per stack, directly consumable by
 *exactly* via :func:`totals_from_collapsed` — pinned by
 ``tests/test_profiling.py``.
 
-Profiling rides the normal resolution chain: ``profile=True`` on
-:class:`repro.runtime.RuntimeConfig` / ``Session`` (or ``--profile`` on
-the CLI) swaps the session's pipeline for a :class:`ProfilingTelemetry`;
+Profiling is chosen by the pipeline: pass a :class:`ProfilingTelemetry`
+as ``repro.session(telemetry=...)`` (or ``--profile`` on the CLI) and
 everything downstream keeps calling ``tel.span(...)`` unchanged.  With
-profiling off nothing here is ever imported at runtime and results are
-bit-for-bit identical.
+profiling off nothing here is ever imported at runtime, and results are
+bit-for-bit identical either way.
 
 tracemalloc is process-wide, so allocation deltas are exact only for
 single-threaded sections; CPU deltas are per-thread and stay exact under
-concurrency.  :class:`ProfilingTelemetry` starts tracemalloc lazily on
-first use (unless it is already running) and stops it on ``close()``
-only if it was the one that started it.
+concurrency.  Allocations are traced only while one of the pipeline's
+root spans is open: the first root to open starts tracemalloc (unless it
+is already running) and the last root to close stops it, if this
+pipeline started it.  A profiled session therefore leaves tracing off
+once its work is done, whether or not the pipeline is ever closed.
 """
 
 from __future__ import annotations
 
 import gc
+import threading
 import time
 import tracemalloc
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.telemetry.core import Telemetry
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.spans import SpanHandle, SpanRecord, iter_spans
+from repro.telemetry.spans import SpanHandle, SpanRecord, current_span, iter_spans
 
 
 def _gc_collections() -> int:
@@ -73,7 +75,7 @@ class ProfileSpanRecord(SpanRecord):
 class ProfilingSpanHandle(SpanHandle):
     """Times a span's wall clock *and* its resource deltas."""
 
-    __slots__ = ("_cpu_at", "_alloc_at", "_gc_at")
+    __slots__ = ("_cpu_at", "_alloc_at", "_gc_at", "_is_root")
 
     def __init__(self, owner, name: str, attributes: Optional[Dict[str, object]]) -> None:
         super().__init__(owner, name, attributes)
@@ -81,8 +83,12 @@ class ProfilingSpanHandle(SpanHandle):
         self._cpu_at = 0.0
         self._alloc_at = 0
         self._gc_at = 0
+        self._is_root = False
 
     def __enter__(self) -> "ProfilingSpanHandle":
+        self._is_root = current_span(self._owner) is None
+        if self._is_root:
+            self._owner._open_root()
         self._cpu_at = time.thread_time()
         self._alloc_at = tracemalloc.get_traced_memory()[0] if tracemalloc.is_tracing() else 0
         self._gc_at = _gc_collections()
@@ -96,16 +102,20 @@ class ProfilingSpanHandle(SpanHandle):
             record.alloc_bytes = tracemalloc.get_traced_memory()[0] - self._alloc_at
         record.gc_collections = _gc_collections() - self._gc_at
         super().__exit__(*exc_info)
+        if self._is_root:
+            self._owner._close_root()
 
 
 class ProfilingTelemetry(Telemetry):
     """An enabled pipeline whose spans carry resource deltas.
 
     Same constructor contract as :class:`Telemetry`; additionally owns
-    the tracemalloc lifecycle (started on construction if not already
-    tracing, stopped by :meth:`close` only when this instance started
-    it, so nested profiled sessions never pull tracing out from under
-    each other).
+    the tracemalloc lifecycle.  Tracing runs only while a root span of
+    this pipeline is open in some thread (the open roots are counted
+    under a lock): the first root starts tracemalloc unless it is
+    already running, and the last root stops it only when this instance
+    started it, so a pipeline never pulls tracing out from under another
+    tracer.  ``trace_allocations=False`` never starts it.
     """
 
     profiling = True
@@ -117,19 +127,27 @@ class ProfilingTelemetry(Telemetry):
         trace_allocations: bool = True,
     ) -> None:
         super().__init__(exporters=exporters, registry=registry)
+        self._trace_allocations = trace_allocations
+        self._roots_lock = threading.Lock()
+        self._open_roots = 0
         self._started_tracemalloc = False
-        if trace_allocations and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
 
     def span(self, name: str, **attributes: object) -> ProfilingSpanHandle:
         return ProfilingSpanHandle(self, name, attributes or None)
 
-    def close(self) -> None:
-        super().close()
-        if self._started_tracemalloc:
-            tracemalloc.stop()
-            self._started_tracemalloc = False
+    def _open_root(self) -> None:
+        with self._roots_lock:
+            self._open_roots += 1
+            if self._trace_allocations and not tracemalloc.is_tracing():
+                tracemalloc.start()
+                self._started_tracemalloc = True
+
+    def _close_root(self) -> None:
+        with self._roots_lock:
+            self._open_roots -= 1
+            if self._open_roots == 0 and self._started_tracemalloc:
+                tracemalloc.stop()
+                self._started_tracemalloc = False
 
 
 # ----------------------------------------------------------------------

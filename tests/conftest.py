@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.ftree.sampler import ComponentSampler
@@ -13,6 +15,21 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.uncertain_graph import UncertainGraph
+
+
+@pytest.fixture(autouse=True)
+def _no_tracemalloc_leak():
+    """Fail a test that leaves tracemalloc tracing when it found it off.
+
+    Tracing slows every allocation after it, so one leak silently turns
+    the rest of the run several times slower and skews allocation-peak
+    assertions in unrelated tests.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    yield
+    if not was_tracing and tracemalloc.is_tracing():
+        tracemalloc.stop()
+        pytest.fail("the test left tracemalloc tracing on")
 
 
 @pytest.fixture

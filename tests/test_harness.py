@@ -229,11 +229,11 @@ class TestExecutorLifecycle:
 
 
 class TestRunQueryBatch:
-    """Service batches run through ``Session.batch`` under one session."""
+    """Service batches run through one ``BatchEvaluator`` under one session."""
 
     def test_answers_match_single_query_estimators(self):
         from repro.reachability.engine import SamplingEngine
-        from repro.service import QueryRequest
+        from repro.service import BatchEvaluator, QueryRequest
 
         graph = erdos_renyi_graph(30, average_degree=3, seed=1)
         requests = [
@@ -241,19 +241,20 @@ class TestRunQueryBatch:
             QueryRequest(kind="pair_reachability", source=0, target=4,
                          n_samples=80, seed=5),
         ]
-        with repro.session(world_cache=8) as session:
-            results = session.batch(graph, requests)
+        with repro.session(world_cache=8):
+            results = BatchEvaluator().evaluate(graph, requests)
         assert results[0].flow == SamplingEngine().expected_flow(graph, 0, n_samples=80, seed=5)
         assert results[1].reachability.n_samples == 80
 
     def test_shared_evaluator_reuses_its_cache(self):
-        from repro.service import QueryRequest, WorldCache
+        from repro.service import BatchEvaluator, QueryRequest, WorldCache
 
         graph = erdos_renyi_graph(30, average_degree=3, seed=1)
         requests = [QueryRequest(kind="expected_flow", source=0, n_samples=80, seed=5)]
-        with repro.session(world_cache=WorldCache()) as session:
-            first = session.batch(graph, requests)
-            second = session.batch(graph, requests)
+        evaluator = BatchEvaluator()
+        with repro.session(world_cache=WorldCache()):
+            first = evaluator.evaluate(graph, requests)
+            second = evaluator.evaluate(graph, requests)
         assert not first[0].from_cache
         assert second[0].from_cache
         assert first[0].flow == second[0].flow
@@ -310,8 +311,10 @@ class TestSessionReachesEveryEntryPoint:
 
     def test_session_run_figure(self, monkeypatch):
         calls = _count_backend_calls(monkeypatch)
-        with repro.session(**REFERENCE_RUNTIME) as session:
-            session.run_figure("7a", SESSION_CONFIG)
+        from repro.experiments.figures import run_figure
+
+        with repro.session(**REFERENCE_RUNTIME):
+            run_figure("7a", SESSION_CONFIG)
         assert calls["naive"] > 0
         assert calls["csr"] == 0
 

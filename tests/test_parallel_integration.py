@@ -273,17 +273,22 @@ class TestConcurrentServiceUse:
     def test_asyncio_tasks_over_shared_session_match_serial(self, graph):
         import asyncio
 
+        from repro.service import BatchEvaluator
+
         requests = self._requests(graph)
         reference = self._serial_reference(graph, requests)
+        evaluator = BatchEvaluator()
 
         async def hammer():
             with repro.session(
                 workers=SerialExecutor(), shard_size=SHARD_SIZE, world_cache=32
             ) as shared:
+                def batch():
+                    with shared.activate():
+                        return evaluator.evaluate(graph, requests)
+
                 async def one():
-                    return self._payloads(
-                        await asyncio.to_thread(shared.batch, graph, requests)
-                    )
+                    return self._payloads(await asyncio.to_thread(batch))
 
                 return await asyncio.gather(*(one() for _ in range(4)))
 

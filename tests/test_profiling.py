@@ -29,8 +29,8 @@ import pytest
 from repro.exceptions import ReproError
 from repro.graph.generators import erdos_renyi_graph
 from repro.runtime import RuntimeConfig, Session
-from repro.service import QueryRequest, request_to_dict
-from repro.telemetry import InMemoryExporter, Telemetry
+from repro.service import BatchEvaluator, QueryRequest, request_to_dict
+from repro.telemetry import InMemoryExporter, Telemetry, current_telemetry
 from repro.telemetry.expo import (
     MetricsHTTPServer,
     WindowRates,
@@ -166,11 +166,44 @@ class TestResourceDeltas:
     def test_tracemalloc_lifecycle_is_owned(self):
         import tracemalloc
 
-        already = tracemalloc.is_tracing()
+        assert not tracemalloc.is_tracing()
         tel = ProfilingTelemetry()
-        assert tracemalloc.is_tracing()
+        assert not tracemalloc.is_tracing()  # nothing traced before a root span
+        with tel.span("root"):
+            assert tracemalloc.is_tracing()
+            with tel.span("child"):
+                assert tracemalloc.is_tracing()
+            assert tracemalloc.is_tracing()  # a closing child keeps it on
+        assert not tracemalloc.is_tracing()
+        # tracing started by someone else is left running
+        tracemalloc.start()
+        try:
+            with tel.span("root"):
+                pass
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
         tel.close()
-        assert tracemalloc.is_tracing() == already
+        # trace_allocations=False never starts it
+        untraced = ProfilingTelemetry(trace_allocations=False)
+        with untraced.span("root") as handle:
+            assert not tracemalloc.is_tracing()
+        untraced.close()
+        assert handle.record.alloc_bytes == 0
+
+    def test_unclosed_profiled_session_leaves_tracing_off(self):
+        import tracemalloc
+
+        import repro
+
+        assert not tracemalloc.is_tracing()
+        tel = ProfilingTelemetry()  # never closed
+        with repro.session(telemetry=tel):
+            with tel.span("alloc") as handle:
+                block = bytearray(512 * 1024)
+        assert not tracemalloc.is_tracing()
+        assert handle.record.alloc_bytes >= 512 * 1024
+        assert len(block) == 512 * 1024  # keep it alive through the span
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +272,8 @@ class TestAttribution:
 
     def test_collapsed_round_trip_on_a_real_profiled_run(self, graph):
         tel = ProfilingTelemetry(exporters=[memory := InMemoryExporter()])
-        with Session(RuntimeConfig(telemetry=tel)) as session:
-            session.batch(
+        with Session(RuntimeConfig(telemetry=tel)):
+            BatchEvaluator().evaluate(
                 graph,
                 [QueryRequest(kind="expected_flow", source=0, n_samples=150, seed=2)],
             )
@@ -313,12 +346,12 @@ class TestProfileResolution:
             QueryRequest(kind="expected_flow", source=0, n_samples=120, seed=1),
             QueryRequest(kind="pair_reachability", source=0, target=3, n_samples=120, seed=1),
         ]
-        with Session() as session:
+        with Session():
             plain = [request_to_dict(r) for r in requests]  # keep requests fixed
-            baseline = session.batch(graph, requests)
+            baseline = BatchEvaluator().evaluate(graph, requests)
         tel = ProfilingTelemetry()
-        with Session(RuntimeConfig(telemetry=tel)) as session:
-            profiled = session.batch(graph, requests)
+        with Session(RuntimeConfig(telemetry=tel)):
+            profiled = BatchEvaluator().evaluate(graph, requests)
         tel.close()
         assert plain == [request_to_dict(r) for r in requests]
         assert [r.value for r in profiled] == [r.value for r in baseline]
@@ -632,12 +665,12 @@ class TestProfilingCLI:
 
         monkeypatch.setattr(JSONLExporter, "close", recording_close)
 
-        def failing_batch(self, graph, requests, warm=False):
-            with self.telemetry.span("doomed.work"):
+        def failing_evaluate(self, graph, requests):
+            with current_telemetry().span("doomed.work"):
                 pass
             raise ReproError("injected mid-batch failure")
 
-        monkeypatch.setattr(Session, "batch", failing_batch)
+        monkeypatch.setattr(BatchEvaluator, "evaluate", failing_evaluate)
         requests_file = tmp_path / "requests.jsonl"
         requests_file.write_text(
             '{"kind": "expected_flow", "query": 0}\n', encoding="utf-8"

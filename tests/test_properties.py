@@ -20,6 +20,7 @@ from repro.reachability.analytic import is_mono_connected
 from repro.reachability.bounds import reachability_bounds
 from repro.reachability.confidence import normal_confidence_interval, wilson_confidence_interval
 from repro.reachability.exact import exact_expected_flow, exact_reachability
+from repro.reachability.factoring import two_terminal_reliability
 from repro.types import Edge
 
 # ----------------------------------------------------------------------
@@ -90,6 +91,28 @@ def test_incremental_ftree_flow_equals_exact_enumeration(graph):
     ftree.check_invariants()
     exact = exact_expected_flow(graph, 0, edges=order).expected_flow
     assert ftree.expected_flow() == pytest.approx(exact, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(uncertain_graphs())
+def test_every_insertion_matches_two_terminal_reliability(graph):
+    """After each insertion, every vertex's reachability is factoring's exact answer.
+
+    A second, independent oracle (series-parallel factoring instead of
+    world enumeration), checked after every single insertion rather
+    than only once the whole edge set is in.
+    """
+    ftree = FTree(graph, 0, sampler=_exact_sampler())
+    inserted: List[Edge] = []
+    for edge in _connected_insertion_order(graph, 0):
+        ftree.insert_edge(edge.u, edge.v)
+        inserted.append(edge)
+        ftree.check_invariants()
+        reach = ftree.reachability_to_query()
+        assert set(reach) == {0} | {vertex for e in inserted for vertex in e.endpoints()}
+        for vertex, probability in reach.items():
+            exact = two_terminal_reliability(graph, 0, vertex, edges=inserted)
+            assert probability == pytest.approx(exact, abs=1e-9), vertex
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

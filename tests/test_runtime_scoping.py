@@ -9,11 +9,11 @@ Three contracts are pinned here:
    integer specs and releases them at close/context-exit (extending the
    PR-4 leak regression tests); shared instances are left alone; a
    closed session refuses further use.
-3. **Equivalence** — for a fixed ``(seed, backend, shard plan)``, every
-   ``Session`` method reproduces the exact bits of the mechanism-level
-   ``SamplingEngine``/selector/service call path run inside an active
-   session, on every backend, sharded and unsharded (the acceptance
-   criterion of the API redesign).
+3. **Equivalence** — for a fixed ``(seed, backend, shard plan)``, an
+   estimator, selector, service or yardstick call run inside a session
+   reproduces the exact bits of the same call with that backend and
+   shard plan pinned directly, on every backend, sharded and unsharded;
+   ``Session.expected_flow`` is the engine call itself.
 """
 
 import threading
@@ -28,7 +28,7 @@ from repro.parallel.plan import DEFAULT_SHARD_SIZE, get_default_shard_size
 from repro.reachability.backends import BACKEND_NAMES, DEFAULT_BACKEND, get_default_backend
 from repro.reachability.engine import SamplingEngine
 from repro.runtime import RuntimeConfig, Session, current_config, current_session
-from repro.selection.registry import get_default_crn, make_selector
+from repro.selection import get_default_crn, make_selector
 from repro.service import BatchEvaluator, QueryRequest, WorldCache
 from repro.service.cache import get_default_world_cache
 
@@ -86,10 +86,12 @@ class TestScoping:
         assert seen["session"] is None
 
     def test_methods_activate_the_session_without_with(self, graph):
-        session = Session(RuntimeConfig(backend="naive", seed=9, n_samples=50))
+        session = Session(RuntimeConfig(backend="naive"))
         try:
-            estimate = session.expected_flow(graph, 0)
+            estimate = session.expected_flow(graph, 0, n_samples=50, seed=9)
             assert estimate.n_samples == 50
+            legacy = SamplingEngine("naive").expected_flow(graph, 0, n_samples=50, seed=9)
+            assert estimate.expected_flow == legacy.expected_flow
             # ...and deactivate afterwards
             assert current_session() is None
             assert get_default_backend() == DEFAULT_BACKEND
@@ -98,12 +100,11 @@ class TestScoping:
 
     def test_current_config_resolves_the_whole_chain(self):
         with repro.session(shard_size=96):
-            with repro.session(backend="naive", crn=False, seed=5):
+            with repro.session(backend="naive", crn=False):
                 resolved = current_config()
         assert resolved.backend == "naive"
         assert resolved.crn is False
         assert resolved.shard_size == 96  # inherited from the outer session
-        assert resolved.seed == 5
         assert resolved.as_dict()["backend"] == "naive"
         outside = current_config()
         assert outside.backend == DEFAULT_BACKEND
@@ -133,17 +134,6 @@ class TestScoping:
         assert "profile" not in resolved.as_dict()
         with repro.session(telemetry=True):
             assert not current_config().telemetry.profiling
-
-    def test_nested_sessions_inherit_policy_fields(self, graph):
-        # n_samples / seed / adaptive merge over parents exactly like the
-        # ambient knobs: an inner session pinning an unrelated field must
-        # not silently reset the outer sampling policy
-        with repro.session(seed=7, n_samples=64):
-            with repro.session(backend="naive") as inner:
-                scoped = inner.expected_flow(graph, 0)
-        legacy = SamplingEngine("naive").expected_flow(graph, 0, n_samples=64, seed=7)
-        assert scoped.n_samples == 64
-        assert scoped.expected_flow == legacy.expected_flow
 
     def test_workers_zero_pins_unsharded_inside_sharded_scope(self, graph):
         unsharded = SamplingEngine().expected_flow(graph, 0, n_samples=64, seed=6)
@@ -232,27 +222,33 @@ class TestConfigValidation:
             with pytest.raises(TypeError, match="shard_size"):
                 RuntimeConfig(shard_size=bad)
 
-    def test_rejects_bad_seeds(self):
-        import numpy as np
-
-        with pytest.raises(ValueError, match="seed"):
-            RuntimeConfig(seed=-1)
-        for bad in ("abc", True, 1.5):
-            with pytest.raises(TypeError, match="seed"):
-                RuntimeConfig(seed=bad)
-        assert RuntimeConfig(seed=0).seed == 0
-        generator = np.random.default_rng(3)
-        assert RuntimeConfig(seed=generator).seed is generator
+    def test_rejects_bad_seeds(self, graph):
+        # a seed is an argument of the call, never session state: the
+        # config has no seed field, and the call refuses a bad seed
+        with pytest.raises(TypeError, match="seed"):
+            RuntimeConfig(seed=0)
+        with repro.session() as session:
+            with pytest.raises(ValueError):
+                session.expected_flow(graph, 0, n_samples=10, seed=-1)
+            for bad in ("abc", 1.5):
+                with pytest.raises(TypeError):
+                    session.expected_flow(graph, 0, n_samples=10, seed=bad)
 
     def test_rejects_string_workers_spec(self):
         with pytest.raises(TypeError, match="workers/executor spec"):
             RuntimeConfig(workers="remote:h:1")
 
-    def test_rejects_bad_sample_specs(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(n_samples="sometimes")
-        with pytest.raises(ValueError):
-            RuntimeConfig(n_samples=0)
+    def test_rejects_bad_sample_specs(self, graph):
+        # sample budgets belong to the call too: no config field, and the
+        # call refuses a bad one
+        for field in ("n_samples", "adaptive"):
+            with pytest.raises(TypeError, match=field):
+                RuntimeConfig(**{field: None})
+        with repro.session() as session:
+            with pytest.raises(ValueError):
+                session.expected_flow(graph, 0, n_samples="sometimes")
+            with pytest.raises(ValueError):
+                session.expected_flow(graph, 0, n_samples=0)
 
     def test_rejects_negative_cache_bound(self):
         with pytest.raises(ValueError):
@@ -264,9 +260,10 @@ class TestConfigValidation:
             config.replace(backend="warp-drive")
 
     def test_select_rejects_auto_samples(self, graph):
-        with repro.session(n_samples="auto") as session:
-            with pytest.raises(ValueError, match="auto"):
-                session.select(graph, 0, 2)
+        # adaptive stopping applies to the estimators, not to selection
+        with repro.session():
+            with pytest.raises(TypeError, match="auto"):
+                make_selector("FT+M", n_samples="auto").select(graph, 0, 2)
 
 
 class TestLifecycle:
@@ -288,48 +285,52 @@ class TestLifecycle:
             shared.close()
 
     def test_owned_private_cache_is_dropped_at_close(self, graph):
-        with repro.session(world_cache=4, seed=2) as session:
+        with repro.session(world_cache=4) as session:
             cache = session.world_cache
             assert isinstance(cache, WorldCache)
-            session.batch(graph, [QueryRequest(kind="expected_flow", source=0,
-                                               n_samples=40, seed=2)])
+            BatchEvaluator().evaluate(
+                graph, [QueryRequest(kind="expected_flow", source=0, n_samples=40, seed=2)]
+            )
             assert len(cache) == 1
         assert len(cache) == 0  # entries dropped with the session
 
     def test_shared_cache_instance_is_left_alone(self, graph):
         shared = WorldCache(max_entries=4)
-        with repro.session(world_cache=shared) as session:
-            session.batch(graph, [QueryRequest(kind="expected_flow", source=0,
-                                               n_samples=40, seed=2)])
+        with repro.session(world_cache=shared):
+            BatchEvaluator().evaluate(
+                graph, [QueryRequest(kind="expected_flow", source=0, n_samples=40, seed=2)]
+            )
         assert len(shared) == 1  # survives the session
 
     def test_disabled_cache_scope(self, graph):
-        with repro.session(world_cache=0) as session:
+        with repro.session(world_cache=0):
             assert get_default_world_cache() is None
-            results = session.batch(
+            evaluator = BatchEvaluator()
+            results = evaluator.evaluate(
                 graph,
                 [QueryRequest(kind="expected_flow", source=0, n_samples=40, seed=2)],
             )
             assert len(results) == 1
-            assert session.evaluator.cache_stats() == {}
+            assert evaluator.cache_stats() == {}
 
     def test_concurrent_batch_calls_share_one_evaluator(self, graph):
-        # the shared-session service pattern: concurrent batch() calls
-        # must lazily build exactly one evaluator and keep the session
-        # cache consistent
+        # the shared-session service pattern: one evaluator, called from
+        # several threads that each activate the same session, keeps the
+        # session cache consistent
         session = repro.session(world_cache=8)
-        evaluators, errors = [], []
+        evaluator = BatchEvaluator()
+        errors = []
         barrier = threading.Barrier(4)
 
         def worker(seed):
             try:
                 barrier.wait(timeout=5)
-                session.batch(
-                    graph,
-                    [QueryRequest(kind="expected_flow", source=0,
-                                  n_samples=30, seed=seed)],
-                )
-                evaluators.append(session.evaluator)
+                with session.activate():
+                    evaluator.evaluate(
+                        graph,
+                        [QueryRequest(kind="expected_flow", source=0,
+                                      n_samples=30, seed=seed)],
+                    )
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -339,7 +340,7 @@ class TestLifecycle:
         for thread in threads:
             thread.join()
         assert errors == []
-        assert len({id(evaluator) for evaluator in evaluators}) == 1
+        assert evaluator.batches_sampled == 4
         assert len(session.world_cache) == 4  # one entry per distinct seed
         session.close()
 
@@ -465,13 +466,13 @@ ALL_BACKENDS = list(BACKEND_NAMES)
 
 
 class TestLegacyEquivalence:
-    """Session methods reproduce the mechanism-level call paths bit for bit."""
+    """Calls inside a session reproduce the pinned call paths bit for bit."""
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_expected_flow_unsharded(self, graph, backend):
         legacy = SamplingEngine(backend).expected_flow(graph, 0, n_samples=80, seed=7)
-        with repro.session(backend=backend, seed=7, n_samples=80) as session:
-            scoped = session.expected_flow(graph, 0)
+        with repro.session(backend=backend) as session:
+            scoped = session.expected_flow(graph, 0, n_samples=80, seed=7)
         assert scoped.expected_flow == legacy.expected_flow
         assert scoped.variance == legacy.variance
         assert scoped.reachability == legacy.reachability
@@ -480,52 +481,57 @@ class TestLegacyEquivalence:
     def test_expected_flow_sharded(self, graph, backend):
         with repro.session(backend=backend, workers=SerialExecutor(), shard_size=32):
             legacy = SamplingEngine().expected_flow(graph, 0, n_samples=80, seed=7)
-        with repro.session(backend=backend, workers=1, shard_size=32,
-                           seed=7, n_samples=80) as session:
-            scoped = session.expected_flow(graph, 0)
+        with repro.session(backend=backend, workers=1, shard_size=32) as session:
+            scoped = session.expected_flow(graph, 0, n_samples=80, seed=7)
         assert scoped.expected_flow == legacy.expected_flow
         assert scoped.reachability == legacy.reachability
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_pair_reachability(self, graph, backend):
         legacy = SamplingEngine(backend).pair_reachability(graph, 0, 7, n_samples=80, seed=5)
-        with repro.session(backend=backend, seed=5, n_samples=80) as session:
-            scoped = session.pair_reachability(graph, 0, 7)
+        with repro.session(backend=backend):
+            scoped = SamplingEngine().pair_reachability(graph, 0, 7, n_samples=80, seed=5)
         assert scoped.probability == legacy.probability
         assert scoped.successes == legacy.successes
 
     def test_pair_reachability_adaptive(self, graph):
         settings = AdaptiveSettings(target_width=0.2, max_samples=600)
-        legacy = SamplingEngine().pair_reachability(
+        legacy = SamplingEngine("naive").pair_reachability(
             graph, 0, 7, n_samples="auto", seed=5, adaptive=settings
         )
-        with repro.session(seed=5, n_samples="auto", adaptive=settings) as session:
-            scoped = session.pair_reachability(graph, 0, 7)
+        with repro.session(backend="naive"):
+            scoped = SamplingEngine().pair_reachability(
+                graph, 0, 7, n_samples="auto", seed=5, adaptive=settings
+            )
         assert scoped.probability == legacy.probability
         assert scoped.n_samples == legacy.n_samples
 
-    def test_component_reachability_takes_the_session_policy(self, graph):
+    def test_component_reachability_follows_the_backend(self, graph):
         vertices, edges = list(range(1, 12)), graph.edge_list()
-        legacy = SamplingEngine().component_reachability(
-            graph, 0, vertices, edges, n_samples=64, seed=9
-        )
-        with repro.session(n_samples=64, seed=9) as session:
-            scoped = session.component_reachability(graph, 0, vertices, edges)
-        assert scoped == legacy
-        # the policy is what pins the answer: another seed draws other worlds
-        other_seed = SamplingEngine().component_reachability(
-            graph, 0, vertices, edges, n_samples=64, seed=10
-        )
-        assert scoped != other_seed
+        for backend in ALL_BACKENDS:
+            legacy = SamplingEngine(backend).component_reachability(
+                graph, 0, vertices, edges, n_samples=64, seed=9
+            )
+            with repro.session(backend=backend):
+                scoped = SamplingEngine().component_reachability(
+                    graph, 0, vertices, edges, n_samples=64, seed=9
+                )
+            assert scoped == legacy, backend
+            # the seed is what pins the answer: another seed draws other worlds
+            other_seed = SamplingEngine(backend).component_reachability(
+                graph, 0, vertices, edges, n_samples=64, seed=10
+            )
+            assert scoped != other_seed, backend
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("algorithm", ["Naive", "FT+M"])
     def test_selection(self, graph, backend, algorithm):
+        # built outside the session and run inside it, against one built
+        # and run inside
         selector = make_selector(algorithm, n_samples=60, seed=11)
         with repro.session(backend=backend):
             legacy = selector.select(graph, 0, 5)
-        with repro.session(backend=backend, seed=11, n_samples=60) as session:
-            scoped = session.select(graph, 0, 5, algorithm=algorithm)
+            scoped = make_selector(algorithm, n_samples=60, seed=11).select(graph, 0, 5)
         assert scoped.selected_edges == legacy.selected_edges
         assert scoped.expected_flow == legacy.expected_flow
 
@@ -533,9 +539,8 @@ class TestLegacyEquivalence:
         selector = make_selector("FT+M", n_samples=60, seed=11, crn=False)
         with repro.session(workers=SerialExecutor(), shard_size=32):
             legacy = selector.select(graph, 0, 4)
-        with repro.session(crn=False, workers=1, shard_size=32,
-                           seed=11, n_samples=60) as session:
-            scoped = session.select(graph, 0, 4)
+        with repro.session(crn=False, workers=1, shard_size=32):
+            scoped = make_selector("FT+M", n_samples=60, seed=11).select(graph, 0, 4)
         assert scoped.selected_edges == legacy.selected_edges
         assert scoped.expected_flow == legacy.expected_flow
 
@@ -548,8 +553,8 @@ class TestLegacyEquivalence:
         ]
         with repro.session(backend=backend), BatchEvaluator(cache=4) as evaluator:
             legacy = evaluator.evaluate(graph, requests)
-        with repro.session(backend=backend, world_cache=4) as session:
-            scoped = session.batch(graph, requests)
+        with repro.session(backend=backend, world_cache=4):
+            scoped = BatchEvaluator().evaluate(graph, requests)
         assert scoped[0].flow.expected_flow == legacy[0].flow.expected_flow
         assert scoped[0].flow.reachability == legacy[0].flow.reachability
         assert scoped[1].reachability.probability == legacy[1].reachability.probability
@@ -559,14 +564,14 @@ class TestLegacyEquivalence:
 
         edges = list(graph.edges())[:6]
         legacy = evaluate_flow(graph, edges, 0, n_samples=200, seed=21)
-        with repro.session(seed=21) as session:
-            scoped = session.evaluate_flow(graph, edges, 0, n_samples=200)
+        with repro.session(backend="naive"):
+            scoped = evaluate_flow(graph, edges, 0, n_samples=200, seed=21)
         assert scoped == legacy
 
     def test_close_defers_release_while_a_call_is_in_flight(self, graph):
         # the shared-session service pattern: the owner closing must not
         # pull resources out from under a request thread mid-call
-        session = repro.session(workers=1, seed=3, n_samples=4000)
+        session = repro.session(workers=1)
         started = threading.Event()
         outcome = {}
 
@@ -579,7 +584,8 @@ class TestLegacyEquivalence:
 
         def request():
             try:
-                outcome["flow"] = session.expected_flow(graph, 0).expected_flow
+                estimate = session.expected_flow(graph, 0, n_samples=4000, seed=3)
+                outcome["flow"] = estimate.expected_flow
             except Exception as error:  # pragma: no cover - failure path
                 outcome["error"] = error
 
@@ -592,12 +598,13 @@ class TestLegacyEquivalence:
         assert "error" not in outcome  # ...but the in-flight call completed
         assert outcome["flow"] > 0
         with pytest.raises(RuntimeError, match="closed"):
-            session.expected_flow(graph, 0)  # new work is rejected
+            session.expected_flow(graph, 0, n_samples=10)  # new work is rejected
 
     def test_close_drains_an_in_flight_batch_call(self, graph):
-        # batch() routes through the evaluator property, which must admit
-        # already-in-flight calls even after close() flips the closed flag
-        session = repro.session(world_cache=4, seed=3)
+        # the server pattern: a batch evaluated under session.activate()
+        # must complete even when close() flips the closed flag mid-call
+        session = repro.session(world_cache=4)
+        evaluator = BatchEvaluator()
         admitted = threading.Event()
         proceed = threading.Event()
         outcome = {}
@@ -622,11 +629,12 @@ class TestLegacyEquivalence:
 
         def request():
             try:
-                outcome["results"] = session.batch(
-                    graph,
-                    [QueryRequest(kind="expected_flow", source=0,
-                                  n_samples=30, seed=1)],
-                )
+                with session.activate():
+                    outcome["results"] = evaluator.evaluate(
+                        graph,
+                        [QueryRequest(kind="expected_flow", source=0,
+                                      n_samples=30, seed=1)],
+                    )
             except Exception as error:  # pragma: no cover - failure path
                 outcome["error"] = error
 
@@ -638,6 +646,7 @@ class TestLegacyEquivalence:
         thread.join(timeout=10)
         assert "error" not in outcome, outcome.get("error")
         assert outcome["results"][0].flow.expected_flow > 0
+        assert len(session.world_cache) == 0  # released once the call drained
         with pytest.raises(RuntimeError, match="closed"):
-            session.batch(graph, [QueryRequest(kind="expected_flow", source=0,
-                                               n_samples=30, seed=1)])
+            with session.activate():
+                pass

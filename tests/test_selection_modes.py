@@ -18,7 +18,7 @@ from repro.selection.ftree_greedy import FTreeGreedySelector
 from repro.selection.greedy_naive import NaiveGreedySelector
 from repro.selection.lazy_greedy import LazyGreedySelector
 from repro.selection.random_baseline import RandomSelector
-from repro.selection.registry import get_default_crn, make_selector
+from repro.selection import get_default_crn, make_selector
 
 MODES = (True, False)
 
@@ -108,17 +108,55 @@ class TestDeterministicSelectionPerSeed:
         assert "fast_evaluations" not in resample.extras
 
 
+def _naive_mode(selector) -> float:
+    """The mode a Naive selection actually ran in (its ``extras["crn"]``)."""
+    graph = erdos_renyi_graph(12, average_degree=3.0, seed=4)
+    return selector.select(graph, 0, 2).extras["crn"]
+
+
 class TestDefaultCrnToggle:
     def test_default_is_crn(self):
         assert get_default_crn() is True
-        assert make_selector("Naive", n_samples=10).crn is True
+        selector = make_selector("Naive", n_samples=10)
+        assert selector.crn is None  # read when select runs
+        assert _naive_mode(selector) == 1.0
 
     def test_session_scope_redirects_none(self):
         import repro
 
         with repro.session(crn=False):
-            assert make_selector("Naive", n_samples=10).crn is False
-            assert make_selector("FT+M", n_samples=10).crn is False
+            assert _naive_mode(make_selector("Naive", n_samples=10)) == 0.0
             # an explicit argument still wins over the session
-            assert make_selector("Naive", n_samples=10, crn=True).crn is True
+            assert _naive_mode(make_selector("Naive", n_samples=10, crn=True)) == 1.0
         assert get_default_crn() is True
+
+    @pytest.mark.parametrize("build", ["make_selector", "constructor"])
+    @pytest.mark.parametrize("algorithm", ["FT+M", "Naive"])
+    def test_mode_is_read_when_select_runs(self, monkeypatch, algorithm, build):
+        """Built outside ``session(crn=False)``, run inside: resampling."""
+        import repro
+        import repro.selection.ftree_greedy as ftree_greedy
+        from repro.ftree.sampler import ComponentSampler
+
+        sampler_modes = []
+
+        class RecordingSampler(ComponentSampler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sampler_modes.append(self.crn)
+
+        monkeypatch.setattr(ftree_greedy, "ComponentSampler", RecordingSampler)
+        if build == "make_selector":
+            selector = make_selector(algorithm, n_samples=20, seed=1)
+        elif algorithm == "Naive":
+            selector = NaiveGreedySelector(n_samples=20, seed=1)
+        else:
+            selector = FTreeGreedySelector(n_samples=20, memoize=True, seed=1)
+        graph = erdos_renyi_graph(15, average_degree=4.0, seed=2)
+        with repro.session(crn=False):
+            result = selector.select(graph, 0, 3)
+        if algorithm == "Naive":
+            assert result.extras["crn"] == 0.0
+            assert "fast_evaluations" not in result.extras  # no shared worlds
+        else:
+            assert sampler_modes and not any(sampler_modes)

@@ -355,7 +355,7 @@ class TestResolutionChain:
     def test_session_none_inherits(self):
         tel = Telemetry()
         with repro.session(telemetry=tel):
-            with repro.session(n_samples=10):  # telemetry unspecified → inherit
+            with repro.session(backend="naive"):  # telemetry unspecified → inherit
                 assert current_telemetry() is tel
 
     def test_defaults_spec_normalized_once(self):
@@ -471,8 +471,8 @@ class TestInstrumentation:
                 kind="expected_flow", source=1, n_samples=N_SAMPLES, seed=SEED
             ),
         ]
-        with repro.session(telemetry=tel, world_cache=8) as active:
-            results = active.batch(random_graph, requests)
+        with repro.session(telemetry=tel, world_cache=8):
+            results = repro.BatchEvaluator().evaluate(random_graph, requests)
         assert len(results) == 2
         counters = tel.snapshot()["counters"]
         # one registry shows the whole stack: service planning, engine
