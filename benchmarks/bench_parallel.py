@@ -1,26 +1,18 @@
 #!/usr/bin/env python3
-"""Micro-benchmark: parallel sharded sampling and adaptive CI stopping.
+"""Micro-benchmark: parallel sharded sampling.
 
-Two measurements on the Fig. 5 graph-size sweep (Erdős graphs, degree 6
-— the paper's no-locality scheme):
-
-1. **Sharded fan-out** — times whole-graph Monte-Carlo flow estimation
-   (:meth:`repro.reachability.engine.SamplingEngine.expected_flow`) on
-   the *naive* backend under the serial reference executor and under
-   process pools of 2 and 4 workers, all at the same
-   ``(seed, n_samples, shard_size)``.  The flows must be bit-for-bit
-   identical across worker counts (the :mod:`repro.parallel` determinism
-   contract); the run aborts if they are not.  The acceptance case is
-   the |E| ≈ 1800 instance (|V| = 600) at 5000 samples: 4 workers must
-   be ≥ 2.5x faster than 1 worker — enforced only when the machine
-   actually has ≥ 4 CPUs, and recorded as skipped otherwise (the BENCH
-   JSON carries ``cpu_count`` so trajectories stay comparable).
-
-2. **Adaptive stopping** — estimates a two-terminal reachability with
-   ``n_samples="auto"`` (Wilson interval, target width 0.02, capped at
-   the fixed budget) and reports how much of the fixed 5000-sample
-   budget the adaptive stopper actually spent.  Acceptance: at least one
-   Fig. 5 size reaches the target width with ≤ 60% of the fixed budget.
+Times whole-graph Monte-Carlo flow estimation
+(:meth:`repro.reachability.engine.SamplingEngine.expected_flow`) on the
+Fig. 5 graph-size sweep (Erdős graphs, degree 6 — the paper's
+no-locality scheme) and the *naive* backend, under the serial reference
+executor and under process pools of 2 and 4 workers, all at the same
+``(seed, n_samples, shard_size)``.  The flows must be bit-for-bit
+identical across worker counts (the :mod:`repro.parallel` determinism
+contract); the run aborts if they are not.  The acceptance case is the
+|E| ≈ 1800 instance (|V| = 600) at 5000 samples: 4 workers must be
+≥ 2.5x faster than 1 worker — enforced only when the machine actually
+has ≥ 4 CPUs, and recorded as skipped otherwise (the BENCH JSON carries
+``cpu_count`` so trajectories stay comparable).
 
 Like the other plain-script benchmarks this is CI-smokeable::
 
@@ -42,8 +34,7 @@ from typing import List, Optional
 import repro
 from _helpers import bench_environment
 from repro.graph.generators import erdos_renyi_graph
-from repro.parallel import AdaptiveSettings, ProcessExecutor, SerialExecutor
-from repro.reachability.confidence import proportion_interval_function
+from repro.parallel import ProcessExecutor, SerialExecutor
 from repro.reachability.engine import SamplingEngine
 
 #: Fig. 5 graph-size sweep (scaled down, degree 6 ⇒ |E| ≈ 3·|V|).
@@ -61,27 +52,9 @@ WORKER_COUNTS = (2, 4)
 
 #: Acceptance thresholds (see ISSUE 3).
 TARGET_SPEEDUP = 2.5
-ADAPTIVE_TARGET_WIDTH = 0.02
-ADAPTIVE_BUDGET_FRACTION = 0.6
 
 SEED = 7
 BACKEND = "naive"
-
-
-def _pick_adaptive_target(graph, source):
-    """The neighbour of ``source`` joined by the most reliable edge.
-
-    A high-reachability pair is exactly where adaptive stopping should
-    beat a fixed budget: the Wilson interval around a fraction near 1
-    tightens far faster than the worst-case (p = 0.5) sizing a fixed
-    budget has to assume.
-    """
-    best, best_probability = None, -1.0
-    for neighbor in graph.neighbors(source):
-        probability = graph.probability(source, neighbor)
-        if probability > best_probability:
-            best, best_probability = neighbor, probability
-    return best
 
 
 def bench_sharded(sizes, n_samples: int) -> List[dict]:
@@ -130,46 +103,6 @@ def bench_sharded(sizes, n_samples: int) -> List[dict]:
     return rows
 
 
-def bench_adaptive(sizes, fixed_budget: int) -> List[dict]:
-    """Adaptive CI-driven stopping versus the paper's fixed sample budget."""
-    settings = AdaptiveSettings(
-        target_width=ADAPTIVE_TARGET_WIDTH,
-        alpha=0.05,
-        method="wilson",
-        max_samples=fixed_budget,
-        min_samples=min(100, fixed_budget),
-    )
-    rows: List[dict] = []
-    for size in sizes:
-        graph = erdos_renyi_graph(size, average_degree=6.0, seed=size)
-        source = 0
-        target = _pick_adaptive_target(graph, source)
-        if target is None:
-            print(f"  |V|={graph.n_vertices}: source {source} is isolated, skipping")
-            continue
-        estimate = SamplingEngine().pair_reachability(
-            graph, source, target, n_samples="auto", seed=SEED, adaptive=settings
-        )
-        width = proportion_interval_function(settings.method)(
-            estimate.successes, estimate.n_samples, alpha=settings.alpha
-        ).width
-        rows.append(
-            {
-                "n_vertices": graph.n_vertices,
-                "n_edges": graph.n_edges,
-                "target": target,
-                "probability": estimate.probability,
-                "fixed_budget": fixed_budget,
-                "samples_used": estimate.n_samples,
-                "budget_fraction": estimate.n_samples / fixed_budget,
-                "ci_width": width,
-                "target_width": settings.target_width,
-                "converged": width <= settings.target_width,
-            }
-        )
-    return rows
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -201,19 +134,6 @@ def main(argv=None) -> int:
             + f" {row['expected_flow']:>10.3f}"
         )
 
-    adaptive = bench_adaptive(sizes, n_samples)
-    print(
-        f"\nadaptive (wilson, width <= {ADAPTIVE_TARGET_WIDTH}, "
-        f"cap {n_samples}):"
-    )
-    for row in adaptive:
-        print(
-            f"  |V|={row['n_vertices']:>4}  p^={row['probability']:.4f}  "
-            f"used {row['samples_used']:>5}/{row['fixed_budget']} "
-            f"({row['budget_fraction']:.0%})  width={row['ci_width']:.4f}  "
-            f"{'converged' if row['converged'] else 'hit cap'}"
-        )
-
     report = {
         "bench": "parallel_sharded_sampling",
         "sizes": list(sizes),
@@ -221,11 +141,8 @@ def main(argv=None) -> int:
         "backend": BACKEND,
         "worker_counts": list(WORKER_COUNTS),
         "target_speedup": TARGET_SPEEDUP,
-        "adaptive_target_width": ADAPTIVE_TARGET_WIDTH,
-        "adaptive_budget_fraction": ADAPTIVE_BUDGET_FRACTION,
         "environment": bench_environment(workers=max(WORKER_COUNTS), shard_size=SHARD_SIZE),
         "sharded_rows": sharded,
-        "adaptive_rows": adaptive,
     }
 
     exit_code = 0
@@ -257,22 +174,6 @@ def main(argv=None) -> int:
             if status == "FAIL":
                 exit_code = 1
 
-        good = [
-            r
-            for r in adaptive
-            if r["converged"] and r["budget_fraction"] <= ADAPTIVE_BUDGET_FRACTION
-        ]
-        status = "PASS" if good else "FAIL"
-        acceptance["adaptive"] = {
-            "status": status,
-            "best_budget_fraction": min((r["budget_fraction"] for r in adaptive), default=None),
-        }
-        print(
-            f"acceptance (width {ADAPTIVE_TARGET_WIDTH} using <= "
-            f"{ADAPTIVE_BUDGET_FRACTION:.0%} of the budget on >= 1 size): {status}"
-        )
-        if not good:
-            exit_code = 1
         report["acceptance"] = acceptance
 
     if args.json is not None:

@@ -15,6 +15,7 @@ import repro
 from repro.experiments.harness import evaluate_flow, pick_query_vertex
 from repro.experiments.reporting import format_table
 from repro.reachability import SamplingEngine
+from repro.reachability.confidence import wilson_confidence_interval
 
 # All runtime knobs live in one scoped configuration object,
 # repro.RuntimeConfig, activated with `with repro.session(...)`:
@@ -41,8 +42,8 @@ from repro.reachability import SamplingEngine
 #                   WorldCache instance).
 #   * telemetry   — the observability pipeline (see steps 5 and 6).
 #
-# The sample budget ("auto" for adaptive CI-driven stopping) and the seed
-# are not runtime knobs: they are arguments of each call.
+# The sample budget (a fixed number of worlds, as in the paper) and the
+# seed are not runtime knobs: they are arguments of each call.
 #
 # Sessions scope cleanly (contextvar-based): they nest, restore the
 # enclosing configuration on exit, and are invisible to other threads.
@@ -97,17 +98,14 @@ def main() -> None:
         "repro.session(crn=False) to see the paper's literal per-candidate resampling cost."
     )
 
-    # 4. adaptive sampling: a budget of "auto" stops as soon as the
-    #    estimate is tight enough instead of always paying a fixed cost
+    # 4. two-terminal reachability at the paper's fixed budget of 1000
+    #    worlds, with the Wilson interval of the estimate
     target = next(iter(graph.neighbors(query)))
-    settings = repro.AdaptiveSettings(target_width=0.05, alpha=0.05, max_samples=4000)
-    estimate = SamplingEngine().pair_reachability(
-        graph, query, target, n_samples="auto", seed=7, adaptive=settings
-    )
+    estimate = SamplingEngine().pair_reachability(graph, query, target, n_samples=1000, seed=7)
+    interval = wilson_confidence_interval(estimate.successes, estimate.n_samples, alpha=0.05)
     print(
-        f"\nAdaptive sampling: P({query} <-> {target}) = {estimate.probability:.3f} "
-        f"pinned to a {settings.target_width}-wide CI after {estimate.n_samples} of "
-        f"{settings.max_samples} allowed worlds."
+        f"\nPair reachability: P({query} <-> {target}) = {estimate.probability:.3f} "
+        f"from {estimate.n_samples} worlds, 95% CI [{interval.lower:.3f}, {interval.upper:.3f}]."
     )
 
     # 5. telemetry: the same knob resolution enables the unified

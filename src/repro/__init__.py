@@ -28,8 +28,7 @@ The package is organised as:
 * :mod:`repro.datasets` — named datasets (synthetic surrogates of the
   paper's real networks);
 * :mod:`repro.parallel` — sharded possible-world sampling with
-  deterministic seed-splitting, process-pool executors and adaptive
-  CI-driven stopping;
+  deterministic seed-splitting and process-pool executors;
 * :mod:`repro.service` — the batched multi-query evaluation service:
   mixed batches of flow/reachability queries planned onto shared world
   batches, with a digest-keyed LRU world cache;
@@ -43,8 +42,8 @@ The package is organised as:
   content-addressed caches are built on;
 * :mod:`repro.runtime` — the unified Session API: one frozen
   :class:`~repro.runtime.RuntimeConfig` bundling every runtime knob
-  (backend, CRN mode, workers, shard size, sample/seed policy, world
-  cache) and a contextvar-scoped :class:`~repro.runtime.Session` facade
+  (backend, CRN mode, workers, shard size, world cache, telemetry) and
+  a contextvar-scoped :class:`~repro.runtime.Session` facade
   (``with repro.session(...):``), the one place runtime knobs are set;
 * :mod:`repro.telemetry` — the unified observability layer: a
   thread-safe metrics registry plus nested tracing spans, resolved like
@@ -74,7 +73,6 @@ from repro.reachability import (
     mono_connected_expected_flow,
 )
 from repro.parallel import (
-    AdaptiveSettings,
     ProcessExecutor,
     SerialExecutor,
     make_executor,
@@ -127,7 +125,6 @@ __all__ = [
     "preferential_attachment_graph",
     "exact_expected_flow",
     "mono_connected_expected_flow",
-    "AdaptiveSettings",
     "ProcessExecutor",
     "SerialExecutor",
     "make_executor",

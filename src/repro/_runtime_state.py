@@ -19,8 +19,8 @@ over its parents at activation time) → built-in library default.  The
 backend, executor and shard size have no other source (bar a backend
 pinned by ``SamplingEngine(backend)``); ``crn`` and ``cache`` arguments
 that are not ``None`` win over the session.  Only those six runtime
-knobs live here: a call's sample budget, seed and stopping rule are its
-own arguments, never session state.
+knobs live here: a call's sample budget and seed are its own arguments,
+never session state.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class EffectiveConfig:
     ``telemetry`` holds a resolved ``repro.telemetry.Telemetry`` pipeline
     (the disabled singleton when a session pins telemetry off).
     These are exactly the knobs the library-wide ``get_default_*``
-    resolution points consult; call policy (sample budget, seed,
-    stopping rule) is never session state.
+    resolution points consult; call policy (sample budget, seed) is
+    never session state.
     """
 
     __slots__ = (

@@ -44,8 +44,8 @@ class DuplicateVertexError(GraphError, ValueError):
 class DuplicateEdgeError(GraphError, ValueError):
     """An attempt was made to add an edge that already exists."""
 
-    def __init__(self, u: object, v: object) -> None:
-        super().__init__(f"edge ({u!r}, {v!r}) already exists in the graph")
+    def __init__(self, u: object, v: object, where: str = "the graph") -> None:
+        super().__init__(f"edge ({u!r}, {v!r}) already exists in {where}")
         self.u = u
         self.v = v
 

@@ -14,10 +14,7 @@ the partial results in shard order:
    request seed's :class:`numpy.random.SeedSequence`;
 3. :mod:`repro.parallel.executor` — :class:`SerialExecutor` (the
    in-process reference) and :class:`ProcessExecutor` (a reusable
-   process pool) run the shards; results are collected in shard order;
-4. :mod:`repro.parallel.adaptive` — optional CI-driven stopping: keep
-   drawing shards until the confidence interval of the estimate reaches
-   a target width (``n_samples="auto"`` on the estimators).
+   process pool) run the shards; results are collected in shard order.
 
 **The determinism contract.**  A sharded result is a pure function of
 ``(seed, n_samples, shard_size)``.  Worker count, executor choice,
@@ -37,7 +34,6 @@ keeps the historical unsharded stream byte-for-byte and all
 pre-existing pinned results with it.
 """
 
-from repro.parallel.adaptive import ADAPTIVE_CI_METHODS, AUTO_SAMPLES, AdaptiveSettings
 from repro.parallel.executor import (
     ExecutorLike,
     ProcessExecutor,
@@ -56,9 +52,6 @@ from repro.parallel.plan import (
 )
 
 __all__ = [
-    "ADAPTIVE_CI_METHODS",
-    "AUTO_SAMPLES",
-    "AdaptiveSettings",
     "DEFAULT_SHARD_SIZE",
     "ExecutorLike",
     "ProcessExecutor",

@@ -19,9 +19,6 @@ import numpy as np
 from repro._runtime_state import resolve_field
 from repro.exceptions import SampleSizeError
 
-#: Sentinel accepted by the estimators' ``n_samples`` argument.
-AUTO_SAMPLES = "auto"
-
 #: Default worlds per shard.  Small enough that a paper-scale request
 #: (1000-5000 samples) splits into enough shards to keep several workers
 #: busy, large enough that per-shard dispatch overhead stays negligible.
@@ -50,28 +47,18 @@ def check_shard_size(shard_size: object, name: str = "shard_size") -> None:
         raise ValueError(f"{name} must be positive, got {shard_size!r}")
 
 
-def check_sample_count(
-    n_samples: object, allow_auto: bool = False, name: str = "n_samples"
-) -> bool:
+def check_sample_count(n_samples: object, name: str = "n_samples") -> None:
     """Reject anything but a positive integer sample count.
 
-    Returns True for the adaptive sentinel :data:`AUTO_SAMPLES` (accepted
-    only with ``allow_auto``) and False for a count.  A bool or a
-    fractional count is refused rather than truncated, like
-    :func:`check_shard_size`: ``2.9`` silently running 2 worlds would
-    misreport the estimate's sample count.  NumPy integers are counts.
+    A bool, a string or a fractional count is refused rather than
+    truncated, like :func:`check_shard_size`: ``2.9`` silently running 2
+    worlds would misreport the estimate's sample count.  NumPy integers
+    are counts.
     """
-    if allow_auto and isinstance(n_samples, str):
-        if n_samples != AUTO_SAMPLES:
-            raise ValueError(
-                f"{name} must be a positive integer or {AUTO_SAMPLES!r}, got {n_samples!r}"
-            )
-        return True
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
         raise TypeError(f"{name} must be an int, got {n_samples!r}")
     if n_samples <= 0:
         raise SampleSizeError(n_samples)
-    return False
 
 
 @dataclass(frozen=True)

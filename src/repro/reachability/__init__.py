@@ -7,9 +7,10 @@ spectrum of estimators:
 * :mod:`repro.reachability.engine` — unbiased whole-graph sampling
   (Lemma 1), the building block of the Naive baseline.
   :class:`SamplingEngine` is the one Monte-Carlo estimator
-  (``expected_flow``, ``pair_reachability``, ``component_reachability``);
-  :class:`repro.runtime.Session` calls the same methods with sample
-  budgets and seeds resolved from the session.  The engine indexes the
+  (``expected_flow``, ``pair_reachability``, ``component_reachability``),
+  each taking a fixed sample budget and a seed as call arguments;
+  :meth:`repro.runtime.Session.expected_flow` passes straight through
+  to the engine's ``expected_flow``.  The engine indexes the
   (restricted) edge set once, delegates world generation and per-world
   reachability to a pluggable backend, and aggregates the resulting
   boolean world/vertex matrix into flow and reachability estimates;

@@ -148,8 +148,8 @@ def wilson_confidence_interval(
 
 
 #: Binomial-proportion interval functions by method name — the single
-#: registry behind ``method=`` arguments (flow intervals, adaptive
-#: stopping); add new methods here and every consumer picks them up.
+#: registry behind ``method=`` arguments (flow intervals); add new
+#: methods here and every consumer picks them up.
 PROPORTION_INTERVAL_METHODS = {
     "normal": normal_confidence_interval,
     "wilson": wilson_confidence_interval,

@@ -29,19 +29,13 @@ harness pins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import VertexNotFoundError
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.parallel.adaptive import AdaptiveSettings, shard_rounds
-from repro.parallel.executor import (
-    SamplingExecutor,
-    SerialExecutor,
-    ShardTask,
-    get_default_executor,
-)
+from repro.parallel.executor import SamplingExecutor, ShardTask, get_default_executor
 from repro.parallel.plan import check_sample_count, get_default_shard_size, plan_shards
 from repro.reachability.backends import BackendLike, make_backend
 from repro.reachability.backends.base import (
@@ -50,21 +44,10 @@ from repro.reachability.backends.base import (
     sample_flips,
 )
 from repro.reachability.layout import graph_layout
-from repro.reachability.confidence import (
-    flow_confidence_interval,
-    proportion_interval_function,
-)
 from repro.reachability.estimators import FlowEstimate, ReachabilityEstimate
 from repro.rng import SeedLike, ensure_rng, split_seed_sequences
 from repro.telemetry import current_telemetry
 from repro.types import Edge, VertexId
-
-#: Sample-count specification: a positive integer budget, or
-#: :data:`~repro.parallel.adaptive.AUTO_SAMPLES` for CI-driven stopping.
-SampleSpec = Union[int, str]
-
-#: In-process executor adaptive sampling shards on when the session names none.
-_SERIAL_EXECUTOR = SerialExecutor()
 
 #: Aggregation blocks hold a multiple of this many world rows.  64 is a
 #: multiple of every BLAS gemv row-group width, so each row of a block
@@ -300,54 +283,6 @@ class SamplingEngine:
             flips = _draw(problem, n_samples, seed, active, None)
         return FlipBatch(problem=problem, flips=flips)
 
-    # ------------------------------------------------------------------
-    # adaptive (CI-driven) sampling
-    # ------------------------------------------------------------------
-    def _sample_worlds_adaptive(
-        self,
-        graph: UncertainGraph,
-        source: VertexId,
-        seed: SeedLike,
-        edges: Optional[Iterable[Edge]],
-        extra_vertices: Iterable[VertexId],
-        settings: AdaptiveSettings,
-        width_of: Callable[[SamplingProblem, np.ndarray, int], float],
-    ) -> WorldBatch:
-        """Draw shards until ``width_of(problem, hit_counts, n)`` hits the target.
-
-        The shard schedule (:func:`~repro.parallel.adaptive.shard_rounds`)
-        and the seed split depend only on ``(seed, settings, shard_size)``,
-        so the stopping point — and therefore the returned batch — is
-        identical for any worker count.
-        """
-        problem = graph_layout(graph, edges).problem(source, extra_vertices)
-        backend = self.backend
-        active = get_default_executor() or _SERIAL_EXECUTOR
-        size = get_default_shard_size()
-        plan = plan_shards(settings.max_samples, size)
-        children = split_seed_sequences(seed, plan.n_shards)
-
-        def loop():
-            return _adaptive_loop(
-                problem, backend, active, size, plan.shard_sizes, children, settings, width_of
-            )
-
-        tel = current_telemetry()
-        if not tel.enabled:
-            return loop()[0]
-        with tel.span(
-            "engine.sample_worlds_adaptive",
-            backend=backend.name,
-            max_samples=settings.max_samples,
-            shard_size=size,
-        ) as span:
-            batch, rounds = loop()
-            span.set(n_samples=batch.n_samples, rounds=rounds)
-        tel.count("engine.adaptive.rounds", rounds)
-        tel.count("engine.worlds_sampled", batch.n_samples)
-        tel.count("engine.sample_calls")
-        return batch
-
     def propagate(
         self,
         problem: SamplingProblem,
@@ -365,58 +300,22 @@ class SamplingEngine:
         )
 
     # ------------------------------------------------------------------
-    # the estimators: the one public Monte-Carlo surface (Session's
-    # workload methods call these with session-resolved policy)
+    # the estimators: the one public Monte-Carlo surface (budget and
+    # seed are call arguments; Session.expected_flow passes through)
     # ------------------------------------------------------------------
     def expected_flow(
         self,
         graph: UncertainGraph,
         query: VertexId,
-        n_samples: SampleSpec = 1000,
+        n_samples: int = 1000,
         seed: SeedLike = None,
         edges: Optional[Iterable[Edge]] = None,
         include_query: bool = False,
-        *,
-        adaptive: Optional[AdaptiveSettings] = None,
     ) -> FlowEstimate:
-        """Monte-Carlo estimate of ``E[flow(Q, G)]`` (Lemma 1).
-
-        ``n_samples="auto"`` switches to adaptive CI-driven stopping:
-        shards of worlds are drawn until the weighted flow confidence
-        interval (:func:`repro.reachability.confidence.flow_confidence_interval`)
-        is narrower than ``adaptive.target_width`` or the
-        ``adaptive.max_samples`` cap is hit.
-        """
+        """Monte-Carlo estimate of ``E[flow(Q, G)]`` from ``n_samples`` worlds (Lemma 1)."""
         if not graph.has_vertex(query):
             raise VertexNotFoundError(query)
-        if check_sample_count(n_samples, allow_auto=True):
-            settings = adaptive or AdaptiveSettings()
-            weights = graph.weights()
-
-            def flow_width(problem: SamplingProblem, counts: np.ndarray, n: int) -> float:
-                reachability_counts = {}
-                interval_weights = {}
-                for index, vertex in enumerate(problem.vertex_ids):
-                    if not include_query and index == problem.source:
-                        continue
-                    weight = float(weights.get(vertex, 0.0))
-                    if weight == 0.0:
-                        continue
-                    reachability_counts[vertex] = int(counts[index])
-                    interval_weights[vertex] = weight
-                return flow_confidence_interval(
-                    reachability_counts,
-                    n,
-                    interval_weights,
-                    alpha=settings.alpha,
-                    method=settings.method,
-                ).width
-
-            batch = self._sample_worlds_adaptive(
-                graph, query, seed, edges, (), settings, flow_width
-            )
-        else:
-            batch = self.sample_worlds(graph, query, n_samples, seed=seed, edges=edges)
+        batch = self.sample_worlds(graph, query, n_samples, seed=seed, edges=edges)
         return aggregate_expected_flow(graph, batch, include_query=include_query)
 
     def pair_reachability(
@@ -424,40 +323,22 @@ class SamplingEngine:
         graph: UncertainGraph,
         source: VertexId,
         target: VertexId,
-        n_samples: SampleSpec = 1000,
+        n_samples: int = 1000,
         seed: SeedLike = None,
         edges: Optional[Iterable[Edge]] = None,
-        *,
-        adaptive: Optional[AdaptiveSettings] = None,
     ) -> ReachabilityEstimate:
-        """Monte-Carlo estimate of the two-terminal reachability ``P(source ↔ target)``.
-
-        ``n_samples="auto"`` draws shards until the Wilson (or normal)
-        interval around the success fraction is narrower than
-        ``adaptive.target_width``, capped at ``adaptive.max_samples``.
-        """
+        """Monte-Carlo estimate of the two-terminal reachability ``P(source ↔ target)``."""
         for vertex in (source, target):
             if not graph.has_vertex(vertex):
                 raise VertexNotFoundError(vertex)
-        auto = check_sample_count(n_samples, allow_auto=True)
+        check_sample_count(n_samples)
         if source == target:
-            pinned = (adaptive or AdaptiveSettings()).min_samples if auto else n_samples
-            return ReachabilityEstimate(probability=1.0, n_samples=pinned, successes=pinned)
-        if auto:
-            settings = adaptive or AdaptiveSettings()
-            interval_fn = proportion_interval_function(settings.method)
-
-            def pair_width(problem: SamplingProblem, counts: np.ndarray, n: int) -> float:
-                successes = int(counts[problem.index_of(target)])
-                return interval_fn(successes, n, alpha=settings.alpha).width
-
-            batch = self._sample_worlds_adaptive(
-                graph, source, seed, edges, (target,), settings, pair_width
+            return ReachabilityEstimate(
+                probability=1.0, n_samples=int(n_samples), successes=int(n_samples)
             )
-        else:
-            batch = self.sample_worlds(
-                graph, source, n_samples, seed=seed, edges=edges, extra_vertices=(target,)
-            )
+        batch = self.sample_worlds(
+            graph, source, n_samples, seed=seed, edges=edges, extra_vertices=(target,)
+        )
         return aggregate_pair_reachability(batch, target)
 
     def component_reachability(
@@ -494,9 +375,17 @@ def _draw(
     Without an executor: one stream from ``seed``.  With one: the request
     splits into seeded shard tasks reduced in order, deterministic per
     ``(seed, n_samples, shard_size)`` — shard ``i`` runs on the ``i``-th
-    spawned child seed and the partial results are concatenated in shard
-    order, so worker count and completion order never influence the
-    reduction.
+    spawned child seed and the partial results are copied into the matrix
+    in shard order, so worker count and completion order never influence
+    the reduction.
+
+    The matrix is allocated before the shards are dispatched rather than
+    stacked after they return.  Allocated first, it reuses the heap space
+    the previous call's matrix freed; allocated last, it must fit into
+    that space after the dispatch's small allocations have or have not
+    landed in it, so the peak memory of repeated sharded calls would
+    differ by one whole matrix (16 MB at 8192 x 2000) between otherwise
+    identical processes.
     """
     n_samples = int(n_samples)
     if active is None:
@@ -510,54 +399,13 @@ def _draw(
         ShardTask(problem=problem, n_samples=size, seed=child, backend=backend)
         for size, child in zip(plan.shard_sizes, children)
     ]
-    parts = active.map_shards(tasks)
-    if not parts:
-        width = problem.n_edges if backend is None else problem.n_vertices
-        return np.zeros((0, width), dtype=bool)
-    return np.vstack(parts)
-
-
-def _adaptive_loop(
-    problem: SamplingProblem,
-    backend: SamplingBackend,
-    active: SamplingExecutor,
-    size: int,
-    shard_sizes,
-    children,
-    settings: AdaptiveSettings,
-    width_of: Callable[[SamplingProblem, np.ndarray, int], float],
-):
-    blocks: List[np.ndarray] = []
-    counts = np.zeros(problem.n_vertices, dtype=np.int64)
-    drawn_shards = 0
-    drawn_samples = 0
-    rounds = 0
-    for round_shards in shard_rounds(settings, size):
-        rounds += 1
-        tasks = [
-            ShardTask(
-                problem=problem,
-                n_samples=shard_sizes[index],
-                seed=children[index],
-                backend=backend,
-            )
-            for index in range(drawn_shards, drawn_shards + round_shards)
-        ]
-        parts = active.map_shards(tasks)
-        for part in parts:
-            blocks.append(part)
-            counts += _world_totals(part)[1]
-            drawn_samples += part.shape[0]
-        drawn_shards += round_shards
-        if drawn_samples >= settings.min_samples:
-            if width_of(problem, counts, drawn_samples) <= settings.target_width:
-                break
-    reached = (
-        np.vstack(blocks)
-        if blocks
-        else np.zeros((0, problem.n_vertices), dtype=bool)
-    )
-    return WorldBatch(problem=problem, reached=reached), rounds
+    width = problem.n_edges if backend is None else problem.n_vertices
+    matrix = np.empty((n_samples, width), dtype=bool)
+    start = 0
+    for part in active.map_shards(tasks):
+        matrix[start : start + part.shape[0]] = part
+        start += part.shape[0]
+    return matrix
 
 
 # ----------------------------------------------------------------------

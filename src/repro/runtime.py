@@ -22,7 +22,7 @@ are built:
           )
 
 A session sets *where* work runs, never *what* is computed: the sample
-budget, seed and stopping rule are arguments of each call (of
+budget and seed are arguments of each call (of
 :class:`~repro.reachability.engine.SamplingEngine`, the selectors,
 :class:`~repro.service.evaluator.BatchEvaluator` requests and
 :func:`~repro.experiments.harness.evaluate_flow`).
@@ -48,8 +48,8 @@ the selectors, ``BatchEvaluator``, ``EvaluationContext``,
 ``ComponentSampler``, the experiment harness) reads them from the
 session active when it samples, in one step — innermost active session,
 else the built-in library default.  The one exception is
-``SamplingEngine(backend)``, which pins a backend for that engine (the
-batch evaluator's per-request backend overrides use it).  ``crn=None``
+``SamplingEngine(backend)``, which pins a backend for that engine; a
+batch evaluator request has no backend of its own.  ``crn=None``
 and ``cache=None`` arguments resolve the same way; an explicit value
 wins.  There is no process-wide store to assign.
 
@@ -87,7 +87,6 @@ from repro._runtime_state import (
     pop_entry,
     push_entry,
 )
-from repro.parallel.adaptive import AdaptiveSettings
 from repro.parallel.executor import (
     ExecutorLike,
     SamplingExecutor,
@@ -96,7 +95,7 @@ from repro.parallel.executor import (
 )
 from repro.parallel.plan import check_shard_size, get_default_shard_size
 from repro.reachability.backends import backend_names, get_default_backend
-from repro.reachability.engine import SampleSpec, SamplingEngine
+from repro.reachability.engine import SamplingEngine
 from repro.reachability.estimators import FlowEstimate
 from repro.rng import SeedLike
 from repro.selection.base import get_default_crn
@@ -466,12 +465,10 @@ class Session:
         self,
         graph,
         query: VertexId,
-        n_samples: SampleSpec = 1000,
+        n_samples: int = 1000,
         seed: SeedLike = None,
         edges: Optional[Iterable[Edge]] = None,
         include_query: bool = False,
-        *,
-        adaptive: Optional[AdaptiveSettings] = None,
     ) -> FlowEstimate:
         """:meth:`SamplingEngine.expected_flow
         <repro.reachability.engine.SamplingEngine.expected_flow>` run
@@ -489,7 +486,6 @@ class Session:
                 seed=seed,
                 edges=edges,
                 include_query=include_query,
-                adaptive=adaptive,
             )
 
 

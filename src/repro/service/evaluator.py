@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.exceptions import VertexNotFoundError
+from repro.exceptions import DuplicateEdgeError, EdgeNotFoundError, VertexNotFoundError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.parallel.executor import get_default_executor
 from repro.parallel.plan import get_default_shard_size
@@ -69,15 +69,19 @@ from repro.telemetry import current_telemetry
 
 
 def validate_request(graph: UncertainGraph, request: QueryRequest) -> None:
-    """Mirror the single-query estimators' vertex validation.
+    """Reject a request the evaluator cannot answer as asked.
 
-    :meth:`SamplingEngine.expected_flow` and ``pair_reachability``
-    reject unknown query vertices loudly; a batched request must not
-    degrade that into a silent all-zero answer.  (Component queries
-    match their estimator too: bogus edges fail the probability
-    lookup during sampling.)  Public so admission layers — the serving
-    tier rejects a bad request *before* it reaches the coalescing
-    queue — apply exactly the evaluator's rules.
+    Unknown query vertices raise :class:`~repro.exceptions.VertexNotFoundError`,
+    as :meth:`SamplingEngine.expected_flow` and ``pair_reachability``
+    do: a batched request must not degrade that into a silent all-zero
+    answer.  An edge restriction must name edges of the graph, each
+    once: a non-edge raises :class:`~repro.exceptions.EdgeNotFoundError`
+    (sampling it would fail the whole batch it shares), and a repeated
+    edge raises :class:`~repro.exceptions.DuplicateEdgeError` (it would
+    be flipped once per listing, inflating its probability).  Public so
+    admission layers — the serving tier rejects a bad request *before*
+    it reaches the coalescing queue — apply exactly the evaluator's
+    rules.
     """
     if request.kind == EXPECTED_FLOW and not graph.has_vertex(request.source):
         raise VertexNotFoundError(request.source)
@@ -85,6 +89,14 @@ def validate_request(graph: UncertainGraph, request: QueryRequest) -> None:
         for vertex in (request.source, request.target):
             if not graph.has_vertex(vertex):
                 raise VertexNotFoundError(vertex)
+    if request.edges is not None:
+        seen = set()
+        for edge in request.edges:
+            if not graph.has_edge(edge.u, edge.v):
+                raise EdgeNotFoundError(edge.u, edge.v)
+            if edge in seen:
+                raise DuplicateEdgeError(edge.u, edge.v, where="the request's edge list")
+            seen.add(edge)
 
 
 class BatchEvaluator:
@@ -97,10 +109,10 @@ class BatchEvaluator:
         shared process-wide default cache, ``0`` disables caching, a positive integer builds a
         private cache with that entry bound, an instance is shared.
 
-    Requests without a backend override, and every world batch's shard
-    plan, use the backend, executor and shard size of the session active
-    at each call (see :func:`repro.session`); the shard plan is part of
-    every world key (the sharded and unsharded streams differ).
+    Every world batch is drawn with the backend, executor and shard size
+    of the session active at each call (see :func:`repro.session`); the
+    backend and the shard plan are part of every world key (the sharded
+    and unsharded streams differ).
     """
 
     def __init__(self, *, cache: CacheLike = None) -> None:
@@ -140,7 +152,7 @@ class BatchEvaluator:
         return self.planner.plan(
             graph,
             requests,
-            default_backend=get_default_backend(),
+            backend=get_default_backend(),
             shard_size=None if get_default_executor() is None else get_default_shard_size(),
         )
 
@@ -157,7 +169,7 @@ class BatchEvaluator:
                 if tel.enabled:
                     tel.count("service.batches_reused")
                 return cached, True
-        batch = SamplingEngine(group.key.backend).sample_worlds(
+        batch = SamplingEngine().sample_worlds(
             graph,
             group.source,
             group.key.n_samples,

@@ -81,13 +81,13 @@ class QueryPlan:
 
 
 class QueryPlanner:
-    """Groups requests by ``(graph digest, edges, source, backend, seed, shard plan)``."""
+    """Groups requests by ``(graph digest, edges, source, seed, n_samples)``."""
 
     def plan(
         self,
         graph: UncertainGraph,
         requests: Sequence[QueryRequest],
-        default_backend: str,
+        backend: str,
         shard_size: Optional[int],
     ) -> QueryPlan:
         """Partition ``requests`` into shared-batch groups.
@@ -99,10 +99,10 @@ class QueryPlanner:
             content digest anchors every group key.
         requests:
             The mixed-kind request batch, in client order.
-        default_backend:
-            Backend name a request without an override resolves to
-            (part of the key: streams are pinned identical across the
-            built-in backends, but a third-party backend may not be).
+        backend:
+            Name of the backend the batch samples with (part of every
+            key: streams are pinned identical across the built-in
+            backends, but a third-party backend may not be).
         shard_size:
             ``None`` when sampling is unsharded, else the resolved
             worlds-per-shard of the active executor — the two streams
@@ -123,7 +123,7 @@ class QueryPlanner:
                 graph_digest=digest,
                 edges_digest=edge_sequence_digest(request.edges),
                 source_repr=world_key_source_repr(request.source),
-                backend=request.backend or default_backend,
+                backend=backend,
                 seed=request.seed,
                 n_samples=request.n_samples,
                 shard_size=shard_size,

@@ -4,8 +4,9 @@ A :class:`QueryRequest` describes one question a client wants answered
 about an uncertain graph — an expected-flow estimate, a two-terminal
 reachability, or the per-vertex reachability of an edge-induced
 component — together with everything that pins the answer down
-deterministically: sample count, integer seed, and (optionally) a
-backend override and an edge restriction.  Requests of *mixed* kinds can
+deterministically: sample count, integer seed and (optionally) an edge
+restriction.  The backend is not part of a request: it comes from the
+session the batch is evaluated in.  Requests of *mixed* kinds can
 travel in one batch; the planner groups them by their shared sampling
 work, not by kind.
 
@@ -24,9 +25,10 @@ The module also defines the JSONL wire format used by the CLI's
      "edges": [[1, 2], [2, 3], [3, 1]], "n_samples": 200, "seed": 3}
 
 Optional per-request fields: ``seed``, ``n_samples`` (alias
-``samples``), ``backend``, ``include_query`` (expected flow only) and
+``samples``), ``include_query`` (expected flow only, a JSON bool) and
 ``edges`` (an edge restriction for flow/pair queries; the order of the
-pairs is significant — it is the order edge flips are drawn in).
+pairs is significant — it is the order edge flips are drawn in).  Any
+other field is rejected.
 """
 
 from __future__ import annotations
@@ -90,14 +92,11 @@ class QueryRequest:
     n_samples:
         Possible worlds behind the answer (positive integer).
     seed:
-        Integer seed; together with the backend and shard plan it pins
-        the answer bit-for-bit.
-    backend:
-        Optional backend-name override for this request (``None`` defers
-        to the evaluator's backend).
+        Integer seed; together with the session's backend and shard plan
+        it pins the answer bit-for-bit.
     include_query:
         Expected flow only — whether the query vertex's own weight
-        counts towards the flow.
+        counts towards the flow (a bool).
     """
 
     kind: str
@@ -107,7 +106,6 @@ class QueryRequest:
     edges: Optional[Tuple[Edge, ...]] = None
     n_samples: int = 1000
     seed: int = 0
-    backend: Optional[str] = None
     include_query: bool = False
 
     def __post_init__(self) -> None:
@@ -121,6 +119,8 @@ class QueryRequest:
                 f"seed must be a plain integer (service answers are content-addressed), "
                 f"got {self.seed!r}"
             )
+        if not isinstance(self.include_query, bool):
+            raise TypeError(f"include_query must be a bool, got {self.include_query!r}")
         object.__setattr__(self, "n_samples", int(self.n_samples))
         object.__setattr__(self, "seed", int(self.seed))
         if self.edges is not None:
@@ -140,6 +140,8 @@ class QueryRequest:
                 raise ValueError("component_reachability requests need the component vertices")
         elif self.targets:
             raise ValueError(f"{self.kind} requests do not take a vertex list")
+        if self.include_query and self.kind != EXPECTED_FLOW:
+            raise ValueError(f"{self.kind} requests do not take include_query")
 
 
 @dataclass(frozen=True)
@@ -253,8 +255,9 @@ def request_from_dict(
 
     n_samples = pop_aliased("n_samples", "samples", default_n_samples)
     seed = payload.pop("seed", default_seed)
-    backend = payload.pop("backend", None)
-    include_query = bool(payload.pop("include_query", False))
+    include_query = False
+    if kind == EXPECTED_FLOW:
+        include_query = payload.pop("include_query", False)
 
     source_key = {"expected_flow": "query", "pair_reachability": "source",
                   "component_reachability": "anchor"}[kind]
@@ -295,8 +298,7 @@ def request_from_dict(
         edges=edges,
         n_samples=n_samples,  # type: ignore[arg-type]
         seed=seed,  # type: ignore[arg-type]
-        backend=backend,  # type: ignore[arg-type]
-        include_query=include_query,
+        include_query=include_query,  # type: ignore[arg-type]
     )
 
 
@@ -317,8 +319,6 @@ def request_to_dict(request: QueryRequest) -> Dict[str, object]:
         payload["edges"] = [[edge.u, edge.v] for edge in request.edges]
     payload["n_samples"] = request.n_samples
     payload["seed"] = request.seed
-    if request.backend is not None:
-        payload["backend"] = request.backend
     return payload
 
 

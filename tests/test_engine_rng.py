@@ -151,7 +151,7 @@ class TestEngineValidation:
 class TestSampleCounts:
     """Sample counts are refused, never truncated (2.9 must not run 2 worlds)."""
 
-    BAD_COUNTS = (2.9, 2.5, 2.0, True, np.float64(3.0), "3")
+    BAD_COUNTS = (2.9, 2.5, 2.0, True, np.float64(3.0), "3", "auto")
 
     @pytest.mark.parametrize("bad", BAD_COUNTS)
     def test_engine_draws_and_estimators_refuse(self, medium_graph, bad):
@@ -162,23 +162,12 @@ class TestSampleCounts:
             lambda: engine.component_reachability(
                 medium_graph, 0, [1, 2], list(medium_graph.edges())[:3], n_samples=bad
             ),
+            lambda: engine.expected_flow(medium_graph, 0, n_samples=bad, seed=1),
+            lambda: engine.pair_reachability(medium_graph, 0, 3, n_samples=bad, seed=1),
+            lambda: engine.pair_reachability(medium_graph, 0, 0, n_samples=bad, seed=1),
         ]
-        if not isinstance(bad, str):  # a wrong string is the "auto" sentinel's ValueError
-            calls += [
-                lambda: engine.expected_flow(medium_graph, 0, n_samples=bad, seed=1),
-                lambda: engine.pair_reachability(medium_graph, 0, 3, n_samples=bad, seed=1),
-                lambda: engine.pair_reachability(medium_graph, 0, 0, n_samples=bad, seed=1),
-            ]
         for call in calls:
             with pytest.raises(TypeError, match="n_samples"):
-                call()
-
-    def test_wrong_sentinel_string_stays_a_value_error(self, medium_graph):
-        for call in (
-            lambda: SamplingEngine().expected_flow(medium_graph, 0, n_samples="3", seed=1),
-            lambda: SamplingEngine().pair_reachability(medium_graph, 0, 3, n_samples="3"),
-        ):
-            with pytest.raises(ValueError, match="auto"):
                 call()
 
     @pytest.mark.parametrize("bad", BAD_COUNTS)
@@ -195,13 +184,7 @@ class TestSampleCounts:
             with pytest.raises(SampleSizeError):
                 ComponentSampler(n_samples=bad)
 
-    def test_numpy_integers_and_auto_are_accepted(self, medium_graph):
-        from repro.parallel.plan import check_sample_count
-
-        assert check_sample_count(np.int64(5)) is False
-        assert check_sample_count("auto", allow_auto=True) is True
-        with pytest.raises(TypeError):
-            check_sample_count("auto")
+    def test_numpy_integers_are_accepted(self, medium_graph):
         estimate = SamplingEngine().expected_flow(medium_graph, 0, n_samples=np.int32(7), seed=1)
         assert estimate.n_samples == 7
         assert ComponentSampler(n_samples=np.int64(9)).n_samples == 9

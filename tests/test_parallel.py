@@ -1,11 +1,10 @@
-"""Unit tests for the repro.parallel subsystem (plan, executors, adaptive)."""
+"""Unit tests for the repro.parallel subsystem (plan, executors)."""
 
 import numpy as np
 import pytest
 
 import repro
 from repro.parallel import (
-    AdaptiveSettings,
     DEFAULT_SHARD_SIZE,
     ProcessExecutor,
     SerialExecutor,
@@ -16,7 +15,6 @@ from repro.parallel import (
     make_executor,
     plan_shards,
 )
-from repro.parallel.adaptive import shard_rounds
 from repro.reachability.backends import make_backend
 from repro.reachability.backends.base import SamplingProblem
 from repro.rng import split_seed_sequences
@@ -149,41 +147,3 @@ class TestDefaults:
             assert get_default_shard_size() == 64
         assert get_default_executor() is None
         assert get_default_shard_size() == DEFAULT_SHARD_SIZE
-
-
-class TestAdaptiveSettings:
-    def test_defaults_are_valid(self):
-        settings = AdaptiveSettings()
-        assert settings.method == "wilson"
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"target_width": 0.0},
-            {"alpha": 0.0},
-            {"alpha": 1.0},
-            {"method": "bayes"},
-            {"max_samples": 0},
-            {"min_samples": 0},
-            {"min_samples": 200, "max_samples": 100},
-        ],
-    )
-    def test_invalid_settings_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            AdaptiveSettings(**kwargs)
-
-    def test_shard_rounds_double_and_cover_the_cap(self):
-        settings = AdaptiveSettings(max_samples=1000, min_samples=10)
-        rounds = list(shard_rounds(settings, shard_size=100))
-        assert rounds == [1, 2, 4, 3]  # 10 shards total, doubling then clipped
-        assert sum(rounds) == 10
-
-    def test_shard_rounds_single_round_for_small_caps(self):
-        settings = AdaptiveSettings(max_samples=50, min_samples=10)
-        assert list(shard_rounds(settings, shard_size=100)) == [1]
-
-    def test_adaptive_methods_match_the_confidence_registry(self):
-        from repro.parallel import ADAPTIVE_CI_METHODS
-        from repro.reachability.confidence import PROPORTION_INTERVAL_METHODS
-
-        assert set(ADAPTIVE_CI_METHODS) == set(PROPORTION_INTERVAL_METHODS)

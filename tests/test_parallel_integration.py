@@ -1,4 +1,4 @@
-"""Worker-count invariance and adaptive stopping across the whole stack.
+"""Worker-count invariance across the whole stack.
 
 The hard guarantee of :mod:`repro.parallel`: for a fixed
 ``(seed, n_samples, shard_size)`` every estimate and every greedy
@@ -15,11 +15,7 @@ import pytest
 import repro
 from repro.exceptions import SampleSizeError
 from repro.graph.generators import erdos_renyi_graph
-from repro.parallel import (
-    AdaptiveSettings,
-    ProcessExecutor,
-    SerialExecutor,
-)
+from repro.parallel import ProcessExecutor, SerialExecutor
 from repro.reachability.backends import BACKEND_NAMES
 from repro.reachability.context import EvaluationContext
 from repro.reachability.engine import SamplingEngine
@@ -294,78 +290,3 @@ class TestConcurrentServiceUse:
 
         for outcome in asyncio.run(hammer()):
             assert outcome == reference
-
-
-class TestAdaptiveStopping:
-    def test_adaptive_pair_reachability_is_worker_invariant(self, graph, pools):
-        settings = AdaptiveSettings(
-            target_width=0.15, alpha=0.05, max_samples=2000, min_samples=50
-        )
-        estimates = []
-        for executor in pools.values():
-            with sharded(executor):
-                estimates.append(
-                    SamplingEngine().pair_reachability(
-                        graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
-                    )
-                )
-        assert len({e.n_samples for e in estimates}) == 1
-        assert len({e.probability for e in estimates}) == 1
-
-    def test_adaptive_stops_before_the_cap_on_easy_instances(self, graph):
-        settings = AdaptiveSettings(
-            target_width=0.5, alpha=0.05, max_samples=4000, min_samples=32
-        )
-        with repro.session(shard_size=32):
-            estimate = SamplingEngine().pair_reachability(
-                graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
-            )
-        assert estimate.n_samples < settings.max_samples
-        assert estimate.n_samples >= settings.min_samples
-
-    def test_adaptive_hits_the_cap_when_the_target_is_unreachable(self, graph):
-        settings = AdaptiveSettings(
-            target_width=1e-6, alpha=0.05, max_samples=256, min_samples=32
-        )
-        with repro.session(shard_size=32):
-            estimate = SamplingEngine().pair_reachability(
-                graph, 0, 1, n_samples="auto", seed=13, adaptive=settings
-            )
-        assert estimate.n_samples == settings.max_samples
-
-    def test_adaptive_flow_estimate(self, graph):
-        settings = AdaptiveSettings(
-            target_width=20.0, alpha=0.05, max_samples=2000, min_samples=64
-        )
-        with repro.session(shard_size=32):
-            estimate = SamplingEngine().expected_flow(
-                graph, 0, n_samples="auto", seed=13, adaptive=settings
-            )
-        assert estimate.n_samples >= settings.min_samples
-        assert estimate.n_samples <= settings.max_samples
-        assert estimate.expected_flow > 0.0
-
-    def test_adaptive_is_deterministic_per_seed(self, graph):
-        settings = AdaptiveSettings(target_width=0.2, alpha=0.05, max_samples=1000)
-        first = SamplingEngine().pair_reachability(
-            graph, 0, 1, n_samples="auto", seed=17, adaptive=settings
-        )
-        second = SamplingEngine().pair_reachability(
-            graph, 0, 1, n_samples="auto", seed=17, adaptive=settings
-        )
-        assert first.probability == second.probability
-        assert first.n_samples == second.n_samples
-
-    def test_adaptive_source_equals_target_honours_settings(self, graph):
-        settings = AdaptiveSettings(min_samples=500, max_samples=5000)
-        estimate = SamplingEngine().pair_reachability(
-            graph, 0, 0, n_samples="auto", adaptive=settings
-        )
-        assert estimate.probability == 1.0
-        assert estimate.n_samples == settings.min_samples
-
-    def test_bad_sample_spec_rejected(self, graph):
-        with pytest.raises(ValueError):
-            SamplingEngine().expected_flow(graph, 0, n_samples="adaptive")
-        with pytest.raises(ValueError):
-            SamplingEngine().pair_reachability(graph, 0, 1, n_samples="all")

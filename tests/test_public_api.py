@@ -33,7 +33,6 @@ EXPECTED_PUBLIC_API = sorted(
         "exact_expected_flow",
         "mono_connected_expected_flow",
         # parallel sharded sampling
-        "AdaptiveSettings",
         "ProcessExecutor",
         "SerialExecutor",
         "make_executor",

@@ -22,7 +22,6 @@ import pytest
 
 import repro
 from repro.graph.generators import erdos_renyi_graph
-from repro.parallel.adaptive import AdaptiveSettings
 from repro.parallel.executor import ProcessExecutor, SerialExecutor, get_default_executor
 from repro.parallel.plan import DEFAULT_SHARD_SIZE, get_default_shard_size
 from repro.reachability.backends import BACKEND_NAMES, DEFAULT_BACKEND, get_default_backend
@@ -245,8 +244,9 @@ class TestConfigValidation:
             with pytest.raises(TypeError, match=field):
                 RuntimeConfig(**{field: None})
         with repro.session() as session:
-            with pytest.raises(ValueError):
-                session.expected_flow(graph, 0, n_samples="sometimes")
+            for bad in ("sometimes", "auto"):
+                with pytest.raises(TypeError, match="n_samples"):
+                    session.expected_flow(graph, 0, n_samples=bad)
             with pytest.raises(ValueError):
                 session.expected_flow(graph, 0, n_samples=0)
 
@@ -260,7 +260,7 @@ class TestConfigValidation:
             config.replace(backend="warp-drive")
 
     def test_select_rejects_auto_samples(self, graph):
-        # adaptive stopping applies to the estimators, not to selection
+        # "auto" is a non-int like any other
         with repro.session():
             with pytest.raises(TypeError, match="auto"):
                 make_selector("FT+M", n_samples="auto").select(graph, 0, 2)
@@ -493,18 +493,6 @@ class TestLegacyEquivalence:
             scoped = SamplingEngine().pair_reachability(graph, 0, 7, n_samples=80, seed=5)
         assert scoped.probability == legacy.probability
         assert scoped.successes == legacy.successes
-
-    def test_pair_reachability_adaptive(self, graph):
-        settings = AdaptiveSettings(target_width=0.2, max_samples=600)
-        legacy = SamplingEngine("naive").pair_reachability(
-            graph, 0, 7, n_samples="auto", seed=5, adaptive=settings
-        )
-        with repro.session(backend="naive"):
-            scoped = SamplingEngine().pair_reachability(
-                graph, 0, 7, n_samples="auto", seed=5, adaptive=settings
-            )
-        assert scoped.probability == legacy.probability
-        assert scoped.n_samples == legacy.n_samples
 
     def test_component_reachability_follows_the_backend(self, graph):
         vertices, edges = list(range(1, 12)), graph.edge_list()

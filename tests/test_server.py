@@ -505,6 +505,52 @@ class TestAdmissionControl:
         assert metrics["requests"]["admitted"] == 0
         assert metrics["requests"]["bad_requests"] == 1
 
+    @pytest.mark.parametrize(
+        "hostile",
+        ["backend_field", "non_edge", "repeated_edge", "string_include_query"],
+    )
+    def test_hostile_line_does_not_fail_a_co_batched_request(self, graph, hostile):
+        # a request from another client in the same coalescing window
+        # gets its usual answer; only the hostile line is refused
+        valid = workload()[0]
+        edge = next(iter(graph.incident_edges(0)))
+        non_neighbour = next(
+            v for v in graph.vertices() if v != 0 and not graph.has_edge(0, v)
+        )
+        line = {
+            "backend_field": {"kind": "expected_flow", "query": 0, "backend": "bogus"},
+            "non_edge": {
+                "kind": "expected_flow", "query": 0, "edges": [[0, non_neighbour]]
+            },
+            "repeated_edge": {
+                "kind": "pair_reachability", "source": edge.u, "target": edge.v,
+                "edges": [[edge.u, edge.v], [edge.v, edge.u]],
+            },
+            "string_include_query": {
+                "kind": "expected_flow", "query": 0, "include_query": "false"
+            },
+        }[hostile]
+        line.update(n_samples=N_SAMPLES, seed=SEED)
+
+        async def scenario():
+            server = await start_server(graph, batch_window_ms=50.0)
+            host, port = server.address
+            clients = [await ServerClient.connect(host, port) for _ in range(2)]
+            try:
+                return await asyncio.gather(
+                    clients[0].query(line), clients[1].query(request_to_dict(valid))
+                )
+            finally:
+                for client in clients:
+                    await client.close()
+                await server.stop()
+
+        refused, answered = run(scenario())
+        assert refused["ok"] is False
+        assert refused["error"]["type"] == protocol.ERR_BAD_REQUEST
+        assert answered["ok"] is True
+        assert comparable(answered) == direct_reference(graph, [valid])[0]
+
 
 class TestTenants:
     def test_tenant_names_keep_no_server_state(self, graph, monkeypatch):

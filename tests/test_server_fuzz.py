@@ -25,8 +25,13 @@ EXAMPLES = settings(
 )
 
 N_VERTICES = 20
+GRAPH = erdos_renyi_graph(N_VERTICES, 3.0, seed=1)
 
 vertices = st.integers(0, N_VERTICES - 1)
+#: edge restrictions the admission checks accept: edges of the graph, each once
+graph_edges = st.lists(
+    st.sampled_from([(edge.u, edge.v) for edge in GRAPH.edges()]), max_size=4, unique=True
+)
 json_scalars = (
     st.none()
     | st.booleans()
@@ -57,7 +62,7 @@ valid_requests = st.one_of(
             "kind": st.just("component_reachability"),
             "anchor": vertices,
             "vertices": st.lists(vertices, min_size=1, max_size=3),
-            "edges": st.just([]),
+            "edges": graph_edges,
         }
     ),
 )
@@ -80,8 +85,7 @@ class Admission:
     """
 
     def __init__(self):
-        graph = erdos_renyi_graph(N_VERTICES, 3.0, seed=1)
-        self.server = ReproServer(graph, ServerConfig(port=0, default_n_samples=8))
+        self.server = ReproServer(GRAPH, ServerConfig(port=0, default_n_samples=8))
         self.loop = asyncio.new_event_loop()
 
     def admit(self, line: bytes):
@@ -167,7 +171,9 @@ def test_wrong_json_types_and_deep_nesting(admission, line):
 
 @EXAMPLES
 @given(
-    field=st.sampled_from(["kind", "tenant", "n_samples", "seed", "query"]),
+    field=st.sampled_from(
+        ["kind", "tenant", "n_samples", "seed", "query", "include_query", "edges"]
+    ),
     value=boundary_values | json_values,
 )
 def test_wrong_field_types(admission, field, value):

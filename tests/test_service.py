@@ -84,6 +84,39 @@ class TestRequestValidation:
                 ),
             )
 
+    def test_edge_restriction_must_name_graph_edges_once(self, graph):
+        from repro.exceptions import DuplicateEdgeError, EdgeNotFoundError
+
+        edge = next(iter(graph.edges()))
+        non_neighbour = next(
+            v for v in graph.vertices() if v != 0 and not graph.has_edge(0, v)
+        )
+        evaluator = BatchEvaluator(cache=0)
+        for kind, fields in (
+            ("expected_flow", {}),
+            ("pair_reachability", {"target": edge.v}),
+            ("component_reachability", {"targets": (edge.v,)}),
+        ):
+            source = 0 if kind == "expected_flow" else edge.u
+            with pytest.raises(EdgeNotFoundError):
+                evaluator.evaluate_one(graph, QueryRequest(
+                    kind=kind, source=source, edges=((0, non_neighbour),),
+                    n_samples=10, **fields,
+                ))
+            # an edge is one edge whichever way round it is listed
+            for repeat in ((edge.u, edge.v), (edge.v, edge.u)):
+                with pytest.raises(DuplicateEdgeError):
+                    evaluator.evaluate_one(graph, QueryRequest(
+                        kind=kind, source=source, edges=(edge, repeat),
+                        n_samples=10, **fields,
+                    ))
+
+    def test_include_query_is_a_bool_on_flow_requests_only(self):
+        with pytest.raises(TypeError, match="include_query"):
+            QueryRequest(kind="expected_flow", source=0, include_query="false")
+        with pytest.raises(ValueError, match="include_query"):
+            QueryRequest(kind="pair_reachability", source=0, target=1, include_query=True)
+
 
 class TestBitForBitEquality:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
@@ -254,20 +287,6 @@ class TestBatchingAndGrouping:
         plan = BatchEvaluator(cache=0).plan(graph, requests)
         assert len(plan.groups) == 2
 
-    def test_request_backend_override_separates_groups(self, graph):
-        requests = [
-            QueryRequest(kind="expected_flow", source=0, n_samples=60, seed=1,
-                         backend="naive"),
-            QueryRequest(kind="expected_flow", source=0, n_samples=60, seed=1,
-                         backend="csr"),
-        ]
-        evaluator = BatchEvaluator(cache=0)
-        plan = evaluator.plan(graph, requests)
-        assert len(plan.groups) == 2
-        results = evaluator.evaluate(graph, requests)
-        # the two built-in backends are pinned bit-for-bit identical
-        assert results[0].flow == results[1].flow
-
     def test_warm_then_evaluate_serves_everything_from_cache(self, graph):
         evaluator = BatchEvaluator(cache=WorldCache())
         requests = [
@@ -293,9 +312,10 @@ class TestWireFormat:
     def test_request_round_trip(self, graph):
         anchor, vertices, edges = small_component(graph)
         requests = [
-            QueryRequest(kind="expected_flow", source=0, n_samples=70, seed=3),
+            QueryRequest(kind="expected_flow", source=0, n_samples=70, seed=3,
+                         include_query=True),
             QueryRequest(kind="pair_reachability", source=0, target=5,
-                         n_samples=70, seed=3, backend="naive"),
+                         n_samples=70, seed=3),
             QueryRequest(kind="component_reachability", source=anchor,
                          targets=vertices, edges=edges, n_samples=70, seed=3),
         ]
@@ -329,6 +349,23 @@ class TestWireFormat:
     def test_unknown_fields_are_rejected(self):
         with pytest.raises(ValueError):
             request_from_dict({"kind": "flow", "query": 0, "n_sample": 10})
+        # the backend comes from the session the batch is evaluated in
+        with pytest.raises(ValueError, match="backend"):
+            request_from_dict({"kind": "flow", "query": 0, "backend": "csr"})
+
+    def test_include_query_is_a_json_bool_on_flow_only(self):
+        assert request_from_dict(
+            {"kind": "flow", "query": 0, "include_query": True}
+        ).include_query is True
+        for value in ("false", "no", [0], 2, 1, None):
+            with pytest.raises(TypeError, match="include_query"):
+                request_from_dict({"kind": "flow", "query": 0, "include_query": value})
+        for payload in (
+            {"kind": "pair", "source": 0, "target": 1},
+            {"kind": "component", "anchor": 0, "vertices": [1], "edges": []},
+        ):
+            with pytest.raises(ValueError, match="include_query"):
+                request_from_dict({**payload, "include_query": False})
 
     def test_infinite_vertex_token_is_an_unknown_vertex(self, graph):
         from repro.exceptions import VertexNotFoundError

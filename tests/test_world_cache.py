@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.graph.generators import erdos_renyi_graph
 from repro.service import (
     BatchEvaluator,
@@ -32,10 +33,8 @@ def graph():
     return erdos_renyi_graph(40, average_degree=4, seed=2)
 
 
-def flow_request(seed=7, n_samples=120, backend=None):
-    return QueryRequest(
-        kind="expected_flow", source=0, n_samples=n_samples, seed=seed, backend=backend
-    )
+def flow_request(seed=7, n_samples=120):
+    return QueryRequest(kind="expected_flow", source=0, n_samples=n_samples, seed=seed)
 
 
 class TestWorldKey:
@@ -91,9 +90,10 @@ class TestKeySeparation:
     def test_seed_and_backend_do_not_cross_hit(self, graph):
         cache = WorldCache()
         evaluator = BatchEvaluator(cache=cache)
-        evaluator.evaluate_one(graph, flow_request(seed=1, backend="naive"))
-        evaluator.evaluate_one(graph, flow_request(seed=1, backend="csr"))
-        evaluator.evaluate_one(graph, flow_request(seed=2, backend="csr"))
+        # the backend comes from the session the batch is evaluated in
+        for backend, seed in (("naive", 1), ("csr", 1), ("csr", 2)):
+            with repro.session(backend=backend):
+                evaluator.evaluate_one(graph, flow_request(seed=seed))
         assert len(cache) == 3
         assert cache.hits == 0
         assert cache.misses == 3

@@ -8,7 +8,7 @@
   aggregation written with them.  The weights are non-integer: integer
   weights sum exactly in any order and would hide a changed summation.
 * Every site that routes through ``_world_totals`` (candidate scoring,
-  ``WorldBatch.hit_counts``, the adaptive loop) must give what the
+  ``WorldBatch.hit_counts``) must give what the
   literal expressions gave.
 * Aggregating an 8192 x 2000 batch must not allocate its float64 copy.
 """
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.parallel.adaptive import AdaptiveSettings
 from repro.reachability.backends.csr import _pack_rows
 from repro.reachability.context import EvaluationContext
 from repro.reachability.engine import (
@@ -268,23 +267,6 @@ def test_hit_counts_equal_the_literal_column_sums():
     counts = batch.hit_counts(vertices)
     assert counts.dtype == np.int64
     assert counts.tolist() == expected[:4] + [0, expected[0]]
-
-
-def test_adaptive_counts_equal_the_literal_shard_sums():
-    graph = cyclic_graph(8)
-    engine = SamplingEngine("csr")
-    seen = []
-
-    def width_of(problem, counts, n):
-        seen.append((counts.copy(), n))
-        return 1.0
-
-    settings_ = AdaptiveSettings(min_samples=256, max_samples=1024, target_width=1e-9)
-    with repro.session(shard_size=256):
-        batch = engine._sample_worlds_adaptive(graph, 0, 5, None, (), settings_, width_of)
-    assert seen
-    for counts, n in seen:
-        assert counts.tolist() == batch.reached[:n].sum(axis=0).tolist()
 
 
 # ----------------------------------------------------------------------
