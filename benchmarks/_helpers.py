@@ -18,20 +18,13 @@ import os
 import platform
 from typing import Dict, Optional
 
+from repro.experiments.config import bench_scale
 from repro.experiments.harness import evaluate_flow, pick_query_vertex
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.parallel.plan import DEFAULT_SHARD_SIZE
 from repro.runtime import current_config
 from repro.selection.registry import make_selector
 from repro.types import VertexId
-
-
-def bench_scale() -> float:
-    """Read the global benchmark scale factor (default 1.0)."""
-    try:
-        return max(0.1, float(os.environ.get("REPRO_BENCH_SCALE", "1.0")))
-    except ValueError:
-        return 1.0
 
 
 def bench_environment(

@@ -111,8 +111,8 @@ def run(sizes, n_samples: int) -> List[dict]:
 def measure_telemetry_overhead(sizes, n_samples: int) -> dict:
     """Time the csr backend with telemetry off (the default) and on.
 
-    The disabled path is the guard-and-return fast path every hot call
-    site takes — it must cost nothing measurable (the repo's acceptance
+    With telemetry off every hot call site calls the no-op methods of
+    ``NULL_TELEMETRY`` — that must cost nothing measurable (the repo's acceptance
     bar keeps the default-path timings within noise of the pre-telemetry
     baseline).  The enabled number shows what a metrics-only pipeline
     costs when actually switched on.

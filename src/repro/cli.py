@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eight subcommands cover the common workflows::
+Seven subcommands cover the common workflows::
 
     repro-flow generate --dataset erdos --size 500 --out graph.json
     repro-flow select   --graph graph.json --query 0 --budget 20 --algorithm FT+M
@@ -8,7 +8,6 @@ Eight subcommands cover the common workflows::
     repro-flow batch    --graph graph.json --requests queries.jsonl --out results.jsonl
     repro-flow serve    --graph graph.json --port 7421
     repro-flow backends
-    repro-flow telemetry --graph graph.json
     repro-flow experiment --figure 7b
 
 (``python -m repro.cli`` works identically when the console script is
@@ -21,7 +20,9 @@ All four workload subcommands share one **runtime flag group**
 ``with repro.session(config):``, so every layer underneath — selectors,
 estimators, the batch evaluator, the figure harness — resolves its knobs
 from that one scoped configuration and owned pools/caches are released
-on exit, even on error paths.
+on exit, even on error paths.  The same group's ``--trace --trace-out
+--profile --flame-out`` run any of them traced, e.g. ``repro-flow batch
+--graph graph.json --requests queries.jsonl --profile``.
 """
 
 from __future__ import annotations
@@ -211,21 +212,15 @@ def _emit_trace_report(args: argparse.Namespace, stream=None) -> None:
 
         print(file=out)
         print(format_hot_spans(memory.spans), file=out)
-    _write_flame(args, memory, out)
+    flame_out = getattr(args, "flame_out", None)
+    if flame_out is not None:
+        from repro.telemetry.profile import format_collapsed
+
+        flame_out.write_text(format_collapsed(memory.spans) + "\n", encoding="utf-8")
+        print(f"collapsed stacks written to {flame_out}", file=out)
     trace_out = getattr(args, "trace_out", None)
     if trace_out is not None:
         print(f"span trace written to {trace_out}", file=out)
-
-
-def _write_flame(args: argparse.Namespace, memory, out) -> None:
-    """Write the ``--flame-out`` collapsed-stack file, if requested."""
-    flame_out = getattr(args, "flame_out", None)
-    if flame_out is None or memory is None:
-        return
-    from repro.telemetry.profile import format_collapsed
-
-    flame_out.write_text(format_collapsed(memory.spans) + "\n", encoding="utf-8")
-    print(f"collapsed stacks written to {flame_out}", file=out)
 
 
 def runtime_config_from_args(args: argparse.Namespace) -> RuntimeConfig:
@@ -348,28 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered sampling backends with availability "
              "(and why an optional backend is unavailable)",
     )
-
-    telemetry_cmd = subparsers.add_parser(
-        "telemetry",
-        help="run a query workload with tracing forced on and dump the "
-             "span tree plus the metrics registry",
-    )
-    telemetry_cmd.add_argument("--graph", type=Path, required=True,
-                               help="graph JSON produced by 'generate'")
-    telemetry_cmd.add_argument(
-        "--requests", type=Path, default=None,
-        help="JSONL request file to run (default: a synthesized mixed "
-             "workload over the graph)",
-    )
-    telemetry_cmd.add_argument("--samples", type=int, default=500,
-                               help="default sample count for requests that do not set one")
-    telemetry_cmd.add_argument("--seed", type=_parse_seed_flag, default=0,
-                               help="default seed for requests that do not set one")
-    telemetry_cmd.add_argument(
-        "--json", action="store_true",
-        help="emit one JSON document (spans + metrics) instead of text",
-    )
-    add_runtime_flags(telemetry_cmd, cache_size_default=64)
 
     experiment = subparsers.add_parser("experiment", help="reproduce one of the paper's figures")
     experiment.add_argument(
@@ -651,111 +624,6 @@ def _command_backends(args: argparse.Namespace) -> int:
     return 0
 
 
-def _synthesize_requests(graph, n_samples: int, seed: int):
-    """A small deterministic mixed workload for ``repro-flow telemetry``.
-
-    One expected-flow query at the natural query vertex, pair queries
-    toward a few other vertices (sharing that batch via the planner),
-    and one component query — enough to light up every layer.
-    """
-    from repro.service.requests import QueryRequest
-
-    source = pick_query_vertex(graph)
-    others = [vertex for vertex in graph.vertices() if vertex != source][:3]
-    requests = [
-        QueryRequest(kind="expected_flow", source=source, n_samples=n_samples, seed=seed)
-    ]
-    for target in others:
-        requests.append(
-            QueryRequest(
-                kind="pair_reachability", source=source, target=target,
-                n_samples=n_samples, seed=seed,
-            )
-        )
-    if others:
-        members = {source, *others}
-        component_edges = tuple(
-            edge for edge in graph.edges() if edge.u in members and edge.v in members
-        )
-        if component_edges:
-            requests.append(
-                QueryRequest(
-                    kind="component_reachability", source=source,
-                    targets=tuple(others), edges=component_edges,
-                    n_samples=n_samples, seed=seed,
-                )
-            )
-    return requests
-
-
-def _command_telemetry(args: argparse.Namespace) -> int:
-    # tracing is the whole point of this subcommand — force it on so the
-    # shared flag group needs no extra --trace
-    args.trace = True
-    config = runtime_config_from_args(args)
-    if args.samples <= 0:
-        raise SystemExit(f"--samples must be positive, got {args.samples}")
-    graph = read_json(args.graph)
-    if args.requests is not None:
-        requests = _read_request_file(args.requests, graph, args.samples, args.seed)
-    else:
-        requests = _synthesize_requests(graph, args.samples, args.seed)
-    telemetry, memory = args.trace_state
-    with runtime_session(config):
-        # one root span over the whole workload, so the per-layer times
-        # underneath it visibly sum to (approximately) the wall time
-        with telemetry.span(
-            "cli.telemetry", graph=graph.name or "graph", n_requests=len(requests)
-        ):
-            try:
-                BatchEvaluator().evaluate(graph, requests)
-            except ReproError as error:
-                raise SystemExit(f"telemetry workload failed: {error}") from error
-    telemetry.close()
-    profiled = telemetry.profiling
-    if args.json:
-        document = {
-            "spans": [root.to_dict() for root in memory.spans],
-            "metrics": telemetry.snapshot(),
-        }
-        if profiled:
-            from repro.telemetry.profile import (
-                format_collapsed,
-                hot_spans,
-                span_totals,
-            )
-
-            document["profile"] = {
-                "span_totals": span_totals(memory.spans),
-                "hot_spans": [
-                    {"name": name, **entry} for name, entry in hot_spans(memory.spans)
-                ],
-                "collapsed": format_collapsed(memory.spans),
-            }
-        print(json.dumps(document, indent=2, default=repr))
-        _write_flame(args, memory, sys.stderr)
-        return 0
-    from repro.telemetry import format_span_tree
-
-    print(f"workload: {len(requests)} requests against {args.graph}")
-    print()
-    for root in memory.spans:
-        print(format_span_tree(root))
-    print()
-    for line in _format_registry(telemetry.snapshot()):
-        print(line)
-    if profiled and memory.spans:
-        from repro.telemetry.profile import format_hot_spans
-
-        print()
-        print(format_hot_spans(memory.spans))
-    _write_flame(args, memory, sys.stdout)
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out is not None:
-        print(f"span trace written to {trace_out}")
-    return 0
-
-
 def _command_experiment(args: argparse.Namespace) -> int:
     # validate before opening the session, so a bad value cannot build
     # (or leak) a worker pool
@@ -817,7 +685,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "batch": _command_batch,
         "serve": _command_serve,
         "backends": _command_backends,
-        "telemetry": _command_telemetry,
         "experiment": _command_experiment,
     }
     try:

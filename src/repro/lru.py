@@ -78,9 +78,7 @@ class LRUCache(Generic[K, V]):
                 self._entries.move_to_end(key)
         # re-emit through the ambient registry outside the lock: stats()
         # stays the per-instance view, the registry aggregates instances
-        tel = current_telemetry()
-        if tel.enabled:
-            tel.count(f"{self.prefix}.{'misses' if value is None else 'hits'}")
+        current_telemetry().count(f"{self.prefix}.{'misses' if value is None else 'hits'}")
         return value
 
     def put(self, key: K, value: V) -> None:
@@ -95,11 +93,10 @@ class LRUCache(Generic[K, V]):
                 evicted = True
             entries = len(self._entries)
         tel = current_telemetry()
-        if tel.enabled:
-            tel.count(f"{self.prefix}.puts")
-            if evicted:
-                tel.count(f"{self.prefix}.evictions")
-            tel.gauge(f"{self.prefix}.entries", entries)
+        tel.count(f"{self.prefix}.puts")
+        if evicted:
+            tel.count(f"{self.prefix}.evictions")
+        tel.gauge(f"{self.prefix}.entries", entries)
 
     def clear(self) -> None:
         """Drop every entry and reset all counters."""

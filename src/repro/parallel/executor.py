@@ -74,7 +74,7 @@ def run_shard(task: ShardTask) -> np.ndarray:
 
 
 def _timed_run_shard(task: ShardTask) -> Tuple[float, np.ndarray]:
-    """:func:`run_shard` plus its in-worker runtime (telemetry-enabled path).
+    """:func:`run_shard` plus its in-worker runtime (what process pools run).
 
     The duration is measured inside the worker process, so the parent
     can split a shard's round-trip into true runtime versus queue wait +
@@ -126,8 +126,6 @@ class SerialExecutor(SamplingExecutor):
 
     def map_shards(self, tasks: Sequence[ShardTask]) -> List[np.ndarray]:
         tel = current_telemetry()
-        if not tel.enabled:
-            return [run_shard(task) for task in tasks]
         results: List[np.ndarray] = []
         with tel.span("executor.map_shards", executor="serial", n_shards=len(tasks)):
             for task in tasks:
@@ -190,12 +188,19 @@ class ProcessExecutor(SamplingExecutor):
                 )
                 self.closed = False
                 logger.debug("built process pool with %d workers", self.workers)
-                tel = current_telemetry()
-                if tel.enabled:
-                    tel.count("executor.pool_builds")
+                current_telemetry().count("executor.pool_builds")
             return self._pool
 
     def map_shards(self, tasks: Sequence[ShardTask]) -> List[np.ndarray]:
+        """Submit every shard and collect the results in task order.
+
+        Collecting in submission order is exactly the reduction of
+        ``pool.map``, and so is cancelling the shards not yet started when
+        one fails.  Each shard runs through :func:`_timed_run_shard`,
+        so its in-worker runtime comes back with the result; the
+        difference between a future's submit→done interval and that
+        runtime is the shard's queue wait (+ transfer).
+        """
         tasks = list(tasks)
         if not tasks:
             return []
@@ -204,17 +209,42 @@ class ProcessExecutor(SamplingExecutor):
         tel = current_telemetry()
         pool = self._ensure_pool()
         try:
-            if not tel.enabled:
-                return list(pool.map(run_shard, tasks, chunksize=1))
-            return self._map_shards_timed(pool, tasks, tel)
+            with tel.span(
+                "executor.map_shards",
+                executor="process",
+                workers=self.workers,
+                n_shards=len(tasks),
+            ):
+                submits = []
+                futures = []
+                for task in tasks:
+                    submits.append(time.perf_counter())
+                    future = pool.submit(_timed_run_shard, task)
+                    future.add_done_callback(_note_done_time)
+                    futures.append(future)
+                results: List[np.ndarray] = []
+                try:
+                    for submitted, future in zip(submits, futures):
+                        runtime, part = future.result()
+                        tel.observe("executor.shard_seconds", runtime)
+                        done_at = getattr(future, "_repro_done_at", None)
+                        if done_at is not None:
+                            tel.observe(
+                                "executor.queue_wait_seconds",
+                                max(0.0, (done_at - submitted) - runtime),
+                            )
+                        results.append(part)
+                finally:
+                    # like pool.map: a failed shard cancels the ones not yet started
+                    for future in futures[len(results):]:
+                        future.cancel()
         except BrokenProcessPool as error:
             # a worker died mid-batch (OOM kill, SIGKILL, hard crash);
             # the pool is permanently unusable — discard it so the next
             # call rebuilds instead of failing forever, and surface a
             # typed, actionable error instead of the opaque stdlib one
             self._discard_pool(pool)
-            if tel.enabled:
-                tel.count("executor.worker_crashes")
+            tel.count("executor.worker_crashes")
             logger.warning(
                 "worker process crashed mid-batch (pool of %d workers): %s — "
                 "pool discarded, the next call rebuilds it",
@@ -222,41 +252,6 @@ class ProcessExecutor(SamplingExecutor):
                 str(error) or "no detail",
             )
             raise WorkerCrashedError(self.workers, detail=str(error) or "") from error
-
-    def _map_shards_timed(self, pool, tasks: Sequence[ShardTask], tel) -> List[np.ndarray]:
-        """The telemetry-enabled fan-out: same shards, same order, timed.
-
-        Shards are submitted and collected in task order (exactly the
-        reduction of ``pool.map``), but each runs through
-        :func:`_timed_run_shard` so the in-worker runtime comes back with
-        the result; the difference between a future's submit→done
-        interval and that runtime is the shard's queue wait (+ transfer).
-        Results are byte-identical to the un-instrumented path.
-        """
-        with tel.span(
-            "executor.map_shards",
-            executor="process",
-            workers=self.workers,
-            n_shards=len(tasks),
-        ):
-            submits = []
-            futures = []
-            for task in tasks:
-                submits.append(time.perf_counter())
-                future = pool.submit(_timed_run_shard, task)
-                future.add_done_callback(_note_done_time)
-                futures.append(future)
-            results: List[np.ndarray] = []
-            for submitted, future in zip(submits, futures):
-                runtime, part = future.result()
-                tel.observe("executor.shard_seconds", runtime)
-                done_at = getattr(future, "_repro_done_at", None)
-                if done_at is not None:
-                    tel.observe(
-                        "executor.queue_wait_seconds",
-                        max(0.0, (done_at - submitted) - runtime),
-                    )
-                results.append(part)
         tel.count("executor.shards_run", len(tasks))
         return results
 

@@ -315,15 +315,15 @@ class CSRSamplingBackend:
             frontier = targets[changed]
 
         # round-mix accounting: two plain ints during the loop, one
-        # ambient lookup after it — nothing is paid per round, and the
-        # disabled path costs a single attribute check.  Note shards run
-        # in worker *processes* report into that process's (invisible)
-        # pipeline; the counters reflect in-process propagation only.
+        # ambient lookup and three counts after it — nothing is paid per
+        # round, and with telemetry off the counts are no-op calls.  Note
+        # shards run in worker *processes* report into that process's
+        # (invisible) pipeline; the counters reflect in-process
+        # propagation only.
         tel = current_telemetry()
-        if tel.enabled:
-            tel.count("backend.csr.dense_rounds", dense_rounds)
-            tel.count("backend.csr.sparse_rounds", sparse_rounds)
-            tel.count("backend.csr.propagate_calls")
+        tel.count("backend.csr.dense_rounds", dense_rounds)
+        tel.count("backend.csr.sparse_rounds", sparse_rounds)
+        tel.count("backend.csr.propagate_calls")
 
         return np.unpackbits(bits8[:, :n_bytes], axis=1, count=n_samples).T.astype(bool)
 

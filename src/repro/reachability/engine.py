@@ -229,18 +229,15 @@ class SamplingEngine:
         backend = self.backend
         active = get_default_executor()
         tel = current_telemetry()
-        if tel.enabled:
-            with tel.span(
-                "engine.sample_worlds",
-                backend=backend.name,
-                n_samples=int(n_samples),
-                sharded=active is not None,
-            ):
-                reached = _draw(problem, n_samples, seed, active, backend)
-            tel.count("engine.sample_calls")
-            tel.count("engine.worlds_sampled", int(n_samples))
-        else:
+        with tel.span(
+            "engine.sample_worlds",
+            backend=backend.name,
+            n_samples=int(n_samples),
+            sharded=active is not None,
+        ):
             reached = _draw(problem, n_samples, seed, active, backend)
+        tel.count("engine.sample_calls")
+        tel.count("engine.worlds_sampled", int(n_samples))
         return WorldBatch(problem=problem, reached=reached)
 
     # ------------------------------------------------------------------
@@ -270,17 +267,14 @@ class SamplingEngine:
         problem = graph_layout(graph, edges).problem(source, extra_vertices)
         active = get_default_executor()
         tel = current_telemetry()
-        if tel.enabled:
-            with tel.span(
-                "engine.sample_flips",
-                n_samples=int(n_samples),
-                sharded=active is not None,
-            ):
-                flips = _draw(problem, n_samples, seed, active, None)
-            tel.count("engine.flip_calls")
-            tel.count("engine.worlds_sampled", int(n_samples))
-        else:
+        with tel.span(
+            "engine.sample_flips",
+            n_samples=int(n_samples),
+            sharded=active is not None,
+        ):
             flips = _draw(problem, n_samples, seed, active, None)
+        tel.count("engine.flip_calls")
+        tel.count("engine.worlds_sampled", int(n_samples))
         return FlipBatch(problem=problem, flips=flips)
 
     def propagate(

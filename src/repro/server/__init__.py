@@ -36,7 +36,7 @@ from repro.server.app import (
     serve,
 )
 from repro.server.client import ServerClient
-from repro.server.metrics import ServerMetrics, percentile
+from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
     BACKPRESSURE_ERRORS,
     CONTROL_KINDS,
@@ -76,7 +76,6 @@ __all__ = [
     "error_response",
     "is_rejection",
     "ok_response",
-    "percentile",
     "request_line",
     "serve",
 ]

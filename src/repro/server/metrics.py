@@ -20,16 +20,17 @@ loop *and* read from arbitrary threads (tests, embedding applications),
 and a torn read would defeat the point of an observability surface —
 the same reasoning as :attr:`repro.service.cache.WorldCache.hit_rate`.
 
-When the server runs with a live :class:`repro.telemetry.Telemetry`
-pipeline, every mutator additionally forwards into its shared
-:class:`~repro.telemetry.registry.MetricsRegistry` under ``server.*``
-names, so one registry snapshot spans engine, executor, caches *and*
-the serving tier.
+Every mutator also forwards into the server's
+:class:`repro.telemetry.Telemetry` pipeline under ``server.*`` names,
+so with a live pipeline one registry snapshot spans engine, executor,
+caches *and* the serving tier; with the disabled default the forwards
+are no-op calls.  The Prometheus exposition renders the request and
+coalescing counters from :meth:`ServerMetrics.snapshot` and skips
+their ``server.*`` registry copies, so each series appears once.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Dict, Optional
 
@@ -40,19 +41,6 @@ from repro.telemetry.registry import Histogram
 _BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
-def percentile(sorted_values, q: float) -> Optional[float]:
-    """Nearest-rank percentile of an ascending sequence (``None`` if empty).
-
-    Retained as a standalone helper (benchmarks summarize raw latency
-    lists with it); :class:`ServerMetrics` itself now interpolates
-    percentiles from its histogram buckets.
-    """
-    if not sorted_values:
-        return None
-    rank = max(1, math.ceil(q / 100.0 * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
 class ServerMetrics:
     """Request, rejection, coalescing and latency counters.
 
@@ -61,8 +49,8 @@ class ServerMetrics:
     telemetry:
         A :class:`repro.telemetry.Telemetry` pipeline to forward every
         counter into (``server.*`` registry names).  Defaults to the
-        disabled singleton — forwarding then costs one attribute check
-        per mutator.
+        disabled singleton — forwarding then costs one no-op call per
+        counter.
     """
 
     def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
@@ -99,9 +87,7 @@ class ServerMetrics:
     def observe_admitted(self) -> None:
         with self._lock:
             self.admitted += 1
-        tel = self._telemetry
-        if tel.enabled:
-            tel.count("server.admitted")
+        self._telemetry.count("server.admitted")
 
     def observe_answered(self, kind: str, latency_seconds: float) -> None:
         with self._lock:
@@ -109,37 +95,28 @@ class ServerMetrics:
             self.answered_by_kind[kind] = self.answered_by_kind.get(kind, 0) + 1
         self._latency_hist.observe(latency_seconds)
         tel = self._telemetry
-        if tel.enabled:
-            tel.count("server.answered")
-            tel.observe("server.latency_seconds", latency_seconds)
+        tel.count("server.answered")
+        tel.observe("server.latency_seconds", latency_seconds)
 
     def observe_failed(self) -> None:
         with self._lock:
             self.failed += 1
-        tel = self._telemetry
-        if tel.enabled:
-            tel.count("server.failed")
+        self._telemetry.count("server.failed")
 
     def observe_rejected(self, error_type: str) -> None:
         with self._lock:
             self.rejected[error_type] = self.rejected.get(error_type, 0) + 1
-        tel = self._telemetry
-        if tel.enabled:
-            tel.count("server.rejected")
+        self._telemetry.count("server.rejected")
 
     def observe_bad_request(self) -> None:
         with self._lock:
             self.bad_requests += 1
-        tel = self._telemetry
-        if tel.enabled:
-            tel.count("server.bad_requests")
+        self._telemetry.count("server.bad_requests")
 
     def observe_control(self) -> None:
         with self._lock:
             self.control += 1
-        tel = self._telemetry
-        if tel.enabled:
-            tel.count("server.control")
+        self._telemetry.count("server.control")
 
     def observe_batch(self, size: int) -> None:
         with self._lock:
@@ -147,10 +124,9 @@ class ServerMetrics:
             self.batched_requests += size
             self.largest_batch = max(self.largest_batch, size)
         tel = self._telemetry
-        if tel.enabled:
-            tel.count("server.batches")
-            tel.count("server.batched_requests", size)
-            tel.observe("server.batch_size", size, bounds=_BATCH_SIZE_BUCKETS)
+        tel.count("server.batches")
+        tel.count("server.batched_requests", size)
+        tel.observe("server.batch_size", size, bounds=_BATCH_SIZE_BUCKETS)
 
     def set_rates(self, rates: Optional[Dict[str, Optional[float]]]) -> None:
         """Publish the latest windowed rates into the snapshot."""
@@ -202,4 +178,4 @@ class ServerMetrics:
         return snapshot
 
 
-__all__ = ["ServerMetrics", "percentile"]
+__all__ = ["ServerMetrics"]

@@ -71,10 +71,11 @@ from repro.telemetry import current_telemetry
 def validate_request(graph: UncertainGraph, request: QueryRequest) -> None:
     """Reject a request the evaluator cannot answer as asked.
 
-    Unknown query vertices raise :class:`~repro.exceptions.VertexNotFoundError`,
+    Unknown vertices raise :class:`~repro.exceptions.VertexNotFoundError`,
     as :meth:`SamplingEngine.expected_flow` and ``pair_reachability``
     do: a batched request must not degrade that into a silent all-zero
-    answer.  An edge restriction must name edges of the graph, each
+    answer.  That covers the query vertex, a pair's target, and a
+    component's anchor and every listed vertex.  An edge restriction must name edges of the graph, each
     once: a non-edge raises :class:`~repro.exceptions.EdgeNotFoundError`
     (sampling it would fail the whole batch it shares), and a repeated
     edge raises :class:`~repro.exceptions.DuplicateEdgeError` (it would
@@ -83,12 +84,14 @@ def validate_request(graph: UncertainGraph, request: QueryRequest) -> None:
     it reaches the coalescing queue — apply exactly the evaluator's
     rules.
     """
-    if request.kind == EXPECTED_FLOW and not graph.has_vertex(request.source):
-        raise VertexNotFoundError(request.source)
+    vertices = [request.source]
     if request.kind == PAIR_REACHABILITY:
-        for vertex in (request.source, request.target):
-            if not graph.has_vertex(vertex):
-                raise VertexNotFoundError(vertex)
+        vertices.append(request.target)
+    elif request.kind == COMPONENT_REACHABILITY:
+        vertices.extend(request.targets)
+    for vertex in vertices:
+        if not graph.has_vertex(vertex):
+            raise VertexNotFoundError(vertex)
     if request.edges is not None:
         seen = set()
         for edge in request.edges:
@@ -166,8 +169,7 @@ class BatchEvaluator:
             cached = cache.get(group.key)
             if cached is not None:
                 self.batches_reused += 1
-                if tel.enabled:
-                    tel.count("service.batches_reused")
+                tel.count("service.batches_reused")
                 return cached, True
         batch = SamplingEngine().sample_worlds(
             graph,
@@ -177,8 +179,7 @@ class BatchEvaluator:
             edges=None if group.edges is None else list(group.edges),
         )
         self.batches_sampled += 1
-        if tel.enabled:
-            tel.count("service.batches_sampled")
+        tel.count("service.batches_sampled")
         if cache is not None:
             cache.put(group.key, batch)
         return batch, False
@@ -252,36 +253,23 @@ class BatchEvaluator:
         """Answer a mixed batch of requests; results align with input order."""
         request_list = list(requests)
         tel = current_telemetry()
-        if not tel.enabled:
-            return self._evaluate_batch(graph, request_list)
         with tel.span("service.evaluate", n_requests=len(request_list)) as span:
-            results = self._evaluate_batch(graph, request_list)
-            plan = self.last_plan
-            if plan is not None:
-                span.set(
-                    n_groups=len(plan.groups),
-                    amortization=round(plan.amortization, 3),
-                )
+            for request in request_list:
+                self._validate(graph, request)
+            results: List[Optional[QueryResult]] = [None] * len(request_list)
+            plan = self.last_plan = self.plan(graph, request_list)
+            span.set(n_groups=len(plan.groups), amortization=round(plan.amortization, 3))
+            for position, request in plan.trivial:
+                results[position] = self._trivial_result(request)
+            for group in plan.groups:
+                batch, from_cache = self._group_batch(graph, group)
+                digest = group.key.digest
+                for position, request in group.requests:
+                    results[position] = self._answer(
+                        graph, request, batch, from_cache, digest
+                    )
             tel.count("service.requests", len(request_list))
-            return results
-
-    def _evaluate_batch(
-        self, graph: UncertainGraph, request_list: List[QueryRequest]
-    ) -> List[QueryResult]:
-        for request in request_list:
-            self._validate(graph, request)
-        results: List[Optional[QueryResult]] = [None] * len(request_list)
-        plan = self.last_plan = self.plan(graph, request_list)
-        for position, request in plan.trivial:
-            results[position] = self._trivial_result(request)
-        for group in plan.groups:
-            batch, from_cache = self._group_batch(graph, group)
-            digest = group.key.digest
-            for position, request in group.requests:
-                results[position] = self._answer(
-                    graph, request, batch, from_cache, digest
-                )
-        return [result for result in results if result is not None]
+            return [result for result in results if result is not None]
 
     def evaluate_one(self, graph: UncertainGraph, request: QueryRequest) -> QueryResult:
         """Answer a single request (still cache-aware)."""
@@ -302,25 +290,14 @@ class BatchEvaluator:
         if cache is None:
             return {}
         request_list = list(requests)
-        tel = current_telemetry()
-        if not tel.enabled:
-            self._warm_batch(graph, request_list)
-            return cache.stats()
-        with tel.span("service.warm", n_requests=len(request_list)) as span:
-            self._warm_batch(graph, request_list)
-            plan = self.last_plan
-            if plan is not None:
-                span.set(n_groups=len(plan.groups))
+        with current_telemetry().span("service.warm", n_requests=len(request_list)) as span:
+            for request in request_list:
+                self._validate(graph, request)
+            plan = self.last_plan = self.plan(graph, request_list)
+            span.set(n_groups=len(plan.groups))
+            for group in plan.groups:
+                self._group_batch(graph, group)
         return cache.stats()
-
-    def _warm_batch(
-        self, graph: UncertainGraph, request_list: List[QueryRequest]
-    ) -> None:
-        for request in request_list:
-            self._validate(graph, request)
-        plan = self.last_plan = self.plan(graph, request_list)
-        for group in plan.groups:
-            self._group_batch(graph, group)
 
     def cache_stats(self) -> Dict[str, float]:
         """Statistics of the active cache (empty dict when disabled)."""

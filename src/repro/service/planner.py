@@ -148,12 +148,11 @@ class QueryPlanner:
             graph_digest=digest,
         )
         tel = current_telemetry()
-        if tel.enabled:
-            tel.count("service.plan_calls")
-            tel.count("service.planned_requests", len(requests))
-            tel.count("service.planned_groups", len(plan.groups))
-            if plan.trivial:
-                tel.count("service.trivial_requests", len(plan.trivial))
+        tel.count("service.plan_calls")
+        tel.count("service.planned_requests", len(requests))
+        tel.count("service.planned_groups", len(plan.groups))
+        if plan.trivial:
+            tel.count("service.trivial_requests", len(plan.trivial))
         return plan
 
 

@@ -23,9 +23,9 @@ Enable per scope::
 or process-wide, without touching code, via the ``REPRO_TELEMETRY``
 environment variable (``1``/``true``/``on``, ``log`` or a JSONL path).
 
-On the CLI: ``--trace`` / ``--trace-out`` / ``--profile`` on the
-workload subcommands, and ``repro-flow telemetry`` runs a workload and
-dumps the registry and the span tree.
+On the CLI: ``--trace`` / ``--trace-out`` / ``--profile`` /
+``--flame-out`` on the workload subcommands print the span tree and the
+registry when the command finishes (e.g. ``repro-flow batch ... --trace``).
 
 Two optional companions build on this core:
 

@@ -8,11 +8,13 @@ is :data:`NULL_TELEMETRY`, the disabled singleton, unless the
 ``REPRO_TELEMETRY`` environment variable installed a process-wide
 pipeline at import (see :func:`install_env_telemetry`).
 
-The disabled path is a guard-and-return fast path: every instrumented
-call site does ``tel = current_telemetry()`` followed by ``if
-tel.enabled:`` and takes the un-instrumented branch otherwise — no
-span objects, no attribute dicts, no registry lookups are ever built
-when telemetry is off (pinned by the overhead row of
+Every instrumented call site has one code path: it does ``tel =
+current_telemetry()`` and calls ``tel.span`` / ``tel.count`` /
+``tel.observe`` / ``tel.gauge`` unconditionally.  When telemetry is off
+the resolved pipeline is :data:`NULL_TELEMETRY`, whose methods return
+at once: a disabled call costs one no-op method call (its keyword
+arguments are still built), and no span record, registry lookup or
+instrument is ever created (pinned by the overhead row of
 ``benchmarks/bench_backends.py`` and the no-op tests).
 
 This module imports only :mod:`repro._runtime_state`, so every layer —
@@ -119,10 +121,10 @@ class NullTelemetry(Telemetry):
     """The disabled singleton: every operation is a no-op.
 
     ``span()`` returns the one shared :data:`~repro.telemetry.spans.NULL_SPAN`
-    (no record, no attribute dict); the metric methods return without
-    touching the (empty, shared) registry.  Instrumented call sites
-    additionally guard on :attr:`enabled`, so the disabled path never
-    even builds the keyword arguments.
+    (no record is built; its ``set`` is a no-op too); the metric methods
+    return without touching the (empty, shared) registry.  Instrumented
+    call sites do not guard on :attr:`enabled`: these no-ops are the
+    whole disabled path.
     """
 
     enabled = False
@@ -201,8 +203,8 @@ def resolve_telemetry(spec: object) -> Telemetry:
 def traced(name: str, **attributes: object) -> Callable:
     """Decorator form of ``telemetry.span``: resolves the pipeline per call.
 
-    The wrapped function costs one contextvar read when telemetry is
-    disabled::
+    When telemetry is disabled the wrapped function costs one pipeline
+    resolution and one no-op span::
 
         @traced("service.rebalance")
         def rebalance(...): ...
@@ -211,10 +213,7 @@ def traced(name: str, **attributes: object) -> Callable:
     def decorate(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            tel = get_default_telemetry()
-            if not tel.enabled:
-                return fn(*args, **kwargs)
-            with tel.span(name, **attributes):
+            with get_default_telemetry().span(name, **attributes):
                 return fn(*args, **kwargs)
 
         return wrapper

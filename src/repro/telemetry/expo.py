@@ -168,9 +168,10 @@ def render_server_text(payload: Dict[str, object]) -> str:
     Input is exactly what the ``metrics`` control kind returns
     (``ReproServer._metrics_payload()``): request/coalescing/latency
     sections, cache stats, executor info, and the shared telemetry
-    registry snapshot.  Every numeric field becomes a sample, so a
-    ``/metrics`` scrape and a ``metrics`` control response always agree
-    — pinned by ``tests/test_profiling.py``.
+    registry snapshot.  Every numeric field becomes a sample, and no
+    ``name{labels}`` sample appears twice, so a ``/metrics`` scrape and a
+    ``metrics`` control response always agree — pinned by
+    ``tests/test_profiling.py``.
     """
     builder = _TextBuilder()
     requests: Dict[str, object] = payload.get("requests", {})  # type: ignore[assignment]
@@ -212,9 +213,17 @@ def render_server_text(payload: Dict[str, object]) -> str:
     for field in ("qps", "hit_rate", "rejection_rate", "window_s"):
         builder.gauge(f"repro_server_rate_{field}", rates.get(field))
 
-    telemetry = payload.get("telemetry")
+    telemetry: Dict[str, Dict[str, object]] = payload.get("telemetry")  # type: ignore[assignment]
     if telemetry:
-        _render_registry_into(builder, telemetry, "repro")  # type: ignore[arg-type]
+        # the registry's server.* counters are ServerMetrics' forwards of
+        # the requests/coalescing counters rendered above: skip them so
+        # each series is exposed once
+        counters = {
+            name: value
+            for name, value in telemetry.get("counters", {}).items()
+            if not name.startswith("server.")
+        }
+        _render_registry_into(builder, {**telemetry, "counters": counters}, "repro")
     return builder.text()
 
 

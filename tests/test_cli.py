@@ -44,7 +44,6 @@ class TestParser:
             ["evaluate", "--graph", "g.json", "--edges", "e.txt"],
             ["batch", "--graph", "g.json", "--requests", "r.jsonl"],
             ["serve", "--graph", "g.json"],
-            ["telemetry", "--graph", "g.json"],
         ],
     )
     def test_negative_seed_is_a_usage_error(self, command, capsys):

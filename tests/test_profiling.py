@@ -564,8 +564,16 @@ class TestServedExposition:
             assert samples["repro_server_answered_total"] == snapshot["requests"]["answered"]
             assert samples["repro_server_admitted_total"] == snapshot["requests"]["admitted"]
             assert samples["repro_server_batches_total"] == snapshot["coalescing"]["batches"]
-            # the shared telemetry registry rides along
-            assert samples["repro_server_answered_total"] == samples["repro_server_answered_total"]
+            # every name{labels} sample appears once, although the shared
+            # telemetry registry (which also counts server.*) rides along
+            names = [
+                line.rpartition(" ")[0]
+                for line in text.splitlines()
+                if line and not line.startswith("#")
+            ]
+            assert len(names) == len(set(names)), sorted(
+                name for name in set(names) if names.count(name) > 1
+            )
             assert "repro_server_latency_seconds_bucket" in text
             # the periodic snapshot-delta task published windowed rates
             assert "repro_server_rate_qps" in samples
@@ -597,45 +605,77 @@ class TestProfilingCLI:
         write_json(graph, path)
         return path
 
-    def test_telemetry_profile_json_reconstructs_totals(self, graph_file, capsys):
-        from repro.cli import main
-
-        assert (
-            main(
-                [
-                    "telemetry",
-                    "--graph",
-                    str(graph_file),
-                    "--samples",
-                    "100",
-                    "--profile",
-                    "--json",
-                ]
-            )
-            == 0
+    @pytest.fixture
+    def requests_file(self, tmp_path):
+        path = tmp_path / "requests.jsonl"
+        path.write_text(
+            '{"kind": "expected_flow", "query": 0}\n'
+            '{"kind": "pair_reachability", "source": 0, "target": 3}\n'
+            '{"kind": "expected_flow", "query": 5, "seed": 1}\n',
+            encoding="utf-8",
         )
-        document = json.loads(capsys.readouterr().out)
-        profile = document["profile"]
-        reconstructed = totals_from_collapsed(parse_collapsed(profile["collapsed"]))
-        for name, entry in profile["span_totals"].items():
-            assert entry["self_us"] >= 0, name
-        # the collapsed export carries the span tree's exact totals
-        root_names = {span["name"] for span in document["spans"]}
-        for path, cum in reconstructed.items():
-            assert cum > 0
-            assert path.split(";")[0] in root_names
-        assert profile["hot_spans"][0]["self_us"] >= profile["hot_spans"][-1]["self_us"]
+        return path
 
-    def test_flame_out_writes_collapsed_stacks(self, graph_file, tmp_path, capsys):
+    def test_batch_profile_reconstructs_totals(
+        self, graph_file, requests_file, tmp_path, capsys
+    ):
         from repro.cli import main
 
         flame = tmp_path / "profile.folded"
         assert (
             main(
                 [
-                    "telemetry",
+                    "batch",
                     "--graph",
                     str(graph_file),
+                    "--requests",
+                    str(requests_file),
+                    "--samples",
+                    "100",
+                    "--warm",
+                    "--profile",
+                    "--flame-out",
+                    str(flame),
+                ]
+            )
+            == 0
+        )
+        err = capsys.readouterr().err
+        reconstructed = totals_from_collapsed(
+            parse_collapsed(flame.read_text(encoding="utf-8"))
+        )
+        # the collapsed export carries the batch's root spans' totals
+        assert {path.split(";")[0] for path in reconstructed} == {
+            "service.warm",
+            "service.evaluate",
+        }
+        assert all(cum > 0 for cum in reconstructed.values())
+        # the hot-span table is printed, hottest (self time) first
+        lines = err.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("span "))
+        rows = []
+        for line in lines[header + 2 :]:
+            fields = line.split()
+            if len(fields) != 7:
+                break
+            rows.append(float(fields[2]))
+        assert rows and all(value >= 0 for value in rows)
+        assert rows == sorted(rows, reverse=True)
+
+    def test_flame_out_writes_collapsed_stacks(
+        self, graph_file, requests_file, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        flame = tmp_path / "profile.folded"
+        assert (
+            main(
+                [
+                    "batch",
+                    "--graph",
+                    str(graph_file),
+                    "--requests",
+                    str(requests_file),
                     "--samples",
                     "100",
                     "--flame-out",

@@ -32,7 +32,7 @@ from repro.server import (
     ServerConfig,
     protocol,
 )
-from repro.server.metrics import ServerMetrics, percentile
+from repro.server.metrics import ServerMetrics
 from repro.service import (
     BatchEvaluator,
     QueryRequest,
@@ -140,13 +140,6 @@ class TestProtocol:
 
 
 class TestServerMetrics:
-    def test_percentile_nearest_rank(self):
-        values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
-        assert percentile(values, 50.0) == 5.0
-        assert percentile(values, 95.0) == 10.0
-        assert percentile([], 50.0) is None
-        assert percentile([7.0], 99.0) == 7.0
-
     def test_snapshot_shape(self):
         metrics = ServerMetrics()
         metrics.observe_admitted()
@@ -507,7 +500,13 @@ class TestAdmissionControl:
 
     @pytest.mark.parametrize(
         "hostile",
-        ["backend_field", "non_edge", "repeated_edge", "string_include_query"],
+        [
+            "backend_field",
+            "non_edge",
+            "repeated_edge",
+            "string_include_query",
+            "ghost_component_vertex",
+        ],
     )
     def test_hostile_line_does_not_fail_a_co_batched_request(self, graph, hostile):
         # a request from another client in the same coalescing window
@@ -528,6 +527,10 @@ class TestAdmissionControl:
             },
             "string_include_query": {
                 "kind": "expected_flow", "query": 0, "include_query": "false"
+            },
+            "ghost_component_vertex": {
+                "kind": "component", "anchor": edge.u, "vertices": ["ghost", edge.v],
+                "edges": [[edge.u, edge.v]],
             },
         }[hostile]
         line.update(n_samples=N_SAMPLES, seed=SEED)

@@ -83,6 +83,16 @@ class TestRequestValidation:
                     kind="pair_reachability", source=0, target="ghost", n_samples=10
                 ),
             )
+        # a component's anchor and each listed vertex, as they arrive on the wire
+        anchor, vertices, edges = small_component(graph)
+        for wire in (
+            {"kind": "component", "anchor": 999, "vertices": list(vertices), "edges": []},
+            {"kind": "component", "anchor": anchor, "vertices": ["ghost", vertices[1]],
+             "edges": [[edge.u, edge.v] for edge in edges]},
+        ):
+            request = request_from_dict(wire, graph=graph, default_n_samples=10)
+            with pytest.raises(VertexNotFoundError):
+                evaluator.evaluate_one(graph, request)
 
     def test_edge_restriction_must_name_graph_edges_once(self, graph):
         from repro.exceptions import DuplicateEdgeError, EdgeNotFoundError

@@ -323,7 +323,28 @@ class TestNullTelemetry:
         assert isinstance(NULL_TELEMETRY, NullTelemetry)
 
     def test_disabled_workload_stays_silent(self, random_graph):
+        # no call site guards on `enabled`: these no-ops must keep every
+        # layer (engine, csr, executor, LRU, planner, evaluator, server
+        # metrics) from recording anything
         SamplingEngine().expected_flow(random_graph, 0, n_samples=50, seed=SEED)
+        requests = [
+            repro.QueryRequest(kind="expected_flow", source=0, n_samples=100, seed=SEED),
+            repro.QueryRequest(
+                kind="pair_reachability", source=0, target=3, n_samples=100, seed=SEED
+            ),
+            repro.QueryRequest(
+                kind="expected_flow", source=0, n_samples=100, seed=SEED + 1
+            ),
+        ]
+        # two world batches through a one-entry cache: a hit, misses, evictions
+        with repro.session(workers=repro.SerialExecutor(), shard_size=50, world_cache=1):
+            evaluator = repro.BatchEvaluator()
+            evaluator.warm(random_graph, requests[:1])
+            evaluator.evaluate(random_graph, requests)
+        assert (evaluator.batches_reused, evaluator.batches_sampled) == (1, 2)
+        metrics = ServerMetrics()
+        metrics.observe_answered("expected_flow", 0.01)
+        metrics.observe_batch(2)
         assert NULL_TELEMETRY.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
@@ -493,6 +514,28 @@ class TestInstrumentation:
         snapshot = tel.snapshot()
         assert snapshot["counters"]["executor.shards_run"] == N_SAMPLES // 50
         assert snapshot["histograms"]["executor.shard_seconds"]["count"] == N_SAMPLES // 50
+
+    def test_process_executor_timed_fan_out(self, random_graph):
+        # the timed fan-out is ProcessExecutor's only path: with a live
+        # pipeline it must return the telemetry-off and serial bits
+        def run(workers, telemetry=None):
+            with repro.session(telemetry=telemetry, workers=workers, shard_size=50):
+                return SamplingEngine().expected_flow(
+                    random_graph, 0, n_samples=N_SAMPLES, seed=SEED
+                )
+
+        tel = Telemetry()
+        with repro.ProcessExecutor(2) as executor:
+            traced_run = run(executor, tel)
+            untraced_run = run(executor)
+        serial_run = run(repro.SerialExecutor())
+        assert traced_run.expected_flow == untraced_run.expected_flow
+        assert traced_run.expected_flow == serial_run.expected_flow
+        assert traced_run.n_samples == serial_run.n_samples == N_SAMPLES
+        snapshot = tel.snapshot()
+        n_shards = N_SAMPLES // 50
+        assert snapshot["counters"]["executor.shards_run"] == n_shards
+        assert snapshot["histograms"]["executor.shard_seconds"]["count"] == n_shards
 
     def test_server_metrics_forward_into_registry(self):
         tel = Telemetry()
