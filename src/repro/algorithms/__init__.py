@@ -1,56 +1,40 @@
 """Deterministic graph algorithms used as substrate.
 
-Everything here operates on :class:`~repro.graph.uncertain_graph.UncertainGraph`
-instances but ignores edge probabilities unless stated otherwise (e.g. the
-maximum-probability spanning tree).  All algorithms are implemented from
-scratch (iteratively, so deep graphs do not hit Python's recursion limit);
-NetworkX is only used inside the test suite as an independent oracle.
+Only what the F-tree and the selectors use lives here: BFS order and
+connected component (traversal), union-find, the biconnected edge
+partition and block-cut tree (the F-tree builder), and Dijkstra over
+``-log P(e)`` costs with its spanning-tree edge order (the Dijkstra
+baseline, the only algorithm here that reads edge probabilities).
+Everything operates on :class:`~repro.graph.uncertain_graph.UncertainGraph`
+instances and is implemented from scratch (iteratively, so deep graphs
+do not hit Python's recursion limit); NetworkX is only used inside the
+test suite as an independent oracle.
 """
 
 from repro.algorithms.traversal import (
     bfs_order,
-    bfs_tree,
     connected_component,
-    connected_components,
     is_connected,
-    shortest_hop_path,
 )
 from repro.algorithms.union_find import UnionFind
 from repro.algorithms.biconnected import (
-    articulation_points,
-    biconnected_components,
     biconnected_edge_components,
     bridges,
     BlockCutTree,
     block_cut_tree,
 )
-from repro.algorithms.shortest_path import (
-    dijkstra,
-    most_probable_paths,
-    most_probable_path,
-)
-from repro.algorithms.spanning import (
-    maximum_probability_spanning_tree,
-    dijkstra_spanning_edges,
-)
+from repro.algorithms.shortest_path import dijkstra
+from repro.algorithms.spanning import dijkstra_spanning_edges
 
 __all__ = [
     "bfs_order",
-    "bfs_tree",
     "connected_component",
-    "connected_components",
     "is_connected",
-    "shortest_hop_path",
     "UnionFind",
-    "articulation_points",
-    "biconnected_components",
     "biconnected_edge_components",
     "bridges",
     "BlockCutTree",
     "block_cut_tree",
     "dijkstra",
-    "most_probable_paths",
-    "most_probable_path",
-    "maximum_probability_spanning_tree",
     "dijkstra_spanning_edges",
 ]

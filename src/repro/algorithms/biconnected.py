@@ -1,4 +1,4 @@
-"""Articulation points, biconnected components and the block-cut tree.
+"""Biconnected components, bridges and the block-cut tree.
 
 The F-tree of the paper (Section 5.3) is "inspired by the block-cut
 tree"; this module provides the underlying decomposition: an iterative
@@ -98,39 +98,6 @@ def biconnected_edge_components(
             components.append({Edge(u, v) for u, v in edge_stack})
             edge_stack.clear()
     return components
-
-
-def biconnected_components(
-    graph: UncertainGraph, edges: Optional[Iterable[Edge]] = None
-) -> List[Set[VertexId]]:
-    """Return biconnected components as vertex sets (blocks)."""
-    vertex_components: List[Set[VertexId]] = []
-    for component in biconnected_edge_components(graph, edges):
-        vertices: Set[VertexId] = set()
-        for edge in component:
-            vertices.add(edge.u)
-            vertices.add(edge.v)
-        vertex_components.append(vertices)
-    return vertex_components
-
-
-def articulation_points(
-    graph: UncertainGraph, edges: Optional[Iterable[Edge]] = None
-) -> Set[VertexId]:
-    """Return the articulation (cut) vertices of the (sub)graph.
-
-    A vertex is an articulation point exactly when it belongs to more
-    than one biconnected component.
-    """
-    membership: Dict[VertexId, int] = {}
-    points: Set[VertexId] = set()
-    for index, component in enumerate(biconnected_components(graph, edges)):
-        for vertex in component:
-            if vertex in membership and membership[vertex] != index:
-                points.add(vertex)
-            else:
-                membership[vertex] = index
-    return points
 
 
 def bridges(graph: UncertainGraph, edges: Optional[Iterable[Edge]] = None) -> Set[Edge]:

@@ -1,11 +1,9 @@
-"""Shortest paths and most-probable paths on uncertain graphs.
+"""Shortest (most-probable) paths on uncertain graphs.
 
 The Dijkstra baseline of the paper (Section 7.2, "Dijkstra") selects
 edges of a *maximum-probability spanning tree*: running Dijkstra on edge
 costs ``-log P(e)`` from the query vertex yields, for every vertex, the
-path maximising the product of edge probabilities.  The same machinery
-also provides the most-probable-path reachability lower bound discussed
-in the related-work section.
+path maximising the product of edge probabilities.
 """
 
 from __future__ import annotations
@@ -115,35 +113,3 @@ def probability_cost(probability: float) -> float:
         raise ValueError(f"probability must lie in (0, 1], got {probability!r}")
     return -math.log(probability)
 
-
-def most_probable_paths(
-    graph: UncertainGraph,
-    source: VertexId,
-    edges: Optional[Iterable[Edge]] = None,
-) -> Dict[VertexId, float]:
-    """Return, for every reachable vertex, the probability of its most probable path.
-
-    This is the cheap reachability lower bound of Khan et al. discussed
-    in the paper's related-work section: the probability that *one
-    specific* path exists is a lower bound on the reachability
-    probability.
-    """
-    result = dijkstra(graph, source, edges=edges)
-    return {vertex: math.exp(-cost) for vertex, cost in result.distance.items()}
-
-
-def most_probable_path(
-    graph: UncertainGraph,
-    source: VertexId,
-    target: VertexId,
-    edges: Optional[Iterable[Edge]] = None,
-) -> Tuple[Optional[List[VertexId]], float]:
-    """Return the most probable path between two vertices and its probability.
-
-    Returns ``(None, 0.0)`` when the vertices are disconnected.
-    """
-    result = dijkstra(graph, source, edges=edges)
-    path = result.path_to(target)
-    if path is None:
-        return None, 0.0
-    return path, math.exp(-result.distance[target])

@@ -52,12 +52,3 @@ def dijkstra_spanning_edges(
         spanning.append(Edge(parent, vertex))
     return spanning
 
-
-def maximum_probability_spanning_tree(
-    graph: UncertainGraph,
-    source: VertexId,
-    edges: Optional[Iterable[Edge]] = None,
-) -> UncertainGraph:
-    """Return the maximum-probability spanning tree of ``source``'s component as a graph."""
-    tree_edges = dijkstra_spanning_edges(graph, source, edges=edges)
-    return graph.edge_subgraph(tree_edges, keep_all_vertices=True, name=f"{graph.name}-mpst")

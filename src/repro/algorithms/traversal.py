@@ -1,4 +1,4 @@
-"""Graph traversal primitives: BFS orders, BFS trees, connected components.
+"""Graph traversal primitives: BFS order, connected component, connectivity.
 
 These are the building blocks of the F-tree construction and of the
 Monte-Carlo estimators.  All functions accept either a full
@@ -52,29 +52,6 @@ def bfs_order(
     return order
 
 
-def bfs_tree(
-    graph: UncertainGraph,
-    source: VertexId,
-    edges: Optional[Iterable[Edge]] = None,
-) -> Dict[VertexId, Optional[VertexId]]:
-    """Return a BFS predecessor map ``vertex -> parent`` rooted at ``source``.
-
-    The source maps to ``None``; unreachable vertices are absent.
-    """
-    if not graph.has_vertex(source):
-        raise VertexNotFoundError(source)
-    adjacency = _adjacency(graph, edges)
-    parents: Dict[VertexId, Optional[VertexId]] = {source: None}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        for neighbor in adjacency[current]:
-            if neighbor not in parents:
-                parents[neighbor] = current
-                queue.append(neighbor)
-    return parents
-
-
 def connected_component(
     graph: UncertainGraph,
     source: VertexId,
@@ -84,30 +61,6 @@ def connected_component(
     return set(bfs_order(graph, source, edges))
 
 
-def connected_components(
-    graph: UncertainGraph, edges: Optional[Iterable[Edge]] = None
-) -> List[Set[VertexId]]:
-    """Return all connected components as a list of vertex sets."""
-    adjacency = _adjacency(graph, edges)
-    seen: Set[VertexId] = set()
-    components: List[Set[VertexId]] = []
-    for vertex in adjacency:
-        if vertex in seen:
-            continue
-        component = {vertex}
-        queue = deque([vertex])
-        seen.add(vertex)
-        while queue:
-            current = queue.popleft()
-            for neighbor in adjacency[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    component.add(neighbor)
-                    queue.append(neighbor)
-        components.append(component)
-    return components
-
-
 def is_connected(graph: UncertainGraph, edges: Optional[Iterable[Edge]] = None) -> bool:
     """Return True if the (sub)graph is connected (the empty graph counts as connected)."""
     if graph.n_vertices == 0:
@@ -115,29 +68,3 @@ def is_connected(graph: UncertainGraph, edges: Optional[Iterable[Edge]] = None) 
     first = next(iter(graph.vertices()))
     return len(connected_component(graph, first, edges)) == graph.n_vertices
 
-
-def shortest_hop_path(
-    graph: UncertainGraph,
-    source: VertexId,
-    target: VertexId,
-    edges: Optional[Iterable[Edge]] = None,
-) -> Optional[List[VertexId]]:
-    """Return a minimum-hop path from ``source`` to ``target``, or None.
-
-    The path includes both endpoints; ``[source]`` is returned when the
-    two vertices coincide.
-    """
-    if not graph.has_vertex(target):
-        raise VertexNotFoundError(target)
-    if source == target:
-        return [source]
-    parents = bfs_tree(graph, source, edges)
-    if target not in parents:
-        return None
-    path = [target]
-    while path[-1] != source:
-        parent = parents[path[-1]]
-        assert parent is not None
-        path.append(parent)
-    path.reverse()
-    return path

@@ -189,7 +189,7 @@ def _format_registry(snapshot: dict) -> List[str]:
     return lines
 
 
-def _emit_trace_report(args: argparse.Namespace, stream=None) -> None:
+def _emit_trace_report(args: argparse.Namespace) -> None:
     """Print the span tree(s) and registry of a traced command run."""
     telemetry, memory = getattr(args, "trace_state", (None, None))
     if telemetry is None:
@@ -197,30 +197,29 @@ def _emit_trace_report(args: argparse.Namespace, stream=None) -> None:
     from repro.telemetry import format_span_tree
 
     telemetry.close()  # flush the JSONL file before reporting
-    out = stream if stream is not None else sys.stderr
     registry_lines = _format_registry(telemetry.snapshot())
     if not memory.spans and not registry_lines:
         # e.g. an F-tree selection whose components were all enumerated
         # exactly: nothing sampled, nothing to report
-        print("trace: no instrumented work was recorded", file=out)
+        print("trace: no instrumented work was recorded", file=sys.stderr)
     for root in memory.spans:
-        print(format_span_tree(root), file=out)
+        print(format_span_tree(root), file=sys.stderr)
     for line in registry_lines:
-        print(line, file=out)
+        print(line, file=sys.stderr)
     if telemetry.profiling and memory.spans:
         from repro.telemetry.profile import format_hot_spans
 
-        print(file=out)
-        print(format_hot_spans(memory.spans), file=out)
+        print(file=sys.stderr)
+        print(format_hot_spans(memory.spans), file=sys.stderr)
     flame_out = getattr(args, "flame_out", None)
     if flame_out is not None:
         from repro.telemetry.profile import format_collapsed
 
         flame_out.write_text(format_collapsed(memory.spans) + "\n", encoding="utf-8")
-        print(f"collapsed stacks written to {flame_out}", file=out)
+        print(f"collapsed stacks written to {flame_out}", file=sys.stderr)
     trace_out = getattr(args, "trace_out", None)
     if trace_out is not None:
-        print(f"span trace written to {trace_out}", file=out)
+        print(f"span trace written to {trace_out}", file=sys.stderr)
 
 
 def runtime_config_from_args(args: argparse.Namespace) -> RuntimeConfig:

@@ -134,17 +134,6 @@ def graph_digest(graph) -> int:
     return stable_digest(("graph", tuple(vertex_payload), edge_payload))
 
 
-def query_digest(kind: str, source: VertexId, *parts: object) -> int:
-    """Return a stable digest identifying one query shape.
-
-    Used by the service layer to tag results and deduplicate identical
-    requests: ``kind`` is the query kind, ``source`` the vertex the
-    query is anchored at, and ``parts`` any further kind-specific
-    context (target vertex, edge-restriction digest, sample count, …).
-    """
-    return stable_digest(("query", kind, repr(source), tuple(repr(p) for p in parts)))
-
-
 __all__ = [
     "DIGEST_BYTES",
     "combine_digests",
@@ -152,6 +141,5 @@ __all__ = [
     "edge_probability_digest",
     "edge_sequence_digest",
     "graph_digest",
-    "query_digest",
     "stable_digest",
 ]

@@ -8,14 +8,14 @@ worked examples of Figures 1 and 3 are reproduced in
 :mod:`repro.experiments.running_example`.
 """
 
-from repro.experiments.config import ExperimentConfig, SweepPoint
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import (
     AlgorithmRun,
     evaluate_flow,
     run_algorithms,
     run_sweep,
 )
-from repro.experiments.reporting import format_table, rows_to_csv, summarize_sweep
+from repro.experiments.reporting import format_table, rows_to_csv
 from repro.experiments.figures import (
     FigureResult,
     figure5a_graph_size_locality,
@@ -44,14 +44,12 @@ from repro.experiments.ablations import (
 
 __all__ = [
     "ExperimentConfig",
-    "SweepPoint",
     "AlgorithmRun",
     "evaluate_flow",
     "run_algorithms",
     "run_sweep",
     "format_table",
     "rows_to_csv",
-    "summarize_sweep",
     "FigureResult",
     "figure5a_graph_size_locality",
     "figure5b_graph_size_no_locality",

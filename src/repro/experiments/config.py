@@ -61,14 +61,6 @@ def bench_scale() -> float:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One point of a parameter sweep: a label plus the overriding value."""
-
-    label: str
-    value: float
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration shared by all figure reproductions.
 

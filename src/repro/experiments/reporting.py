@@ -69,21 +69,6 @@ def rows_to_csv(
     return "\n".join(lines)
 
 
-def summarize_sweep(
-    rows: Sequence[Mapping[str, object]],
-    x_name: str,
-    value: str = "evaluated_flow",
-) -> Dict[str, List[tuple]]:
-    """Group sweep rows into per-algorithm ``(x, value)`` series (plot-ready)."""
-    series: Dict[str, List[tuple]] = {}
-    for row in rows:
-        algorithm = str(row.get("algorithm", "?"))
-        series.setdefault(algorithm, []).append((row.get(x_name), row.get(value)))
-    for points in series.values():
-        points.sort(key=lambda pair: (pair[0] is None, pair[0]))
-    return series
-
-
 def compare_algorithms(
     rows: Sequence[Mapping[str, object]],
     metric: str = "evaluated_flow",

@@ -19,7 +19,9 @@ implements the incremental insertion cases of Section 5.4, and
 :func:`~repro.ftree.builder.build_ftree` rebuilds the decomposition from
 scratch using biconnected components — both must agree, which the test
 suite verifies.  :meth:`FTree.probe` scores a candidate edge without
-inserting it (a :class:`ProbeScore`), as a flow delta over the tree.
+inserting it (a :class:`ProbeScore`), as a flow delta over the tree, and
+:meth:`FTree.flow_interval` brackets the tree's flow with the
+confidence bounds of its sampled components.
 """
 
 from repro.ftree.components import (
@@ -31,7 +33,6 @@ from repro.ftree.memo import MemoCache
 from repro.ftree.sampler import ComponentSampler
 from repro.ftree.ftree import FTree, InsertionResult, ProbeScore
 from repro.ftree.builder import build_ftree
-from repro.ftree.export import ftree_to_dot, ftree_summary, graph_to_dot
 
 __all__ = [
     "Component",
@@ -43,7 +44,4 @@ __all__ = [
     "InsertionResult",
     "ProbeScore",
     "build_ftree",
-    "ftree_to_dot",
-    "ftree_summary",
-    "graph_to_dot",
 ]

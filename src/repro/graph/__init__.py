@@ -3,7 +3,9 @@
 This subpackage provides the probabilistic graph model of the paper
 (Section 3): an undirected graph whose edges exist independently with a
 known probability and whose vertices carry information weights, together
-with possible-world semantics, synthetic generators and serialisation.
+with possible-world semantics, synthetic generators, JSON
+serialisation and the probability perturbation used by robustness
+experiments.
 """
 
 from repro.graph.uncertain_graph import UncertainGraph
@@ -22,24 +24,13 @@ from repro.graph.generators import (
     complete_graph,
 )
 from repro.graph.io import (
-    read_edge_list,
-    write_edge_list,
     graph_to_dict,
     graph_from_dict,
     read_json,
     write_json,
 )
 from repro.graph.validation import validate_graph, GraphStats, graph_stats
-from repro.graph.transforms import (
-    scale_probabilities,
-    set_uniform_weights,
-    normalize_weights,
-    reweight_vertices,
-    perturb_probabilities,
-    ego_subgraph,
-    largest_component_subgraph,
-    merge_graphs,
-)
+from repro.graph.transforms import perturb_probabilities
 
 __all__ = [
     "UncertainGraph",
@@ -57,8 +48,6 @@ __all__ = [
     "cycle_graph",
     "star_graph",
     "complete_graph",
-    "read_edge_list",
-    "write_edge_list",
     "graph_to_dict",
     "graph_from_dict",
     "read_json",
@@ -66,12 +55,5 @@ __all__ = [
     "validate_graph",
     "GraphStats",
     "graph_stats",
-    "scale_probabilities",
-    "set_uniform_weights",
-    "normalize_weights",
-    "reweight_vertices",
     "perturb_probabilities",
-    "ego_subgraph",
-    "largest_component_subgraph",
-    "merge_graphs",
 ]

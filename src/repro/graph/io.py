@@ -1,108 +1,20 @@
 """Serialisation of uncertain graphs.
 
-Two formats are supported:
-
-* a tab-separated edge list compatible with common uncertain-graph
-  benchmark releases (``u<TAB>v<TAB>probability`` per line, with optional
-  ``# vertex<TAB>weight`` weight lines), and
-* a JSON document that round-trips the full graph including vertex
-  weights and the graph name.
+Graphs are stored as a JSON document that round-trips the full graph,
+including vertex weights and the graph name.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, TextIO, Union
+from typing import Union
 
-from repro.exceptions import GraphError
 from repro.graph.uncertain_graph import UncertainGraph
 
 PathLike = Union[str, Path]
 
 
-# ----------------------------------------------------------------------
-# edge list format
-# ----------------------------------------------------------------------
-def write_edge_list(graph: UncertainGraph, path: PathLike) -> None:
-    """Write ``graph`` to a tab-separated edge list file.
-
-    The file starts with weight lines of the form ``# vertex<TAB>weight``
-    (only for weights different from 1.0, plus all isolated vertices so
-    that the graph round-trips), followed by one ``u<TAB>v<TAB>p`` line
-    per edge.
-    """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        _write_edge_list(graph, handle)
-
-
-def _write_edge_list(graph: UncertainGraph, handle: TextIO) -> None:
-    for vertex in graph.vertices():
-        weight = graph.weight(vertex)
-        if weight != 1.0 or graph.degree(vertex) == 0:
-            handle.write(f"# {vertex}\t{weight!r}\n")
-    for edge in graph.edges():
-        handle.write(f"{edge.u}\t{edge.v}\t{graph.probability(edge)!r}\n")
-
-
-def read_edge_list(
-    path: PathLike,
-    default_weight: float = 1.0,
-    vertex_type: type = int,
-    name: Optional[str] = None,
-) -> UncertainGraph:
-    """Read a graph previously written with :func:`write_edge_list`.
-
-    Parameters
-    ----------
-    path:
-        File to read.
-    default_weight:
-        Weight assigned to vertices without an explicit weight line.
-    vertex_type:
-        Callable applied to the textual vertex ids (``int`` by default).
-    name:
-        Name for the resulting graph (defaults to the file stem).
-    """
-    path = Path(path)
-    graph = UncertainGraph(name=name if name is not None else path.stem)
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, raw_line in enumerate(handle, start=1):
-            line = raw_line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) != 2:
-                    raise GraphError(
-                        f"{path}:{line_number}: malformed weight line {raw_line!r}"
-                    )
-                vertex = vertex_type(parts[0])
-                weight = float(parts[1])
-                if graph.has_vertex(vertex):
-                    graph.set_weight(vertex, weight)
-                else:
-                    graph.add_vertex(vertex, weight=weight)
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise GraphError(
-                    f"{path}:{line_number}: malformed edge line {raw_line!r}"
-                )
-            u = vertex_type(parts[0])
-            v = vertex_type(parts[1])
-            probability = float(parts[2])
-            for vertex in (u, v):
-                if not graph.has_vertex(vertex):
-                    graph.add_vertex(vertex, weight=default_weight)
-            graph.add_edge(u, v, probability)
-    return graph
-
-
-# ----------------------------------------------------------------------
-# JSON format
-# ----------------------------------------------------------------------
 def graph_to_dict(graph: UncertainGraph) -> dict:
     """Convert ``graph`` into a JSON-serialisable dictionary."""
     return {

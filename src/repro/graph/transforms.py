@@ -1,73 +1,14 @@
 """Graph transformations used when preparing experiments.
 
-These helpers never mutate their input; they return new
-:class:`~repro.graph.uncertain_graph.UncertainGraph` instances so that an
-experiment can derive several variants (re-weighted, re-scaled, locally
-restricted) from one base graph without side effects.
+:func:`perturb_probabilities` never mutates its input; it returns a new
+:class:`~repro.graph.uncertain_graph.UncertainGraph`, so an experiment
+can derive noisy variants from one base graph without side effects.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-from repro.exceptions import VertexNotFoundError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.rng import SeedLike, ensure_rng
-from repro.types import Edge, VertexId
-
-
-def scale_probabilities(graph: UncertainGraph, factor: float, name: str = "") -> UncertainGraph:
-    """Return a copy with every edge probability multiplied by ``factor`` (clamped to (0, 1]).
-
-    Useful for studying how link reliability shifts the Dijkstra/F-tree
-    trade-off on otherwise identical topologies.
-    """
-    if factor <= 0:
-        raise ValueError(f"factor must be positive, got {factor!r}")
-    result = graph.copy(name=name or f"{graph.name}-scaled")
-    for edge in result.edges():
-        scaled = min(1.0, max(1e-12, graph.probability(edge) * factor))
-        result.set_probability(edge.u, edge.v, scaled)
-    return result
-
-
-def set_uniform_weights(graph: UncertainGraph, weight: float = 1.0, name: str = "") -> UncertainGraph:
-    """Return a copy where every vertex has the same information weight."""
-    result = graph.copy(name=name or f"{graph.name}-uniform-weights")
-    for vertex in result.vertices():
-        result.set_weight(vertex, weight)
-    return result
-
-
-def normalize_weights(graph: UncertainGraph, total: float = 1.0, name: str = "") -> UncertainGraph:
-    """Return a copy whose vertex weights sum to ``total`` (proportions preserved).
-
-    Graphs whose weights sum to zero are returned with uniform weights
-    ``total / |V|`` instead.
-    """
-    result = graph.copy(name=name or f"{graph.name}-normalized")
-    current_total = graph.total_weight()
-    n_vertices = graph.n_vertices
-    if n_vertices == 0:
-        return result
-    for vertex in result.vertices():
-        if current_total > 0:
-            result.set_weight(vertex, graph.weight(vertex) * total / current_total)
-        else:
-            result.set_weight(vertex, total / n_vertices)
-    return result
-
-
-def reweight_vertices(
-    graph: UncertainGraph,
-    weight_fn: Callable[[VertexId], float],
-    name: str = "",
-) -> UncertainGraph:
-    """Return a copy whose vertex weights are ``weight_fn(vertex)``."""
-    result = graph.copy(name=name or f"{graph.name}-reweighted")
-    for vertex in result.vertices():
-        result.set_weight(vertex, float(weight_fn(vertex)))
-    return result
 
 
 def perturb_probabilities(
@@ -90,69 +31,3 @@ def perturb_probabilities(
         perturbed = min(1.0, max(1e-12, graph.probability(edge) * factor))
         result.set_probability(edge.u, edge.v, perturbed)
     return result
-
-
-def ego_subgraph(
-    graph: UncertainGraph,
-    center: VertexId,
-    hops: int,
-    name: str = "",
-) -> UncertainGraph:
-    """Return the subgraph induced by all vertices within ``hops`` of ``center``.
-
-    Handy for extracting a query vertex's local neighbourhood from a
-    large network before running the (frontier-bounded) selection
-    algorithms on it.
-    """
-    if not graph.has_vertex(center):
-        raise VertexNotFoundError(center)
-    if hops < 0:
-        raise ValueError(f"hops must be non-negative, got {hops!r}")
-    distances: Dict[VertexId, int] = {center: 0}
-    frontier = [center]
-    for depth in range(1, hops + 1):
-        next_frontier = []
-        for vertex in frontier:
-            for neighbor in graph.neighbors(vertex):
-                if neighbor not in distances:
-                    distances[neighbor] = depth
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    return graph.vertex_subgraph(distances, name=name or f"{graph.name}-ego-{hops}")
-
-
-def largest_component_subgraph(graph: UncertainGraph, name: str = "") -> UncertainGraph:
-    """Return the subgraph induced by the largest connected component."""
-    from repro.algorithms.traversal import connected_components
-
-    components = connected_components(graph)
-    if not components:
-        return graph.copy(name=name or graph.name)
-    largest = max(components, key=len)
-    return graph.vertex_subgraph(largest, name=name or f"{graph.name}-lcc")
-
-
-def merge_graphs(
-    first: UncertainGraph,
-    second: UncertainGraph,
-    bridge_edges: Optional[Dict[Edge, float]] = None,
-    name: str = "merged",
-) -> UncertainGraph:
-    """Disjoint-union two graphs (vertex ids must not overlap), optionally bridging them.
-
-    Raises
-    ------
-    ValueError
-        If the two graphs share vertex identifiers.
-    """
-    overlap = set(first.vertices()) & set(second.vertices())
-    if overlap:
-        raise ValueError(f"graphs share vertex identifiers: {sorted(map(repr, overlap))[:5]}")
-    merged = first.copy(name=name)
-    for vertex in second.vertices():
-        merged.add_vertex(vertex, weight=second.weight(vertex))
-    for edge in second.edges():
-        merged.add_edge(edge.u, edge.v, second.probability(edge))
-    for edge, probability in (bridge_edges or {}).items():
-        merged.add_edge(edge.u, edge.v, probability)
-    return merged

@@ -54,8 +54,9 @@ spectrum of estimators:
   mono-connected (tree-like) graphs (Lemma 2 / Theorem 2);
 * :mod:`repro.reachability.confidence` — confidence intervals for
   sampled reachability probabilities (Definition 10);
-* :mod:`repro.reachability.bounds` — cheap lower/upper bounds from the
-  related-work discussion.
+* :mod:`repro.reachability.factoring` — exact two-terminal reliability
+  by contraction/deletion factoring, an independent oracle for the
+  enumeration and F-tree estimates.
 """
 
 from repro.reachability.backends import (
@@ -81,7 +82,6 @@ from repro.reachability.exact import (
     exact_reachability_all,
 )
 from repro.reachability.analytic import (
-    is_mono_connected,
     mono_connected_reachability,
     mono_connected_expected_flow,
 )
@@ -89,12 +89,6 @@ from repro.reachability.confidence import (
     ConfidenceInterval,
     normal_confidence_interval,
     wilson_confidence_interval,
-    flow_confidence_interval,
-)
-from repro.reachability.bounds import (
-    most_probable_path_lower_bound,
-    cut_upper_bound,
-    reachability_bounds,
 )
 from repro.reachability.factoring import (
     two_terminal_reliability,
@@ -120,16 +114,11 @@ __all__ = [
     "exact_expected_flow",
     "exact_reachability",
     "exact_reachability_all",
-    "is_mono_connected",
     "mono_connected_reachability",
     "mono_connected_expected_flow",
     "ConfidenceInterval",
     "normal_confidence_interval",
     "wilson_confidence_interval",
-    "flow_confidence_interval",
-    "most_probable_path_lower_bound",
-    "cut_upper_bound",
-    "reachability_bounds",
     "two_terminal_reliability",
     "FactoringBudgetExceeded",
 ]

@@ -9,7 +9,6 @@ path products — no sampling required.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Dict, Iterable, Optional, Set
 
@@ -29,45 +28,6 @@ def _adjacency(
         adjacency[edge.u].add(edge.v)
         adjacency[edge.v].add(edge.u)
     return adjacency
-
-
-def is_mono_connected(
-    graph: UncertainGraph,
-    edges: Optional[Iterable[Edge]] = None,
-    within: Optional[Iterable[VertexId]] = None,
-) -> bool:
-    """Return True if every pair of connected vertices has a unique path.
-
-    A (sub)graph is mono-connected (Definition 6) exactly when it is a
-    forest: any cycle would create vertex pairs with two distinct paths.
-    ``within`` restricts the test to an induced vertex subset.
-    """
-    adjacency = _adjacency(graph, edges)
-    if within is not None:
-        keep = set(within)
-        adjacency = {
-            v: {n for n in neighbors if n in keep}
-            for v, neighbors in adjacency.items()
-            if v in keep
-        }
-    seen: Set[VertexId] = set()
-    for start in adjacency:
-        if start in seen:
-            continue
-        # BFS cycle detection on the undirected component
-        parent: Dict[VertexId, Optional[VertexId]] = {start: None}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            current = queue.popleft()
-            for neighbor in adjacency[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    parent[neighbor] = current
-                    queue.append(neighbor)
-                elif parent.get(current) != neighbor:
-                    return False
-    return True
 
 
 def mono_connected_reachability(
@@ -133,13 +93,3 @@ def mono_connected_expected_flow(
         include_query=include_query,
     )
 
-
-def path_probability(graph: UncertainGraph, path: Iterable[VertexId]) -> float:
-    """Return the probability that every edge of ``path`` exists (Lemma 2 product)."""
-    vertices = list(path)
-    if len(vertices) <= 1:
-        return 1.0
-    log_probability = 0.0
-    for u, v in zip(vertices, vertices[1:]):
-        log_probability += math.log(graph.probability(u, v))
-    return math.exp(log_probability)

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
-
-from repro.types import VertexId
 
 #: Minimum number of samples before the Central Limit Theorem based
 #: interval may be used for pruning (paper Section 6.3).
@@ -145,68 +142,6 @@ def wilson_confidence_interval(
         upper=min(1.0, centre + half_width),
         alpha=alpha,
     )
-
-
-#: Binomial-proportion interval functions by method name — the single
-#: registry behind ``method=`` arguments (flow intervals); add new
-#: methods here and every consumer picks them up.
-PROPORTION_INTERVAL_METHODS = {
-    "normal": normal_confidence_interval,
-    "wilson": wilson_confidence_interval,
-}
-
-
-def proportion_interval_function(method: str):
-    """Look up a binomial-proportion interval function by method name."""
-    try:
-        return PROPORTION_INTERVAL_METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown confidence interval method {method!r}") from None
-
-
-def flow_confidence_interval(
-    reachability_counts: Mapping[VertexId, int],
-    n_samples: int,
-    weights: Mapping[VertexId, float],
-    alpha: float = 0.01,
-    exact_contribution: float = 0.0,
-    method: str = "normal",
-) -> ConfidenceInterval:
-    """Confidence interval for an expected flow aggregated from per-vertex counts.
-
-    Lower/upper flow bounds sum the per-vertex interval bounds weighted
-    by the vertex weights (paper Section 6.3); vertices whose
-    reachability is known exactly contribute through
-    ``exact_contribution``.
-
-    Parameters
-    ----------
-    reachability_counts:
-        For each sampled vertex, the number of worlds in which it reached
-        the query vertex.
-    n_samples:
-        Number of sampled worlds behind each count.
-    weights:
-        Vertex weights.
-    alpha:
-        Significance level (paper uses 0.01).
-    exact_contribution:
-        Flow contributed by analytically-known vertices; added verbatim
-        to estimate, lower and upper bound.
-    method:
-        ``"normal"`` (Definition 10) or ``"wilson"``.
-    """
-    interval_fn = proportion_interval_function(method)
-    estimate = exact_contribution
-    lower = exact_contribution
-    upper = exact_contribution
-    for vertex, successes in reachability_counts.items():
-        weight = float(weights.get(vertex, 0.0))
-        interval = interval_fn(successes, n_samples, alpha=alpha)
-        estimate += interval.estimate * weight
-        lower += interval.lower * weight
-        upper += interval.upper * weight
-    return ConfidenceInterval(estimate=estimate, lower=lower, upper=upper, alpha=alpha)
 
 
 def _validate_counts(successes: int, n_samples: int) -> None:

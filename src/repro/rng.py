@@ -3,8 +3,8 @@
 Every stochastic routine in the library takes a ``seed`` argument that may
 be ``None`` (non-deterministic), an integer, or an existing
 :class:`numpy.random.Generator`.  :func:`ensure_rng` normalises all three
-cases, and :func:`spawn_rngs` derives independent child generators for
-parallel or repeated use without accidentally correlating streams.
+cases, and :func:`split_seed_sequences` derives independent child seed
+sequences for parallel shards without accidentally correlating streams.
 
 All child-stream derivation goes through :class:`numpy.random.SeedSequence`
 spawning (:func:`seed_sequence` normalises every seed form into a
@@ -16,7 +16,7 @@ same worlds — once enough children were spawned.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -69,29 +69,6 @@ def split_seed_sequences(seed: SeedLike, count: int) -> List[np.random.SeedSeque
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     return seed_sequence(seed).spawn(count)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` statistically independent child generators.
-
-    Uses :class:`numpy.random.SeedSequence` spawning for every seed form
-    (a live generator is condensed via :func:`seed_sequence`), so the
-    children do not overlap even when ``seed`` identifies a single
-    stream and cannot collide by a birthday accident.
-    """
-    return [np.random.default_rng(child) for child in split_seed_sequences(seed, count)]
-
-
-def iter_rngs(seed: SeedLike) -> Iterator[np.random.Generator]:
-    """Yield an endless stream of independent generators derived from ``seed``.
-
-    Children come from incremental :class:`numpy.random.SeedSequence`
-    spawning, so the stream of generators is reproducible per seed and
-    free of the birthday-collision risk of drawing raw integer seeds.
-    """
-    sequence = seed_sequence(seed)
-    while True:
-        yield np.random.default_rng(sequence.spawn(1)[0])
 
 
 def derive_seed(seed: SeedLike, salt: int) -> Optional[int]:

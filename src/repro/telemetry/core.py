@@ -24,7 +24,6 @@ including the low-level backends — can import it without cycles.
 from __future__ import annotations
 
 import functools
-import logging
 import os
 from typing import Callable, Iterable, Optional, Sequence
 

@@ -3,32 +3,9 @@
 import pytest
 
 from repro.exceptions import GraphError, VertexNotFoundError
-from repro.reachability.analytic import (
-    is_mono_connected,
-    mono_connected_expected_flow,
-    mono_connected_reachability,
-    path_probability,
-)
+from repro.reachability.analytic import mono_connected_expected_flow, mono_connected_reachability
 from repro.reachability.exact import exact_expected_flow
 from repro.types import Edge
-
-
-class TestIsMonoConnected:
-    def test_trees_are_mono_connected(self, small_path, star_five):
-        assert is_mono_connected(small_path)
-        assert is_mono_connected(star_five)
-
-    def test_cycles_are_not(self, five_cycle):
-        assert not is_mono_connected(five_cycle)
-
-    def test_edge_restriction_can_break_cycles(self, five_cycle):
-        tree_edges = [Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(3, 4)]
-        assert is_mono_connected(five_cycle, edges=tree_edges)
-
-    def test_vertex_restriction(self, lollipop_graph):
-        # the triangle {0,1,2} is cyclic, the tail {2,3,4} is not
-        assert not is_mono_connected(lollipop_graph, within=[0, 1, 2])
-        assert is_mono_connected(lollipop_graph, within=[2, 3, 4])
 
 
 class TestMonoReachability:
@@ -76,11 +53,3 @@ class TestMonoFlow:
         flow = mono_connected_expected_flow(five_cycle, 0, edges=tree_edges)
         assert flow.expected_flow == pytest.approx(0.5 + 0.25)
 
-
-class TestPathProbability:
-    def test_product_along_path(self, small_path):
-        assert path_probability(small_path, [0, 1, 2]) == pytest.approx(0.25)
-
-    def test_trivial_paths(self, small_path):
-        assert path_probability(small_path, [0]) == 1.0
-        assert path_probability(small_path, []) == 1.0

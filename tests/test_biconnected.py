@@ -1,4 +1,4 @@
-"""Tests for articulation points, biconnected components and the block-cut tree.
+"""Tests for biconnected components, bridges and the block-cut tree.
 
 NetworkX is used as an independent oracle for randomly generated graphs.
 """
@@ -6,13 +6,7 @@ NetworkX is used as an independent oracle for randomly generated graphs.
 import networkx as nx
 import pytest
 
-from repro.algorithms.biconnected import (
-    articulation_points,
-    biconnected_components,
-    biconnected_edge_components,
-    block_cut_tree,
-    bridges,
-)
+from repro.algorithms.biconnected import biconnected_edge_components, block_cut_tree, bridges
 from repro.exceptions import VertexNotFoundError
 from repro.graph.generators import erdos_renyi_graph, path_graph
 from repro.graph.uncertain_graph import UncertainGraph
@@ -36,11 +30,12 @@ class TestSmallGraphs:
         components = biconnected_edge_components(five_cycle)
         assert len(components) == 1
         assert len(components[0]) == 5
-        assert articulation_points(five_cycle) == set()
         assert bridges(five_cycle) == set()
 
     def test_lollipop_articulation_point(self, lollipop_graph):
-        assert articulation_points(lollipop_graph) == {2, 3}
+        # the articulation vertices are where non-root blocks attach
+        tree = block_cut_tree(lollipop_graph, 0)
+        assert set(tree.block_parent_vertex) - {0} == {2, 3}
         assert bridges(lollipop_graph) == {Edge(2, 3), Edge(3, 4)}
 
     def test_every_edge_in_exactly_one_component(self, lollipop_graph):
@@ -58,19 +53,15 @@ class TestAgainstNetworkx:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_biconnected_components_match(self, seed):
         graph = erdos_renyi_graph(40, average_degree=3.5, seed=seed, connect=False)
-        ours = {frozenset(component) for component in biconnected_components(graph)}
+        ours = {
+            frozenset(vertex for edge in component for vertex in (edge.u, edge.v))
+            for component in biconnected_edge_components(graph)
+        }
         theirs = {
             frozenset(component)
             for component in nx.biconnected_components(_to_networkx(graph))
         }
         assert ours == theirs
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_articulation_points_match(self, seed):
-        graph = erdos_renyi_graph(40, average_degree=3.5, seed=seed, connect=False)
-        assert articulation_points(graph) == set(
-            nx.articulation_points(_to_networkx(graph))
-        )
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_bridges_match(self, seed):

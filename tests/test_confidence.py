@@ -5,7 +5,6 @@ from scipy import stats as scipy_stats
 
 from repro.reachability.confidence import (
     ConfidenceInterval,
-    flow_confidence_interval,
     normal_confidence_interval,
     standard_normal_quantile,
     wilson_confidence_interval,
@@ -88,30 +87,3 @@ class TestIntervals:
                 covered += 1
         assert covered / trials >= 0.95
 
-
-class TestFlowInterval:
-    def test_aggregation_with_weights(self):
-        interval = flow_confidence_interval(
-            reachability_counts={"a": 50, "b": 100},
-            n_samples=100,
-            weights={"a": 2.0, "b": 1.0},
-            alpha=0.01,
-        )
-        assert interval.estimate == pytest.approx(0.5 * 2.0 + 1.0 * 1.0)
-        assert interval.lower <= interval.estimate <= interval.upper
-
-    def test_exact_contribution_is_added(self):
-        interval = flow_confidence_interval(
-            reachability_counts={}, n_samples=10, weights={}, exact_contribution=3.5
-        )
-        assert interval.lower == interval.upper == interval.estimate == pytest.approx(3.5)
-
-    def test_wilson_method_selectable(self):
-        interval = flow_confidence_interval(
-            reachability_counts={"a": 5}, n_samples=50, weights={"a": 1.0}, method="wilson"
-        )
-        assert interval.lower >= 0.0
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            flow_confidence_interval({}, 10, {}, method="bogus")

@@ -6,7 +6,6 @@ from repro.digest import (
     edge_probability_digest,
     edge_sequence_digest,
     graph_digest,
-    query_digest,
     stable_digest,
 )
 from repro.graph.generators import erdos_renyi_graph
@@ -114,9 +113,3 @@ class TestGraphDigest:
         b.add_edge(1, 2, 0.5)
         assert graph_digest(a) == graph_digest(b)
 
-
-class TestQueryDigest:
-    def test_kind_and_source_matter(self):
-        assert query_digest("flow", 1) != query_digest("flow", 2)
-        assert query_digest("flow", 1) != query_digest("pair", 1)
-        assert query_digest("flow", 1, 100) != query_digest("flow", 1, 200)

@@ -1,17 +1,8 @@
-"""Tests for graph serialisation (edge list and JSON)."""
+"""Tests for graph serialisation (JSON)."""
 
 import pytest
 
-from repro.exceptions import GraphError
-from repro.graph.generators import erdos_renyi_graph
-from repro.graph.io import (
-    graph_from_dict,
-    graph_to_dict,
-    read_edge_list,
-    read_json,
-    write_edge_list,
-    write_json,
-)
+from repro.graph.io import graph_from_dict, graph_to_dict, read_json, write_json
 from repro.graph.uncertain_graph import UncertainGraph
 
 
@@ -25,43 +16,6 @@ def sample_graph() -> UncertainGraph:
     graph.add_edge(0, 1, 0.5)
     graph.add_edge(1, 2, 0.125)
     return graph
-
-
-class TestEdgeList:
-    def test_round_trip(self, tmp_path, sample_graph):
-        path = tmp_path / "graph.tsv"
-        write_edge_list(sample_graph, path)
-        loaded = read_edge_list(path)
-        assert loaded == sample_graph
-
-    def test_round_trip_random_graph(self, tmp_path):
-        graph = erdos_renyi_graph(30, seed=5)
-        path = tmp_path / "random.tsv"
-        write_edge_list(graph, path)
-        assert read_edge_list(path) == graph
-
-    def test_malformed_edge_line(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("0 1\n", encoding="utf-8")
-        with pytest.raises(GraphError):
-            read_edge_list(path)
-
-    def test_malformed_weight_line(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("# 0\n", encoding="utf-8")
-        with pytest.raises(GraphError):
-            read_edge_list(path)
-
-    def test_default_name_is_file_stem(self, tmp_path, sample_graph):
-        path = tmp_path / "mynetwork.tsv"
-        write_edge_list(sample_graph, path)
-        assert read_edge_list(path).name == "mynetwork"
-
-    def test_blank_lines_are_ignored(self, tmp_path):
-        path = tmp_path / "sparse.tsv"
-        path.write_text("\n0\t1\t0.5\n\n", encoding="utf-8")
-        graph = read_edge_list(path)
-        assert graph.n_edges == 1
 
 
 class TestJson:

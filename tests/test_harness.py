@@ -12,12 +12,7 @@ from repro.experiments.harness import (
     run_algorithms,
     run_sweep,
 )
-from repro.experiments.reporting import (
-    compare_algorithms,
-    format_table,
-    rows_to_csv,
-    summarize_sweep,
-)
+from repro.experiments.reporting import compare_algorithms, format_table, rows_to_csv
 from repro.graph.generators import erdos_renyi_graph, path_graph
 from repro.parallel.executor import SamplingExecutor, run_shard
 from repro.reachability.exact import exact_expected_flow
@@ -130,16 +125,6 @@ class TestReporting:
 
     def test_rows_to_csv_empty(self):
         assert rows_to_csv([]) == ""
-
-    def test_summarize_sweep_groups_by_algorithm(self):
-        rows = [
-            {"algorithm": "FT", "k": 1, "evaluated_flow": 1.0},
-            {"algorithm": "FT", "k": 2, "evaluated_flow": 2.0},
-            {"algorithm": "Dijkstra", "k": 1, "evaluated_flow": 0.5},
-        ]
-        series = summarize_sweep(rows, "k")
-        assert series["FT"] == [(1, 1.0), (2, 2.0)]
-        assert series["Dijkstra"] == [(1, 0.5)]
 
     def test_compare_algorithms_averages(self):
         rows = [

@@ -19,7 +19,6 @@ Four contracts are load-bearing:
 """
 
 import asyncio
-import json
 import threading
 import time
 import urllib.request

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from repro.algorithms.biconnected import biconnected_edge_components
 from repro.algorithms.traversal import connected_component
 from repro.algorithms.union_find import UnionFind
+from repro.exceptions import GraphError
 from repro.ftree.builder import build_ftree
 from repro.ftree.ftree import FTree
 from repro.ftree.sampler import ComponentSampler
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.reachability.analytic import is_mono_connected
-from repro.reachability.bounds import reachability_bounds
+from repro.reachability.analytic import mono_connected_reachability
 from repro.reachability.confidence import normal_confidence_interval, wilson_confidence_interval
-from repro.reachability.exact import exact_expected_flow, exact_reachability
+from repro.reachability.exact import exact_expected_flow
 from repro.reachability.factoring import two_terminal_reliability
 from repro.types import Edge
 
@@ -185,23 +185,50 @@ def test_biconnected_components_partition_the_edges(graph):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(uncertain_graphs())
 def test_forest_detection_matches_cycle_existence(graph):
-    """is_mono_connected is exactly 'the graph has no cycle'."""
-    has_cycle = any(len(component) > 1 for component in biconnected_edge_components(graph))
-    assert is_mono_connected(graph) == (not has_cycle)
+    """Theorem 2's path products refuse exactly the query components that have a cycle."""
+    component = connected_component(graph, 0)
+    has_cycle = any(
+        len(block) > 1 and next(iter(block)).u in component
+        for block in biconnected_edge_components(graph)
+    )
+    if has_cycle:
+        with pytest.raises(GraphError):
+            mono_connected_reachability(graph, 0)
+    else:
+        assert set(mono_connected_reachability(graph, 0)) == set(graph.vertices())
 
 
 # ----------------------------------------------------------------------
-# reachability bound / estimator properties
+# flow interval / estimator properties
 # ----------------------------------------------------------------------
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(uncertain_graphs(), st.integers(min_value=1, max_value=MAX_VERTICES - 1))
-def test_bounds_bracket_exact_reachability(graph, target):
-    if not graph.has_vertex(target):
-        target = 1
-    exact = exact_reachability(graph, 0, target).probability
-    lower, upper = reachability_bounds(graph, 0, target)
-    assert lower <= exact + 1e-9
-    assert upper >= exact - 1e-9
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(uncertain_graphs())
+def test_flow_interval_is_exact_flow_under_exact_evaluation(graph):
+    """With every component evaluated exactly the interval has zero width at the exact flow."""
+    order = _connected_insertion_order(graph, 0)
+    ftree = FTree(graph, 0, sampler=_exact_sampler())
+    for edge in order:
+        ftree.insert_edge(edge.u, edge.v)
+    lower, upper = ftree.flow_interval()
+    exact = exact_expected_flow(graph, 0, edges=order).expected_flow
+    assert lower == pytest.approx(exact, abs=1e-9)
+    assert upper == pytest.approx(exact, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(uncertain_graphs())
+def test_flow_interval_brackets_the_sampled_flow(graph):
+    """With every bi component sampled, the interval brackets the F-tree's own estimate."""
+    order = _connected_insertion_order(graph, 0)
+    sampler = ComponentSampler(n_samples=64, exact_threshold=0, seed=7)
+    ftree = FTree(graph, 0, sampler=sampler)
+    for edge in order:
+        ftree.insert_edge(edge.u, edge.v)
+    lower, upper = ftree.flow_interval()
+    flow = ftree.expected_flow()
+    assert 0.0 <= lower + 1e-9
+    assert lower <= flow + 1e-9
+    assert flow <= upper + 1e-9
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.rng import (
-    derive_seed,
-    ensure_rng,
-    iter_rngs,
-    seed_sequence,
-    spawn_rngs,
-    split_seed_sequences,
-)
+from repro.rng import derive_seed, ensure_rng, seed_sequence, split_seed_sequences
+
+
+def _child_streams(seed, count, draws):
+    """First ``draws`` uniforms of each child generator split from ``seed``."""
+    return [
+        np.random.default_rng(child).random(draws).tolist()
+        for child in split_seed_sequences(seed, count)
+    ]
 
 
 class TestEnsureRng:
@@ -30,41 +31,6 @@ class TestEnsureRng:
         assert not np.allclose(ensure_rng(1).random(5), ensure_rng(2).random(5))
 
 
-class TestSpawnRngs:
-    def test_count_matches(self):
-        assert len(spawn_rngs(0, 4)) == 4
-
-    def test_children_are_independent_streams(self):
-        children = spawn_rngs(0, 2)
-        assert not np.allclose(children[0].random(5), children[1].random(5))
-
-    def test_reproducible_for_same_seed(self):
-        first = [rng.random(3).tolist() for rng in spawn_rngs(7, 3)]
-        second = [rng.random(3).tolist() for rng in spawn_rngs(7, 3)]
-        assert first == second
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawning_from_generator(self):
-        children = spawn_rngs(np.random.default_rng(3), 2)
-        assert len(children) == 2
-
-    def test_generator_path_is_reproducible_per_state(self):
-        first = [rng.random(3).tolist() for rng in spawn_rngs(np.random.default_rng(3), 2)]
-        second = [rng.random(3).tolist() for rng in spawn_rngs(np.random.default_rng(3), 2)]
-        assert first == second
-
-    def test_generator_path_advances_parent(self):
-        # condensing the generator into a SeedSequence draws entropy, so
-        # two successive splits from one generator must differ
-        gen = np.random.default_rng(3)
-        first = [rng.random(3).tolist() for rng in spawn_rngs(gen, 2)]
-        second = [rng.random(3).tolist() for rng in spawn_rngs(gen, 2)]
-        assert first != second
-
-
 class TestChildStreamStability:
     """Pin the exact child streams so refactors cannot silently change them.
 
@@ -74,7 +40,7 @@ class TestChildStreamStability:
     """
 
     def test_int_seeded_spawn_streams_are_pinned(self):
-        streams = [rng.random(2).tolist() for rng in spawn_rngs(7, 3)]
+        streams = _child_streams(7, 3, 2)
         expected = [
             [0.7978591868433563, 0.05309388325640407],
             [0.4805820057358118, 0.059541806671542186],
@@ -83,19 +49,10 @@ class TestChildStreamStability:
         assert np.allclose(streams, expected, rtol=0.0, atol=0.0)
 
     def test_generator_seeded_spawn_streams_are_pinned(self):
-        streams = [rng.random(2).tolist() for rng in spawn_rngs(np.random.default_rng(3), 2)]
+        streams = _child_streams(np.random.default_rng(3), 2, 2)
         expected = [
             [0.15980137092647473, 0.4507940445026689],
             [0.24403297425801407, 0.6209146161208873],
-        ]
-        assert np.allclose(streams, expected, rtol=0.0, atol=0.0)
-
-    def test_iter_rngs_streams_are_pinned(self):
-        iterator = iter_rngs(11)
-        streams = [next(iterator).random(2).tolist() for _ in range(2)]
-        expected = [
-            [0.8904653030263529, 0.839863731228058],
-            [0.8069510398541329, 0.4323215609424941],
         ]
         assert np.allclose(streams, expected, rtol=0.0, atol=0.0)
 
@@ -128,6 +85,17 @@ class TestSeedSequence:
     def test_split_zero_is_empty(self):
         assert split_seed_sequences(0, 0) == []
 
+    def test_split_from_generator_is_reproducible_per_state(self):
+        first = _child_streams(np.random.default_rng(3), 2, 3)
+        second = _child_streams(np.random.default_rng(3), 2, 3)
+        assert first == second
+
+    def test_split_from_generator_advances_parent(self):
+        # condensing the generator into a SeedSequence draws entropy, so
+        # two successive splits from one generator must differ
+        gen = np.random.default_rng(3)
+        assert _child_streams(gen, 2, 3) != _child_streams(gen, 2, 3)
+
 
 class TestDeriveSeed:
     def test_none_stays_none(self):
@@ -142,10 +110,3 @@ class TestDeriveSeed:
     def test_generator_input_gives_int(self):
         assert isinstance(derive_seed(np.random.default_rng(0), 1), int)
 
-
-def test_iter_rngs_yields_generators():
-    iterator = iter_rngs(0)
-    first = next(iterator)
-    second = next(iterator)
-    assert isinstance(first, np.random.Generator)
-    assert not np.allclose(first.random(4), second.random(4))

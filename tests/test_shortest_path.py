@@ -1,17 +1,12 @@
-"""Tests for Dijkstra, most probable paths and the spanning-tree baseline."""
+"""Tests for Dijkstra (most probable paths) and the spanning-tree baseline."""
 
 import math
 
 import networkx as nx
 import pytest
 
-from repro.algorithms.shortest_path import (
-    dijkstra,
-    most_probable_path,
-    most_probable_paths,
-    probability_cost,
-)
-from repro.algorithms.spanning import dijkstra_spanning_edges, maximum_probability_spanning_tree
+from repro.algorithms.shortest_path import dijkstra, probability_cost
+from repro.algorithms.spanning import dijkstra_spanning_edges
 from repro.exceptions import VertexNotFoundError
 from repro.graph.generators import erdos_renyi_graph, path_graph
 from repro.graph.uncertain_graph import UncertainGraph
@@ -90,23 +85,12 @@ class TestMostProbablePaths:
         with pytest.raises(ValueError):
             probability_cost(1.5)
 
-    def test_most_probable_path_prefers_reliable_route(self, diamond):
-        path, probability = most_probable_path(diamond, 0, 3)
-        assert path == [0, 1, 3]
-        assert probability == pytest.approx(0.81)
-
     def test_most_probable_paths_all_vertices(self, diamond):
-        probabilities = most_probable_paths(diamond, 0)
+        distance = dijkstra(diamond, 0).distance
+        probabilities = {vertex: math.exp(-cost) for vertex, cost in distance.items()}
         assert probabilities[0] == pytest.approx(1.0)
         assert probabilities[1] == pytest.approx(0.9)
         assert probabilities[3] == pytest.approx(0.81)
-
-    def test_disconnected_pair(self):
-        graph = path_graph(3)
-        graph.add_vertex(9)
-        path, probability = most_probable_path(graph, 0, 9)
-        assert path is None
-        assert probability == 0.0
 
 
 class TestSpanningTree:
@@ -123,7 +107,3 @@ class TestSpanningTree:
         edges = dijkstra_spanning_edges(diamond, 0)
         assert edges[0] == Edge(0, 1)
 
-    def test_maximum_probability_spanning_tree_graph(self, random_graph):
-        tree = maximum_probability_spanning_tree(random_graph, 0)
-        assert tree.n_edges == random_graph.n_vertices - 1
-        assert tree.n_vertices == random_graph.n_vertices

@@ -40,7 +40,7 @@ from repro.telemetry import (
     telemetry_from_spec,
     traced,
 )
-from repro.telemetry.registry import Counter, Gauge, Histogram
+from repro.telemetry.registry import Histogram
 from repro.telemetry.spans import NULL_SPAN
 
 N_SAMPLES = 200

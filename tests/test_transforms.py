@@ -2,36 +2,11 @@
 
 import pytest
 
-from repro.exceptions import VertexNotFoundError
-from repro.graph.generators import erdos_renyi_graph, path_graph, star_graph
-from repro.graph.transforms import (
-    ego_subgraph,
-    largest_component_subgraph,
-    merge_graphs,
-    normalize_weights,
-    perturb_probabilities,
-    reweight_vertices,
-    scale_probabilities,
-    set_uniform_weights,
-)
-from repro.types import Edge
+from repro.graph.generators import erdos_renyi_graph
+from repro.graph.transforms import perturb_probabilities
 
 
 class TestProbabilityTransforms:
-    def test_scale_probabilities(self, triangle_graph):
-        scaled = scale_probabilities(triangle_graph, 0.5)
-        assert scaled.probability(0, 1) == pytest.approx(0.25)
-        # original untouched
-        assert triangle_graph.probability(0, 1) == 0.5
-
-    def test_scaling_clamps_to_one(self, triangle_graph):
-        scaled = scale_probabilities(triangle_graph, 10.0)
-        assert all(scaled.probability(e) == 1.0 for e in scaled.edges())
-
-    def test_invalid_factor(self, triangle_graph):
-        with pytest.raises(ValueError):
-            scale_probabilities(triangle_graph, 0.0)
-
     def test_perturbation_stays_in_range(self):
         graph = erdos_renyi_graph(40, seed=0)
         noisy = perturb_probabilities(graph, noise=0.2, seed=1)
@@ -45,84 +20,3 @@ class TestProbabilityTransforms:
         with pytest.raises(ValueError):
             perturb_probabilities(triangle_graph, noise=-0.1)
 
-
-class TestWeightTransforms:
-    def test_uniform_weights(self):
-        graph = star_graph(3, weight=5.0)
-        uniform = set_uniform_weights(graph, 2.0)
-        assert all(uniform.weight(v) == 2.0 for v in uniform.vertices())
-
-    def test_normalize_weights(self):
-        graph = path_graph(4, weight=2.0)
-        normalized = normalize_weights(graph, total=1.0)
-        assert normalized.total_weight() == pytest.approx(1.0)
-        assert normalized.weight(0) == pytest.approx(0.25)
-
-    def test_normalize_zero_weights(self):
-        graph = path_graph(4, weight=0.0)
-        normalized = normalize_weights(graph, total=2.0)
-        assert normalized.total_weight() == pytest.approx(2.0)
-
-    def test_reweight_with_function(self):
-        graph = path_graph(3)
-        reweighted = reweight_vertices(graph, lambda v: v * 10.0)
-        assert reweighted.weight(2) == 20.0
-
-
-class TestStructuralTransforms:
-    def test_ego_subgraph_radius(self):
-        graph = path_graph(6, probability=0.5)
-        ego = ego_subgraph(graph, 0, hops=2)
-        assert set(ego.vertices()) == {0, 1, 2}
-        assert ego.has_edge(0, 1) and ego.has_edge(1, 2)
-
-    def test_ego_subgraph_zero_hops(self):
-        graph = path_graph(4)
-        ego = ego_subgraph(graph, 2, hops=0)
-        assert set(ego.vertices()) == {2}
-        assert ego.n_edges == 0
-
-    def test_ego_subgraph_unknown_center(self, triangle_graph):
-        with pytest.raises(VertexNotFoundError):
-            ego_subgraph(triangle_graph, 99, 1)
-        with pytest.raises(ValueError):
-            ego_subgraph(triangle_graph, 0, -1)
-
-    def test_largest_component(self):
-        graph = path_graph(4, probability=0.5)
-        graph.add_vertex(100)
-        graph.add_vertex(101)
-        graph.add_edge(100, 101, 0.5)
-        largest = largest_component_subgraph(graph)
-        assert set(largest.vertices()) == {0, 1, 2, 3}
-
-    def test_merge_graphs(self):
-        left = path_graph(3, probability=0.5)
-        right = star_graph(2, probability=0.4)
-        renamed = reweight_vertices(right, lambda v: 1.0)
-        # shift right graph's vertex ids to avoid collision
-        shifted = merge_graphs(
-            left,
-            _shift_ids(renamed, offset=10),
-            bridge_edges={Edge(2, 10): 0.9},
-        )
-        assert shifted.n_vertices == 3 + 3
-        assert shifted.has_edge(2, 10)
-        assert shifted.probability(2, 10) == 0.9
-
-    def test_merge_rejects_overlapping_ids(self):
-        left = path_graph(3)
-        right = path_graph(3)
-        with pytest.raises(ValueError):
-            merge_graphs(left, right)
-
-
-def _shift_ids(graph, offset):
-    from repro.graph.uncertain_graph import UncertainGraph
-
-    shifted = UncertainGraph(name=graph.name)
-    for vertex in graph.vertices():
-        shifted.add_vertex(vertex + offset, weight=graph.weight(vertex))
-    for edge in graph.edges():
-        shifted.add_edge(edge.u + offset, edge.v + offset, graph.probability(edge))
-    return shifted

@@ -1,17 +1,9 @@
-"""Tests for BFS traversal, connected components and hop paths."""
+"""Tests for BFS order, connected components and connectivity."""
 
 import pytest
 
-from repro.algorithms.traversal import (
-    bfs_order,
-    bfs_tree,
-    connected_component,
-    connected_components,
-    is_connected,
-    shortest_hop_path,
-)
+from repro.algorithms.traversal import bfs_order, connected_component, is_connected
 from repro.exceptions import VertexNotFoundError
-from repro.graph.generators import erdos_renyi_graph
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.types import Edge
 
@@ -34,15 +26,8 @@ class TestBfs:
     def test_order_visits_component_only(self, two_component_graph):
         assert set(bfs_order(two_component_graph, 0)) == {0, 1, 2}
 
-    def test_bfs_tree_parents(self, small_path):
-        parents = bfs_tree(small_path, 0)
-        assert parents[0] is None
-        assert parents[1] == 0
-        assert parents[3] == 2
-
     def test_edge_restriction(self, small_path):
-        parents = bfs_tree(small_path, 0, edges=[Edge(0, 1)])
-        assert set(parents) == {0, 1}
+        assert set(bfs_order(small_path, 0, edges=[Edge(0, 1)])) == {0, 1}
 
     def test_missing_source(self, small_path):
         with pytest.raises(VertexNotFoundError):
@@ -54,9 +39,11 @@ class TestConnectedComponents:
         assert connected_component(two_component_graph, 3) == {3, 4}
 
     def test_all_components(self, two_component_graph):
-        components = connected_components(two_component_graph)
-        sizes = sorted(len(c) for c in components)
-        assert sizes == [1, 2, 3]
+        components = {
+            frozenset(connected_component(two_component_graph, v))
+            for v in two_component_graph.vertices()
+        }
+        assert sorted(len(c) for c in components) == [1, 2, 3]
 
     def test_is_connected(self, two_component_graph, small_path):
         assert not is_connected(two_component_graph)
@@ -64,28 +51,7 @@ class TestConnectedComponents:
         assert is_connected(UncertainGraph())
 
     def test_components_with_edge_restriction(self, small_path):
-        components = connected_components(small_path, edges=[Edge(0, 1)])
-        assert sorted(len(c) for c in components) == [1, 1, 2]
+        restricted = [Edge(0, 1)]
+        assert connected_component(small_path, 0, edges=restricted) == {0, 1}
+        assert connected_component(small_path, 3, edges=restricted) == {3}
 
-
-class TestShortestHopPath:
-    def test_path_endpoints(self, small_path):
-        assert shortest_hop_path(small_path, 0, 3) == [0, 1, 2, 3]
-
-    def test_same_vertex(self, small_path):
-        assert shortest_hop_path(small_path, 2, 2) == [2]
-
-    def test_disconnected_returns_none(self, two_component_graph):
-        assert shortest_hop_path(two_component_graph, 0, 4) is None
-
-    def test_path_is_minimal_in_hops(self):
-        graph = erdos_renyi_graph(30, average_degree=4, seed=2)
-        path = shortest_hop_path(graph, 0, 7)
-        assert path is not None
-        # every consecutive pair must actually be an edge
-        for u, v in zip(path, path[1:]):
-            assert graph.has_edge(u, v)
-
-    def test_missing_target(self, small_path):
-        with pytest.raises(VertexNotFoundError):
-            shortest_hop_path(small_path, 0, 42)
