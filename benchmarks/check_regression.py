@@ -23,8 +23,7 @@ legs::
     PYTHONPATH=src python benchmarks/bench_server.py --quick --json fresh-server.json
     python benchmarks/check_regression.py benchmarks/BENCH_server.json fresh-server.json
 
-The same diff covers ``BENCH_selection.json`` (bare ``speedup`` per
-``algorithm`` row), ``BENCH_queries.json`` (``cold_speedup`` /
+The same diff covers ``BENCH_queries.json`` (``cold_speedup`` /
 ``warm_speedup``) and ``BENCH_parallel.json`` (``workers*_speedup``
 under ``sharded_rows``).
 
@@ -46,8 +45,7 @@ from typing import Dict, List, Tuple
 DEFAULT_TOLERANCE = 0.25
 
 #: Only dimensionless ratio fields participate in the diff
-#: (``_ratio`` covers bench_server's served-vs-naive throughput ratio;
-#: the bare ``speedup`` is bench_selection's CRN-vs-resample ratio).
+#: (``_ratio`` covers bench_server's served-vs-naive throughput ratio).
 RATIO_SUFFIXES = ("_speedup", "_ratio")
 
 #: Keys under which a report may store comparable rows
@@ -59,22 +57,16 @@ def ratio_fields(row: dict) -> Dict[str, float]:
     return {
         key: float(value)
         for key, value in row.items()
-        if (key == "speedup" or key.endswith(RATIO_SUFFIXES))
-        and isinstance(value, (int, float))
+        if key.endswith(RATIO_SUFFIXES) and isinstance(value, (int, float))
     }
 
 
-def index_rows(report: dict) -> Dict[Tuple[int, int, str], dict]:
-    """Rows keyed by size, sample count and (optional) algorithm label.
-
-    bench_selection emits one row per ``algorithm`` at the same
-    ``(n_vertices, n_samples)``, so the label participates in the key;
-    reports without it collapse onto the empty string unchanged.
-    """
-    indexed: Dict[Tuple[int, int, str], dict] = {}
+def index_rows(report: dict) -> Dict[Tuple[int, int], dict]:
+    """Rows keyed by ``(n_vertices, n_samples)``."""
+    indexed: Dict[Tuple[int, int], dict] = {}
     for key in ROW_KEYS:
         for row in report.get(key, []):
-            indexed[(row["n_vertices"], row["n_samples"], row.get("algorithm", ""))] = row
+            indexed[(row["n_vertices"], row["n_samples"])] = row
     return indexed
 
 
@@ -100,7 +92,7 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> List[str]:
     overlap = sorted(set(baseline_rows) & set(fresh_rows))
     if not overlap:
         raise ComparisonUnusableError(
-            "no overlapping (n_vertices, n_samples, algorithm) rows between "
+            "no overlapping (n_vertices, n_samples) rows between "
             f"the baseline rows {sorted(baseline_rows)} and the fresh rows "
             f"{sorted(fresh_rows)}; the baseline is stale or the files are "
             f"mismatched — regenerate with 'python benchmarks/refresh_baselines.py'"
@@ -114,9 +106,8 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> List[str]:
             compared += 1
             floor = base_ratios[field] * (1.0 - tolerance)
             if fresh_ratios[field] < floor:
-                label = f" [{key[2]}]" if key[2] else ""
                 failures.append(
-                    f"row |V|={key[0]} samples={key[1]}{label} {field}: "
+                    f"row |V|={key[0]} samples={key[1]} {field}: "
                     f"{fresh_ratios[field]:.2f}x < {floor:.2f}x "
                     f"(baseline {base_ratios[field]:.2f}x - {tolerance:.0%})"
                 )

@@ -30,7 +30,6 @@ REPO_ROOT = BENCH_DIR.parent
 #: baseline name -> benchmark script that produces it
 BASELINES = {
     "backends": "bench_backends.py",
-    "selection": "bench_selection.py",
     "queries": "bench_queries.py",
     "parallel": "bench_parallel.py",
     "server": "bench_server.py",

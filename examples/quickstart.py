@@ -28,10 +28,6 @@ from repro.reachability.confidence import wilson_confidence_interval
 #                   `repro-flow backends` to list availability.  All
 #                   yield bit-for-bit identical estimates for the same
 #                   seed.
-#   * crn         — common-random-numbers candidate scoring (default
-#                   True): one shared batch of possible worlds per greedy
-#                   selection round.  crn=False restores the paper's
-#                   literal resample-per-candidate reference mode.
 #   * workers     — sharded parallel sampling: a worker count (the
 #                   session owns and closes the pool) or a shared
 #                   ProcessExecutor instance.  Results are bit-for-bit
@@ -56,7 +52,7 @@ from repro.reachability.confidence import wilson_confidence_interval
 #         result = selector.select(graph, query, budget)   # 4-way sharded, naive backend
 #
 # A session is the only place these knobs are set: outside every session
-# the built-in defaults apply (csr backend, CRN scoring, unsharded).
+# the built-in defaults apply (csr backend, unsharded).
 
 
 def main() -> None:
@@ -93,9 +89,9 @@ def main() -> None:
     print(format_table(rows, title="Expected information flow towards the query vertex"))
     print(
         "\nThe greedy selections reach a clearly higher expected flow than the Dijkstra\n"
-        "spanning tree at the same edge budget.  With the default CRN candidate scoring\n"
-        "even the Naive whole-graph greedy is fast here; rerun inside\n"
-        "repro.session(crn=False) to see the paper's literal per-candidate resampling cost."
+        "spanning tree at the same edge budget.  Every greedy selector scores a round's\n"
+        "candidates on one shared batch of possible worlds (common random numbers),\n"
+        "so even the Naive whole-graph greedy is fast here."
     )
 
     # 4. two-terminal reachability at the paper's fixed budget of 1000

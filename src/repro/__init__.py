@@ -42,7 +42,7 @@ The package is organised as:
   content-addressed caches are built on;
 * :mod:`repro.runtime` — the unified Session API: one frozen
   :class:`~repro.runtime.RuntimeConfig` bundling every runtime knob
-  (backend, CRN mode, workers, shard size, world cache, telemetry) and
+  (backend, workers, shard size, world cache, telemetry) and
   a contextvar-scoped :class:`~repro.runtime.Session` facade
   (``with repro.session(...):``), the one place runtime knobs are set;
 * :mod:`repro.telemetry` — the unified observability layer: a

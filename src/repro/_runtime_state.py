@@ -2,9 +2,8 @@
 
 This module is deliberately dependency-free (it imports nothing from the
 rest of the library) so that the low-level configuration points — the
-backend registry, the shard planner, the executor factory, the CRN
-default of the selectors, the world cache and the telemetry resolver —
-can consult it without import cycles.
+backend registry, the shard planner, the executor factory, the world
+cache and the telemetry resolver — can consult it without import cycles.
 User-facing API lives in :mod:`repro.runtime`; nothing here is public.
 
 The one piece of state is the **active session** — a
@@ -17,9 +16,9 @@ previous one exactly.
 A knob resolves in one step: innermost active session (already merged
 over its parents at activation time) → built-in library default.  The
 backend, executor and shard size have no other source (bar a backend
-pinned by ``SamplingEngine(backend)``); ``crn`` and ``cache`` arguments
-that are not ``None`` win over the session.  Only those six runtime
-knobs live here: a call's sample budget and seed are its own arguments,
+pinned by ``SamplingEngine(backend)``); a ``cache`` argument that is
+not ``None`` wins over the session.  Only those five runtime knobs live
+here: a call's sample budget and seed are its own arguments,
 never session state.
 """
 
@@ -67,7 +66,6 @@ class EffectiveConfig:
 
     __slots__ = (
         "backend",
-        "crn",
         "executor",
         "shard_size",
         "world_cache",
@@ -77,14 +75,12 @@ class EffectiveConfig:
     def __init__(
         self,
         backend: Any = UNSET,
-        crn: Any = UNSET,
         executor: Any = UNSET,
         shard_size: Any = UNSET,
         world_cache: Any = UNSET,
         telemetry: Any = UNSET,
     ) -> None:
         self.backend = backend
-        self.crn = crn
         self.executor = executor
         self.shard_size = shard_size
         self.world_cache = world_cache

@@ -16,21 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.algorithms.traversal import _adjacency
 from repro.exceptions import VertexNotFoundError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.types import Edge, VertexId
-
-
-def _adjacency(
-    graph: UncertainGraph, edges: Optional[Iterable[Edge]] = None
-) -> Dict[VertexId, Set[VertexId]]:
-    if edges is None:
-        return {v: set(graph.neighbors(v)) for v in graph.vertices()}
-    adjacency: Dict[VertexId, Set[VertexId]] = {v: set() for v in graph.vertices()}
-    for edge in edges:
-        adjacency[edge.u].add(edge.v)
-        adjacency[edge.v].add(edge.u)
-    return adjacency
 
 
 def biconnected_edge_components(

@@ -14,8 +14,7 @@ Seven subcommands cover the common workflows::
 not installed.)
 
 All four workload subcommands share one **runtime flag group**
-(``--backend --workers --shard-size --resample-per-candidate
---cache-size``) that builds a single
+(``--backend --workers --shard-size --cache-size``) that builds a single
 :class:`~repro.runtime.RuntimeConfig`; each command then runs inside
 ``with repro.session(config):``, so every layer underneath — selectors,
 estimators, the batch evaluator, the figure harness — resolves its knobs
@@ -84,10 +83,10 @@ def add_runtime_flags(
 ) -> None:
     """Attach the shared runtime flag group to a subcommand parser.
 
-    One group — ``--backend --workers --shard-size
-    --resample-per-candidate --cache-size`` — shared verbatim by
-    ``select``, ``evaluate``, ``batch`` and ``experiment``; the parsed
-    values build one :class:`~repro.runtime.RuntimeConfig` via
+    One group — ``--backend --workers --shard-size --cache-size`` —
+    shared verbatim by ``select``, ``evaluate``, ``batch`` and
+    ``experiment``; the parsed values build one
+    :class:`~repro.runtime.RuntimeConfig` via
     :func:`runtime_config_from_args`.
     """
     group = parser.add_argument_group(
@@ -99,11 +98,6 @@ def add_runtime_flags(
     )
     group.add_argument("--workers", type=_parse_workers_flag, default=None, help=_WORKERS_HELP)
     group.add_argument("--shard-size", type=int, default=None, help=_SHARD_SIZE_HELP)
-    group.add_argument(
-        "--resample-per-candidate", action="store_true",
-        help="disable common-random-numbers scoring: redraw a fresh world batch "
-             "per probed candidate (the paper's literal, slower reference mode)",
-    )
     group.add_argument(
         "--cache-size", type=int, default=cache_size_default,
         help="world-cache entry bound for service-backed evaluation "
@@ -235,7 +229,6 @@ def runtime_config_from_args(args: argparse.Namespace) -> RuntimeConfig:
     try:
         return RuntimeConfig(
             backend=args.backend,
-            crn=False if args.resample_per_candidate else None,
             workers=args.workers,
             shard_size=args.shard_size,
             world_cache=args.cache_size,
@@ -395,7 +388,6 @@ def _command_select(args: argparse.Namespace) -> int:
     print(f"algorithm      : {result.algorithm}")
     print(f"query vertex   : {query}")
     print(f"backend        : {resolved.backend}")
-    print(f"sampling mode  : {'crn' if resolved.crn else 'resample-per-candidate'}")
     workers = resolved.as_dict()["workers"]  # executor specs reduced to a count
     print(f"workers        : {'unsharded' if workers in (None, 0) else workers}")
     print(f"edges selected : {result.n_selected} / budget {args.budget}")
@@ -630,7 +622,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
     if args.workers is None and args.shard_size is not None:
         print("note: --shard-size has no effect without --workers", file=sys.stderr)
     # one session for the whole experiment: every per-figure default
-    # configuration resolves backend/crn/executor/shard-size from it, and
+    # configuration resolves backend/executor/shard-size from it, and
     # an owned pool is released on exit even when a figure raises
     with runtime_session(config):
         status = _run_experiment(args)

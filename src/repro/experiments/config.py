@@ -8,8 +8,8 @@ values can be requested explicitly through :meth:`ExperimentConfig.paper_scale`
 or by setting the environment variable ``REPRO_BENCH_SCALE`` (a float
 multiplier applied to graph sizes and budgets by the benchmark suite).
 
-Runtime knobs — sampling backend, CRN mode, workers, shard size, world
-cache — are not experiment settings: every figure resolves them from the
+Runtime knobs — sampling backend, workers, shard size, world cache —
+are not experiment settings: every figure resolves them from the
 active :func:`repro.session`, so ``with repro.session(backend="naive"):``
 reaches every selector and yardstick an experiment runs.
 """

@@ -97,7 +97,7 @@ def run_algorithms(
     """Run every named algorithm on ``graph`` and evaluate the results uniformly.
 
     Every selector and the shared evaluation yardstick resolve backend,
-    CRN mode, executor and shard size from the active session, so one
+    executor and shard size from the active session, so one
     ``with repro.session(workers=4):`` around the call shares one pool.
     """
     config = config or ExperimentConfig()

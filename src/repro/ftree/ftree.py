@@ -53,7 +53,7 @@ from repro.ftree.components import (
     MonoConnectedComponent,
 )
 from repro.ftree.sampler import ComponentSampler
-from repro.reachability.confidence import standard_normal_quantile
+from repro.reachability.confidence import normal_bounds, standard_normal_quantile
 from repro.types import Edge, VertexId
 
 
@@ -894,9 +894,7 @@ def _local_bounds(component: Component, probability: float, z: float) -> Tuple[f
         and not component.reach_exact
         and component.reach_samples is not None
     ):
-        n = component.reach_samples or 1
-        half_width = z * (probability * (1.0 - probability) / n) ** 0.5
-        return max(0.0, probability - half_width), min(1.0, probability + half_width)
+        return normal_bounds(probability, component.reach_samples or 1, z)
     return probability, probability
 
 

@@ -10,7 +10,7 @@ candidate edge.
 
 :class:`MemoCache` is one use of the shared :class:`repro.lru.LRUCache`
 and reports under ``cache.memo``.  :func:`repro.digest.content_digest`
-hashes the same content notion into a stable integer: the CRN mode of
+hashes the same content notion into a stable integer:
 :class:`~repro.ftree.sampler.ComponentSampler` keys its counter-based
 random streams on that digest, so that within a selection round every
 probe of the same component content draws the same possible worlds —

@@ -13,20 +13,14 @@ and keeps unit tests deterministic.
 Results are optionally memoized in a :class:`~repro.ftree.memo.MemoCache`
 keyed by the component content (Section 6.2).
 
-Two sampling modes govern where the Monte-Carlo randomness comes from:
-
-* ``crn=False`` (resample, the reference mode): every estimation draws
-  the next worlds from one sequential stream, so the same component
-  probed for two different candidates sees *different* worlds — the
-  paper's literal behaviour, pinned by the RNG-contract tests.
-* ``crn=True`` (common random numbers): each estimation derives its
-  stream from a counter-based generator keyed on ``(base seed, round,
-  sample size, component content)`` via
-  :func:`~repro.digest.content_digest`.  Within a selection round
-  (see :meth:`ComponentSampler.begin_round`) every probe of the same
-  component content draws the same worlds, so candidate comparisons are
-  free of cross-candidate sampling noise and estimates are independent
-  of probe order — with or without memoization.
+Monte-Carlo randomness comes from a counter-based generator keyed on
+``(base seed, round, sample size, component content)`` via
+:func:`~repro.digest.content_digest`.  Within a selection round (see
+:meth:`ComponentSampler.begin_round`) every probe of the same component
+content draws the same worlds (common random numbers), so candidate
+comparisons are free of cross-candidate sampling noise, and an estimate
+never depends on what the sampler drew before it — probe order and
+memoization leave it unchanged.
 """
 
 from __future__ import annotations
@@ -73,19 +67,12 @@ class ComponentSampler:
     memo:
         Optional :class:`MemoCache`; when provided, identical component
         contents are only estimated once (the FT+M heuristic).
-    crn:
-        Common-random-numbers mode (see the module docstring).  Off by
-        default so directly constructed samplers keep the sequential
-        reference stream; the greedy selectors enable it per default.
 
     The Monte-Carlo path samples with the backend, executor and shard
     size of the session active at each estimate (see
     :func:`repro.session`); with an executor, estimates are bit-for-bit
     identical for any worker count given ``(seed, n_samples,
-    shard_size)``.  ``crn`` stays an explicit per-sampler choice — the
-    harness's evaluation yardstick relies on the sequential reference
-    stream regardless of how the enclosing session scores selection
-    candidates.
+    shard_size)``.
     """
 
     def __init__(
@@ -94,8 +81,6 @@ class ComponentSampler:
         exact_threshold: int = 10,
         seed: SeedLike = None,
         memo: Optional[MemoCache] = None,
-        *,
-        crn: bool = False,
     ) -> None:
         check_sample_count(n_samples)
         if exact_threshold < 0:
@@ -103,17 +88,15 @@ class ComponentSampler:
         self.n_samples = int(n_samples)
         self.exact_threshold = int(exact_threshold)
         self.memo = memo
-        self.crn = bool(crn)
         self._engine = SamplingEngine()
-        self._rng = ensure_rng(seed)
         self._round = 0
-        # the CRN base key: reuse an integer seed directly so estimates
+        # the stream base key: reuse an integer seed directly so estimates
         # are reproducible per seed; otherwise draw one key from the
         # provided stream (or OS entropy for seed=None)
         if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-            self._crn_base = int(seed)
+            self._base_key = int(seed)
         else:
-            self._crn_base = int(self._rng.integers(0, 2**63 - 1)) if self.crn else 0
+            self._base_key = int(ensure_rng(seed).integers(0, 2**63 - 1))
         #: number of Monte-Carlo estimations actually performed
         self.sampled_components = 0
         #: number of exact enumerations performed
@@ -123,20 +106,19 @@ class ComponentSampler:
 
     # ------------------------------------------------------------------
     def begin_round(self, round_index: int) -> None:
-        """Advance the CRN stream to a new selection round.
+        """Advance the component streams to a new selection round.
 
-        In CRN mode every estimation between two ``begin_round`` calls
-        derives its worlds from ``(base seed, round_index, sample size,
-        component content)``, so re-probing the same component content
-        within one round replays the same worlds while a new round draws
-        fresh ones.  A no-op in resample mode.
+        Every estimation between two ``begin_round`` calls derives its
+        worlds from ``(base seed, round_index, sample size, component
+        content)``, so re-probing the same component content within one
+        round replays the same worlds while a new round draws fresh ones.
         """
         self._round = int(round_index)
 
     def _component_rng(self, edges: Set[Edge], articulation: VertexId) -> np.random.Generator:
         """Counter-based generator keyed on round and component content."""
         key = content_digest(
-            edges, articulation, self._crn_base, self._round, self.n_samples
+            edges, articulation, self._base_key, self._round, self.n_samples
         )
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -209,14 +191,13 @@ class ComponentSampler:
             probabilities = self._exact(graph, articulation, vertices, edges)
             self.exact_components += 1
             return ComponentEstimate(probabilities=probabilities, n_samples=None, exact=True)
-        seed = self._component_rng(edges, articulation) if self.crn else self._rng
         probabilities = self._engine.component_reachability(
             graph,
             articulation,
             vertices,
             edges,
             n_samples=self.n_samples,
-            seed=seed,
+            seed=self._component_rng(edges, articulation),
         )
         self.sampled_components += 1
         self.sampled_edges += len(edges)

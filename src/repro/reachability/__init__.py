@@ -41,11 +41,8 @@ spectrum of estimators:
   edge set against it with incremental reachability deltas, so a whole
   greedy round is one ``score_candidates`` call, candidate comparisons
   carry no cross-candidate sampling noise, and selections are identical
-  across backends per seed.  All selectors use it by default; switch
-  back to the paper's literal per-candidate resampling with
-  ``crn=False`` (selectors / ``make_selector``),
-  ``repro.session(crn=False)`` or the CLI's
-  ``--resample-per-candidate`` flag;
+  across backends per seed.  The Naive greedy selector scores every
+  round through it;
 * :mod:`repro.reachability.exact` — exact evaluation over every
   possible world at once (one world bitset per vertex), exponential in
   the uncertain edges, used as ground truth for small graphs and small

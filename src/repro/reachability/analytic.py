@@ -10,24 +10,13 @@ path products — no sampling required.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional
 
+from repro.algorithms.traversal import _adjacency
 from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.reachability.estimators import FlowEstimate
 from repro.types import Edge, VertexId
-
-
-def _adjacency(
-    graph: UncertainGraph, edges: Optional[Iterable[Edge]]
-) -> Dict[VertexId, Set[VertexId]]:
-    if edges is None:
-        return {v: set(graph.neighbors(v)) for v in graph.vertices()}
-    adjacency: Dict[VertexId, Set[VertexId]] = {v: set() for v in graph.vertices()}
-    for edge in edges:
-        adjacency[edge.u].add(edge.v)
-        adjacency[edge.v].add(edge.u)
-    return adjacency
 
 
 def mono_connected_reachability(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 #: Minimum number of samples before the Central Limit Theorem based
 #: interval may be used for pruning (paper Section 6.3).
@@ -108,13 +109,19 @@ def normal_confidence_interval(
     _validate_counts(successes, n_samples)
     p_hat = successes / n_samples
     z = standard_normal_quantile(1.0 - alpha / 2.0)
-    half_width = z * math.sqrt(p_hat * (1.0 - p_hat) / n_samples)
-    return ConfidenceInterval(
-        estimate=p_hat,
-        lower=max(0.0, p_hat - half_width),
-        upper=min(1.0, p_hat + half_width),
-        alpha=alpha,
-    )
+    lower, upper = normal_bounds(p_hat, n_samples, z)
+    return ConfidenceInterval(estimate=p_hat, lower=lower, upper=upper, alpha=alpha)
+
+
+def normal_bounds(p_hat: float, n_samples: int, z: float) -> Tuple[float, float]:
+    """Definition 10's bounds ``p_hat ± z * sqrt(p_hat (1 - p_hat) / n)`` in ``[0, 1]``.
+
+    The one implementation of the normal-approximation half width: the
+    binomial interval above and the F-tree's per-vertex interval bounds
+    (FT+M+CI pruning) both call it.
+    """
+    half_width = z * (p_hat * (1.0 - p_hat) / n_samples) ** 0.5
+    return max(0.0, p_hat - half_width), min(1.0, p_hat + half_width)
 
 
 def wilson_confidence_interval(

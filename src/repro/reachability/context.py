@@ -3,10 +3,10 @@
 Every greedy selector spends its time asking the same question hundreds
 of times per round: *"what would the expected flow be if I added this
 one candidate edge to the edges selected so far?"*.  Resampling a fresh
-batch of possible worlds per candidate (the paper's literal scheme, kept
-as the ``"resample"`` reference mode) pays the full sampling cost per
-candidate **and** compares candidates across independent noise — the
-argmax then picks the luckiest draw as often as the best edge.
+batch of possible worlds per candidate (the paper's literal scheme) would
+pay the full sampling cost per candidate **and** compare candidates
+across independent noise — the argmax then picks the luckiest draw as
+often as the best edge.
 
 :class:`EvaluationContext` fixes one batch of sampled edge flips per
 selection round instead (common random numbers, CRN):

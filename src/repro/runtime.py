@@ -1,13 +1,12 @@
 """``repro.runtime`` — scoped runtime configuration.
 
-The estimation stack has six runtime knobs: the sampling backend, CRN
-candidate scoring, the sharded-sampling executor and its shard size, the
-world cache and the telemetry pipeline.  None of them is an argument of
-the estimators, selectors or the batch evaluator; they come from the
-session active when those objects sample.  This module is where sessions
-are built:
+The estimation stack has five runtime knobs: the sampling backend, the
+sharded-sampling executor and its shard size, the world cache and the
+telemetry pipeline.  None of them is an argument of the estimators,
+selectors or the batch evaluator; they come from the session active
+when those objects sample.  This module is where sessions are built:
 
-* :class:`RuntimeConfig` — a frozen dataclass holding the six knobs.
+* :class:`RuntimeConfig` — a frozen dataclass holding the five knobs.
 * :class:`Session` — one merged configuration plus the resources it
   owns (an executor built from a worker count, a private world cache, a
   metrics pipeline), scoped with contextvars and drained on close.
@@ -49,9 +48,9 @@ the selectors, ``BatchEvaluator``, ``EvaluationContext``,
 session active when it samples, in one step — innermost active session,
 else the built-in library default.  The one exception is
 ``SamplingEngine(backend)``, which pins a backend for that engine; a
-batch evaluator request has no backend of its own.  ``crn=None``
-and ``cache=None`` arguments resolve the same way; an explicit value
-wins.  There is no process-wide store to assign.
+batch evaluator request has no backend of its own.  ``cache=None``
+arguments resolve the same way; an explicit cache wins.  There is no
+process-wide store to assign.
 
 Determinism
 -----------
@@ -98,7 +97,6 @@ from repro.reachability.backends import backend_names, get_default_backend
 from repro.reachability.engine import SamplingEngine
 from repro.reachability.estimators import FlowEstimate
 from repro.rng import SeedLike
-from repro.selection.base import get_default_crn
 from repro.service.cache import CacheLike, WorldCache
 from repro.telemetry import NULL_TELEMETRY, Telemetry, get_default_telemetry
 from repro.types import Edge, VertexId
@@ -118,10 +116,6 @@ class RuntimeConfig:
         Sampling-backend registry name (see
         :data:`repro.reachability.backends.BACKEND_NAMES`); built-in
         default ``"csr"``.
-    crn:
-        Common-random-numbers candidate scoring for the sampling-based
-        selectors; built-in default ``True``.  ``False`` restores the
-        paper's literal per-candidate resampling reference mode.
     workers:
         Sharded-sampling spec: ``None`` leaves the knob unset (inherit
         from the enclosing session — outside any session, the unsharded
@@ -152,7 +146,6 @@ class RuntimeConfig:
     """
 
     backend: Optional[str] = None
-    crn: Optional[bool] = None
     workers: ExecutorLike = None
     shard_size: Optional[int] = None
     world_cache: CacheLike = None
@@ -170,8 +163,6 @@ class RuntimeConfig:
                     f"unknown sampling backend {self.backend!r}; "
                     f"expected one of {backend_names()}"
                 )
-        if self.crn is not None and not isinstance(self.crn, bool):
-            raise TypeError(f"RuntimeConfig.crn must be a bool or None, got {self.crn!r}")
         if isinstance(self.workers, bool):
             raise TypeError("RuntimeConfig.workers must be a count or executor, not bool")
         if isinstance(self.workers, int) and self.workers < 0:
@@ -222,7 +213,6 @@ class RuntimeConfig:
             telemetry = telemetry.enabled
         return {
             "backend": self.backend,
-            "crn": self.crn,
             "workers": workers,
             "shard_size": self.shard_size,
             "world_cache": cache,
@@ -333,7 +323,6 @@ class Session:
             executor = UNSET
         return EffectiveConfig(
             backend=merged(cfg.backend if cfg.backend is not None else UNSET, "backend"),
-            crn=merged(cfg.crn if cfg.crn is not None else UNSET, "crn"),
             executor=merged(executor, "executor"),
             shard_size=merged(
                 cfg.shard_size if cfg.shard_size is not None else UNSET, "shard_size"
@@ -522,7 +511,6 @@ def current_config() -> RuntimeConfig:
         cache = 0  # caching disabled in this scope
     return RuntimeConfig(
         backend=get_default_backend(),
-        crn=get_default_crn(),
         workers=get_default_executor(),
         shard_size=get_default_shard_size(),
         world_cache=cache,

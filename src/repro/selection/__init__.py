@@ -17,20 +17,16 @@ per-iteration diagnostics.  Available selectors:
 :func:`make_selector` builds the paper's named algorithm variants
 ("Naive", "Dijkstra", "FT", "FT+M", "FT+M+CI", "FT+M+DS", "FT+M+CI+DS").
 
-All sampling-based selectors score candidates with common random
-numbers by default (one shared batch of possible worlds per selection
-round, see :mod:`repro.reachability.context`); pass ``crn=False`` — or
-scope the default with ``with repro.session(crn=False):``, which a
-selector left at ``crn=None`` reads when its ``select`` runs — for the
-paper's literal per-candidate resampling reference mode.
+All sampling-based selectors score the candidates of one selection
+round with common random numbers: every candidate is evaluated on the
+same possible worlds (see :mod:`repro.reachability.context` and
+:mod:`repro.ftree.sampler`).
 """
 
 from repro.selection.base import (
-    DEFAULT_CRN,
     EdgeSelector,
     SelectionIteration,
     SelectionResult,
-    get_default_crn,
 )
 from repro.selection.candidates import CandidateManager
 from repro.selection.dijkstra_tree import DijkstraSelector
@@ -53,7 +49,5 @@ __all__ = [
     "RandomSelector",
     "exhaustive_optimal_selection",
     "ALGORITHM_NAMES",
-    "DEFAULT_CRN",
-    "get_default_crn",
     "make_selector",
 ]

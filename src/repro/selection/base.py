@@ -7,25 +7,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro._runtime_state import resolve_field
 from repro.exceptions import BudgetError, VertexNotFoundError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.types import Edge, VertexId
-
-#: Sampling mode used when nothing else pins one — neither an explicit
-#: ``crn=`` argument nor an active :func:`repro.session`.
-DEFAULT_CRN = True
-
-
-def get_default_crn() -> bool:
-    """Return the sampling mode every ``crn=None`` selector resolves to.
-
-    Resolution order: the innermost active :func:`repro.session` (if it
-    pins a mode) → :data:`DEFAULT_CRN`.  Selectors call this when their
-    ``select`` runs, not when they are built.
-    """
-    return resolve_field("crn", DEFAULT_CRN)
-
 
 @dataclass(frozen=True)
 class SelectionIteration:

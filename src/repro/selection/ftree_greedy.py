@@ -40,7 +40,6 @@ from repro.selection.base import (
     SelectionIteration,
     SelectionResult,
     Stopwatch,
-    get_default_crn,
 )
 from repro.selection.candidates import CandidateManager
 from repro.types import Edge, VertexId
@@ -74,19 +73,15 @@ class FTreeGreedySelector(EdgeSelector):
         Random seed or generator.
     include_query:
         Whether the query vertex's own weight counts towards the flow.
-    crn:
-        Common-random-numbers candidate scoring (the default): the
-        component samplers key their streams per selection round and
-        component content (see :class:`~repro.ftree.sampler.ComponentSampler`),
-        so within one round every probe of the same component draws the
-        same worlds and candidate comparisons are noise-free.  ``False``
-        restores the sequential-stream resampling reference behaviour;
-        ``None`` reads the active session's mode when :meth:`select` runs.
 
-    The component samplers are built in :meth:`select` and sample with
-    the backend, executor and shard size of the session active there;
-    selections stay bit-for-bit identical for any worker count given
-    ``(seed, n_samples, shard_size)``.
+    The component samplers key their streams per selection round and
+    component content (see :class:`~repro.ftree.sampler.ComponentSampler`),
+    so within one round every probe of the same component draws the same
+    worlds and candidate comparisons are free of cross-candidate noise.
+    They are built in :meth:`select` and sample with the backend,
+    executor and shard size of the session active there; selections stay
+    bit-for-bit identical for any worker count given ``(seed, n_samples,
+    shard_size)``.
     """
 
     def __init__(
@@ -100,8 +95,6 @@ class FTreeGreedySelector(EdgeSelector):
         alpha: float = 0.01,
         seed: SeedLike = None,
         include_query: bool = False,
-        *,
-        crn: Optional[bool] = None,
     ) -> None:
         if delay_base <= 1.0:
             raise ValueError(f"delay_base must be greater than 1, got {delay_base!r}")
@@ -113,7 +106,6 @@ class FTreeGreedySelector(EdgeSelector):
         self.delay_base = delay_base
         self.alpha = alpha
         self.include_query = include_query
-        self.crn = crn
         self._seed = seed
         self.name = self._build_name()
 
@@ -133,20 +125,17 @@ class FTreeGreedySelector(EdgeSelector):
         stopwatch = Stopwatch()
         rng = ensure_rng(self._seed)
         memo = MemoCache() if self.memoize else None
-        crn = self.crn if self.crn is not None else get_default_crn()
         sampler = ComponentSampler(
             n_samples=self.n_samples,
             exact_threshold=self.exact_threshold,
             seed=rng,
             memo=memo,
-            crn=crn,
         )
         screening_sampler = ComponentSampler(
             n_samples=_SCREENING_SAMPLES,
             exact_threshold=self.exact_threshold,
             seed=derive_seed(self._seed, 1) if self._seed is not None else None,
             memo=None,
-            crn=crn,
         )
         ftree = FTree(graph, query, sampler=sampler)
         candidates = CandidateManager(graph, query)

@@ -33,7 +33,6 @@ from repro.selection.base import (
     SelectionIteration,
     SelectionResult,
     Stopwatch,
-    get_default_crn,
 )
 from repro.selection.candidates import CandidateManager
 from repro.types import Edge, VertexId
@@ -55,17 +54,13 @@ class LazyGreedySelector(EdgeSelector):
         Random seed or generator.
     include_query:
         Whether the query vertex's own weight counts towards the flow.
-    crn:
-        Common-random-numbers candidate scoring (the default): the
-        component sampler keys its streams per selection round and
-        component content, so re-evaluating the heap's top candidate
-        compares against gains measured on the same worlds.  ``False``
-        restores the sequential-stream resampling reference behaviour;
-        ``None`` reads the active session's mode when :meth:`select` runs.
 
-    The component sampler is built in :meth:`select` and samples with
-    the backend, executor and shard size of the session active there,
-    keeping selections bit-for-bit identical for any worker count.
+    The component sampler keys its streams per selection round and
+    component content, so re-evaluating the heap's top candidate
+    compares against gains measured on the same worlds.  It is built in
+    :meth:`select` and samples with the backend, executor and shard size
+    of the session active there, keeping selections bit-for-bit
+    identical for any worker count.
     """
 
     name = "FT+Lazy"
@@ -77,14 +72,11 @@ class LazyGreedySelector(EdgeSelector):
         memoize: bool = True,
         seed: SeedLike = None,
         include_query: bool = False,
-        *,
-        crn: Optional[bool] = None,
     ) -> None:
         self.n_samples = n_samples
         self.exact_threshold = exact_threshold
         self.memoize = memoize
         self.include_query = include_query
-        self.crn = crn
         self._seed = seed
 
     def select(self, graph: UncertainGraph, query: VertexId, budget: int) -> SelectionResult:
@@ -97,7 +89,6 @@ class LazyGreedySelector(EdgeSelector):
             exact_threshold=self.exact_threshold,
             seed=rng,
             memo=memo,
-            crn=self.crn if self.crn is not None else get_default_crn(),
         )
         ftree = FTree(graph, query, sampler=sampler)
         candidates = CandidateManager(graph, query)

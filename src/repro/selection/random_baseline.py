@@ -8,7 +8,7 @@ evaluates the resulting flow with the F-tree.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.ftree.builder import build_ftree
 from repro.ftree.sampler import ComponentSampler
@@ -19,7 +19,6 @@ from repro.selection.base import (
     SelectionIteration,
     SelectionResult,
     Stopwatch,
-    get_default_crn,
 )
 from repro.selection.candidates import CandidateManager
 from repro.types import Edge, VertexId
@@ -36,17 +35,10 @@ class RandomSelector(EdgeSelector):
         exact_threshold: int = 10,
         seed: SeedLike = None,
         include_query: bool = False,
-        *,
-        crn: Optional[bool] = None,
     ) -> None:
         self.n_samples = n_samples
         self.exact_threshold = exact_threshold
         self.include_query = include_query
-        # the random choice itself draws no worlds; crn only keys the
-        # final flow evaluation's component streams (None: the session's
-        # mode when select runs), kept for API uniformity with the
-        # greedy selectors
-        self.crn = crn
         self._rng = ensure_rng(seed)
 
     def select(self, graph: UncertainGraph, query: VertexId, budget: int) -> SelectionResult:
@@ -69,7 +61,6 @@ class RandomSelector(EdgeSelector):
             n_samples=self.n_samples,
             exact_threshold=self.exact_threshold,
             seed=self._rng,
-            crn=self.crn if self.crn is not None else get_default_crn(),
         )
         ftree = build_ftree(graph, selected, query, sampler=sampler)
         flow = ftree.expected_flow(include_query=self.include_query)

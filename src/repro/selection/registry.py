@@ -7,7 +7,7 @@ benchmarks share one source of truth for their configuration.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.rng import SeedLike
 from repro.selection.base import EdgeSelector
@@ -36,8 +36,6 @@ def make_selector(
     alpha: float = 0.01,
     seed: SeedLike = None,
     include_query: bool = False,
-    *,
-    crn: Optional[bool] = None,
 ) -> EdgeSelector:
     """Instantiate one of the paper's algorithms by name.
 
@@ -58,13 +56,6 @@ def make_selector(
         Random seed or generator.
     include_query:
         Whether the query vertex's own weight counts towards the flow.
-    crn:
-        Common-random-numbers candidate scoring for the sampling-based
-        selectors: one shared batch of possible worlds per selection
-        round instead of a fresh draw per candidate.  ``None`` (the
-        default) defers to :func:`~repro.selection.base.get_default_crn`
-        when ``select`` runs; ``False`` restores the paper's literal
-        per-candidate resampling reference mode.
 
     The sampling backend, executor and shard size are not arguments: a
     selector samples with those of the session active when its
@@ -83,14 +74,12 @@ def make_selector(
             alpha=alpha,
             seed=seed,
             include_query=include_query,
-            crn=crn,
         )
     if name == "Naive":
         return NaiveGreedySelector(
             n_samples=n_samples,
             seed=seed,
             include_query=include_query,
-            crn=crn,
         )
     if name == "Dijkstra":
         return DijkstraSelector(include_query=include_query)
@@ -100,7 +89,6 @@ def make_selector(
             exact_threshold=exact_threshold,
             seed=seed,
             include_query=include_query,
-            crn=crn,
         )
     raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES}")
 

@@ -97,6 +97,12 @@ class TestSelect:
         with pytest.raises(SystemExit):
             main(["select", "--graph", str(graph_file), "--budget", "2", "--query", "zzz"])
 
+    def test_resample_per_candidate_flag_is_gone(self, graph_file):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["select", "--graph", str(graph_file), "--budget", "2",
+                  "--resample-per-candidate"])
+        assert exit_info.value.code == 2
+
     def test_negative_budget_exits_with_one_line_message(self, graph_file):
         with pytest.raises(SystemExit, match="^edge budget must be a non-negative integer"):
             main(["select", "--graph", str(graph_file), "--budget", "-1", "--samples", "20"])

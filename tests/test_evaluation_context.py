@@ -141,7 +141,7 @@ class TestCrossBackendSelections:
         results = []
         for backend in BACKEND_NAMES:
             with repro.session(backend=backend):
-                selector = NaiveGreedySelector(n_samples=200, seed=13, crn=True)
+                selector = NaiveGreedySelector(n_samples=200, seed=13)
                 results.append(selector.select(graph, 0, 8))
         reference = results[0]
         for result in results[1:]:
@@ -153,7 +153,7 @@ class TestCrossBackendSelections:
         results = []
         for backend in BACKEND_NAMES:
             with repro.session(backend=backend):
-                selector = LazyGreedySelector(n_samples=150, seed=6, crn=True)
+                selector = LazyGreedySelector(n_samples=150, seed=6)
                 results.append(selector.select(graph, 0, 6))
         reference = results[0]
         for result in results[1:]:

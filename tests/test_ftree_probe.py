@@ -55,7 +55,6 @@ def _sampler(exact_threshold: int = 10, memo: bool = True) -> ComponentSampler:
         exact_threshold=exact_threshold,
         seed=5,
         memo=MemoCache() if memo else None,
-        crn=True,
     )
 
 
@@ -174,7 +173,7 @@ class TestInsertionCases:
         tree = FTree(_complete(5), 0, sampler=_sampler(exact_threshold=0))
         for u, v in [(0, 1), (1, 2), (2, 0), (2, 3)]:
             tree.insert_edge(u, v)
-        coarse = ComponentSampler(n_samples=30, exact_threshold=0, seed=9, crn=True)
+        coarse = ComponentSampler(n_samples=30, exact_threshold=0, seed=9)
         screened = tree.probe(3, 1, alpha=ALPHA, sampler=coarse)
         full = tree.probe(3, 1, alpha=ALPHA)
         # the cost counts against the tree's own memo, which the coarse sampler never fills

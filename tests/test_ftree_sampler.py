@@ -47,6 +47,19 @@ class TestSampledPath:
         assert sampler.sampled_components == 1
         assert sampler.sampled_edges == graph.n_edges
 
+    def test_estimate_does_not_depend_on_earlier_draws(self):
+        graph = cycle_graph(8, probability=0.5)
+        edges = graph.edge_list()
+        owned = [v for v in graph.vertices() if v != 0]
+        fresh = ComponentSampler(n_samples=200, exact_threshold=0, seed=3)
+        warmed = ComponentSampler(n_samples=200, exact_threshold=0, seed=3)
+        # the same edges towards another articulation: a different component
+        warmed.reachability(graph, 4, [v for v in graph.vertices() if v != 4], edges)
+        assert warmed.sampled_components == 1
+        assert warmed.reachability(graph, 0, owned, edges) == fresh.reachability(
+            graph, 0, owned, edges
+        )
+
     def test_exact_threshold_zero_forces_sampling(self, triangle_graph):
         sampler = ComponentSampler(n_samples=500, exact_threshold=0, seed=2)
         estimate = sampler.reachability(

@@ -27,7 +27,7 @@ from repro.parallel.plan import DEFAULT_SHARD_SIZE, get_default_shard_size
 from repro.reachability.backends import BACKEND_NAMES, DEFAULT_BACKEND, get_default_backend
 from repro.reachability.engine import SamplingEngine
 from repro.runtime import RuntimeConfig, Session, current_config, current_session
-from repro.selection import get_default_crn, make_selector
+from repro.selection import make_selector
 from repro.service import BatchEvaluator, QueryRequest, WorldCache
 from repro.service.cache import get_default_world_cache
 
@@ -40,22 +40,19 @@ def graph():
 class TestScoping:
     def test_session_pins_knobs_and_restores_on_exit(self):
         assert get_default_backend() == DEFAULT_BACKEND
-        with repro.session(backend="naive", crn=False, shard_size=64):
+        with repro.session(backend="naive", shard_size=64):
             assert get_default_backend() == "naive"
-            assert get_default_crn() is False
             assert get_default_shard_size() == 64
         assert get_default_backend() == DEFAULT_BACKEND
-        assert get_default_crn() is True
         assert get_default_shard_size() == DEFAULT_SHARD_SIZE
 
     def test_nested_sessions_merge_field_by_field(self):
         with repro.session(backend="naive", shard_size=64):
-            with repro.session(crn=False):
-                # inner pins crn only; backend/shard_size inherit from outer
+            with repro.session(shard_size=128):
+                # inner pins shard_size only; backend inherits from outer
                 assert get_default_backend() == "naive"
-                assert get_default_shard_size() == 64
-                assert get_default_crn() is False
-            assert get_default_crn() is True
+                assert get_default_shard_size() == 128
+            assert get_default_shard_size() == 64
             with repro.session(backend="csr"):
                 assert get_default_backend() == "csr"
                 assert get_default_shard_size() == 64
@@ -99,10 +96,9 @@ class TestScoping:
 
     def test_current_config_resolves_the_whole_chain(self):
         with repro.session(shard_size=96):
-            with repro.session(backend="naive", crn=False):
+            with repro.session(backend="naive"):
                 resolved = current_config()
         assert resolved.backend == "naive"
-        assert resolved.crn is False
         assert resolved.shard_size == 96  # inherited from the outer session
         assert resolved.as_dict()["backend"] == "naive"
         outside = current_config()
@@ -427,9 +423,9 @@ class TestObjectsFollowTheSession:
         selector = make_selector(algorithm, n_samples=64, exact_threshold=0, seed=1)
         self._run(lambda: selector.select(k5, 0, 6), naive_calls)
 
-    @pytest.mark.parametrize("crn", [True, False])
-    def test_naive_selector(self, k5, naive_calls, crn):
-        selector = make_selector("Naive", n_samples=64, seed=1, crn=crn)
+    @pytest.mark.parametrize("include_query", [True, False])
+    def test_naive_selector(self, k5, naive_calls, include_query):
+        selector = make_selector("Naive", n_samples=64, seed=1, include_query=include_query)
         self._run(lambda: selector.select(k5, 0, 4), naive_calls)
 
     def test_lazy_selector(self, k5, naive_calls):
@@ -523,11 +519,11 @@ class TestLegacyEquivalence:
         assert scoped.selected_edges == legacy.selected_edges
         assert scoped.expected_flow == legacy.expected_flow
 
-    def test_selection_sharded_and_resample_mode(self, graph):
-        selector = make_selector("FT+M", n_samples=60, seed=11, crn=False)
+    def test_selection_sharded(self, graph):
+        selector = make_selector("FT+M", n_samples=60, seed=11)
         with repro.session(workers=SerialExecutor(), shard_size=32):
             legacy = selector.select(graph, 0, 4)
-        with repro.session(crn=False, workers=1, shard_size=32):
+        with repro.session(workers=1, shard_size=32):
             scoped = make_selector("FT+M", n_samples=60, seed=11).select(graph, 0, 4)
         assert scoped.selected_edges == legacy.selected_edges
         assert scoped.expected_flow == legacy.expected_flow
