@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Cross-commit selection check: one SHA-1 per (workload, seed) over a pool of selections.
+"""Cross-commit selection check: two SHA-1s per (workload, seed) over a pool of selections.
 
 Runs every input of the ``ftm-probe`` and ``ft-wsn`` benchmark pools
 once, with the workload's own graphs, query vertices, selectors and
 selector seeds (``perfbench/workloads.py``, imported unchanged), and
-hashes the selected edges and ``float.hex(expected_flow)`` of each
-selection in pool order.  Two commits whose selections agree bit for
-bit print the same digests.  Seeds 1 and 9001 cover 1,664 selections.
+hashes each selection in pool order twice: ``edges_sha1`` over the
+selected edges only, ``sha1`` over the edges and
+``float.hex(expected_flow)``.  Two commits that pick the same edges
+print the same ``edges_sha1``; two whose selections agree bit for bit
+also print the same ``sha1``.  Seeds 1 and 9001 cover 1,664 selections.
 
 Run from the repository root::
 
     python benchmarks/selection_digest.py                  # print the digests as JSON
     python benchmarks/selection_digest.py --check benchmarks/SELECTION_DIGEST.json
 
-``--check`` exits 1 when any digest differs from the file.
+``--check`` exits 1 when either hash of any key differs from the file.
 """
 
 from __future__ import annotations
@@ -33,14 +35,19 @@ SEEDS = (1, 9001)
 
 
 def digest(workload) -> Dict[str, object]:
-    """Run the workload's pool once; return the selection count and its SHA-1."""
+    """Run the workload's pool once; return the selection count and its two SHA-1s."""
     graphs, queries, selectors = workload.setup()
-    sha = hashlib.sha1()
+    sha, edges_sha = hashlib.sha1(), hashlib.sha1()
     for slot, (graph_index, _) in enumerate(workload.inputs):
         result = selectors[slot].select(graphs[graph_index], queries[slot], workload.budget)
         edges = ";".join(f"{edge.u!r},{edge.v!r}" for edge in result.selected_edges)
         sha.update(f"{edges}|{float.hex(result.expected_flow)}\n".encode())
-    return {"selections": workload.pool, "sha1": sha.hexdigest()}
+        edges_sha.update(f"{edges}\n".encode())
+    return {
+        "edges_sha1": edges_sha.hexdigest(),
+        "selections": workload.pool,
+        "sha1": sha.hexdigest(),
+    }
 
 
 def main(argv=None) -> int:

@@ -3,12 +3,14 @@
 The F-tree replaces whole-graph sampling by *local* sampling: only the
 edges of one bi-connected component are flipped, and reachability is
 measured towards the component's articulation vertex (paper Section 5.3,
-Example 2).  Components with few uncertain edges are evaluated exactly
-over all of their possible worlds at once by
-:func:`~repro.reachability.exact.exact_closure`, straight from the
-component's ``(edge, probability)`` list with no subgraph copy — an
-extension over the paper that removes sampling noise from small cycles
-and keeps unit tests deterministic.
+Example 2).  Components with few uncertain edges are evaluated exactly,
+straight from the component's ``(edge, probability)`` list with no
+subgraph copy — an extension over the paper that removes sampling noise
+from small cycles and keeps unit tests deterministic.  A simple cycle
+through the articulation is answered in closed form by
+:func:`~repro.reachability.exact.cycle_closure`; any other exact
+component goes over all of its possible worlds at once in
+:func:`~repro.reachability.exact.exact_closure`.
 
 Results are optionally memoized in a :class:`~repro.ftree.memo.MemoCache`
 keyed by the component content (Section 6.2).
@@ -26,7 +28,7 @@ memoization leave it unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from repro.ftree.memo import MemoCache, MemoEntry
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.parallel.plan import check_sample_count
 from repro.reachability.engine import SamplingEngine
-from repro.reachability.exact import exact_closure
+from repro.reachability.exact import cycle_closure, exact_closure
 from repro.rng import SeedLike, ensure_rng
 from repro.types import Edge, VertexId
 
@@ -60,8 +62,9 @@ class ComponentSampler:
         exact enumeration (paper default: 1000).
     exact_threshold:
         Components with at most this many uncertain edges are evaluated
-        exactly by enumerating their possible worlds (``0`` disables the
-        exact path entirely).
+        exactly: a simple cycle through the articulation in closed form,
+        any other component by enumerating its possible worlds (``0``
+        disables the exact path entirely).
     seed:
         Seed or generator for the Monte-Carlo path.
     memo:
@@ -145,8 +148,8 @@ class ComponentSampler:
         """
         vertex_set: Set[VertexId] = set(vertices)
         edge_set: Set[Edge] = set(edges)
-        key = MemoCache.make_key(edge_set, articulation)
         if self.memo is not None:
+            key = MemoCache.make_key(edge_set, articulation)
             cached = self.memo.get(key)
             if cached is not None:
                 return ComponentEstimate(
@@ -186,9 +189,10 @@ class ComponentSampler:
         vertices: Set[VertexId],
         edges: Set[Edge],
     ) -> ComponentEstimate:
-        uncertain_edges = sum(1 for edge in edges if graph.probability(edge) < 1.0)
+        weighted = [(edge, graph.probability(edge)) for edge in edges]
+        uncertain_edges = sum(1 for _, p in weighted if p < 1.0)
         if uncertain_edges <= self.exact_threshold:
-            probabilities = self._exact(graph, articulation, vertices, edges)
+            probabilities = self._exact(articulation, vertices, weighted)
             self.exact_components += 1
             return ComponentEstimate(probabilities=probabilities, n_samples=None, exact=True)
         probabilities = self._engine.component_reachability(
@@ -207,15 +211,14 @@ class ComponentSampler:
 
     def _exact(
         self,
-        graph: UncertainGraph,
         articulation: VertexId,
         vertices: Set[VertexId],
-        edges: Set[Edge],
+        weighted: List[Tuple[Edge, float]],
     ) -> Dict[VertexId, float]:
+        probabilities = cycle_closure(articulation, vertices, weighted)
+        if probabilities is not None:
+            return probabilities
         # an isolated articulation vertex reaches nothing: every vertex reads 0.0
         return exact_closure(
-            articulation,
-            vertices,
-            [(edge, graph.probability(edge)) for edge in edges],
-            limit=max(20, self.exact_threshold),
+            articulation, vertices, weighted, limit=max(20, self.exact_threshold)
         )

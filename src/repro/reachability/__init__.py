@@ -46,7 +46,8 @@ spectrum of estimators:
 * :mod:`repro.reachability.exact` — exact evaluation over every
   possible world at once (one world bitset per vertex), exponential in
   the uncertain edges, used as ground truth for small graphs and small
-  bi-connected components;
+  bi-connected components, plus a linear-time closed form for a
+  component that is one simple cycle through its source;
 * :mod:`repro.reachability.analytic` — closed-form reachability for
   mono-connected (tree-like) graphs (Lemma 2 / Theorem 2);
 * :mod:`repro.reachability.confidence` — confidence intervals for

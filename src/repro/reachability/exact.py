@@ -3,6 +3,8 @@
 Exponential in the number ``m`` of uncertain edges, so only usable on
 small graphs or small bi-connected components; the test suite and the
 exact component evaluator of the F-tree rely on it as ground truth.
+:func:`cycle_closure` answers the commonest such component, one simple
+cycle through the source, in closed form instead (linear in its edges).
 
 The ``2^m`` worlds are not built one by one.  Every vertex carries one
 Python ``int`` whose bit ``w`` says "reached from the source in world
@@ -17,6 +19,8 @@ bit for bit.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -128,6 +132,63 @@ def exact_closure(
     for vertex, total in zip(rows, sums.tolist()):
         # guard against floating point drift beyond [0, 1]
         probabilities[vertex] = min(1.0, max(0.0, total))
+    return probabilities
+
+
+def cycle_closure(
+    source: VertexId,
+    vertices: Iterable[VertexId],
+    edges: Sequence[Tuple[Edge, float]],
+) -> Optional[Dict[VertexId, float]]:
+    """:func:`exact_closure` in closed form when ``edges`` are one simple cycle through ``source``.
+
+    The cycle must pass through ``source`` and every vertex of
+    ``vertices`` (``source`` not among them) and nothing else: each
+    vertex has degree 2 and ``len(edges) == len(vertices) + 1``.  The
+    two arcs from a cycle vertex ``v`` to ``source`` share no edge, so
+    with ``L`` and ``R`` the products of their edge probabilities,
+    ``P(source ↔ v) = L + R − L·R`` (a series–parallel reduction).
+    Results are clamped to ``[0, 1]`` as :func:`exact_closure` clamps
+    them, and listed in the order of ``vertices``.
+
+    Returns ``None`` for any other component; the caller then falls
+    back to :func:`exact_closure`.
+    """
+    targets = list(vertices)
+    if len(edges) != len(targets) + 1:
+        return None
+    neighbours: Dict[VertexId, List[Tuple[VertexId, float, int]]] = {}
+    for index, (edge, p) in enumerate(edges):
+        neighbours.setdefault(edge.u, []).append((edge.v, p, index))
+        neighbours.setdefault(edge.v, []).append((edge.u, p, index))
+    # as many vertices as edges, all of degree 2: a union of disjoint cycles
+    if len(neighbours) != len(edges) or any(len(arcs) != 2 for arcs in neighbours.values()):
+        return None
+    if source not in neighbours:
+        return None
+    # one walk from the source, never leaving a vertex by the edge it came in on
+    order: List[VertexId] = []
+    along: List[float] = []
+    vertex, came_by = source, -1
+    while True:
+        first, second = neighbours[vertex]
+        vertex, p, came_by = second if first[2] == came_by else first
+        along.append(p)
+        if vertex == source:
+            break
+        order.append(vertex)
+    # a vertex off the source's cycle (another cycle, or no edge) is not answered here
+    position = {vertex: index for index, vertex in enumerate(order)}
+    if any(vertex not in position for vertex in targets):
+        return None
+    # left[i]: the arc source → order[i] one way; right[i]: the other way
+    left = list(accumulate(along[:-1], mul))
+    right = list(accumulate(reversed(along[1:]), mul))[::-1]
+    probabilities: Dict[VertexId, float] = {}
+    for vertex in targets:
+        index = position[vertex]
+        one, other = left[index], right[index]
+        probabilities[vertex] = min(1.0, max(0.0, one + other - one * other))
     return probabilities
 
 

@@ -57,10 +57,11 @@ class NaiveGreedySelector(EdgeSelector):
     ) -> None:
         self.n_samples = n_samples
         self.include_query = include_query
-        self._rng = ensure_rng(seed)
+        self._seed = seed
 
     def select(self, graph: UncertainGraph, query: VertexId, budget: int) -> SelectionResult:
         self._validate(graph, query, budget)
+        rng = ensure_rng(self._seed)
         stopwatch = Stopwatch()
         candidates = CandidateManager(graph, query)
         selected: List[Edge] = []
@@ -72,7 +73,7 @@ class NaiveGreedySelector(EdgeSelector):
             graph,
             query,
             n_samples=self.n_samples,
-            seed=self._rng,
+            seed=rng,
             include_query=self.include_query,
         )
 

@@ -39,10 +39,11 @@ class RandomSelector(EdgeSelector):
         self.n_samples = n_samples
         self.exact_threshold = exact_threshold
         self.include_query = include_query
-        self._rng = ensure_rng(seed)
+        self._seed = seed
 
     def select(self, graph: UncertainGraph, query: VertexId, budget: int) -> SelectionResult:
         self._validate(graph, query, budget)
+        rng = ensure_rng(self._seed)
         stopwatch = Stopwatch()
         candidates = CandidateManager(graph, query)
         selected: List[Edge] = []
@@ -51,7 +52,7 @@ class RandomSelector(EdgeSelector):
             frontier = candidates.candidates()
             if not frontier:
                 break
-            edge = frontier[int(self._rng.integers(0, len(frontier)))]
+            edge = frontier[int(rng.integers(0, len(frontier)))]
             candidates.mark_selected(edge)
             selected.append(edge)
             iterations.append(
@@ -60,7 +61,7 @@ class RandomSelector(EdgeSelector):
         sampler = ComponentSampler(
             n_samples=self.n_samples,
             exact_threshold=self.exact_threshold,
-            seed=self._rng,
+            seed=rng,
         )
         ftree = build_ftree(graph, selected, query, sampler=sampler)
         flow = ftree.expected_flow(include_query=self.include_query)

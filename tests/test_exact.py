@@ -12,6 +12,7 @@ from repro.graph.generators import cycle_graph, path_graph, star_graph
 from repro.graph.possible_world import enumerate_worlds
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.reachability.exact import (
+    cycle_closure,
     exact_closure,
     exact_expected_flow,
     exact_reachability,
@@ -202,24 +203,135 @@ class TestBoundedMemory:
             assert probabilities[k] == pytest.approx(0.5**k + 0.5 ** (20 - k) - 0.5**20)
 
 
+def _weighted(graph, edges):
+    return [(edge, graph.probability(edge)) for edge in edges]
+
+
 class TestComponentSamplerExact:
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(graphs_with_source())
     def test_matches_reference_on_component(self, case):
+        """Bit for bit against the per-world loop, to 1e-12 on a simple cycle."""
         graph, articulation = case
         edges = set(graph.edge_list())
         vertices = {vertex for edge in edges for vertex in edge} - {articulation}
         sampler = ComponentSampler(n_samples=10, exact_threshold=20, seed=0)
-        actual = sampler._exact(graph, articulation, vertices, edges)
+        weighted = _weighted(graph, edges)
+        actual = sampler._exact(articulation, vertices, weighted)
         component = graph.edge_subgraph(edges, keep_all_vertices=False)
         if not component.has_vertex(articulation):
             assert actual == {vertex: 0.0 for vertex in vertices}
             return
-        expected = reference_reachability_all(component, articulation)
-        assert actual == {vertex: expected[vertex] for vertex in vertices}
+        reference = reference_reachability_all(component, articulation)
+        expected = {vertex: reference[vertex] for vertex in vertices}
+        if cycle_closure(articulation, vertices, weighted) is None:
+            assert actual == expected
+        else:
+            assert list(actual) == list(expected)
+            assert actual == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_isolated_articulation(self, triangle_graph):
         triangle_graph.add_vertex(9)
         sampler = ComponentSampler(n_samples=10, exact_threshold=20, seed=0)
-        edges = set(triangle_graph.edge_list())
-        assert sampler._exact(triangle_graph, 9, {0, 1, 2}, edges) == {0: 0.0, 1: 0.0, 2: 0.0}
+        weighted = _weighted(triangle_graph, triangle_graph.edge_list())
+        assert sampler._exact(9, {0, 1, 2}, weighted) == {0: 0.0, 1: 0.0, 2: 0.0}
+
+
+@st.composite
+def cycles_with_source(draw):
+    """A simple cycle of 3–16 edges as shuffled ``(edge, p)`` pairs, plus its source.
+
+    Vertex ids are ints or strings, some edges are certain (p = 1.0), and
+    the source sits anywhere on the cycle.
+    """
+    n = draw(st.integers(min_value=3, max_value=16))
+    ids = draw(st.sampled_from([list(range(n)), [f"v{i}" for i in range(n)]]))
+    probabilities = draw(
+        st.lists(
+            st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    pairs = [(Edge(ids[i], ids[(i + 1) % n]), probabilities[i]) for i in range(n)]
+    pairs = draw(st.permutations(pairs))
+    source = draw(st.sampled_from(ids))
+    vertices = draw(st.permutations([vertex for vertex in ids if vertex != source]))
+    return source, vertices, pairs
+
+
+def _figure_eight():
+    """Two triangles sharing vertex 0: every vertex but 0 has degree 2."""
+    pairs = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+    return 0, [1, 2, 3, 4], [(Edge(u, v), 0.3 + 0.1 * i) for i, (u, v) in enumerate(pairs)]
+
+
+def _chorded_cycle():
+    """A 5-cycle through 0 with the chord 1–3."""
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]
+    return 0, [1, 2, 3, 4], [(Edge(u, v), 0.35 + 0.1 * i) for i, (u, v) in enumerate(pairs)]
+
+
+def _theta():
+    """Three disjoint paths from 0 to 3: 0-1-3, 0-2-3 and 0-4-5-3."""
+    pairs = [(0, 1), (1, 3), (0, 2), (2, 3), (0, 4), (4, 5), (5, 3)]
+    return 0, [1, 2, 3, 4, 5], [(Edge(u, v), 0.2 + 0.1 * i) for i, (u, v) in enumerate(pairs)]
+
+
+def _two_cycles():
+    """Source on a triangle, the edge count padded by a disjoint triangle."""
+    pairs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    return 0, [1, 2, 3, 4, 5], [(Edge(u, v), 0.5) for u, v in pairs]
+
+
+class TestCycleClosure:
+    @settings(max_examples=300, deadline=None)
+    @given(cycles_with_source())
+    def test_matches_exact_closure(self, case):
+        source, vertices, pairs = case
+        closed = cycle_closure(source, vertices, pairs)
+        assert closed is not None
+        expected = exact_closure(source, vertices, pairs)
+        assert list(closed) == list(expected)
+        assert closed == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_triangle(self, triangle_graph):
+        closed = cycle_closure(0, [1, 2], _weighted(triangle_graph, triangle_graph.edge_list()))
+        assert closed[1] == pytest.approx(0.5 + 0.6 * 0.7 - 0.5 * 0.6 * 0.7)
+        assert closed[2] == pytest.approx(0.7 + 0.5 * 0.6 - 0.7 * 0.5 * 0.6)
+
+    @pytest.mark.parametrize(
+        "component", [_chorded_cycle, _theta, _figure_eight, _two_cycles], ids=lambda f: f.__name__
+    )
+    def test_other_components_fall_back_to_the_enumeration(self, component):
+        source, vertices, pairs = component()
+        assert cycle_closure(source, vertices, pairs) is None
+        graph = UncertainGraph()
+        for edge, p in pairs:
+            graph.add_edge(edge.u, edge.v, p, create_vertices=True)
+        sampler = ComponentSampler(n_samples=10, exact_threshold=10, seed=0)
+        estimate = sampler.reachability(graph, source, vertices, [edge for edge, _ in pairs])
+        assert estimate.exact and estimate.n_samples is None
+        assert sampler.exact_components == 1
+        # the sampler enumerates the worlds in the order of its edge set
+        edge_set = set(edge for edge, _ in pairs)
+        assert estimate.probabilities == exact_closure(
+            source, set(vertices), _weighted(graph, edge_set)
+        )
+
+    def test_vertex_list_must_be_the_rest_of_the_cycle(self, triangle_graph):
+        pairs = _weighted(triangle_graph, triangle_graph.edge_list())
+        assert cycle_closure(0, [1, 2], pairs) is not None
+        assert cycle_closure(0, [1, 9], pairs) is None
+        assert cycle_closure(0, [0, 1], pairs) is None
+        assert cycle_closure(0, [1], pairs) is None
+        assert cycle_closure(9, [1, 2], pairs) is None
+
+    def test_sampler_counts_a_cycle_as_exact(self):
+        graph = cycle_graph(6, probability=0.4)
+        sampler = ComponentSampler(n_samples=10, exact_threshold=6, seed=0)
+        estimate = sampler.reachability(graph, 0, range(1, 6), graph.edge_list())
+        assert estimate.exact and estimate.n_samples is None
+        assert sampler.exact_components == 1 and sampler.sampled_components == 0
+        for k in range(1, 6):
+            assert estimate.probabilities[k] == pytest.approx(0.4**k + 0.4 ** (6 - k) - 0.4**6)

@@ -9,6 +9,7 @@ from repro.selection.dijkstra_tree import DijkstraSelector
 from repro.selection.exact_optimal import exhaustive_optimal_selection
 from repro.selection.greedy_naive import NaiveGreedySelector
 from repro.selection.random_baseline import RandomSelector
+from repro.selection.registry import make_selector
 from repro.types import Edge
 
 
@@ -94,6 +95,26 @@ class TestRandomSelector:
         a = RandomSelector(seed=5).select(random_graph, 0, 6)
         b = RandomSelector(seed=5).select(random_graph, 0, 6)
         assert a.selected_edges == b.selected_edges
+
+
+class TestRepeatedSelect:
+    """A selector re-seeds per ``select``, as the F-tree selectors do.
+
+    The pinned flows are the first ``select`` of each selector before it
+    re-seeded per call: re-seeding must not change that first answer.
+    """
+
+    FIRST_FLOW = {"Naive": "0x1.5ab851eb851ecp+4", "Random": "0x1.53a94ca14c38dp+2"}
+
+    @pytest.mark.parametrize("name", sorted(FIRST_FLOW))
+    def test_second_select_repeats_the_first(self, name):
+        graph = erdos_renyi_graph(60, average_degree=4, seed=2)
+        selector = make_selector(name, seed=5, n_samples=200)
+        first = selector.select(graph, 0, 6)
+        second = selector.select(graph, 0, 6)
+        assert first.expected_flow == float.fromhex(self.FIRST_FLOW[name])
+        assert second.selected_edges == first.selected_edges
+        assert second.expected_flow == first.expected_flow
 
 
 class TestExhaustiveOptimal:
