@@ -6,8 +6,7 @@ with every registered backend on the Fig. 5 graph-size sweep (Erdős
 graphs, degree 6 — the paper's no-locality scheme) and reports the
 speedup of each backend over the naive per-world-BFS reference.
 
-Unlike the ``bench_fig*.py`` modules this is a plain script (no
-pytest-benchmark dependency) so CI can smoke-run it::
+A plain script, so CI can smoke-run it::
 
     PYTHONPATH=src python benchmarks/bench_backends.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_backends.py --quick    # CI smoke
@@ -31,16 +30,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from _helpers import bench_environment
 from repro.graph.generators import erdos_renyi_graph
 from repro.reachability.backends import BACKEND_NAMES
 from repro.reachability.backends.csr import CSRSamplingBackend, numba_unavailable_reason
 from repro.reachability.engine import SamplingEngine
+from repro.runtime import current_config
 
 #: Fig. 5 graph-size sweep (scaled down, degree 6 ⇒ |E| ≈ 3·|V|).
 FULL_SIZES = (150, 300, 600)
@@ -60,6 +61,21 @@ NUMBA_TARGET_RATIO = 3.2
 #: allocator noise on small instances.
 REPEATS = {"naive": 1}
 DEFAULT_REPEATS = 3
+
+
+def bench_environment() -> Dict[str, object]:
+    """Machine context recorded with the report.
+
+    Speedups are only comparable across machines when the report says
+    how many cores the run had; ``runtime_config`` is the resolved
+    :class:`repro.runtime.RuntimeConfig` the numbers were measured under.
+    """
+    return {
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "runtime_config": current_config().as_dict(),
+    }
 
 
 def time_backend(graph, query, backend, n_samples: int, seed: int = 7):

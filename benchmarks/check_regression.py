@@ -2,36 +2,30 @@
 """Compare a fresh benchmark ``--json`` report against a baseline.
 
 CI runs the backend benchmark on every push and diffs the dimensionless
-speedup ratios (``*_speedup``, ``*_ratio``, ...) against the
-checked-in ``BENCH_backends.json``; the server-smoke job does the same
-for ``bench_server.py``'s ``throughput_ratio`` against
-``BENCH_server.json``.  Ratios rather than raw seconds are compared
+speedup ratios (``*_speedup``) against the checked-in
+``BENCH_backends.json``.  Ratios rather than raw seconds are compared
 because CI machines differ from the machine the baseline was recorded
 on — a slower runner scales every backend equally, but a real
 regression moves one side relative to the other.
 
-A fresh ratio below ``(1 - tolerance)`` of the baseline ratio fails the
-check (default tolerance 25%).  Rows are matched on
-``(n_vertices, n_samples)``; a fresh report with *no* overlapping rows
-fails loudly rather than passing vacuously.  Ratio fields missing on
-either side (e.g. ``csr-numba_speedup`` when numba is absent) are
-ignored, so the same baseline serves both the plain and the numba CI
-legs::
+A fresh ratio more than 25% below its baseline ratio fails the check.
+Rows are matched on ``(n_vertices, n_samples)``; a fresh report with
+*no* overlapping rows fails loudly rather than passing vacuously.
+Ratio fields missing on either side (e.g. ``csr-numba_speedup`` when
+numba is absent) are ignored, so the same baseline serves both the
+plain and the numba CI legs::
 
     PYTHONPATH=src python benchmarks/bench_backends.py --quick --json fresh.json
     python benchmarks/check_regression.py benchmarks/BENCH_backends.json fresh.json
-    PYTHONPATH=src python benchmarks/bench_server.py --quick --json fresh-server.json
-    python benchmarks/check_regression.py benchmarks/BENCH_server.json fresh-server.json
-
-The same diff covers ``BENCH_queries.json`` (``cold_speedup`` /
-``warm_speedup``) and ``BENCH_parallel.json`` (``workers*_speedup``
-under ``sharded_rows``).
 
 Exit codes separate the two failure families: **1** means a genuine
 ratio regression; **2** means the comparison itself could not run — a
 missing or unparseable JSON file, no overlapping rows, or no shared
-ratio fields (stale baseline / wrong file pairing, usually fixed by
-``python benchmarks/refresh_baselines.py``).
+ratio fields (stale baseline / wrong file pairing).  After a deliberate
+performance or report-format change, re-record the baseline from the
+quick rows CI measures and commit it with the change::
+
+    PYTHONPATH=src python benchmarks/bench_backends.py --quick --json benchmarks/BENCH_backends.json
 """
 
 from __future__ import annotations
@@ -42,32 +36,30 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-DEFAULT_TOLERANCE = 0.25
+#: Allowed fractional drop of a ratio below its baseline.
+TOLERANCE = 0.25
 
-#: Only dimensionless ratio fields participate in the diff
-#: (``_ratio`` covers bench_server's served-vs-naive throughput ratio).
-RATIO_SUFFIXES = ("_speedup", "_ratio")
+#: Only the dimensionless speedup fields participate in the diff.
+RATIO_SUFFIX = "_speedup"
 
-#: Keys under which a report may store comparable rows
-#: (``sharded_rows`` is bench_parallel's layout).
-ROW_KEYS = ("rows", "sharded_rows")
+#: Re-records the checked-in baseline (see the module docstring).
+REFRESH_COMMAND = (
+    "PYTHONPATH=src python benchmarks/bench_backends.py --quick "
+    "--json benchmarks/BENCH_backends.json"
+)
 
 
 def ratio_fields(row: dict) -> Dict[str, float]:
     return {
         key: float(value)
         for key, value in row.items()
-        if key.endswith(RATIO_SUFFIXES) and isinstance(value, (int, float))
+        if key.endswith(RATIO_SUFFIX) and isinstance(value, (int, float))
     }
 
 
 def index_rows(report: dict) -> Dict[Tuple[int, int], dict]:
     """Rows keyed by ``(n_vertices, n_samples)``."""
-    indexed: Dict[Tuple[int, int], dict] = {}
-    for key in ROW_KEYS:
-        for row in report.get(key, []):
-            indexed[(row["n_vertices"], row["n_samples"])] = row
-    return indexed
+    return {(row["n_vertices"], row["n_samples"]): row for row in report.get("rows", [])}
 
 
 class ComparisonUnusableError(Exception):
@@ -80,7 +72,7 @@ class ComparisonUnusableError(Exception):
     """
 
 
-def compare(baseline: dict, fresh: dict, tolerance: float) -> List[str]:
+def compare(baseline: dict, fresh: dict) -> List[str]:
     """Return a list of human-readable failure messages (empty = pass).
 
     Raises :class:`ComparisonUnusableError` when the two reports have
@@ -95,7 +87,7 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> List[str]:
             "no overlapping (n_vertices, n_samples) rows between "
             f"the baseline rows {sorted(baseline_rows)} and the fresh rows "
             f"{sorted(fresh_rows)}; the baseline is stale or the files are "
-            f"mismatched — regenerate with 'python benchmarks/refresh_baselines.py'"
+            f"mismatched — regenerate with '{REFRESH_COMMAND}'"
         )
 
     compared = 0
@@ -104,19 +96,19 @@ def compare(baseline: dict, fresh: dict, tolerance: float) -> List[str]:
         fresh_ratios = ratio_fields(fresh_rows[key])
         for field in sorted(set(base_ratios) & set(fresh_ratios)):
             compared += 1
-            floor = base_ratios[field] * (1.0 - tolerance)
+            floor = base_ratios[field] * (1.0 - TOLERANCE)
             if fresh_ratios[field] < floor:
                 failures.append(
                     f"row |V|={key[0]} samples={key[1]} {field}: "
                     f"{fresh_ratios[field]:.2f}x < {floor:.2f}x "
-                    f"(baseline {base_ratios[field]:.2f}x - {tolerance:.0%})"
+                    f"(baseline {base_ratios[field]:.2f}x - {TOLERANCE:.0%})"
                 )
     if compared == 0:
         raise ComparisonUnusableError(
             "overlapping rows share no ratio fields — nothing was compared; "
             "the baseline and fresh report come from different benchmarks, "
             "or the baseline predates the current report format — regenerate "
-            "with 'python benchmarks/refresh_baselines.py'"
+            f"with '{REFRESH_COMMAND}'"
         )
     return failures
 
@@ -125,12 +117,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", type=Path, help="checked-in baseline JSON")
     parser.add_argument("fresh", type=Path, help="report from this run's --json")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="allowed fractional slowdown before failing (default 0.25)",
-    )
     args = parser.parse_args(argv)
 
     reports = {}
@@ -139,8 +125,7 @@ def main(argv=None) -> int:
             reports[label] = json.loads(path.read_text())
         except FileNotFoundError:
             hint = (
-                " — regenerate checked-in baselines with "
-                "'python benchmarks/refresh_baselines.py'"
+                f" — regenerate the checked-in baseline with '{REFRESH_COMMAND}'"
                 if label == "baseline"
                 else " — run the benchmark with --json first"
             )
@@ -150,7 +135,7 @@ def main(argv=None) -> int:
             print(f"ERROR: {label} report {path} is not readable JSON: {error}")
             return 2
     try:
-        failures = compare(reports["baseline"], reports["fresh"], args.tolerance)
+        failures = compare(reports["baseline"], reports["fresh"])
     except ComparisonUnusableError as error:
         print(f"ERROR: cannot compare {args.fresh} against {args.baseline}: {error}")
         return 2
@@ -159,7 +144,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print(f"no ratio regression vs {args.baseline} (tolerance {args.tolerance:.0%})")
+    print(f"no ratio regression vs {args.baseline} (tolerance {TOLERANCE:.0%})")
     return 0
 
 

@@ -19,7 +19,6 @@ from repro.algorithms.traversal import (
 from repro.algorithms.union_find import UnionFind
 from repro.algorithms.biconnected import (
     biconnected_edge_components,
-    bridges,
     BlockCutTree,
     block_cut_tree,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "is_connected",
     "UnionFind",
     "biconnected_edge_components",
-    "bridges",
     "BlockCutTree",
     "block_cut_tree",
     "dijkstra",

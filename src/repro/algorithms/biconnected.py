@@ -1,4 +1,4 @@
-"""Biconnected components, bridges and the block-cut tree.
+"""Biconnected components and the block-cut tree.
 
 The F-tree of the paper (Section 5.3) is "inspired by the block-cut
 tree"; this module provides the underlying decomposition: an iterative
@@ -87,15 +87,6 @@ def biconnected_edge_components(
             components.append({Edge(u, v) for u, v in edge_stack})
             edge_stack.clear()
     return components
-
-
-def bridges(graph: UncertainGraph, edges: Optional[Iterable[Edge]] = None) -> Set[Edge]:
-    """Return all bridge edges (edges whose removal disconnects their endpoints)."""
-    return {
-        next(iter(component))
-        for component in biconnected_edge_components(graph, edges)
-        if len(component) == 1
-    }
 
 
 # ----------------------------------------------------------------------

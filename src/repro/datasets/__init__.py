@@ -5,8 +5,10 @@ Facebook social circles, DBLP, YouTube).  Those snapshots are not
 redistributable and cannot be downloaded in this offline environment, so
 each is replaced by a synthetic surrogate that reproduces the structural
 properties the evaluation depends on (locality, density, degree
-distribution, probability assignment scheme) — see DESIGN.md §4 for the
-substitution argument.  :func:`load_dataset` resolves names to graphs,
+distribution, probability assignment scheme): the paper's conclusions
+on these networks follow from those properties, not from the particular
+vertices, so a graph that shares them exercises the same algorithmic
+behaviour.  :func:`load_dataset` resolves names to graphs,
 and :data:`DATASET_NAMES` lists everything available.
 """
 

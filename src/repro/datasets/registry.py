@@ -142,7 +142,7 @@ def load_dataset(
     n_vertices:
         Target number of vertices (defaults to the dataset's
         ``default_size``; surrogates are scaled-down versions of the
-        original networks, see DESIGN.md §4).
+        original networks with the same degree and locality).
     seed:
         Random seed for the generator.
     """

@@ -1,8 +1,9 @@
 """Synthetic surrogates for the paper's real-world datasets.
 
 Each surrogate mirrors the structural properties that drive the paper's
-conclusions (see DESIGN.md §4 for the full substitution argument) while
-being generated locally at a configurable scale:
+conclusions (locality, density, degree distribution, probability
+scheme; the original snapshots are not redistributable) while being
+generated locally at a configurable scale:
 
 * :func:`san_joaquin_surrogate` — the road network: planar, degree ≈ 2.6,
   strong locality, communication probability ``exp(-0.001 · distance)``;

@@ -36,11 +36,6 @@ from repro.experiments.running_example import (
     ftree_example_graph,
     ftree_example_report,
 )
-from repro.experiments.ablations import (
-    exact_threshold_ablation,
-    probability_misestimation_robustness,
-    lazy_versus_eager_greedy,
-)
 
 __all__ = [
     "ExperimentConfig",
@@ -66,7 +61,4 @@ __all__ = [
     "example1_report",
     "ftree_example_graph",
     "ftree_example_report",
-    "exact_threshold_ablation",
-    "probability_misestimation_robustness",
-    "lazy_versus_eager_greedy",
 ]

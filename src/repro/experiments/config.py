@@ -3,10 +3,11 @@
 The paper's default setting is ``|V| = 10,000``, vertex degree 6,
 budget ``k = 200`` and 1000 Monte-Carlo samples.  Pure-Python Monte-Carlo
 at that scale takes hours per figure, so the default configuration here
-is scaled down (see DESIGN.md §4 and EXPERIMENTS.md); the paper-scale
-values can be requested explicitly through :meth:`ExperimentConfig.paper_scale`
-or by setting the environment variable ``REPRO_BENCH_SCALE`` (a float
-multiplier applied to graph sizes and budgets by the benchmark suite).
+is scaled down (``|V| = 300``, ``k = 12``): the figures compare
+algorithms on the same instances, so their relative flow and runtime
+are what a smaller instance reproduces.  The paper-scale values are
+:meth:`ExperimentConfig.paper_scale`; :meth:`ExperimentConfig.scaled`
+multiplies graph size and budget by a factor.
 
 Runtime knobs — sampling backend, workers, shard size, world cache —
 are not experiment settings: every figure resolves them from the
@@ -16,7 +17,6 @@ reaches every selector and yardstick an experiment runs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
@@ -42,22 +42,6 @@ FAST_ALGORITHMS: Tuple[str, ...] = (
     "FT+M+DS",
     "FT+M+CI+DS",
 )
-
-
-def bench_scale() -> float:
-    """Return the global benchmark scale factor from ``REPRO_BENCH_SCALE``.
-
-    ``1.0`` (the default) keeps the scaled-down sizes; larger values move
-    the experiments towards the paper's original scale.
-    """
-    raw = os.environ.get("REPRO_BENCH_SCALE", "1.0")
-    try:
-        value = float(raw)
-    except ValueError as error:
-        raise ExperimentError(f"REPRO_BENCH_SCALE must be a number, got {raw!r}") from error
-    if value <= 0:
-        raise ExperimentError(f"REPRO_BENCH_SCALE must be positive, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ full run finishes on a laptop; pass an
 :class:`~repro.experiments.config.ExperimentConfig` (or
 ``ExperimentConfig.paper_scale()``) to change that.
 
-The mapping from figure to function is listed in :data:`ALL_FIGURES`
-and, with more context, in DESIGN.md §3.
+The mapping from figure to function is listed in :data:`ALL_FIGURES`;
+``python -m repro.cli experiment --figure NAME`` runs one.
 """
 
 from __future__ import annotations

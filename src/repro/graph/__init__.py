@@ -3,9 +3,8 @@
 This subpackage provides the probabilistic graph model of the paper
 (Section 3): an undirected graph whose edges exist independently with a
 known probability and whose vertices carry information weights, together
-with possible-world semantics, synthetic generators, JSON
-serialisation and the probability perturbation used by robustness
-experiments.
+with possible-world semantics, synthetic generators and JSON
+serialisation.
 """
 
 from repro.graph.uncertain_graph import UncertainGraph
@@ -30,7 +29,6 @@ from repro.graph.io import (
     write_json,
 )
 from repro.graph.validation import validate_graph, GraphStats, graph_stats
-from repro.graph.transforms import perturb_probabilities
 
 __all__ = [
     "UncertainGraph",
@@ -55,5 +53,4 @@ __all__ = [
     "validate_graph",
     "GraphStats",
     "graph_stats",
-    "perturb_probabilities",
 ]

@@ -16,7 +16,7 @@ These reproduce the data-generation schemes of the paper's evaluation
   ``eps``.
 * :func:`grid_road_graph` — a road-network-style planar grid with
   distance-decay edge probabilities (surrogate for the San Joaquin road
-  network, see DESIGN.md §4).
+  network: planar and local, as the original).
 * :func:`social_circle_graph` — a dense social graph where each vertex
   has a few high-probability "close friends" and many low-probability
   acquaintances (surrogate for the Facebook circles dataset).

@@ -12,7 +12,7 @@ Equation 1.  This module provides:
   ground truth: a per-world reference loop over it checks the
   all-worlds closure of :mod:`repro.reachability.exact`, which numbers
   its worlds in this same order;
-* :func:`sample_world` / :func:`sample_worlds` — unbiased world sampling.
+* :func:`sample_worlds` — unbiased world sampling.
 """
 
 from __future__ import annotations
@@ -134,12 +134,6 @@ class PossibleWorld:
 # ----------------------------------------------------------------------
 # world construction helpers
 # ----------------------------------------------------------------------
-def sample_world(graph: UncertainGraph, seed: SeedLike = None) -> PossibleWorld:
-    """Draw one unbiased possible world from ``graph``."""
-    surviving = graph.sample_edge_set(seed)
-    return PossibleWorld(graph.vertices(), surviving)
-
-
 def sample_worlds(
     graph: UncertainGraph, n_samples: int, seed: SeedLike = None
 ) -> Iterator[PossibleWorld]:

@@ -32,7 +32,6 @@ from repro.selection.candidates import CandidateManager
 from repro.selection.dijkstra_tree import DijkstraSelector
 from repro.selection.greedy_naive import NaiveGreedySelector
 from repro.selection.ftree_greedy import FTreeGreedySelector
-from repro.selection.lazy_greedy import LazyGreedySelector
 from repro.selection.random_baseline import RandomSelector
 from repro.selection.exact_optimal import exhaustive_optimal_selection
 from repro.selection.registry import ALGORITHM_NAMES, make_selector
@@ -45,7 +44,6 @@ __all__ = [
     "DijkstraSelector",
     "NaiveGreedySelector",
     "FTreeGreedySelector",
-    "LazyGreedySelector",
     "RandomSelector",
     "exhaustive_optimal_selection",
     "ALGORITHM_NAMES",

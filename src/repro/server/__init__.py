@@ -51,7 +51,6 @@ from repro.server.protocol import (
     decode_line,
     encode_line,
     error_response,
-    is_rejection,
     ok_response,
     request_line,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "decode_line",
     "encode_line",
     "error_response",
-    "is_rejection",
     "ok_response",
     "request_line",
     "serve",

@@ -106,14 +106,6 @@ def error_response(
     }
 
 
-def is_rejection(response: Dict[str, object]) -> bool:
-    """True when a response is an explicit backpressure rejection."""
-    if response.get("ok"):
-        return False
-    error = response.get("error")
-    return isinstance(error, dict) and error.get("type") in BACKPRESSURE_ERRORS
-
-
 def request_line(
     payload: Dict[str, object],
     request_id: object = None,
@@ -142,7 +134,6 @@ __all__ = [
     "decode_line",
     "encode_line",
     "error_response",
-    "is_rejection",
     "ok_response",
     "request_line",
 ]

@@ -43,14 +43,12 @@ from repro.telemetry.core import (
     current_telemetry,
     get_default_telemetry,
     install_env_telemetry,
-    resolve_telemetry,
     telemetry_from_spec,
     traced,
 )
 from repro.telemetry.expo import (
     MetricsHTTPServer,
     WindowRates,
-    render_registry,
     render_server_text,
     sanitize_metric_name,
 )
@@ -116,9 +114,7 @@ __all__ = [
     "install_env_telemetry",
     "iter_spans",
     "parse_collapsed",
-    "render_registry",
     "render_server_text",
-    "resolve_telemetry",
     "sanitize_metric_name",
     "span_totals",
     "telemetry_from_spec",

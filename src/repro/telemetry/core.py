@@ -157,8 +157,7 @@ def telemetry_from_spec(spec: object) -> Telemetry:
     ``True`` → an enabled metrics-only pipeline; ``"log"`` → the stdlib
     logging bridge; any other string → a :class:`JSONLExporter` writing
     to that path.  Instances pass through.  This is what the
-    ``REPRO_TELEMETRY`` environment hook and :func:`resolve_telemetry`
-    accept.
+    ``REPRO_TELEMETRY`` environment hook accepts.
     """
     if isinstance(spec, Telemetry):
         return spec
@@ -183,20 +182,6 @@ def get_default_telemetry() -> Telemetry:
 
 #: Alias used by the instrumented call sites: ``tel = current_telemetry()``.
 current_telemetry = get_default_telemetry
-
-
-def resolve_telemetry(spec: object) -> Telemetry:
-    """Resolve an explicit argument through the documented chain.
-
-    ``None`` → ambient (session → ``REPRO_TELEMETRY`` → disabled); ``False`` →
-    :data:`NULL_TELEMETRY` (explicitly off, even inside an enabled
-    scope); ``True`` / path / instance → a live pipeline.
-    """
-    if spec is None:
-        return get_default_telemetry()
-    if spec is False:
-        return NULL_TELEMETRY
-    return telemetry_from_spec(spec)
 
 
 def traced(name: str, **attributes: object) -> Callable:
@@ -256,7 +241,6 @@ __all__ = [
     "current_telemetry",
     "get_default_telemetry",
     "install_env_telemetry",
-    "resolve_telemetry",
     "telemetry_from_spec",
     "traced",
 ]

@@ -142,24 +142,15 @@ class _TextBuilder:
         return "\n".join(self.lines) + "\n" if self.lines else ""
 
 
-def render_registry(
-    snapshot: Dict[str, Dict[str, object]], prefix: str = "repro"
-) -> str:
-    """Render one ``MetricsRegistry.snapshot()`` as Prometheus text."""
-    builder = _TextBuilder()
-    _render_registry_into(builder, snapshot, prefix)
-    return builder.text()
-
-
 def _render_registry_into(
-    builder: _TextBuilder, snapshot: Dict[str, Dict[str, object]], prefix: str
+    builder: _TextBuilder, snapshot: Dict[str, Dict[str, object]]
 ) -> None:
     for name, value in snapshot.get("counters", {}).items():
-        builder.counter(f"{sanitize_metric_name(name, prefix)}_total", value)
+        builder.counter(f"{sanitize_metric_name(name)}_total", value)
     for name, value in snapshot.get("gauges", {}).items():
-        builder.gauge(sanitize_metric_name(name, prefix), value)
+        builder.gauge(sanitize_metric_name(name), value)
     for name, summary in snapshot.get("histograms", {}).items():
-        builder.histogram(sanitize_metric_name(name, prefix), summary)
+        builder.histogram(sanitize_metric_name(name), summary)
 
 
 def render_server_text(payload: Dict[str, object]) -> str:
@@ -223,7 +214,7 @@ def render_server_text(payload: Dict[str, object]) -> str:
             for name, value in telemetry.get("counters", {}).items()
             if not name.startswith("server.")
         }
-        _render_registry_into(builder, {**telemetry, "counters": counters}, "repro")
+        _render_registry_into(builder, {**telemetry, "counters": counters})
     return builder.text()
 
 
@@ -299,8 +290,7 @@ class MetricsHTTPServer:
     """A stdlib HTTP server exposing one text callback at ``/metrics``.
 
     ``render`` is called per scrape on the serving thread (it must be
-    thread-safe; both :func:`render_registry` over a snapshot and
-    :func:`render_server_text` over a payload are).  ``port=0`` binds an
+    thread-safe; :func:`render_server_text` over a payload is).  ``port=0`` binds an
     ephemeral port — read :attr:`address` after :meth:`start`.
     """
 
@@ -370,7 +360,6 @@ __all__ = [
     "QUANTILES",
     "MetricsHTTPServer",
     "WindowRates",
-    "render_registry",
     "render_server_text",
     "sanitize_metric_name",
 ]

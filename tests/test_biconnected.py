@@ -6,7 +6,7 @@ NetworkX is used as an independent oracle for randomly generated graphs.
 import networkx as nx
 import pytest
 
-from repro.algorithms.biconnected import biconnected_edge_components, block_cut_tree, bridges
+from repro.algorithms.biconnected import biconnected_edge_components, block_cut_tree
 from repro.exceptions import VertexNotFoundError
 from repro.graph.generators import erdos_renyi_graph, path_graph
 from repro.graph.uncertain_graph import UncertainGraph
@@ -24,19 +24,16 @@ class TestSmallGraphs:
     def test_path_has_only_bridges(self, small_path):
         components = biconnected_edge_components(small_path)
         assert all(len(component) == 1 for component in components)
-        assert bridges(small_path) == set(small_path.edges())
 
     def test_cycle_is_one_block(self, five_cycle):
         components = biconnected_edge_components(five_cycle)
         assert len(components) == 1
         assert len(components[0]) == 5
-        assert bridges(five_cycle) == set()
 
     def test_lollipop_articulation_point(self, lollipop_graph):
         # the articulation vertices are where non-root blocks attach
         tree = block_cut_tree(lollipop_graph, 0)
         assert set(tree.block_parent_vertex) - {0} == {2, 3}
-        assert bridges(lollipop_graph) == {Edge(2, 3), Edge(3, 4)}
 
     def test_every_edge_in_exactly_one_component(self, lollipop_graph):
         components = biconnected_edge_components(lollipop_graph)
@@ -65,8 +62,15 @@ class TestAgainstNetworkx:
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_bridges_match(self, seed):
+        # a bridge is exactly a one-edge block
         graph = erdos_renyi_graph(50, average_degree=3.0, seed=seed, connect=False)
-        assert bridges(graph) == {Edge(u, v) for u, v in nx.bridges(_to_networkx(graph))}
+        ours = {
+            edge
+            for component in biconnected_edge_components(graph)
+            if len(component) == 1
+            for edge in component
+        }
+        assert ours == {Edge(u, v) for u, v in nx.bridges(_to_networkx(graph))}
 
 
 class TestBlockCutTree:

@@ -27,7 +27,6 @@ from repro.reachability.context import EvaluationContext
 from repro.reachability.engine import SamplingEngine
 from repro.selection.candidates import CandidateManager
 from repro.selection.greedy_naive import NaiveGreedySelector
-from repro.selection.lazy_greedy import LazyGreedySelector
 from repro.types import Edge
 
 
@@ -147,17 +146,6 @@ class TestCrossBackendSelections:
         for result in results[1:]:
             assert result.selected_edges == reference.selected_edges
             assert result.expected_flow == reference.expected_flow
-
-    def test_lazy_selector_selections_identical_across_backends(self):
-        graph = erdos_renyi_graph(30, average_degree=4.0, seed=4)
-        results = []
-        for backend in BACKEND_NAMES:
-            with repro.session(backend=backend):
-                selector = LazyGreedySelector(n_samples=150, seed=6)
-                results.append(selector.select(graph, 0, 6))
-        reference = results[0]
-        for result in results[1:]:
-            assert result.selected_edges == reference.selected_edges
 
 
 class TestBestAndValidation:

@@ -14,11 +14,16 @@ long-lived server on the executor; each test here pins its fix:
 * the ``__del__`` finalizer called ``shutdown(wait=True)`` and could
   hang interpreter exit behind wedged workers — the finalizer path now
   abandons outstanding work (``wait=False, cancel_futures=True``).
+
+``TestShardsRunInWorkers`` pins the mechanism all of this serves: the
+shards of one call run in the pool's worker processes, more than one of
+them, and never in the calling process.
 """
 
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -148,6 +153,25 @@ class _SuicideBackend:
 
     def sample_reachability(self, problem, n_samples, rng):
         os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _PidBackend:
+    """A 'backend' that reports which process ran its shard."""
+
+    def sample_reachability(self, problem, n_samples, rng):
+        # long enough that one worker cannot drain every shard alone
+        time.sleep(0.2)
+        return np.array([os.getpid()])
+
+
+class TestShardsRunInWorkers:
+    def test_shards_spread_over_worker_processes(self):
+        with ProcessExecutor(2) as executor:
+            results = executor.map_shards(_tasks(n_shards=4, backend=_PidBackend()))
+        pids = {int(result[0]) for result in results}
+        assert len(results) == 4
+        assert os.getpid() not in pids
+        assert len(pids) > 1
 
 
 class TestWorkerDeath:

@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro.exceptions import ExperimentError
-from repro.experiments.config import DEFAULT_ALGORITHMS, ExperimentConfig, bench_scale
+from repro.experiments.config import DEFAULT_ALGORITHMS, ExperimentConfig
 from repro.experiments.harness import (
     AlgorithmRun,
     evaluate_flow,
@@ -43,16 +43,6 @@ class TestConfig:
     def test_paper_scale_and_quick(self):
         assert ExperimentConfig.paper_scale().n_vertices == 10_000
         assert ExperimentConfig.quick().n_vertices <= 100
-
-    def test_bench_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "2.5")
-        assert bench_scale() == pytest.approx(2.5)
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "not-a-number")
-        with pytest.raises(ExperimentError):
-            bench_scale()
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "-1")
-        with pytest.raises(ExperimentError):
-            bench_scale()
 
 
 class TestHarness:
@@ -282,15 +272,6 @@ class TestSessionReachesEveryEntryPoint:
         with repro.session(**REFERENCE_RUNTIME):
             run_algorithms(graph, pick_query_vertex(graph), 4, ["Naive", "FT+M"],
                            config=SESSION_CONFIG)
-        assert calls["naive"] > 0
-        assert calls["csr"] == 0
-
-    def test_exact_threshold_ablation(self, monkeypatch):
-        from repro.experiments.ablations import exact_threshold_ablation
-
-        calls = _count_backend_calls(monkeypatch)
-        with repro.session(**REFERENCE_RUNTIME):
-            exact_threshold_ablation(thresholds=(0,), config=SESSION_CONFIG)
         assert calls["naive"] > 0
         assert calls["csr"] == 0
 

@@ -7,19 +7,17 @@ Imports in package ``__init__`` modules and every ``__all__`` list do
 not count, so a re-export alone keeps nothing alive; other statements of
 an ``__init__`` do (``register_backend("csr-numba", ...)`` is a caller).
 Tests never count: code that only its own tests call is a deletion
-candidate.  A name counts wherever it appears as an identifier, in code
-or in a string, so a docstring cross-reference is a caller too; the
-guard catches definitions that nothing outside the tests mentions.
+candidate.  Only code counts: a name read, an attribute access or an
+import outside an ``__init__``.  A docstring cross-reference or a
+comment is not a caller.
 
 ``ALLOWED`` holds the definitions kept without a caller, each with its
-reason: they reproduce a tested claim of the paper, or they are oracles
-that other tests pin answers against.
+reason: they reproduce a tested claim of the paper, they are oracles
+that other tests pin answers against, or they build shared test
+fixtures.
 """
 
 import ast
-import io
-import re
-import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,36 +32,39 @@ ALLOWED = {
     "exact_reachability": "enumeration oracle the factoring and estimator tests pin against",
     "is_connected": "checks generator output in the generator and dataset tests",
     "parse_collapsed": "oracle: tests parse format_collapsed output to pin flame totals",
+    "totals_from_collapsed": "oracle: CI's profiling smoke checks the flamegraph export with it",
+    "validate_graph": "oracle: checks generator, dataset and reduction output in their tests",
+    "cycle_graph": "fixture: tests/conftest.py builds the shared toy graphs with it",
+    "star_graph": "fixture: tests/conftest.py builds the shared toy graphs with it",
+    "complete_graph": "fixture: tests/conftest.py builds the shared toy graphs with it",
 }
 
-_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+def _is_excluded(stmt: ast.stmt, is_init: bool) -> bool:
+    """``__all__`` assignments, plus the imports of an ``__init__``."""
+    is_all = isinstance(stmt, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets
+    )
+    return is_all or (is_init and isinstance(stmt, (ast.Import, ast.ImportFrom)))
 
 
-def _excluded_lines(tree: ast.Module, is_init: bool) -> set:
-    """Lines of ``__all__`` assignments, plus the imports of an ``__init__``."""
-    lines = set()
+def _references(tree: ast.Module, is_init: bool):
+    """Yield ``(first line, last line, name)`` for every name the code uses."""
     for stmt in tree.body:
-        is_all = isinstance(stmt, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets
-        )
-        is_import = isinstance(stmt, (ast.Import, ast.ImportFrom))
-        if is_all or (is_init and is_import):
-            lines.update(range(stmt.lineno, stmt.end_lineno + 1))
-    return lines
-
-
-def _mentions(path: Path, excluded: set):
-    """Yield ``(first line, last line, identifier)`` for names in code and strings."""
-    source = path.read_text(encoding="utf-8")
-    for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if token.type not in (tokenize.NAME, tokenize.STRING) or token.start[0] in excluded:
+        if _is_excluded(stmt, is_init):
             continue
-        for word in _IDENTIFIER.findall(token.string):
-            yield token.start[0], token.end[0], word
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield node.lineno, node.end_lineno, node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.lineno, node.end_lineno, node.attr
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    yield node.lineno, node.end_lineno, alias.name.rsplit(".", 1)[-1]
 
 
 def uncalled_definitions(root: Path) -> dict:
-    """Map each public top-level definition nothing mentions to ``path:line``."""
+    """Map each public top-level definition no code references to ``path:line``."""
     definitions = []
     mentions = {}
     for path in sorted((root / "src" / "repro").rglob("*.py")):
@@ -75,12 +76,13 @@ def uncalled_definitions(root: Path) -> dict:
                 if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and public:
                     first = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
                     definitions.append((stmt.name, path, first, stmt.end_lineno))
-        for first, last, word in _mentions(path, _excluded_lines(tree, is_init)):
-            mentions.setdefault(word, []).append((path, first, last))
+        for first, last, name in _references(tree, is_init):
+            mentions.setdefault(name, []).append((path, first, last))
     for directory in CALLER_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
-            for first, last, word in _mentions(path, set()):
-                mentions.setdefault(word, []).append((path, first, last))
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for first, last, name in _references(tree, is_init=False):
+                mentions.setdefault(name, []).append((path, first, last))
 
     uncalled = {}
     for name, path, first, last in definitions:
@@ -121,8 +123,9 @@ def test_guard_sees_through_reexports(tmp_path):
         "def circle():\n    pass\n\n\n"
         "def triangle():\n    pass\n\n\n"
         "def hexagon():\n    pass\n\n\n"
+        "def pentagon():\n    pass\n\n\n"
         "class Registry:\n    pass\n\n\n"
-        '__all__ = ["square", "circle", "triangle", "hexagon", "Registry"]\n',
+        '__all__ = ["square", "circle", "triangle", "hexagon", "pentagon", "Registry"]\n',
         encoding="utf-8",
     )
     (package / "__init__.py").write_text(
@@ -131,6 +134,12 @@ def test_guard_sees_through_reexports(tmp_path):
         "Registry.add(circle)\n",
         encoding="utf-8",
     )
-    (package / "draw.py").write_text('"""Draws :func:`triangle`."""\n', encoding="utf-8")
+    (package / "draw.py").write_text(
+        '"""Draws :func:`triangle`, not ``pentagon()``."""\n'
+        "from repro.shapes import triangle\n\n"
+        "# a comment naming pentagon is no caller either\n"
+        "triangle()\n",
+        encoding="utf-8",
+    )
     (tmp_path / "examples" / "demo.py").write_text("print(hexagon)\n", encoding="utf-8")
-    assert set(uncalled_definitions(tmp_path)) == {"square"}
+    assert set(uncalled_definitions(tmp_path)) == {"square", "pentagon"}

@@ -33,7 +33,6 @@ from repro.telemetry import InMemoryExporter, Telemetry, current_telemetry
 from repro.telemetry.expo import (
     MetricsHTTPServer,
     WindowRates,
-    render_registry,
     render_server_text,
     sanitize_metric_name,
 )
@@ -419,7 +418,7 @@ class TestExposition:
         hist = registry.histogram("service.latency", bounds=(0.001, 0.01, 0.1))
         for value in (0.0005, 0.005, 0.05, 5.0):
             hist.observe(value)
-        text = render_registry(registry.snapshot())
+        text = render_server_text({"telemetry": registry.snapshot()})
         assert "# TYPE repro_engine_worlds_sampled_total counter" in text
         assert "# TYPE repro_service_latency histogram" in text
         samples = _parse_samples(text)
@@ -502,7 +501,9 @@ class TestExposition:
     def test_metrics_http_server_serves_and_404s(self):
         registry = MetricsRegistry()
         registry.counter("demo.hits").add(3)
-        server = MetricsHTTPServer(lambda: render_registry(registry.snapshot())).start()
+        server = MetricsHTTPServer(
+            lambda: render_server_text({"telemetry": registry.snapshot()})
+        ).start()
         try:
             host, port = server.address
             body = urllib.request.urlopen(f"http://{host}:{port}/metrics").read().decode()

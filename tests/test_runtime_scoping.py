@@ -428,12 +428,6 @@ class TestObjectsFollowTheSession:
         selector = make_selector("Naive", n_samples=64, seed=1, include_query=include_query)
         self._run(lambda: selector.select(k5, 0, 4), naive_calls)
 
-    def test_lazy_selector(self, k5, naive_calls):
-        from repro.selection.lazy_greedy import LazyGreedySelector
-
-        selector = LazyGreedySelector(n_samples=64, exact_threshold=0, seed=1)
-        self._run(lambda: selector.select(k5, 0, 6), naive_calls)
-
     def test_random_selector(self, k5, naive_calls):
         selector = make_selector("Random", n_samples=64, exact_threshold=0, seed=1)
         self._run(lambda: selector.select(k5, 0, k5.n_edges), naive_calls)

@@ -23,7 +23,6 @@ import pytest
 
 from repro.experiments.harness import pick_query_vertex
 from repro.graph.generators import erdos_renyi_graph, wsn_graph
-from repro.selection.lazy_greedy import LazyGreedySelector
 from repro.selection.registry import make_selector
 from repro.types import Edge
 
@@ -57,10 +56,6 @@ GOLDEN = {
         [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
         33.423568368008134,
     ),
-    ("erdos-30", "FT+Lazy", 10): (
-        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
-        33.423568368008134,
-    ),
     ("erdos-40", "FT", 10): (
         [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (10, 22), (16, 22), (8, 22)],
         55.097131055784494,
@@ -74,10 +69,6 @@ GOLDEN = {
         55.097131055784494,
     ),
     ("erdos-40", "FT+M+DS", 10): (
-        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (10, 22), (8, 22), (10, 24)],
-        52.678293910099114,
-    ),
-    ("erdos-40", "FT+Lazy", 10): (
         [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (10, 22), (8, 22), (10, 24)],
         52.678293910099114,
     ),
@@ -109,13 +100,6 @@ GOLDEN = {
         ],
         42.55411601994039,
     ),
-    ("wsn-60", "FT+Lazy", 10): (
-        [
-            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
-            (9, 34), (5, 9), (14, 15), (14, 47), (5, 10),
-        ],
-        42.19031381420177,
-    ),
     ("erdos-30", "FT", 3): (
         [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
         33.423568368008134,
@@ -129,10 +113,6 @@ GOLDEN = {
         33.423568368008134,
     ),
     ("erdos-30", "FT+M+DS", 3): (
-        [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
-        33.423568368008134,
-    ),
-    ("erdos-30", "FT+Lazy", 3): (
         [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
         33.423568368008134,
     ),
@@ -151,10 +131,6 @@ GOLDEN = {
     ("erdos-40", "FT+M+DS", 3): (
         [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (16, 22), (10, 22), (8, 22)],
         56.50963472063205,
-    ),
-    ("erdos-40", "FT+Lazy", 3): (
-        [(1, 2), (1, 6), (6, 16), (1, 3), (16, 18), (6, 20), (1, 22), (10, 22), (8, 22), (10, 24)],
-        52.678293910099114,
     ),
     ("wsn-60", "FT", 3): (
         [
@@ -183,13 +159,6 @@ GOLDEN = {
             (9, 34), (5, 9), (46, 58), (9, 48), (14, 15),
         ],
         42.184692785741554,
-    ),
-    ("wsn-60", "FT+Lazy", 3): (
-        [
-            (5, 34), (34, 48), (46, 48), (5, 53), (15, 53),
-            (9, 34), (5, 9), (14, 15), (14, 47), (5, 10),
-        ],
-        42.19031381420177,
     ),
     ("erdos-30", "FT+M+CI+DS", 10): (
         [(1, 8), (1, 27), (1, 16), (6, 8), (8, 17), (4, 6), (1, 25), (25, 26), (20, 26), (3, 26)],
@@ -291,8 +260,6 @@ GOLDEN_INCLUDE_QUERY = {
 
 
 def _selector(algorithm: str, exact_threshold: int, include_query: bool = False):
-    if algorithm == "FT+Lazy":
-        return LazyGreedySelector(n_samples=200, exact_threshold=exact_threshold, seed=7)
     return make_selector(
         algorithm,
         n_samples=200,

@@ -25,7 +25,6 @@ from repro.runtime import RuntimeConfig
 from repro.selection.dijkstra_tree import DijkstraSelector
 from repro.selection.ftree_greedy import FTreeGreedySelector
 from repro.selection.greedy_naive import NaiveGreedySelector
-from repro.selection.lazy_greedy import LazyGreedySelector
 from repro.selection.random_baseline import RandomSelector
 from repro.selection import make_selector
 
@@ -34,7 +33,6 @@ INCLUDE_QUERY = (True, False)
 SAMPLING_SELECTORS = (
     NaiveGreedySelector,
     FTreeGreedySelector,
-    LazyGreedySelector,
     RandomSelector,
 )
 
@@ -45,7 +43,6 @@ def _sampling_selectors(include_query: bool):
         NaiveGreedySelector(n_samples=30, seed=0, include_query=include_query),
         FTreeGreedySelector(n_samples=30, seed=0, include_query=include_query),
         FTreeGreedySelector(n_samples=30, seed=0, memoize=True, include_query=include_query),
-        LazyGreedySelector(n_samples=30, seed=0, include_query=include_query),
         RandomSelector(n_samples=30, seed=0, include_query=include_query),
     ]
 
@@ -112,17 +109,6 @@ class TestDeterministicSelectionPerSeed:
         ]
         assert runs[0].selected_edges == runs[1].selected_edges
         assert runs[0].expected_flow == runs[1].expected_flow
-
-    @pytest.mark.parametrize("include_query", INCLUDE_QUERY)
-    def test_lazy_same_seed_same_selection(self, include_query):
-        graph = erdos_renyi_graph(25, average_degree=4.0, seed=9)
-        runs = [
-            LazyGreedySelector(n_samples=40, seed=5, include_query=include_query).select(
-                graph, 0, 5
-            )
-            for _ in range(2)
-        ]
-        assert runs[0].selected_edges == runs[1].selected_edges
 
 
 class TestNoSamplingModeKnob:

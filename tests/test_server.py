@@ -122,18 +122,6 @@ class TestProtocol:
         assert error["ok"] is False
         assert error["error"]["type"] == "over_capacity"
 
-    def test_is_rejection_only_for_backpressure_types(self):
-        assert protocol.is_rejection(
-            protocol.error_response(1, protocol.ERR_OVER_CAPACITY, "")
-        )
-        assert protocol.is_rejection(
-            protocol.error_response(1, protocol.ERR_SHUTTING_DOWN, "")
-        )
-        assert not protocol.is_rejection(
-            protocol.error_response(1, protocol.ERR_BAD_REQUEST, "")
-        )
-        assert not protocol.is_rejection(protocol.ok_response(1, {}))
-
     def test_request_line_attaches_transport_fields(self):
         line = protocol.request_line({"kind": "health"}, request_id=4, tenant="t")
         assert protocol.decode_line(line) == {"kind": "health", "id": 4, "tenant": "t"}
@@ -372,7 +360,6 @@ class TestAdmissionControl:
         assert len(rejected) == flood - max_inflight
         for rejection in rejected:
             assert rejection["error"]["type"] == protocol.ERR_OVER_CAPACITY
-            assert protocol.is_rejection(rejection)
             assert "retry" in rejection["error"]["message"]
         assert metrics["requests"]["rejected"][protocol.ERR_OVER_CAPACITY] == len(
             rejected

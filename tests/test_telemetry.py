@@ -36,7 +36,6 @@ from repro.telemetry import (
     format_span_tree,
     install_env_telemetry,
     iter_spans,
-    resolve_telemetry,
     telemetry_from_spec,
     traced,
 )
@@ -384,14 +383,6 @@ class TestResolutionChain:
         first = current_telemetry()
         assert first.enabled
         assert current_telemetry() is first  # built once at install, not per call
-
-    def test_resolve_telemetry_chain(self):
-        tel = Telemetry()
-        assert resolve_telemetry(tel) is tel
-        assert resolve_telemetry(False) is NULL_TELEMETRY
-        assert resolve_telemetry(None) is NULL_TELEMETRY  # ambient is clean here
-        with repro.session(telemetry=tel):
-            assert resolve_telemetry(None) is tel
 
     def test_telemetry_from_spec(self, tmp_path):
         assert telemetry_from_spec(True).enabled
