@@ -62,7 +62,7 @@ def build_ftree(
             (vertex for vertex in tree.block_vertices[index] if vertex != articulation),
             block,
         )
-        ftree._register(component)
+        ftree._adopt(component)
 
     for group in _bridge_forests(bridge_edges):
         anchor = min(group["vertices"], key=lambda vertex: distance[vertex])
@@ -70,7 +70,7 @@ def build_ftree(
         parent_of = _orient_tree(group["adjacency"], anchor)
         component.vertices = set(parent_of)
         component.parent_of = parent_of
-        ftree._register(component)
+        ftree._adopt(component)
         if anchor == query and ftree._root_mono_id is None:
             ftree._root_mono_id = component.component_id
     return ftree

@@ -26,16 +26,25 @@ observability.  The routine first *plans* the insertion without touching
 the tree, then applies the plan.
 
 :meth:`FTree.probe` scores a candidate edge without inserting it, as a
-flow delta over per-vertex aggregates that are built once per tree
-state: an edge that closes a cycle costs one estimate of the planned bi
-component plus a sum over its vertices.  An edge to a new vertex costs
-one multiply-add, so :meth:`FTree.probe_new_vertices` scores a whole
-array of them at once over the aggregates' reach arrays; the scalar
-:meth:`FTree.probe` remains the oracle it is tested against.
+flow delta over per-vertex aggregates of the *vertex tree*: every
+connected vertex hangs below its mono parent, or below the articulation
+of its bi component, with the edge probability or its local
+reachability as factor.  The tree keeps those aggregates current as it
+changes: a Case II insertion updates them along the new vertex's
+ancestor path, a cycle merge along the articulation's, and the first
+probe of a round applies the re-estimate of every bi component whose
+factors moved.  An edge that closes a cycle then costs one estimate of
+the planned bi component plus a sum over its vertices; an edge to a new
+vertex costs one multiply-add, so :meth:`FTree.probe_new_vertices`
+scores a whole array of them at once over the reach arrays, and the
+scalar :meth:`FTree.probe` remains the oracle it is tested against.
+:meth:`FTree.check_invariants` recomputes the aggregates from scratch
+and compares.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -104,39 +113,6 @@ class _CyclePlan:
     consumed: List[Tuple[Component, Optional[List[VertexId]]]] = field(default_factory=list)
 
 
-@dataclass
-class _FlowSums:
-    """Per-vertex aggregates of the vertex tree for one choice of local factors.
-
-    In the vertex tree every connected vertex ``x`` hangs below its
-    parent ``π(x)`` — the mono parent, or the articulation vertex of a bi
-    component — with factor ``f(x)``: the edge probability, or the local
-    reachability inside the bi component.
-    """
-
-    #: ``f(x)``
-    factor: Dict[VertexId, float]
-    #: ``R(x)``: probability of reaching Q, the product of factors up to Q,
-    #: at ``x``'s id in :meth:`UncertainGraph.vertex_index` (0 if not connected)
-    reach: np.ndarray
-    #: ``D(x) = w(x) + Σ_children f(c)·D(c)``: expected weight collected at ``x``
-    down: Dict[VertexId, float]
-    #: ``Σ_x w(x)·R(x)`` without the query vertex's own weight
-    flow: float
-
-
-@dataclass
-class _VertexTree:
-    """The committed tree's vertex-tree aggregates, built once per tree state."""
-
-    alpha: float
-    z: float
-    #: ``π(x)`` for every connected vertex except Q
-    parent: Dict[VertexId, VertexId]
-    #: sums over the estimates, their lower and their upper interval bounds
-    sums: Tuple[_FlowSums, _FlowSums, _FlowSums]
-
-
 class FTree:
     """Flow tree over the currently selected edge set of an uncertain graph.
 
@@ -144,12 +120,16 @@ class FTree:
     ----------
     graph:
         The full uncertain graph; supplies edge probabilities and vertex
-        weights.  The F-tree itself only tracks the *selected* edges.
+        weights.  The F-tree itself only tracks the *selected* edges, and
+        takes the graph's edge probabilities as fixed while it lives.
     query:
         The query vertex ``Q``; all flow is measured towards it.
     sampler:
         The :class:`ComponentSampler` used to estimate bi-connected
         components (a default sampler is created when omitted).
+    alpha:
+        Significance level of the interval bounds that :meth:`probe`
+        reports (the lower and upper flow of :meth:`flow_interval`).
     """
 
     def __init__(
@@ -157,24 +137,46 @@ class FTree:
         graph,
         query: VertexId,
         sampler: Optional[ComponentSampler] = None,
+        alpha: float = 0.01,
     ) -> None:
         if not graph.has_vertex(query):
             raise VertexNotFoundError(query)
         self.graph = graph
         self.query = query
         self.sampler = sampler if sampler is not None else ComponentSampler()
+        self.alpha = alpha
+        self._z = standard_normal_quantile(1.0 - alpha / 2.0)
         self._components: Dict[int, Component] = {}
         #: vertex -> id of the component that owns it (Q is never owned)
         self._owner: Dict[VertexId, int] = {}
         self._selected: Set[Edge] = set()
         self._next_id = 0
         self._root_mono_id: Optional[int] = None
-        #: probe aggregates of the current state (see :meth:`probe`)
-        self._vertex_tree: Optional[_VertexTree] = None
-        #: probability of each mono vertex's parent edge, looked up once per
-        #: tree; like the memo cache's keys, this takes the graph's edge
-        #: probabilities as fixed while the tree lives
-        self._parent_probability: Dict[Tuple[VertexId, VertexId], float] = {}
+
+        # The vertex tree's aggregates, indexed by UncertainGraph.vertex_index()
+        # ids.  Every connected vertex x hangs below its parent π(x) with factor
+        # f(x): R(x) = f(x)·R(π(x)) is its probability of reaching Q and
+        # D(x) = w(x) + Σ_children f(c)·D(c) the expected weight collected at x;
+        # D(Q) leaves out w(Q), so it is the flow.  There is one factor set (the
+        # estimate) until a sampled bi component appears, then three: the
+        # estimate and its lower and upper interval bounds.
+        index = graph.vertex_index()
+        self._ids = index.ids
+        self._vertices = index.vertices
+        n_vertices = len(index.vertices)
+        self._q = self._ids[query]
+        #: π(x); -1 for Q and for vertices not connected
+        self._parent: List[int] = [-1] * n_vertices
+        self._children: Dict[int, Set[int]] = {}
+        self._factors: List[List[float]] = [[0.0] * n_vertices]
+        self._downs: List[List[float]] = [[0.0] * n_vertices]
+        reach = np.zeros(n_vertices)
+        reach[self._q] = 1.0
+        self._reach: List[np.ndarray] = [reach]
+        #: bi components whose factors may have changed since they were applied
+        self._stale: Set[int] = set()
+        #: vertices whose R — and their subtrees' — must be recomputed
+        self._dirty: Set[int] = set()
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -225,7 +227,7 @@ class FTree:
         for component in self._components.values():
             if isinstance(component, BiConnectedComponent):
                 component.invalidate()
-        self._vertex_tree = None
+                self._stale.add(component.component_id)
 
     # ------------------------------------------------------------------
     # bookkeeping helpers
@@ -266,15 +268,14 @@ class FTree:
         grows a single connected component around ``Q``).
         """
         edge = Edge(u, v)
-        self._check_insertion(edge)
+        probability = self._check_insertion(edge)
         self._selected.add(edge)
-        self._vertex_tree = None
         u_connected = self.is_connected_vertex(u)
         v_connected = self.is_connected_vertex(v)
         if u_connected and not v_connected:
-            return self._attach_new_vertex(u, v, edge)
+            return self._attach_new_vertex(u, v, edge, probability)
         if v_connected and not u_connected:
-            return self._attach_new_vertex(v, u, edge)
+            return self._attach_new_vertex(v, u, edge, probability)
         return self._apply_cycle(self._plan_cycle(u, v, edge), edge)
 
     def _check_insertion(self, edge: Edge) -> float:
@@ -291,7 +292,12 @@ class FTree:
         return probability
 
     # -- Case II ---------------------------------------------------------
-    def _attach_new_vertex(self, anchor: VertexId, new_vertex: VertexId, edge: Edge) -> InsertionResult:
+    def _attach_new_vertex(
+        self, anchor: VertexId, new_vertex: VertexId, edge: Edge, probability: float
+    ) -> InsertionResult:
+        if new_vertex not in self._ids:
+            self._grow()
+        self._link(self._ids[new_vertex], self._ids[anchor], probability)
         owner = self.owner_of(anchor)
         if owner is None:
             # the anchor is the query vertex: grow the root mono component
@@ -452,6 +458,7 @@ class FTree:
         """Carry out a cycle-closing plan made by :meth:`_plan_cycle` on this tree."""
         if plan.target is not None:
             plan.target.add_edge(edge)
+            self._stale.add(plan.target.component_id)
             return InsertionResult(
                 edge=edge,
                 case=plan.case,
@@ -481,6 +488,7 @@ class FTree:
             orphan.parent_of = dict(parent_map)
             self._register(orphan)
             created_ids.append(orphan.component_id)
+        self._merge_vertices(new_component)
 
         return InsertionResult(
             edge=edge,
@@ -538,6 +546,179 @@ class FTree:
             removed.append(component)
 
     # ------------------------------------------------------------------
+    # vertex-tree aggregates
+    # ------------------------------------------------------------------
+    def _link(self, vertex: int, parent: int, factor: float) -> None:
+        """Hang ``vertex`` (an id) below ``parent`` with ``factor`` in every set.
+
+        ``D(vertex)`` gains ``w(vertex)`` on top of whatever its already
+        linked children put there, and ``factor·D(vertex)`` climbs the
+        ancestor path.  A Case II leaf is the whole story: ``R(vertex)``
+        is ``R(parent)·factor``.
+        """
+        self._parent[vertex] = parent
+        self._children.setdefault(parent, set()).add(vertex)
+        weight = self.graph.weight(self._vertices[vertex])
+        deltas = []
+        for factors, down, reach in zip(self._factors, self._downs, self._reach):
+            factors[vertex] = factor
+            down[vertex] += weight
+            reach[vertex] = reach[parent] * factor
+            deltas.append(factor * down[vertex])
+        self._lift(parent, deltas)
+
+    def _grow(self) -> None:
+        """Extend the aggregates to vertices added to the graph since they were sized.
+
+        Adding a vertex appends it to :meth:`UncertainGraph.vertex_index`,
+        so the ids the tree already holds stay valid.
+        """
+        index = self.graph.vertex_index()
+        n_old = len(self._vertices)
+        if index.vertices[:n_old] != self._vertices:
+            raise FTreeInvariantError("the graph lost or reordered vertices under the F-tree")
+        extra = len(index.vertices) - n_old
+        self._ids = index.ids
+        self._vertices = index.vertices
+        self._parent.extend([-1] * extra)
+        for factors, down in zip(self._factors, self._downs):
+            factors.extend([0.0] * extra)
+            down.extend([0.0] * extra)
+        self._reach = [np.concatenate([reach, np.zeros(extra)]) for reach in self._reach]
+
+    def _lift(self, vertex: int, deltas: Sequence[float]) -> None:
+        """Add ``deltas`` (one per factor set) to ``D(vertex)`` and, scaled by
+        the factors on the way, to every ``D`` above it up to ``Q``."""
+        parent = self._parent
+        for factors, down, delta in zip(self._factors, self._downs, deltas):
+            node = vertex
+            down[node] += delta
+            up = parent[node]
+            while up >= 0:
+                delta *= factors[node]
+                node = up
+                down[node] += delta
+                up = parent[node]
+
+    def _merge_vertices(self, component: BiConnectedComponent) -> None:
+        """Rehang the vertices of a new bi component below its articulation ``A``.
+
+        Every vertex ``m`` of the component had its parent in the
+        component or at ``A``.  Its old contribution leaves ``D(A)``, it
+        now keeps only its children outside the component, and it waits
+        with factor 0 until :meth:`_refresh` applies the component's
+        estimate.
+        """
+        ids = self._ids
+        parent = self._parent
+        children = self._children
+        articulation = ids[component.articulation]
+        members = [ids[vertex] for vertex in component.vertices]
+        detached = [
+            sum(factors[m] * down[m] for m in members if parent[m] == articulation)
+            for factors, down in zip(self._factors, self._downs)
+        ]
+        for m in members:
+            children[parent[m]].discard(m)
+        below = children.setdefault(articulation, set())
+        below.update(members)
+        weights = [self.graph.weight(self._vertices[m]) for m in members]
+        for factors, down in zip(self._factors, self._downs):
+            for m, weight in zip(members, weights):
+                parent[m] = articulation
+                factors[m] = 0.0
+                for child in children.get(m, ()):
+                    weight += factors[child] * down[child]
+                down[m] = weight
+        self._lift(articulation, [-delta for delta in detached])
+        self._dirty.update(members)
+        self._stale.add(component.component_id)
+
+    def _adopt(self, component: Component) -> None:
+        """Register a component built from scratch and link its vertices.
+
+        Used by :func:`~repro.ftree.builder.build_ftree`; any order of
+        adoption leaves the same aggregates.
+        """
+        self._register(component)
+        ids = self._ids
+        if isinstance(component, MonoConnectedComponent):
+            for vertex, up in component.parent_of.items():
+                self._link(ids[vertex], ids[up], self.graph.probability(vertex, up))
+        else:
+            articulation = ids[component.articulation]
+            for vertex in component.vertices:
+                self._link(ids[vertex], articulation, 0.0)
+            self._stale.add(component.component_id)
+        self._dirty.update(ids[vertex] for vertex in component.vertices)
+
+    def _refresh(self) -> None:
+        """Bring the aggregates up to date: apply the estimate of every stale
+        bi component, then recompute ``R`` below every vertex that moved."""
+        if self._stale:
+            for component in self._components.values():
+                if component.component_id in self._stale:
+                    assert isinstance(component, BiConnectedComponent)
+                    self._apply_estimate(component)
+            self._stale.clear()
+        if self._dirty:
+            self._refresh_reach()
+
+    def _apply_estimate(self, component: BiConnectedComponent) -> None:
+        """Estimate ``component`` (or take its cached estimate) and apply the
+        factors that changed bit for bit; ancestors and subtrees of the
+        others are left alone."""
+        local = component.local_reachability(self.graph, self.sampler)
+        targets = _bi_factors(component, local, self._z)
+        if len(self._factors) == 1 and targets[1] is not local:
+            self._split()
+        ids = self._ids
+        members = [ids[vertex] for vertex in local]
+        deltas = []
+        for factors, down, target in zip(self._factors, self._downs, targets):
+            delta = 0.0
+            for m, value in zip(members, target.values()):
+                old = factors[m]
+                if value != old:
+                    delta += (value - old) * down[m]
+                    factors[m] = value
+                    self._dirty.add(m)
+            deltas.append(delta)
+        if any(deltas):
+            self._lift(ids[component.articulation], deltas)
+
+    def _split(self) -> None:
+        """Give the lower and upper bounds their own factor sets (copies of the
+        estimate's), once the first sampled bi component appears."""
+        factors, down, reach = self._factors[0], self._downs[0], self._reach[0]
+        self._factors = [factors, list(factors), list(factors)]
+        self._downs = [down, list(down), list(down)]
+        self._reach = [reach, reach.copy(), reach.copy()]
+
+    def _refresh_reach(self) -> None:
+        """Recompute ``R`` top-down below every dirty vertex, once per subtree."""
+        dirty = self._dirty
+        parent = self._parent
+        children = self._children
+        for root in dirty:
+            up = parent[root]
+            node = up
+            while node >= 0 and node not in dirty:
+                node = parent[node]
+            if node >= 0:
+                continue  # a dirty ancestor's walk covers this subtree
+            order = [root]
+            for node in order:
+                order.extend(children.get(node, ()))
+            for factors, reach in zip(self._factors, self._reach):
+                values = {up: float(reach[up])}
+                for node in order:
+                    values[node] = factors[node] * values[parent[node]]
+                del values[up]
+                reach[order] = list(values.values())
+        self._dirty = set()
+
+    # ------------------------------------------------------------------
     # candidate probes (Section 6.1)
     # ------------------------------------------------------------------
     def probe(
@@ -545,33 +726,34 @@ class FTree:
         u: "VertexId | Edge",
         v: Optional[VertexId] = None,
         include_query: bool = False,
-        alpha: float = 0.01,
         sampler: Optional[ComponentSampler] = None,
     ) -> ProbeScore:
         """Score inserting an edge as a flow delta, without changing the tree.
 
         Accepts either ``probe(edge)`` or ``probe(u, v)``.  The result
         equals cloning the tree, inserting the edge and asking the clone
-        for :meth:`expected_flow`, :meth:`flow_interval` and
-        :meth:`pending_estimation_cost`, up to rounding.  An edge from
-        ``a`` to a new vertex ``b`` (Case II) adds ``R(a)·p(a, b)·w(b)``;
-        an edge that closes a cycle replaces, below the would-be
-        articulation ``A``, the contribution of the vertices it merges by
-        that of the new bi component, whose local reachability is the
-        only estimate the probe makes.  ``sampler`` (the tree's own by
-        default) makes that estimate; ``cost`` is always measured against
-        the tree's sampler.
+        for :meth:`expected_flow`, :meth:`flow_interval` at the tree's
+        ``alpha`` and :meth:`pending_estimation_cost`, up to rounding.
+        An edge from ``a`` to a new vertex ``b`` (Case II) adds
+        ``R(a)·p(a, b)·w(b)``; an edge that closes a cycle replaces,
+        below the would-be articulation ``A``, the contribution of the
+        vertices it merges by that of the new bi component, whose local
+        reachability is the only estimate the probe makes.  ``sampler``
+        (the tree's own by default) makes that estimate; ``cost`` is
+        always measured against the tree's sampler.
         """
         edge = u if isinstance(u, Edge) and v is None else Edge(u, v)
         probability = self._check_insertion(edge)
-        tree = self._current_vertex_tree(alpha)
-        ids = self.graph.vertex_index().ids
+        self._refresh()
+        q = self._q
+        sets = (0, 1, 2) if len(self._factors) == 3 else (0, 0, 0)
         u_connected = self.is_connected_vertex(edge.u)
         v_connected = self.is_connected_vertex(edge.v)
         if not (u_connected and v_connected):
             anchor, new_vertex = (edge.u, edge.v) if u_connected else (edge.v, edge.u)
             gain = probability * self.graph.weight(new_vertex)
-            flows = [sums.flow + float(sums.reach[ids[anchor]]) * gain for sums in tree.sums]
+            a = self._ids[anchor]
+            flows = [self._downs[k][q] + float(self._reach[k][a]) * gain for k in sets]
             cost = 0
         else:
             component = self._plan_cycle(edge.u, edge.v, edge).component
@@ -579,13 +761,16 @@ class FTree:
             local = component.local_reachability(
                 self.graph, self.sampler if sampler is None else sampler
             )
-            merged: Tuple[Dict[VertexId, float], ...] = ({}, {}, {})
-            _add_bi_factors(merged, component, local, tree.z)
-            articulation = ids[component.articulation]
+            merged = _bi_factors(component, local, self._z)
+            if sets[1] == 0 and merged[1] is local:
+                # one factor set, merged with zero-width bounds: one sum serves all three
+                gains = [self._merge_gain(0, local)] * 3
+            else:
+                gains = [self._merge_gain(k, factors) for k, factors in zip(sets, merged)]
+            a = self._ids[component.articulation]
             flows = [
-                sums.flow
-                + float(sums.reach[articulation]) * _merge_gain(sums, tree.parent, factor)
-                for sums, factor in zip(tree.sums, merged)
+                self._downs[k][q] + float(self._reach[k][a]) * gain
+                for k, gain in zip(sets, gains)
             ]
         if include_query:
             query_weight = self.graph.weight(self.query)
@@ -593,12 +778,37 @@ class FTree:
         flow, lower, upper = flows
         return ProbeScore(flow, lower, upper, cost)
 
+    def _merge_gain(self, k: int, local: Dict[VertexId, float]) -> float:
+        """Change of ``D(A)`` in factor set ``k`` when the vertices ``M`` of
+        ``local`` merge into one bi component with articulation ``A`` and
+        local reachability ``local``.
+
+        Every merged vertex ``c`` now hangs below ``A`` with factor
+        ``local(c)`` and keeps only its children outside ``M``:
+        ``D'(c) = D(c) − Σ_{m∈M, π(m)=c} f(m)·D(m)``.  The gain is
+        ``Σ_c local(c)·D'(c) − Σ_{t∈M, π(t)=A} f(t)·D(t)``; every ``π(m)``
+        lies in ``M`` or is ``A``.
+        """
+        ids = self._ids
+        vertices = self._vertices
+        parent = self._parent
+        factors = self._factors[k]
+        down = self._downs[k]
+        gain = 0.0
+        for vertex, probability in local.items():
+            m = ids[vertex]
+            collected = down[m]
+            gain += (
+                probability * collected
+                - factors[m] * collected * local.get(vertices[parent[m]], 1.0)
+            )
+        return gain
+
     def probe_new_vertices(
         self,
         anchors: np.ndarray,
         gains: np.ndarray,
         include_query: bool = False,
-        alpha: float = 0.01,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Score many edges to new vertices (Case II) at once.
 
@@ -610,11 +820,17 @@ class FTree:
         in the same order, as elementwise IEEE arithmetic.  The caller
         vouches for the rows; nothing is checked.
         """
-        tree = self._current_vertex_tree(alpha)
-        flows = [sums.flow + sums.reach[anchors] * gains for sums in tree.sums]
+        self._refresh()
+        flows = [
+            down[self._q] + reach[anchors] * gains
+            for down, reach in zip(self._downs, self._reach)
+        ]
         if include_query:
             query_weight = self.graph.weight(self.query)
             flows = [flow + query_weight for flow in flows]
+        if len(flows) == 1:
+            # no sampled component: the bounds are the estimate
+            return flows[0], flows[0], flows[0]
         flow, lower, upper = flows
         return flow, lower, upper
 
@@ -626,83 +842,6 @@ class FTree:
             return 0
         component = self._plan_cycle(edge.u, edge.v, edge).component
         return self.sampler.estimation_cost(component.edges(), component.articulation)
-
-    def _current_vertex_tree(self, alpha: float) -> _VertexTree:
-        """Return the probe aggregates of the current state, building them in one pass."""
-        tree = self._vertex_tree
-        if tree is not None and tree.alpha == alpha:
-            return tree
-        z = standard_normal_quantile(1.0 - alpha / 2.0)
-        parent: Dict[VertexId, VertexId] = {}
-        factors: Tuple[Dict[VertexId, float], ...] = ({}, {}, {})
-        for component in self._components.values():
-            if isinstance(component, MonoConnectedComponent):
-                for vertex, up in component.parent_of.items():
-                    parent[vertex] = up
-                    probability = self._parent_probability.get((vertex, up))
-                    if probability is None:
-                        probability = self.graph.probability(vertex, up)
-                        self._parent_probability[vertex, up] = probability
-                    for factor in factors:
-                        factor[vertex] = probability
-            else:
-                # estimates a stale bi component, once per tree state
-                local = component.local_reachability(self.graph, self.sampler)
-                for vertex in local:
-                    parent[vertex] = component.articulation
-                _add_bi_factors(factors, component, local, z)
-        # parents before children
-        children: Dict[VertexId, List[VertexId]] = {}
-        for vertex, up in parent.items():
-            children.setdefault(up, []).append(vertex)
-        order: List[VertexId] = []
-        stack = [self.query]
-        while stack:
-            below = children.get(stack.pop(), ())
-            order.extend(below)
-            stack.extend(below)
-        ids = self.graph.vertex_index().ids
-        positions = [ids[self.query]] + [ids[vertex] for vertex in order]
-        weights = [self.graph.weight(vertex) for vertex in order]
-        estimate = self._flow_sums(parent, order, weights, factors[0], positions)
-        # where no interval has width (nothing sampled) the bounds' sums are the estimate's
-        lower, upper = (
-            estimate
-            if factor == factors[0]
-            else self._flow_sums(parent, order, weights, factor, positions)
-            for factor in factors[1:]
-        )
-        tree = _VertexTree(alpha=alpha, z=z, parent=parent, sums=(estimate, lower, upper))
-        self._vertex_tree = tree
-        return tree
-
-    def _flow_sums(
-        self,
-        parent: Dict[VertexId, VertexId],
-        order: List[VertexId],
-        weights: List[float],
-        factor: Dict[VertexId, float],
-        positions: List[int],
-    ) -> _FlowSums:
-        """Aggregate one set of factors over the vertex tree.
-
-        ``order`` lists the vertices parents first, ``weights`` their
-        weights and ``positions`` the vertex ids of Q and then of ``order``.
-        """
-        reach = {self.query: 1.0}
-        flow = 0.0
-        for vertex, weight in zip(order, weights):
-            reached = factor[vertex] * reach[parent[vertex]]
-            reach[vertex] = reached
-            flow += reached * weight
-        down = dict(zip(order, weights))
-        for vertex in reversed(order):
-            up = parent[vertex]
-            if up != self.query:
-                down[up] += factor[vertex] * down[vertex]
-        reach_array = np.zeros(self.graph.n_vertices)
-        reach_array[positions] = list(reach.values())
-        return _FlowSums(factor=factor, reach=reach_array, down=down, flow=flow)
 
     # ------------------------------------------------------------------
     # flow evaluation (Section 5.3)
@@ -830,7 +969,7 @@ class FTree:
     # ------------------------------------------------------------------
     def clone(self) -> "FTree":
         """Return a deep copy sharing the graph and the sampler (and its memo cache)."""
-        clone = FTree(self.graph, self.query, sampler=self.sampler)
+        clone = FTree(self.graph, self.query, sampler=self.sampler, alpha=self.alpha)
         clone._components = {
             component_id: component.clone()
             for component_id, component in self._components.items()
@@ -839,11 +978,26 @@ class FTree:
         clone._selected = set(self._selected)
         clone._next_id = self._next_id
         clone._root_mono_id = self._root_mono_id
-        clone._parent_probability = self._parent_probability
+        clone._parent = list(self._parent)
+        clone._children = {vertex: set(below) for vertex, below in self._children.items()}
+        clone._factors = [list(factors) for factors in self._factors]
+        clone._downs = [list(down) for down in self._downs]
+        clone._reach = [reach.copy() for reach in self._reach]
+        clone._stale = set(self._stale)
+        clone._dirty = set(self._dirty)
         return clone
 
     def check_invariants(self) -> None:
-        """Verify the structural invariants of Definition 9; raise on violation."""
+        """Verify the structural invariants of Definition 9 and the probe
+        aggregates; raise on violation.
+
+        The aggregates are brought up to date (estimating stale bi
+        components) and compared with a recomputation from the
+        components: parents and factors exactly, ``R`` with
+        :meth:`reachability_to_query` and a top-down product, ``D`` with a
+        children walk and the flows with :meth:`expected_flow` and
+        :meth:`flow_interval`, all to 1e-12 relative.
+        """
         seen_vertices: Set[VertexId] = set()
         component_edges: List[Edge] = []
         for component in self._components.values():
@@ -879,6 +1033,82 @@ class FTree:
                 raise FTreeInvariantError(f"selected edge {edge!r} is not in the graph")
         # the ancestry must be acyclic and terminate at Q
         self._topological_components()
+        self._check_aggregates()
+
+    def _check_aggregates(self) -> None:
+        """Recompute the vertex tree and its aggregates from scratch; compare."""
+        self._refresh()
+        ids = self._ids
+        q = self._q
+        parent: Dict[int, int] = {}
+        expected: Tuple[Dict[int, float], ...] = ({}, {}, {})
+        for component in self._components.values():
+            if isinstance(component, MonoConnectedComponent):
+                for vertex, up in component.parent_of.items():
+                    parent[ids[vertex]] = ids[up]
+                    probability = self.graph.probability(vertex, up)
+                    for factors in expected:
+                        factors[ids[vertex]] = probability
+            else:
+                local = component.local_reachability(self.graph, self.sampler)
+                for factors, target in zip(expected, _bi_factors(component, local, self._z)):
+                    for vertex, value in target.items():
+                        parent[ids[vertex]] = ids[component.articulation]
+                        factors[ids[vertex]] = value
+        linked = {vertex: up for vertex, up in enumerate(self._parent) if up >= 0}
+        if linked != parent:
+            raise FTreeInvariantError("the vertex tree's parents disagree with the components")
+        children: Dict[int, Set[int]] = {}
+        for vertex, up in parent.items():
+            children.setdefault(up, set()).add(vertex)
+        if {vertex: below for vertex, below in self._children.items() if below} != children:
+            raise FTreeInvariantError("the vertex tree's child sets disagree with its parents")
+        n_sets = len(self._factors)
+        if n_sets == 1 and not expected[0] == expected[1] == expected[2]:
+            raise FTreeInvariantError("a sampled component but no separate bound factors")
+        order: List[int] = []
+        stack = [q]
+        while stack:
+            below = children.get(stack.pop(), ())
+            order.extend(below)
+            stack.extend(below)
+        weights = {vertex: self.graph.weight(self._vertices[vertex]) for vertex in order}
+        scale = 1.0 + sum(abs(weight) for weight in weights.values())
+        flows = (self.expected_flow(), *self.flow_interval(self.alpha))
+        reference_reach = self.reachability_to_query()
+        for k, (factors, down, reach) in enumerate(zip(self._factors, self._downs, self._reach)):
+            if any(factors[vertex] != expected[k][vertex] for vertex in order):
+                raise FTreeInvariantError(f"factor set {k} disagrees with the components")
+            reached = {q: 1.0}
+            collected = dict(weights)
+            collected[q] = 0.0
+            for vertex in order:
+                reached[vertex] = factors[vertex] * reached[parent[vertex]]
+            for vertex in reversed(order):
+                collected[parent[vertex]] += factors[vertex] * collected[vertex]
+            for vertex in range(len(self._parent)):
+                have_reach, have_down = float(reach[vertex]), down[vertex]
+                want_reach, want_down = reached.get(vertex, 0.0), collected.get(vertex, 0.0)
+                if not math.isclose(have_reach, want_reach, rel_tol=1e-12):
+                    raise FTreeInvariantError(
+                        f"R({self._vertices[vertex]!r}) in set {k} is {have_reach!r}, "
+                        f"recomputed {want_reach!r}"
+                    )
+                if not math.isclose(have_down, want_down, rel_tol=1e-12, abs_tol=1e-12 * scale):
+                    raise FTreeInvariantError(
+                        f"D({self._vertices[vertex]!r}) in set {k} is {have_down!r}, "
+                        f"recomputed {want_down!r}"
+                    )
+            for flow in flows if n_sets == 1 else flows[k : k + 1]:
+                if not math.isclose(down[q], flow, rel_tol=1e-12, abs_tol=1e-12 * scale):
+                    raise FTreeInvariantError(
+                        f"flow of set {k} is {down[q]!r}, evaluated {flow!r}"
+                    )
+        for vertex, probability in reference_reach.items():
+            if not math.isclose(float(self._reach[0][ids[vertex]]), probability, rel_tol=1e-12):
+                raise FTreeInvariantError(
+                    f"R({vertex!r}) disagrees with reachability_to_query(): {probability!r}"
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -898,33 +1128,19 @@ def _local_bounds(component: Component, probability: float, z: float) -> Tuple[f
     return probability, probability
 
 
-def _add_bi_factors(
-    factors: Tuple[Dict[VertexId, float], ...],
-    component: Component,
-    local: Dict[VertexId, float],
-    z: float,
-) -> None:
-    """Record a bi component's local reachability and its interval bounds as
-    the estimate, lower and upper factors of its vertices."""
+def _bi_factors(
+    component: Component, local: Dict[VertexId, float], z: float
+) -> Tuple[Dict[VertexId, float], Dict[VertexId, float], Dict[VertexId, float]]:
+    """A bi component's estimate, lower and upper factors; ``local`` itself
+    stands for all three when the interval has no width."""
+    if not (
+        isinstance(component, BiConnectedComponent)
+        and not component.reach_exact
+        and component.reach_samples is not None
+    ):
+        return local, local, local
+    lower: Dict[VertexId, float] = {}
+    upper: Dict[VertexId, float] = {}
     for vertex, probability in local.items():
-        factors[0][vertex] = probability
-        factors[1][vertex], factors[2][vertex] = _local_bounds(component, probability, z)
-
-
-def _merge_gain(
-    sums: _FlowSums, parent: Dict[VertexId, VertexId], local: Dict[VertexId, float]
-) -> float:
-    """Change of ``D(A)`` when the vertices ``M`` of ``local`` merge into one bi
-    component with articulation ``A`` and local reachability ``local``.
-
-    Every merged vertex ``c`` now hangs below ``A`` with factor
-    ``local(c)`` and keeps only its children outside ``M``:
-    ``D'(c) = D(c) − Σ_{m∈M, π(m)=c} f(m)·D(m)``.  The gain is
-    ``Σ_c local(c)·D'(c) − Σ_{t∈M, π(t)=A} f(t)·D(t)``; every ``π(m)``
-    lies in ``M`` or is ``A``.
-    """
-    gain = 0.0
-    for vertex, probability in local.items():
-        down = sums.down[vertex]
-        gain += probability * down - sums.factor[vertex] * down * local.get(parent[vertex], 1.0)
-    return gain
+        lower[vertex], upper[vertex] = _local_bounds(component, probability, z)
+    return local, lower, upper

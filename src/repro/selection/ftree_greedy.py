@@ -137,7 +137,7 @@ class FTreeGreedySelector(EdgeSelector):
             seed=derive_seed(self._seed, 1) if self._seed is not None else None,
             memo=None,
         )
-        ftree = FTree(graph, query, sampler=sampler)
+        ftree = FTree(graph, query, sampler=sampler, alpha=self.alpha)
         candidates = CandidateManager(graph, query)
         delays: Dict[Edge, int] = {}
         selected: List[Edge] = []
@@ -234,12 +234,9 @@ class FTreeGreedySelector(EdgeSelector):
         Delays and screening apply only to candidates with a positive
         sampling cost, and every such candidate closes a cycle.
         """
-        # the batch builds the committed tree's aggregates before any cycle probe
+        # the batch brings the committed tree's aggregates up to date before any cycle probe
         flows, lowers, _ = ftree.probe_new_vertices(
-            candidates.anchors,
-            candidates.gains,
-            include_query=self.include_query,
-            alpha=self.alpha,
+            candidates.anchors, candidates.gains, include_query=self.include_query
         )
         cycles = np.flatnonzero(candidates.new_vertices < 0).tolist()
         edges = candidates.candidates()
@@ -273,17 +270,14 @@ class FTreeGreedySelector(EdgeSelector):
                 if cost > 0:
                     # screening pass with a coarse sampler; prune hopeless candidates
                     screening = ftree.probe(
-                        edge,
-                        include_query=self.include_query,
-                        alpha=self.alpha,
-                        sampler=screening_sampler,
+                        edge, include_query=self.include_query, sampler=screening_sampler
                     )
                     if screening.upper < best_lower:
                         pruned += 1
                         cycle_info[edge] = (screening.upper, cost)
                         continue
 
-            score = ftree.probe(edge, include_query=self.include_query, alpha=self.alpha)
+            score = ftree.probe(edge, include_query=self.include_query)
             cycle_info[edge] = (score.flow, score.cost)
             if score.flow > best_flow:
                 best_flow = score.flow

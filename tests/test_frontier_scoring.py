@@ -57,16 +57,13 @@ class ReferenceSelector(FTreeGreedySelector):
                 cost = ftree.probe_cost(edge)
                 if cost > 0:
                     screening = ftree.probe(
-                        edge,
-                        include_query=self.include_query,
-                        alpha=self.alpha,
-                        sampler=screening_sampler,
+                        edge, include_query=self.include_query, sampler=screening_sampler
                     )
                     if screening.upper < best_lower:
                         pruned += 1
                         probe_info[edge] = (screening.upper, cost)
                         continue
-            score = ftree.probe(edge, include_query=self.include_query, alpha=self.alpha)
+            score = ftree.probe(edge, include_query=self.include_query)
             probe_info[edge] = (score.flow, score.cost)
             if score.flow > best_flow:
                 best_flow = score.flow
@@ -112,17 +109,14 @@ class CheckedSelector(FTreeGreedySelector):
         outcome = super()._probe_candidates(ftree, candidates, delays, screening_sampler)
         self.outcomes.append((outcome, dict(delays)))
         scores = ftree.probe_new_vertices(
-            candidates.anchors,
-            candidates.gains,
-            include_query=self.include_query,
-            alpha=self.alpha,
+            candidates.anchors, candidates.gains, include_query=self.include_query
         )
         new_vertices = candidates.new_vertices
         for row, edge in enumerate(candidates.candidates()):
             if new_vertices[row] < 0:
                 continue
             self.case_two_rows += 1
-            expected = ftree.probe(edge, include_query=self.include_query, alpha=self.alpha)
+            expected = ftree.probe(edge, include_query=self.include_query)
             assert expected.cost == 0
             for name, batch in zip(("flow", "lower", "upper"), scores):
                 assert batch[row] == getattr(expected, name), (edge, name)

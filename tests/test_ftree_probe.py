@@ -5,6 +5,10 @@ interval and cost must equal what a clone with the edge inserted reports
 through ``expected_flow``, ``flow_interval`` and
 ``pending_estimation_cost`` — on hand-built trees that reach every
 insertion case, and on random graphs with random insertion sequences.
+The random sequences also check the tree's incrementally maintained
+aggregates with ``check_invariants`` after every step, on a clone so
+that updates still pending in the tree (several insertions without a
+probe, re-estimates of a new round) stay pending.
 """
 
 import math
@@ -78,7 +82,7 @@ def assert_probe_matches(tree: FTree, u, v, include_query: bool = False) -> None
     # the cost is measured before anything estimates the new component
     reference_cost = reference.pending_estimation_cost()
     assert tree.probe_cost(u, v) == reference_cost
-    score = tree.probe(u, v, include_query=include_query, alpha=ALPHA)
+    score = tree.probe(u, v, include_query=include_query)
     reference_flow = reference.expected_flow(include_query=include_query)
     reference_lower, reference_upper = reference.flow_interval(
         alpha=ALPHA, include_query=include_query
@@ -89,15 +93,23 @@ def assert_probe_matches(tree: FTree, u, v, include_query: bool = False) -> None
     assert score.cost == reference_cost
     # probe(edge) is probe(u, v); the second probe finds the estimate
     # memoized or replays its CRN stream
-    assert tree.probe(Edge(u, v), include_query=include_query, alpha=ALPHA)[:3] == score[:3]
+    assert tree.probe(Edge(u, v), include_query=include_query)[:3] == score[:3]
 
 
-def assert_all_probes_match(tree: FTree, round_index: int) -> None:
-    """Refresh the tree for a round, then check every frontier candidate."""
+def assert_all_probes_match(tree: FTree, round_index: int, evaluate_first: bool = True) -> None:
+    """Refresh the tree for a round, then check every frontier candidate.
+
+    With ``evaluate_first`` the round's re-estimates reach the tree through
+    ``expected_flow`` before the first probe, otherwise through the probe.
+    """
     tree.begin_round(round_index)
-    tree.expected_flow()
+    frontier = _frontier(tree)
+    if evaluate_first:
+        tree.expected_flow()
+    elif frontier:
+        tree.probe(frontier[0])
     before = (tree.selected_edges, sorted(c.component_id for c in tree.components()))
-    for edge in _frontier(tree):
+    for edge in frontier:
         assert_probe_matches(tree, edge.u, edge.v)
     # probing never changes the tree
     assert (tree.selected_edges, sorted(c.component_id for c in tree.components())) == before
@@ -115,7 +127,7 @@ class TestInsertionCases:
 
     @pytest.mark.parametrize("exact_threshold", [10, 0])
     def test_case_two_and_three_a(self, exact_threshold):
-        tree = FTree(_complete(6), 0, sampler=_sampler(exact_threshold))
+        tree = FTree(_complete(6), 0, sampler=_sampler(exact_threshold), alpha=ALPHA)
         commit(tree, 0, 1, 0, "IIa")
         commit(tree, 1, 2, 1, "IIa")
         commit(tree, 2, 3, 2, "IIa")
@@ -127,7 +139,7 @@ class TestInsertionCases:
 
     @pytest.mark.parametrize("exact_threshold", [10, 0])
     def test_case_three_b(self, exact_threshold):
-        tree = FTree(_complete(7), 0, sampler=_sampler(exact_threshold))
+        tree = FTree(_complete(7), 0, sampler=_sampler(exact_threshold), alpha=ALPHA)
         commit(tree, 0, 1, 0, "IIa")
         commit(tree, 1, 2, 1, "IIa")
         commit(tree, 1, 3, 2, "IIa")
@@ -140,7 +152,7 @@ class TestInsertionCases:
 
     @pytest.mark.parametrize("exact_threshold", [10, 0])
     def test_case_four_below_a_bi_ancestor(self, exact_threshold):
-        tree = FTree(_complete(6), 0, sampler=_sampler(exact_threshold))
+        tree = FTree(_complete(6), 0, sampler=_sampler(exact_threshold), alpha=ALPHA)
         commit(tree, 0, 1, 0, "IIa")
         commit(tree, 1, 2, 1, "IIa")
         commit(tree, 2, 0, 2, "IV")
@@ -151,7 +163,7 @@ class TestInsertionCases:
 
     @pytest.mark.parametrize("exact_threshold", [10, 0])
     def test_case_four_below_a_mono_ancestor(self, exact_threshold):
-        tree = FTree(_complete(7), 0, sampler=_sampler(exact_threshold))
+        tree = FTree(_complete(7), 0, sampler=_sampler(exact_threshold), alpha=ALPHA)
         commit(tree, 0, 1, 0, "IIa")
         commit(tree, 1, 2, 1, "IIa")
         commit(tree, 1, 4, 2, "IIa")
@@ -163,19 +175,19 @@ class TestInsertionCases:
         assert_all_probes_match(tree, 8)
 
     def test_include_query_adds_its_weight(self):
-        tree = FTree(_complete(5), 0, sampler=_sampler())
+        tree = FTree(_complete(5), 0, sampler=_sampler(), alpha=ALPHA)
         tree.insert_edge(0, 1)
         tree.insert_edge(1, 2)
         for u, v in [(0, 3), (2, 0), (1, 4)]:
             assert_probe_matches(tree, u, v, include_query=True)
 
     def test_screening_sampler_only_estimates_the_new_component(self):
-        tree = FTree(_complete(5), 0, sampler=_sampler(exact_threshold=0))
+        tree = FTree(_complete(5), 0, sampler=_sampler(exact_threshold=0), alpha=ALPHA)
         for u, v in [(0, 1), (1, 2), (2, 0), (2, 3)]:
             tree.insert_edge(u, v)
         coarse = ComponentSampler(n_samples=30, exact_threshold=0, seed=9)
-        screened = tree.probe(3, 1, alpha=ALPHA, sampler=coarse)
-        full = tree.probe(3, 1, alpha=ALPHA)
+        screened = tree.probe(3, 1, sampler=coarse)
+        full = tree.probe(3, 1)
         # the cost counts against the tree's own memo, which the coarse sampler never fills
         assert screened.cost == full.cost > 0
         assert screened.upper - screened.lower > full.upper - full.lower
@@ -186,7 +198,7 @@ class TestInsertionCases:
 class TestProbeErrors:
     def test_invalid_candidates_raise_like_insert_edge(self):
         graph = _graph(4, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
-        tree = FTree(graph, 0, sampler=_sampler())
+        tree = FTree(graph, 0, sampler=_sampler(), alpha=ALPHA)
         tree.insert_edge(0, 1)
         with pytest.raises(EdgeNotFoundError):
             tree.probe(0, 2)
@@ -196,6 +208,10 @@ class TestProbeErrors:
             tree.probe(1, 0)
         with pytest.raises(DisconnectedInsertionError):
             tree.probe(2, 3)
+
+
+#: what a random run does in one round before it inserts the round's pick
+ROUND_ACTIONS = ("evaluate-then-probe", "probe", "insert-only")
 
 
 @st.composite
@@ -217,21 +233,62 @@ def insertion_runs(draw):
     ]
     weights = draw(st.lists(st.integers(0, 10), min_size=n_vertices, max_size=n_vertices))
     picks = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
-    exact_threshold = draw(st.sampled_from([0, 2, 10]))
-    memo = draw(st.booleans())
-    return _graph(n_vertices, edges, weights), picks, exact_threshold, memo
+    actions = draw(
+        st.lists(st.sampled_from(ROUND_ACTIONS), min_size=len(picks), max_size=len(picks))
+    )
+    # FT without memo at exact_threshold=0 re-samples every cycle each round,
+    # so a sampled component's factors really change between rounds
+    exact_threshold, memo = draw(st.sampled_from([(0, False), (0, True), (2, True), (10, True)]))
+    return _graph(n_vertices, edges, weights), list(zip(picks, actions)), exact_threshold, memo
+
+
+def check_aggregates(tree: FTree) -> None:
+    """``check_invariants`` on a clone: the tree keeps its pending updates."""
+    tree.clone().check_invariants()
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(insertion_runs())
 def test_probe_matches_clone_insert_evaluate(run):
-    graph, picks, exact_threshold, memo = run
-    tree = FTree(graph, 0, sampler=_sampler(exact_threshold, memo))
-    for round_index, pick in enumerate(picks):
+    graph, rounds, exact_threshold, memo = run
+    tree = FTree(graph, 0, sampler=_sampler(exact_threshold, memo), alpha=ALPHA)
+    for round_index, (pick, action) in enumerate(rounds):
         frontier = _frontier(tree)
         if not frontier:
             break
-        assert_all_probes_match(tree, round_index)
+        if action == "insert-only":
+            tree.begin_round(round_index)
+        else:
+            assert_all_probes_match(tree, round_index, evaluate_first=action != "probe")
+        check_aggregates(tree)
         edge = frontier[pick % len(frontier)]
         tree.insert_edge(edge.u, edge.v)
-        tree.check_invariants()
+        check_aggregates(tree)
+    tree.check_invariants()
+
+
+def test_unprobed_insertions_and_round_re_estimates_stay_consistent():
+    """Sampled cycles merge into each other over several unprobed insertions
+    and rounds; the tree's pending updates resolve to the recomputed aggregates."""
+    tree = FTree(_complete(7), 0, sampler=_sampler(exact_threshold=0, memo=False), alpha=ALPHA)
+    steps = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 1), (1, 5), (5, 6), (6, 0), (3, 5)]
+    for round_index, (u, v) in enumerate(steps):
+        tree.begin_round(round_index)
+        tree.insert_edge(u, v)
+        check_aggregates(tree)
+        if round_index % 3 == 2:
+            assert_all_probes_match(tree, round_index, evaluate_first=False)
+    tree.check_invariants()
+
+
+def test_a_zero_estimate_still_recomputes_the_merged_subtree():
+    """A merged vertex whose sampled reachability is exactly 0 keeps the factor
+    it waited with; its subtree's ``R`` must still follow the new parent."""
+    graph = _graph(4, [(0, 1, 0.001), (1, 3, 0.5), (1, 2, 0.001), (2, 0, 0.001)])
+    tree = FTree(graph, 0, sampler=_sampler(exact_threshold=0, memo=False), alpha=ALPHA)
+    for u, v in [(0, 1), (1, 3), (1, 2)]:
+        tree.insert_edge(u, v)
+    tree.insert_edge(2, 0)
+    check_aggregates(tree)
+    reach = tree.reachability_to_query()
+    assert reach[1] == 0.0 and reach[3] == 0.0

@@ -100,7 +100,11 @@ def test_every_insertion_matches_two_terminal_reliability(graph):
 
     A second, independent oracle (series-parallel factoring instead of
     world enumeration), checked after every single insertion rather
-    than only once the whole edge set is in.
+    than only once the whole edge set is in.  ``check_invariants``
+    first holds the tree's incrementally maintained probe aggregates to
+    ``reachability_to_query`` and ``expected_flow``; factoring then
+    checks those, so each insertion's incremental update meets the
+    exact answer.
     """
     ftree = FTree(graph, 0, sampler=_exact_sampler())
     inserted: List[Edge] = []
@@ -110,9 +114,12 @@ def test_every_insertion_matches_two_terminal_reliability(graph):
         ftree.check_invariants()
         reach = ftree.reachability_to_query()
         assert set(reach) == {0} | {vertex for e in inserted for vertex in e.endpoints()}
+        flow = 0.0
         for vertex, probability in reach.items():
             exact = two_terminal_reliability(graph, 0, vertex, edges=inserted)
             assert probability == pytest.approx(exact, abs=1e-9), vertex
+            flow += 0.0 if vertex == 0 else exact * graph.weight(vertex)
+        assert ftree.expected_flow() == pytest.approx(flow, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
