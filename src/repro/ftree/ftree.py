@@ -757,7 +757,9 @@ class FTree:
             cost = 0
         else:
             component = self._plan_cycle(edge.u, edge.v, edge).component
-            cost = self.sampler.estimation_cost(component.edges(), component.articulation)
+            cost = self.sampler.estimation_cost(
+                self.graph, component.edges(), component.articulation
+            )
             local = component.local_reachability(
                 self.graph, self.sampler if sampler is None else sampler
             )
@@ -841,7 +843,7 @@ class FTree:
         if not (self.is_connected_vertex(edge.u) and self.is_connected_vertex(edge.v)):
             return 0
         component = self._plan_cycle(edge.u, edge.v, edge).component
-        return self.sampler.estimation_cost(component.edges(), component.articulation)
+        return self.sampler.estimation_cost(self.graph, component.edges(), component.articulation)
 
     # ------------------------------------------------------------------
     # flow evaluation (Section 5.3)
@@ -961,7 +963,9 @@ class FTree:
                 continue
             if not component.needs_estimation:
                 continue
-            cost += self.sampler.estimation_cost(component.edges(), component.articulation)
+            cost += self.sampler.estimation_cost(
+                self.graph, component.edges(), component.articulation
+            )
         return cost
 
     # ------------------------------------------------------------------

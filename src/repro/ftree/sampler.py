@@ -170,13 +170,20 @@ class ComponentSampler:
             )
         return estimate
 
-    def estimation_cost(self, edges: Iterable[Edge], articulation: VertexId) -> int:
+    def estimation_cost(
+        self, graph: UncertainGraph, edges: Iterable[Edge], articulation: VertexId
+    ) -> int:
         """Return the number of edges that would need sampling for this component.
 
-        Zero when the result is already memoized; used by the
-        delayed-sampling heuristic to define the cost of probing an edge.
+        Zero when the component is evaluated exactly (at most
+        ``exact_threshold`` uncertain edges) or its result is already
+        memoized; used by the delayed-sampling heuristic to define the
+        cost of probing an edge.
         """
         edge_set = set(edges)
+        uncertain_edges = sum(1 for edge in edge_set if graph.probability(edge) < 1.0)
+        if uncertain_edges <= self.exact_threshold:
+            return 0
         if self.memo is not None and MemoCache.make_key(edge_set, articulation) in self.memo:
             return 0
         return len(edge_set)

@@ -193,7 +193,9 @@ def test_batched_rounds_match_on_sampled_graphs(variant, include_query, exact_th
     assert len(result.selected_edges) == 10
     assert selector.case_two_rows > 0
     if variant == "FT+M+CI+DS" and exact_threshold == 3:
-        assert result.extras["pruned_candidates"] > 0
+        # screening here never prunes: only exact cycles ever fell below the
+        # best lower bound, and they cost nothing, so they are not screened
+        # (test_screening_prunes_and_delays_a_sampled_cycle covers pruning)
         assert result.extras["delayed_candidates"] > 0
 
 
@@ -214,3 +216,43 @@ def test_zero_flow_cycle_is_delayed_by_the_probed_count():
     # and the round is retried without delays
     assert selector.outcomes[3] == (None, {Edge(1, 2): 1})
     assert result.selected_edges == [Edge(0, 1), Edge(0, 2), Edge(2, 3), Edge(1, 2)]
+
+
+def test_exact_cycle_costs_nothing_and_is_never_delayed():
+    """A 5-cycle at exact_threshold=10 is evaluated exactly, so probing it
+    samples nothing: its cost is 0 and delayed sampling never suspends it."""
+    graph = UncertainGraph(name="exact-cycle")
+    graph.add_vertex(0, weight=0.0)
+    for vertex in range(1, 5):
+        graph.add_vertex(vertex, weight=20.0)
+    for vertex in range(5, 10):
+        graph.add_vertex(vertex, weight=10.0)
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 4)]:
+        graph.add_edge(u, v, 0.9)
+    graph.add_edge(4, 0, 0.3)
+    for pendant in range(5, 10):
+        graph.add_edge(0, pendant, 0.9)
+    selector, result = checked_select(graph, "FT+M+DS", False, 10, budget=8, query=0)
+    assert result.selected_edges[:4] == [Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(3, 4)]
+    # rounds 4-7: the closing edge loses to a pendant every round, at no cost
+    for (best_edge, _, cycle_info, _, _, skipped), _ in selector.outcomes[4:]:
+        assert best_edge != Edge(4, 0)
+        assert cycle_info[Edge(4, 0)][1] == 0 and skipped == 0
+    assert result.extras["delayed_candidates"] == 0
+
+
+def test_screening_prunes_and_delays_a_sampled_cycle():
+    """A sampled cycle over light vertices cannot beat the heavy Case II edge
+    ranked before it: screening prunes it, and delayed sampling then
+    suspends it for a round."""
+    graph = UncertainGraph(name="prune")
+    for vertex, weight in [(0, 0.0), (5, 10.0), (7, 1.0), (8, 1.0), (9, 0.2)]:
+        graph.add_vertex(vertex, weight=weight)
+    for u, v in [(0, 7), (0, 8), (7, 8), (5, 8), (0, 9)]:
+        graph.add_edge(u, v, 0.5)
+    _, pruned = checked_select(graph, "FT+M+CI", False, 0, budget=4, query=0)
+    assert [i.candidates_pruned for i in pruned.iterations] == [0, 0, 1, 0]
+    _, delayed = checked_select(graph, "FT+M+CI+DS", False, 0, budget=4, query=0)
+    assert [i.candidates_pruned for i in delayed.iterations] == [0, 0, 1, 0]
+    assert [i.candidates_delayed for i in delayed.iterations] == [0, 0, 0, 1]
+    assert delayed.selected_edges[-1] == Edge(0, 9)

@@ -86,15 +86,28 @@ class TestMemoization:
 
     def test_estimation_cost_zero_when_memoized(self, triangle_graph):
         memo = MemoCache()
-        sampler = ComponentSampler(n_samples=10, exact_threshold=10, seed=0, memo=memo)
+        sampler = ComponentSampler(n_samples=10, exact_threshold=0, seed=0, memo=memo)
         edges = triangle_graph.edge_list()
-        assert sampler.estimation_cost(edges, 0) == len(edges)
+        assert sampler.estimation_cost(triangle_graph, edges, 0) == len(edges)
         sampler.reachability(triangle_graph, 0, [1, 2], edges)
-        assert sampler.estimation_cost(edges, 0) == 0
+        assert sampler.estimation_cost(triangle_graph, edges, 0) == 0
 
     def test_no_memo_cost_is_edge_count(self, triangle_graph):
+        sampler = ComponentSampler(n_samples=10, exact_threshold=0, seed=0)
+        assert sampler.estimation_cost(triangle_graph, triangle_graph.edge_list(), 0) == 3
+
+    def test_exact_component_costs_nothing(self):
+        """A component evaluated exactly samples nothing, memoized or not."""
+        graph = cycle_graph(5, probability=0.5)
+        edges = graph.edge_list()
         sampler = ComponentSampler(n_samples=10, exact_threshold=10, seed=0)
-        assert sampler.estimation_cost(triangle_graph.edge_list(), 0) == 3
+        assert sampler.estimation_cost(graph, edges, 0) == 0
+        estimate = sampler.reachability(graph, 0, [1, 2, 3, 4], edges)
+        assert estimate.exact and sampler.sampled_edges == 0
+        # certain edges do not count towards the threshold
+        assert ComponentSampler(exact_threshold=4).estimation_cost(graph, edges, 0) == 5
+        graph.set_probability(0, 1, 1.0)
+        assert ComponentSampler(exact_threshold=4).estimation_cost(graph, edges, 0) == 0
 
     def test_different_articulation_is_different_key(self, triangle_graph):
         memo = MemoCache()
