@@ -29,7 +29,6 @@ from repro.exceptions import (
     VertexNotFoundError,
 )
 from repro.digest import graph_digest
-from repro.rng import SeedLike, ensure_rng
 from repro.types import Edge, EdgePair, VertexId, as_edge
 
 
@@ -409,21 +408,8 @@ class UncertainGraph:
         return subgraph
 
     # ------------------------------------------------------------------
-    # possible-world sampling
+    # possible-world probabilities
     # ------------------------------------------------------------------
-    def sample_edge_set(self, seed: SeedLike = None) -> Set[Edge]:
-        """Sample one possible world and return the set of surviving edges.
-
-        Each edge survives independently with its probability (unbiased
-        possible-world sampling, Lemma 1 of the paper).
-        """
-        rng = ensure_rng(seed)
-        edges = list(self._probabilities.items())
-        if not edges:
-            return set()
-        draws = rng.random(len(edges))
-        return {edge for (edge, p), r in zip(edges, draws) if r < p}
-
     def log_world_probability(self, surviving_edges: Iterable["Edge | EdgePair"]) -> float:
         """Return the log-probability of the possible world with exactly these edges.
 

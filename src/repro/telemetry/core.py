@@ -152,17 +152,13 @@ NULL_TELEMETRY = NullTelemetry()
 # resolution chain
 # ----------------------------------------------------------------------
 def telemetry_from_spec(spec: object) -> Telemetry:
-    """Normalize a raw telemetry spec into a live :class:`Telemetry`.
+    """Normalize a ``REPRO_TELEMETRY`` value into a live :class:`Telemetry`.
 
-    ``True`` → an enabled metrics-only pipeline; ``"log"`` → the stdlib
-    logging bridge; any other string → a :class:`JSONLExporter` writing
-    to that path.  Instances pass through.  This is what the
-    ``REPRO_TELEMETRY`` environment hook accepts.
+    ``"log"`` → the stdlib logging bridge; any other string or path → a
+    :class:`JSONLExporter` writing to that path.  The switch values
+    (``1``/``true``/``on`` and ``0``/``false``/``off``) are handled by
+    :func:`install_env_telemetry` before it calls this.
     """
-    if isinstance(spec, Telemetry):
-        return spec
-    if spec is True:
-        return Telemetry()
     if isinstance(spec, (str, os.PathLike)):
         if spec == "log":
             return Telemetry(exporters=[LoggingExporter()])

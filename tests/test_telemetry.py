@@ -385,14 +385,14 @@ class TestResolutionChain:
         assert current_telemetry() is first  # built once at install, not per call
 
     def test_telemetry_from_spec(self, tmp_path):
-        assert telemetry_from_spec(True).enabled
         logged = telemetry_from_spec("log")
         assert any(isinstance(e, LoggingExporter) for e in logged.exporters)
         path = tmp_path / "trace.jsonl"
         filed = telemetry_from_spec(str(path))
         assert any(isinstance(e, JSONLExporter) for e in filed.exporters)
-        with pytest.raises(TypeError):
-            telemetry_from_spec(123)
+        for spec in (123, True, Telemetry()):
+            with pytest.raises(TypeError):
+                telemetry_from_spec(spec)
 
     def test_runtime_config_rejects_bad_telemetry(self):
         with pytest.raises(TypeError):

@@ -198,11 +198,6 @@ class TestWorldProbability:
         with pytest.raises(EdgeNotFoundError):
             graph.world_probability([Edge("a", "c")])
 
-    def test_sample_edge_set_respects_probabilities(self, graph):
-        graph.set_probability("a", "b", 1.0)
-        samples = [graph.sample_edge_set(seed) for seed in range(20)]
-        assert all(Edge("a", "b") in sample for sample in samples)
-
     def test_log_world_probability_consistency(self, graph):
         log_p = graph.log_world_probability([Edge("a", "b")])
         assert math.exp(log_p) == pytest.approx(graph.world_probability([Edge("a", "b")]))
