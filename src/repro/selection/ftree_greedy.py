@@ -3,10 +3,12 @@
 Each round the selector scores every candidate edge as the flow of the
 tree with the edge inserted, a delta over the committed tree, and
 commits the edge with the highest flow (Section 6.1); ties go to the
-first candidate in rank order.  Edges to a new vertex (Case II) are
-scored all at once by :meth:`FTree.probe_new_vertices`, one array
-expression over the frontier; only edges that close a cycle go through
-:meth:`FTree.probe` one by one.  Three optional heuristics reduce the
+first candidate in rank order.  The scores read aggregates that the
+F-tree keeps current per insertion, so a round costs no pass over the
+committed tree.  Edges to a new vertex (Case II) are scored all at
+once by :meth:`FTree.probe_new_vertices`, one array expression over the
+frontier; only edges that close a cycle go through :meth:`FTree.probe`
+one by one.  Three optional heuristics reduce the
 per-iteration work, and all three only ever concern cycle candidates,
 the only ones whose probe estimates anything:
 
@@ -68,7 +70,8 @@ class FTreeGreedySelector(EdgeSelector):
         The penalisation parameter ``c`` of the delayed-sampling
         heuristic (paper default 2.0; must be > 1).
     alpha:
-        Significance level of the pruning intervals (paper: 0.01).
+        Significance level of the pruning intervals (paper: 0.01); the
+        F-tree is built with it.
     seed:
         Random seed or generator.
     include_query:
