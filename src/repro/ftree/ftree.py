@@ -620,12 +620,11 @@ class FTree:
         ]
         for m in members:
             children[parent[m]].discard(m)
-        below = children.setdefault(articulation, set())
-        below.update(members)
+            parent[m] = articulation
+        children.setdefault(articulation, set()).update(members)
         weights = [self.graph.weight(self._vertices[m]) for m in members]
         for factors, down in zip(self._factors, self._downs):
             for m, weight in zip(members, weights):
-                parent[m] = articulation
                 factors[m] = 0.0
                 for child in children.get(m, ()):
                     weight += factors[child] * down[child]

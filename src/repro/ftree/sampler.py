@@ -28,6 +28,7 @@ memoization leave it unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -181,9 +182,9 @@ class ComponentSampler:
         cost of probing an edge.
         """
         edge_set = set(edges)
-        uncertain_edges = sum(1 for edge in edge_set if graph.probability(edge) < 1.0)
-        if uncertain_edges <= self.exact_threshold:
-            return 0
+        uncertain = (edge for edge in edge_set if graph.probability(edge) < 1.0)
+        if next(islice(uncertain, self.exact_threshold, None), None) is None:
+            return 0  # at most exact_threshold uncertain edges: evaluated exactly
         if self.memo is not None and MemoCache.make_key(edge_set, articulation) in self.memo:
             return 0
         return len(edge_set)
