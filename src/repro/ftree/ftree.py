@@ -981,6 +981,10 @@ class FTree:
         clone._selected = set(self._selected)
         clone._next_id = self._next_id
         clone._root_mono_id = self._root_mono_id
+        # the ids this tree's aggregates are sized for, not the graph's current ones
+        clone._ids = self._ids
+        clone._vertices = self._vertices
+        clone._q = self._q
         clone._parent = list(self._parent)
         clone._children = {vertex: set(below) for vertex, below in self._children.items()}
         clone._factors = [list(factors) for factors in self._factors]

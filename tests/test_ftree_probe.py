@@ -21,6 +21,7 @@ from repro.exceptions import (
     DisconnectedInsertionError,
     DuplicateEdgeError,
     EdgeNotFoundError,
+    FTreeInvariantError,
 )
 from repro.ftree.ftree import FTree
 from repro.ftree.memo import MemoCache
@@ -237,8 +238,10 @@ def insertion_runs(draw):
         st.lists(st.sampled_from(ROUND_ACTIONS), min_size=len(picks), max_size=len(picks))
     )
     # FT without memo at exact_threshold=0 re-samples every cycle each round,
-    # so a sampled component's factors really change between rounds
-    exact_threshold, memo = draw(st.sampled_from([(0, False), (0, True), (2, True), (10, True)]))
+    # so a sampled component's factors really change between rounds; at 2
+    # without memo, exact components mix with re-sampled ones
+    exact_threshold = draw(st.sampled_from([0, 2, 10]))
+    memo = draw(st.booleans())
     return _graph(n_vertices, edges, weights), list(zip(picks, actions)), exact_threshold, memo
 
 
@@ -292,3 +295,34 @@ def test_a_zero_estimate_still_recomputes_the_merged_subtree():
     check_aggregates(tree)
     reach = tree.reachability_to_query()
     assert reach[1] == 0.0 and reach[3] == 0.0
+
+
+class TestGraphGrowth:
+    def test_a_vertex_added_under_a_live_tree_is_probed_and_inserted(self):
+        graph = _graph(4, [(0, 1, 0.5), (1, 2, 0.6), (2, 0, 0.7), (2, 3, 0.8)])
+        tree = FTree(graph, 0, sampler=_sampler(exact_threshold=0), alpha=ALPHA)
+        for u, v in [(0, 1), (1, 2), (2, 0)]:
+            tree.insert_edge(u, v)
+        tree.expected_flow()  # estimate the triangle, so the probes below price only their own
+        graph.add_vertex(4, weight=3.0)
+        graph.add_edge(2, 4, 0.9)
+        assert_probe_matches(tree, 2, 4)
+        tree.insert_edge(2, 4)
+        tree.check_invariants()
+        assert tree.reachability_to_query()[4] > 0.0
+        # the new vertex closes a cycle too
+        graph.add_edge(4, 1, 0.4)
+        tree.expected_flow()
+        assert_probe_matches(tree, 4, 1, include_query=True)
+        tree.insert_edge(4, 1)
+        tree.check_invariants()
+
+    def test_a_removed_vertex_reorders_the_ids_and_is_refused(self):
+        graph = _graph(4, [(0, 1, 0.5), (1, 2, 0.6), (2, 3, 0.8)])
+        tree = FTree(graph, 0, sampler=_sampler(), alpha=ALPHA)
+        tree.insert_edge(0, 1)
+        graph.remove_vertex(3)
+        graph.add_vertex(5)
+        graph.add_edge(1, 5, 0.5)
+        with pytest.raises(FTreeInvariantError, match="lost or reordered"):
+            tree.insert_edge(1, 5)
