@@ -40,6 +40,21 @@ scores a whole array of them at once over the reach arrays, and the
 scalar :meth:`FTree.probe` remains the oracle it is tested against.
 :meth:`FTree.check_invariants` recomputes the aggregates from scratch
 and compares.
+
+The tree also keeps, per cycle candidate, the plan its last probe made:
+the planned bi component and the ids of the tree components the plan
+read.  A Case IIIa plan reads only its target; any other plan reads the
+chain components strictly below the lowest common ancestor on both
+sides and the ancestor itself, never the components above it.  A cycle
+insertion drops exactly the plans that read a component it consumed,
+split or grew; a Case II leaf changes no existing path to an
+articulation, so it drops none.  A reused plan skips planning; only
+the merge sum and ``R(A)`` are recomputed against the live aggregates.
+Its estimate is reused only where it is deterministic in the plan: an
+exact one, at cost 0.  A sampled estimate is re-drawn through the
+sampler every probe, because FT keys its stream on the round and FT+M's
+memo may have evicted it (§6.2), and its cost is priced against the
+live memo.
 """
 
 from __future__ import annotations
@@ -111,6 +126,10 @@ class _CyclePlan:
     #: order — a bi component whole (``None``), a mono component with the
     #: path of vertices that moves out of it.
     consumed: List[Tuple[Component, Optional[List[VertexId]]]] = field(default_factory=list)
+    #: Ids of the tree components the plan read: the target (Case IIIa),
+    #: otherwise the chain components strictly below the lowest common
+    #: ancestor on both sides and the ancestor itself, if there is one.
+    reads: Tuple[int, ...] = ()
 
 
 class FTree:
@@ -177,6 +196,15 @@ class FTree:
         self._stale: Set[int] = set()
         #: vertices whose R — and their subtrees' — must be recomputed
         self._dirty: Set[int] = set()
+        # The plan cache: per cycle candidate, the plan its last probe made,
+        # whose component keeps the tree sampler's estimate; filed under
+        # every component id the plan read, so that an insertion drops
+        # exactly the plans that read a component it changes.
+        self._plans: Dict[Edge, _CyclePlan] = {}
+        self._readers: Dict[int, Set[Edge]] = {}
+        #: cycle plans that probe and probe_cost took from the cache / made afresh
+        self.reused_plans = 0
+        self.fresh_plans = 0
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -270,6 +298,7 @@ class FTree:
         edge = Edge(u, v)
         probability = self._check_insertion(edge)
         self._selected.add(edge)
+        self._drop_plan(edge)
         u_connected = self.is_connected_vertex(u)
         v_connected = self.is_connected_vertex(v)
         if u_connected and not v_connected:
@@ -431,14 +460,20 @@ class FTree:
         # the new bi-connected component; it gets its id when the plan is applied
         component = BiConnectedComponent(self._next_id + 1, articulation)
         component.absorb(moved_vertices - {articulation}, moved_edges)
-        return _CyclePlan(case=case, component=component, consumed=consumed)
+        # components above the ancestor are never read
+        reads = [chained.component_id for chained, _ in below_u + below_v]
+        if ancestor is not None:
+            reads.append(ancestor.component_id)
+        return _CyclePlan(case=case, component=component, consumed=consumed, reads=tuple(reads))
 
     @staticmethod
     def _plan_in_place(target: BiConnectedComponent, edge: Edge) -> _CyclePlan:
         """Case IIIa: the edge joins ``target``, which keeps its id and articulation."""
         component = target.clone()
         component.add_edge(edge)
-        return _CyclePlan(case="IIIa", component=component, target=target)
+        return _CyclePlan(
+            case="IIIa", component=component, target=target, reads=(target.component_id,)
+        )
 
     @staticmethod
     def _plan_split(
@@ -456,6 +491,9 @@ class FTree:
 
     def _apply_cycle(self, plan: _CyclePlan, edge: Edge) -> InsertionResult:
         """Carry out a cycle-closing plan made by :meth:`_plan_cycle` on this tree."""
+        # the components the insertion grows, consumes or splits
+        changed = [plan.target] if plan.target is not None else [c for c, _ in plan.consumed]
+        self._drop_plans_reading([component.component_id for component in changed])
         if plan.target is not None:
             plan.target.add_edge(edge)
             self._stale.add(plan.target.component_id)
@@ -740,6 +778,13 @@ class FTree:
         reachability is the only estimate the probe makes.  ``sampler``
         (the tree's own by default) makes that estimate; ``cost`` is
         always measured against the tree's sampler.
+
+        The plan of a cycle candidate is cached until an insertion
+        changes a component it read (see the module docstring).  The
+        cached component keeps the tree sampler's estimate: an exact one
+        is reused with cost 0, a sampled one is re-estimated every probe.
+        A foreign ``sampler`` estimates a copy of the component, so its
+        estimate never reaches the cache.
         """
         edge = u if isinstance(u, Edge) and v is None else Edge(u, v)
         probability = self._check_insertion(edge)
@@ -755,13 +800,19 @@ class FTree:
             flows = [self._downs[k][q] + float(self._reach[k][a]) * gain for k in sets]
             cost = 0
         else:
-            component = self._plan_cycle(edge.u, edge.v, edge).component
-            cost = self.sampler.estimation_cost(
-                self.graph, component.edges(), component.articulation
-            )
-            local = component.local_reachability(
-                self.graph, self.sampler if sampler is None else sampler
-            )
+            component = self._cached_plan(edge).component
+            cost = self._plan_cost(component)
+            if sampler is not None and sampler is not self.sampler:
+                # a foreign estimate never lands in the cached component
+                component = component.clone()
+                component.invalidate()
+                local = component.local_reachability(self.graph, sampler)
+            elif component.reach_exact:
+                local = component.reach
+            else:
+                # re-drawn: FT keys the stream on the round, FT+M's memo answers it
+                component.invalidate()
+                local = component.local_reachability(self.graph, self.sampler)
             merged = _bi_factors(component, local, self._z)
             if sets[1] == 0 and merged[1] is local:
                 # one factor set, merged with zero-width bounds: one sum serves all three
@@ -836,13 +887,54 @@ class FTree:
         return flow, lower, upper
 
     def probe_cost(self, u: "VertexId | Edge", v: Optional[VertexId] = None) -> int:
-        """Return the ``cost`` of :meth:`probe` without estimating anything."""
+        """Return the ``cost`` of :meth:`probe` without estimating anything.
+
+        It plans through the same cache as :meth:`probe`, so a probe that
+        follows reuses the plan.
+        """
         edge = u if isinstance(u, Edge) and v is None else Edge(u, v)
         self._check_insertion(edge)
         if not (self.is_connected_vertex(edge.u) and self.is_connected_vertex(edge.v)):
             return 0
-        component = self._plan_cycle(edge.u, edge.v, edge).component
+        return self._plan_cost(self._cached_plan(edge).component)
+
+    def _plan_cost(self, component: BiConnectedComponent) -> int:
+        """``estimation_cost`` of a planned component against the live memo;
+        0 once the tree sampler has estimated it exactly."""
+        if component.reach_exact:
+            return 0
         return self.sampler.estimation_cost(self.graph, component.edges(), component.articulation)
+
+    def _cached_plan(self, edge: Edge) -> _CyclePlan:
+        """The plan for cycle candidate ``edge``: the cached one while nothing
+        it read has changed, otherwise a fresh :meth:`_plan_cycle`, cached."""
+        plan = self._plans.get(edge)
+        if plan is not None:
+            self.reused_plans += 1
+            return plan
+        self.fresh_plans += 1
+        plan = self._plan_cycle(edge.u, edge.v, edge)
+        self._plans[edge] = plan
+        for component_id in plan.reads:
+            self._readers.setdefault(component_id, set()).add(edge)
+        return plan
+
+    def _drop_plan(self, edge: Edge) -> None:
+        """Forget the cached plan of ``edge`` and unfile it from every id it read."""
+        plan = self._plans.pop(edge, None)
+        if plan is None:
+            return
+        for component_id in plan.reads:
+            readers = self._readers[component_id]
+            readers.discard(edge)
+            if not readers:
+                del self._readers[component_id]
+
+    def _drop_plans_reading(self, component_ids: Sequence[int]) -> None:
+        """Forget every cached plan that read one of ``component_ids``."""
+        for component_id in component_ids:
+            for edge in list(self._readers.get(component_id, ())):
+                self._drop_plan(edge)
 
     # ------------------------------------------------------------------
     # flow evaluation (Section 5.3)
@@ -971,7 +1063,11 @@ class FTree:
     # copying and verification
     # ------------------------------------------------------------------
     def clone(self) -> "FTree":
-        """Return a deep copy sharing the graph and the sampler (and its memo cache)."""
+        """Return a deep copy sharing the graph and the sampler (and its memo cache).
+
+        The copy starts with an empty plan cache: a cached component keeps
+        its estimate in place, so the two trees must not share one.
+        """
         clone = FTree(self.graph, self.query, sampler=self.sampler, alpha=self.alpha)
         clone._components = {
             component_id: component.clone()
@@ -995,8 +1091,11 @@ class FTree:
         return clone
 
     def check_invariants(self) -> None:
-        """Verify the structural invariants of Definition 9 and the probe
-        aggregates; raise on violation.
+        """Verify the structural invariants of Definition 9, the plan cache
+        and the probe aggregates; raise on violation.
+
+        Every cached plan must match a fresh :meth:`_plan_cycle` and be
+        filed exactly under the components it read.
 
         The aggregates are brought up to date (estimating stale bi
         components) and compared with a recomputation from the
@@ -1040,7 +1139,27 @@ class FTree:
                 raise FTreeInvariantError(f"selected edge {edge!r} is not in the graph")
         # the ancestry must be acyclic and terminate at Q
         self._topological_components()
+        self._check_plans()
         self._check_aggregates()
+
+    def _check_plans(self) -> None:
+        """Every cached plan equals a fresh one and is filed exactly under the
+        live components it read."""
+        filed: Dict[int, Set[Edge]] = {}
+        for edge, plan in self._plans.items():
+            fresh = self._plan_cycle(edge.u, edge.v, edge)
+            cached = plan.component
+            if (
+                fresh.reads != plan.reads
+                or fresh.component.articulation != cached.articulation
+                or fresh.component.vertices != cached.vertices
+                or fresh.component.edges() != cached.edges()
+            ):
+                raise FTreeInvariantError(f"the cached plan of {edge!r} disagrees with a fresh one")
+            for component_id in plan.reads:
+                filed.setdefault(component_id, set()).add(edge)
+        if filed != self._readers:
+            raise FTreeInvariantError("the plan index disagrees with the cached plans")
 
     def _check_aggregates(self) -> None:
         """Recompute the vertex tree and its aggregates from scratch; compare."""

@@ -8,7 +8,12 @@ F-tree keeps current per insertion, so a round costs no pass over the
 committed tree.  Edges to a new vertex (Case II) are scored all at
 once by :meth:`FTree.probe_new_vertices`, one array expression over the
 frontier; only edges that close a cycle go through :meth:`FTree.probe`
-one by one.  Three optional heuristics reduce the
+one by one.  The F-tree keeps each cycle candidate's plan, and an exact
+estimate of its component, until an insertion changes a component the
+plan read, so most cycle probes re-plan and re-estimate nothing; a
+sampled estimate still goes through the sampler on every probe.  The
+result's extras report ``reused_plans`` and ``fresh_plans`` beside
+``exact_components``.  Three optional heuristics reduce the
 per-iteration work, and all three only ever concern cycle candidates,
 the only ones whose probe estimates anything:
 
@@ -195,6 +200,8 @@ class FTreeGreedySelector(EdgeSelector):
         extras: Dict[str, float] = {
             "sampled_components": float(sampler.sampled_components),
             "exact_components": float(sampler.exact_components),
+            "reused_plans": float(ftree.reused_plans),
+            "fresh_plans": float(ftree.fresh_plans),
             "sampled_edges": float(sampler.sampled_edges),
             "pruned_candidates": float(total_pruned),
             "delayed_candidates": float(total_delayed),

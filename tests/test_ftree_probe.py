@@ -9,6 +9,10 @@ The random sequences also check the tree's incrementally maintained
 aggregates with ``check_invariants`` after every step, on a clone so
 that updates still pending in the tree (several insertions without a
 probe, re-estimates of a new round) stay pending.
+
+The tree caches each cycle candidate's plan across rounds, so every
+probe is also compared bit for bit with a clone's, whose plan cache is
+empty; ``TestPlanCache`` covers each rule the cache must keep.
 """
 
 import math
@@ -83,6 +87,7 @@ def assert_probe_matches(tree: FTree, u, v, include_query: bool = False) -> None
     # the cost is measured before anything estimates the new component
     reference_cost = reference.pending_estimation_cost()
     assert tree.probe_cost(u, v) == reference_cost
+    fresh_tree = tree.clone()  # its plan cache is empty
     score = tree.probe(u, v, include_query=include_query)
     reference_flow = reference.expected_flow(include_query=include_query)
     reference_lower, reference_upper = reference.flow_interval(
@@ -92,9 +97,12 @@ def assert_probe_matches(tree: FTree, u, v, include_query: bool = False) -> None
     assert _close(score.lower, reference_lower), (Edge(u, v), score, reference_lower)
     assert _close(score.upper, reference_upper), (Edge(u, v), score, reference_upper)
     assert score.cost == reference_cost
-    # probe(edge) is probe(u, v); the second probe finds the estimate
-    # memoized or replays its CRN stream
-    assert tree.probe(Edge(u, v), include_query=include_query)[:3] == score[:3]
+    # a reused plan scores bit for bit like a fresh one; probe(edge) is
+    # probe(u, v), and from here on every probe finds the estimate memoized
+    # or replays its CRN stream, so the costs agree too
+    fresh = fresh_tree.probe(u, v, include_query=include_query)
+    assert score[:3] == fresh[:3], (Edge(u, v), score, fresh)
+    assert tree.probe(Edge(u, v), include_query=include_query) == fresh
 
 
 def assert_all_probes_match(tree: FTree, round_index: int, evaluate_first: bool = True) -> None:
@@ -326,3 +334,119 @@ class TestGraphGrowth:
         graph.add_edge(1, 5, 0.5)
         with pytest.raises(FTreeInvariantError, match="lost or reordered"):
             tree.insert_edge(1, 5)
+
+
+def _path_tree(sampler: ComponentSampler) -> FTree:
+    """0-1-2-3 selected out of K_5: one mono component, so only a probed
+    cycle's own estimate can move a score between rounds."""
+    tree = FTree(_complete(5), 0, sampler=sampler, alpha=ALPHA)
+    for u, v in [(0, 1), (1, 2), (2, 3)]:
+        tree.insert_edge(u, v)
+    return tree
+
+
+def assert_plan_index_clean(tree: FTree) -> None:
+    """Every reverse-index entry names a cached plan that read a live component."""
+    live = {component.component_id for component in tree.components()}
+    for component_id, edges in tree._readers.items():
+        assert component_id in live and edges
+        for edge in edges:
+            assert component_id in tree._plans[edge].reads
+    assert sum(map(len, tree._readers.values())) == sum(
+        len(plan.reads) for plan in tree._plans.values()
+    )
+    assert not tree.selected_edges & set(tree._plans)
+
+
+class TestPlanCache:
+    """Each rule the per-candidate plan cache must keep."""
+
+    def test_a_reused_sampled_plan_redraws_in_the_next_round(self):
+        tree = _path_tree(_sampler(exact_threshold=0, memo=False))
+        tree.begin_round(0)
+        first = tree.probe(3, 0)
+        tree.begin_round(1)
+        second = tree.probe(3, 0)
+        assert (tree.fresh_plans, tree.reused_plans) == (1, 1)
+        assert second.flow != first.flow
+        assert second == tree.clone().probe(3, 0)
+
+    def test_a_foreign_sampler_never_writes_the_cached_estimate(self):
+        tree = _path_tree(_sampler(exact_threshold=0, memo=False))
+        # the coarse sampler evaluates the 4-cycle exactly, the tree's samples it
+        coarse = ComponentSampler(n_samples=30, exact_threshold=10, seed=9)
+        screened = tree.probe(3, 0, sampler=coarse)
+        assert screened.lower == screened.upper
+        full = tree.probe(3, 0)
+        assert full.lower < full.upper and full.cost > 0
+        assert full == tree.clone().probe(3, 0)
+        assert tree.probe(3, 0, sampler=coarse) == screened
+        assert tree.probe(3, 0) == full
+
+    def test_an_evicted_memo_entry_is_priced_again(self):
+        sampler = ComponentSampler(n_samples=64, exact_threshold=0, seed=5, memo=MemoCache(1))
+        tree = _path_tree(sampler)
+        tree.begin_round(0)
+        first = tree.probe(3, 0)
+        assert first.cost > 0
+        assert tree.probe(3, 0).cost == 0  # memoized
+        tree.probe(2, 0)  # another cycle's estimate evicts it
+        cycle = [Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(3, 0)]
+        assert sampler.estimation_cost(tree.graph, cycle, 0) == first.cost
+        # re-estimated and priced against the live memo; the round's stream replays
+        assert tree.probe(3, 0) == first
+        assert tree.fresh_plans == 2
+
+    def _bi_with_branches(self) -> FTree:
+        """Q=0 with bi {1, 2, 3} (the 4-cycle 0-1-2-3), mono {4} below 3
+        and the root mono {5, 6}; every component is evaluated exactly."""
+        tree = FTree(_complete(8), 0, sampler=_sampler(exact_threshold=10), alpha=ALPHA)
+        for u, v in [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (0, 5), (5, 6)]:
+            tree.insert_edge(u, v)
+        return tree
+
+    def test_a_case_three_a_insertion_drops_the_plans_that_read_its_target(self):
+        tree = self._bi_with_branches()
+        reading_bi = [Edge(4, 1), Edge(4, 0), Edge(5, 1), Edge(0, 2)]
+        elsewhere = Edge(6, 0)
+        tree.begin_round(0)
+        for edge in reading_bi + [elsewhere]:
+            tree.probe(edge)
+        assert tree.insert_edge(1, 3).case == "IIIa"
+        assert set(tree._plans) == {elsewhere}
+        tree.begin_round(1)
+        for edge in reading_bi + [elsewhere]:
+            assert tree.probe(edge) == tree.clone().probe(edge)
+        assert (tree.fresh_plans, tree.reused_plans) == (2 * len(reading_bi) + 1, 1)
+        tree.check_invariants()
+
+    def test_a_leaf_below_a_merged_vertex_keeps_the_plans_but_moves_their_gain(self):
+        tree = self._bi_with_branches()
+        tree.begin_round(0)
+        before = tree.probe(4, 1)  # merges the bi component, whose vertex 2 gains a leaf
+        assert tree.insert_edge(2, 7).case == "IIb"
+        tree.begin_round(1)
+        after = tree.probe(4, 1)
+        assert (tree.fresh_plans, tree.reused_plans) == (1, 1)
+        assert after.flow != before.flow
+        assert after == tree.clone().probe(4, 1)
+        tree.check_invariants()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(insertion_runs())
+def test_dropped_plans_leave_no_index_entry(run):
+    graph, rounds, exact_threshold, memo = run
+    tree = FTree(graph, 0, sampler=_sampler(exact_threshold, memo), alpha=ALPHA)
+    for round_index, (pick, _) in enumerate(rounds):
+        frontier = _frontier(tree)
+        if not frontier:
+            break
+        tree.begin_round(round_index)
+        for edge in frontier:
+            tree.probe(edge)
+        assert_plan_index_clean(tree)
+        edge = frontier[pick % len(frontier)]
+        tree.insert_edge(edge.u, edge.v)
+        assert_plan_index_clean(tree)
+    tree.check_invariants()

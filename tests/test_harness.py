@@ -303,15 +303,16 @@ GOLDEN_ROWS = [
     (
         {"algorithm": "FT", "budget": 10, "n_selected": 10,
          "expected_flow": 54.20143454766912, "evaluated_flow": 55.097131055784494},
-        {"sampled_components": 5.0, "exact_components": 0.0, "sampled_edges": 23.0,
-         "pruned_candidates": 0.0, "delayed_candidates": 0.0},
+        {"sampled_components": 5.0, "exact_components": 0.0, "reused_plans": 1.0,
+         "fresh_plans": 3.0, "sampled_edges": 23.0, "pruned_candidates": 0.0,
+         "delayed_candidates": 0.0},
     ),
     (
         {"algorithm": "FT+M", "budget": 10, "n_selected": 10,
          "expected_flow": 55.262224378437764, "evaluated_flow": 55.097131055784494},
-        {"sampled_components": 3.0, "exact_components": 0.0, "sampled_edges": 15.0,
-         "pruned_candidates": 0.0, "delayed_candidates": 0.0, "memo_hits": 2.0,
-         "memo_hit_rate": 0.4},
+        {"sampled_components": 3.0, "exact_components": 0.0, "reused_plans": 1.0,
+         "fresh_plans": 3.0, "sampled_edges": 15.0, "pruned_candidates": 0.0,
+         "delayed_candidates": 0.0, "memo_hits": 2.0, "memo_hit_rate": 0.4},
     ),
 ]
 

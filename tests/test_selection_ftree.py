@@ -103,6 +103,25 @@ class TestMemoization:
         assert plain.expected_flow == pytest.approx(memoized.expected_flow)
 
 
+class TestPlanReuse:
+    def test_cycle_plans_are_reused_and_reported(self):
+        graph = erdos_renyi_graph(25, average_degree=6.0, seed=4)
+        plain = _selector().select(graph, 0, 12)
+        memoized = _selector(memoize=True).select(graph, 0, 12)
+        assert plain.extras["fresh_plans"] > 0 and plain.extras["reused_plans"] > 0
+        # plans depend on the tree only, not on the memo
+        for key in ("fresh_plans", "reused_plans"):
+            assert memoized.extras[key] == plain.extras[key]
+
+    def test_screening_reuses_the_plan_that_priced_it(self):
+        graph = erdos_renyi_graph(25, average_degree=6.0, seed=4)
+        result = _selector(memoize=True, confidence=True, exact_threshold=0, n_samples=60).select(
+            graph, 0, 12
+        )
+        # probe_cost plans a cycle once; the screening and full probes reuse it
+        assert result.extras["reused_plans"] > 2 * result.extras["fresh_plans"] > 0
+
+
 class TestConfidencePruning:
     def test_ci_variant_runs_and_reports_pruning(self):
         graph = erdos_renyi_graph(30, average_degree=5, seed=7)
